@@ -15,13 +15,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-from braidinv import (
-    GroupSpec,
-    ext_dimension,
-    oracle_dimension,
-    product_dimension,
-    total_rank_check,
-)
+from braidinv import GroupSpec, ext_dimension, oracle_dimension, product_dimension
+from braidinv.character_oracle import total_rank_check
 
 
 @dataclass

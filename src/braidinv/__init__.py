@@ -5,111 +5,25 @@ counting, and a brute-force character oracle.  They must agree; the test
 suite and the `braidinv verify` command enforce it.
 """
 
-from .core_combinatorics import (
-    Partition,
-    all_partitions,
-    binomial,
-    compositions_count,
-    enumerate_partitions,
-    min_rotation,
-    odd_prime_factors,
-)
-from .cycle_invariants import (
-    DeltaMap,
-    InvariantCycle,
-    block_support,
-    cycle_admissible,
-    delta_from_permutation,
-    dual_cycle,
-    enumerate_Pi,
-    enumerate_selfdual,
-    invariant_cycle,
-    selfdual_count_closed_form,
-)
+from .character_oracle import GroupSpec, oracle_dimension
+from .cycle_invariants import enumerate_selfdual, selfdual_count_closed_form
 from .errors import CapabilityError, InternalConsistencyError
-from .product_catalog import (
-    GeneratorLabel,
-    MarkedPartition,
-    PoincareTable,
-    enumerate_generators,
-    enumerate_marked,
-    label_from_delta,
-    product_dimension,
-)
-from .extension_catalog import (
-    PairedMarkedPartition,
-    SignedGenerator,
-    count_EP_closed_form,
-    count_KP_closed_form,
-    enumerate_E,
-    enumerate_EP,
-    enumerate_KP,
-    epsilon_sign,
-    ext_dimension,
-    sigma_dual_label,
-    signed_generators,
-)
-from .character_oracle import (
-    CentralizerPresentation,
-    CyclotomicSum,
-    GroupSpec,
-    Perm,
-    build_centralizer,
-    double_cosets,
-    isotropy_inner_product,
-    oracle_dimension,
-    total_rank_check,
-    zeta_value,
-)
+from .extension_catalog import enumerate_EP, enumerate_KP, ext_dimension
+from .product_catalog import PoincareTable, enumerate_generators, product_dimension
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Partition",
-    "all_partitions",
-    "binomial",
-    "compositions_count",
-    "enumerate_partitions",
-    "min_rotation",
-    "odd_prime_factors",
-    "DeltaMap",
-    "InvariantCycle",
-    "block_support",
-    "cycle_admissible",
-    "delta_from_permutation",
-    "dual_cycle",
-    "enumerate_Pi",
-    "enumerate_selfdual",
-    "invariant_cycle",
-    "selfdual_count_closed_form",
-    "CapabilityError",
-    "InternalConsistencyError",
-    "GeneratorLabel",
-    "MarkedPartition",
-    "PoincareTable",
-    "enumerate_generators",
-    "enumerate_marked",
-    "label_from_delta",
     "product_dimension",
-    "PairedMarkedPartition",
-    "SignedGenerator",
-    "count_EP_closed_form",
-    "count_KP_closed_form",
-    "enumerate_E",
+    "ext_dimension",
+    "oracle_dimension",
+    "GroupSpec",
+    "enumerate_generators",
     "enumerate_EP",
     "enumerate_KP",
-    "epsilon_sign",
-    "ext_dimension",
-    "sigma_dual_label",
-    "signed_generators",
-    "CentralizerPresentation",
-    "CyclotomicSum",
-    "GroupSpec",
-    "Perm",
-    "build_centralizer",
-    "double_cosets",
-    "isotropy_inner_product",
-    "oracle_dimension",
-    "total_rank_check",
-    "zeta_value",
+    "enumerate_selfdual",
+    "selfdual_count_closed_form",
+    "PoincareTable",
+    "CapabilityError",
+    "InternalConsistencyError",
 ]

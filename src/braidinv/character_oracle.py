@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
 from .core_combinatorics import Partition, all_partitions
-from .cycle_invariants import delta_from_permutation
 from .errors import CapabilityError, InternalConsistencyError
 from .product_catalog import PoincareTable
 
@@ -43,7 +43,7 @@ def _inv(a: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _tuple_sign(images: Tuple[int, ...]) -> int:
+def _sign(images: Tuple[int, ...]) -> int:
     seen = [False] * len(images)
     sign = 1
     for i in range(len(images)):
@@ -74,48 +74,21 @@ def _cycle_count(images: Tuple[int, ...]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Perm:
-    """A permutation of 1..n stored as its tuple of images."""
+def _from_cycles(n: int, *cycles: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Images of the product of disjoint cycles on 1..n."""
+    out = list(range(1, n + 1))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            out[a - 1] = b
+    return tuple(out)
 
-    images: Tuple[int, ...]
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("images must be a bijection of 1..n")
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_cycles(cls, n: int, *cycles) -> "Perm":
-        out = list(range(1, n + 1))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
-                out[a - 1] = b
-        return cls(tuple(out))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return Perm(_comp(self.images, other.images))
-
-    def inverse(self) -> "Perm":
-        return Perm(_inv(self.images))
-
-    def sign(self) -> int:
-        return _tuple_sign(self.images)
-
-    def __str__(self):
-        return "[" + " ".join(str(x) for x in self.images) + "]"
+def _checked(images, n: int) -> Tuple[int, ...]:
+    """The images as a tuple, once they are known to be a bijection of 1..n."""
+    images = tuple(images)
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError("%s is not a permutation of 1..%d" % (images, n))
+    return images
 
 
 @dataclass(frozen=True)
@@ -215,8 +188,7 @@ class CentralizerPresentation:
     """Generators and bookkeeping for the centralizer of a cycle product."""
 
     lam: Partition
-    cycle_generators: Tuple[Perm, ...]
-    nu_generators: Tuple[Perm, ...]
+    generators: Tuple[Tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
@@ -225,38 +197,25 @@ class CentralizerPresentation:
             out *= math.factorial(m) * v ** m
         return out
 
-    def elements(self) -> Iterator[Perm]:
-        for images, _ in _elements_with_exponents(self.lam):
-            yield Perm(images)
-
 
 @lru_cache(maxsize=None)
 def build_centralizer(lam: Partition) -> CentralizerPresentation:
     """Consecutive cycles and adjacent rigid block swaps generating it."""
     n = lam.n
-    cycles = []
+    generators = []
     for i in range(1, lam.part_count + 1):
         start = lam.block_start(i)
-        cycles.append(
-            Perm.from_cycles(n, tuple(range(start + 1, start + lam.parts[i - 1] + 1)))
+        generators.append(
+            _from_cycles(n, tuple(range(start + 1, start + lam.parts[i - 1] + 1)))
         )
-    nus = []
     for i in range(1, lam.part_count):
         if lam.parts[i - 1] != lam.parts[i]:
             continue
         v = lam.parts[i - 1]
         start = lam.block_start(i)
         swaps = [(start + t + 1, start + v + t + 1) for t in range(v)]
-        nus.append(Perm.from_cycles(n, *swaps))
-    return CentralizerPresentation(lam, tuple(cycles), tuple(nus))
-
-
-def canonical_cycle_product(lam: Partition) -> Perm:
-    pres = build_centralizer(lam)
-    images = Perm.identity(lam.n)
-    for c in pres.cycle_generators:
-        images = images * c
-    return images
+        generators.append(_from_cycles(n, *swaps))
+    return CentralizerPresentation(lam, tuple(generators))
 
 
 def _value_runs(lam: Partition):
@@ -352,7 +311,7 @@ def _character_exponent(lam: Partition, block_map, exponents, L: int) -> int:
             continue
         placed = tuple(block_map[i] for i in indices)
         rank = {b: t for t, b in enumerate(sorted(placed))}
-        if _tuple_sign(tuple(rank[b] + 1 for b in placed)) == -1:
+        if _sign(tuple(rank[b] + 1 for b in placed)) == -1:
             sign_parity += 1
     return (root + (sign_parity % 2) * (L // 2)) % L
 
@@ -470,13 +429,12 @@ class CyclotomicSum:
         return r[0] if r else 0
 
 
-def zeta_value(lam: Partition, z: Perm) -> CyclotomicSum:
+def zeta_value(lam: Partition, z: Tuple[int, ...]) -> CyclotomicSum:
     """The distinguished character of the centralizer, evaluated exactly."""
-    if z.n != lam.n:
-        raise ValueError("permutation degree must match the partition total")
-    data = _decompose(lam, z.images)
+    z = _checked(z, lam.n)
+    data = _decompose(lam, z)
     if data is None:
-        raise ValueError("%s does not centralize the cycle product" % z)
+        raise ValueError("%s does not centralize the cycle product" % (z,))
     L = root_order(lam)
     block_map, exponents = data
     return CyclotomicSum.monomial(L, _character_exponent(lam, block_map, exponents, L))
@@ -490,8 +448,7 @@ def _coset_words(group: GroupSpec, lam: Partition):
     if group.variant == "full":
         # a single coset; the all-late word reconstructs the identity
         return [tuple([0] * n)]
-    pres = build_centralizer(lam)
-    z_gens = [p.images for p in pres.cycle_generators + pres.nu_generators]
+    z_gens = build_centralizer(lam).generators
     words = set(itertools.permutations([0] * (n - q) + [1] * q))
     reps = []
     while words:
@@ -512,19 +469,19 @@ def _coset_words(group: GroupSpec, lam: Partition):
     return sorted(reps)
 
 
-def _perm_of_word(word: Tuple[int, ...]) -> Perm:
+def _perm_of_word(word: Tuple[int, ...]) -> Tuple[int, ...]:
     """A permutation whose marking is the given word: unmarked positions
     take the low values in order, marked positions the high ones."""
     n = len(word)
     q = sum(word)
     low = iter(range(1, n - q + 1))
     high = iter(range(n - q + 1, n + 1))
-    return Perm(tuple(next(high) if b else next(low) for b in word))
+    return tuple(next(high) if b else next(low) for b in word)
 
 
 def double_cosets(
     group: GroupSpec, lam: Partition, mode: str = "auto"
-) -> Tuple[Perm, ...]:
+) -> Tuple[Tuple[int, ...], ...]:
     """One representative per (group, centralizer) double coset.
 
     mode "generic" partitions all of the symmetric group by a two-sided
@@ -546,8 +503,7 @@ def double_cosets(
             "generic double cosets stop at n = %d; use the word mode"
             % GENERIC_COSET_LIMIT
         )
-    pres = build_centralizer(lam)
-    right = [p.images for p in pres.cycle_generators + pres.nu_generators]
+    right = build_centralizer(lam).generators
     left = list(group.generators())
     todo = set(itertools.permutations(range(1, n + 1)))
     reps = []
@@ -569,10 +525,10 @@ def double_cosets(
                     frontier.append(s2)
         reps.append(min(orbit))
         todo -= orbit
-    return tuple(Perm(r) for r in sorted(reps))
+    return tuple(sorted(reps))
 
 
-def _isotropy_sum(s: Perm, lam: Partition, group: GroupSpec):
+def _isotropy_sum(s: Tuple[int, ...], lam: Partition, group: GroupSpec):
     """Coefficient counts of the character sum over the twisted isotropy.
 
     Iterates whichever of the group and the centralizer is smaller.
@@ -580,36 +536,37 @@ def _isotropy_sum(s: Perm, lam: Partition, group: GroupSpec):
     L = root_order(lam)
     counts = [0] * L
     total = 0
-    pres = build_centralizer(lam)
-    if group.order <= pres.order:
-        s_inv = _inv(s.images)
+    s_inv = _inv(s)
+    if group.order <= build_centralizer(lam).order:
         for g in group.members():
-            z = _comp(s_inv, _comp(g, s.images))
+            z = _comp(s_inv, _comp(g, s))
             data = _decompose(lam, z)
             if data is None:
                 continue
             counts[_character_exponent(lam, data[0], data[1], L)] += 1
             total += 1
     else:
-        s_inv = _inv(s.images)
         for images, (block_map, exponents) in _elements_with_exponents(lam):
-            if group.contains(_comp(s.images, _comp(images, s_inv))):
+            if group.contains(_comp(s, _comp(images, s_inv))):
                 counts[_character_exponent(lam, block_map, exponents, L)] += 1
                 total += 1
     return counts, total
 
 
-def isotropy_order(s: Perm, lam: Partition, group: GroupSpec) -> int:
+def isotropy_order(s: Tuple[int, ...], lam: Partition, group: GroupSpec) -> int:
     _, total = _isotropy_sum(s, lam, group)
     return total
 
 
-def isotropy_inner_product(s: Perm, lam: Partition, group: GroupSpec) -> int:
+def isotropy_inner_product(
+    s: Tuple[int, ...], lam: Partition, group: GroupSpec
+) -> int:
     """Multiplicity of the trivial character in the twisted restriction.
 
     The reduced character sum must equal 0 or the isotropy order; anything
     else would violate the character axioms and raises.
     """
+    s = _checked(s, lam.n)
     counts, total = _isotropy_sum(s, lam, group)
     value = CyclotomicSum(root_order(lam), tuple(counts)).integer_value()
     if value == 0:
@@ -634,10 +591,10 @@ def _check_oracle_scale(n: int, long_running: bool):
 
 
 def _lambda_contribution(args):
-    group, parts, mode = args
+    group, parts = args
     lam = Partition(parts)
     hits = 0
-    for s in double_cosets(group, lam, mode=mode):
+    for s in double_cosets(group, lam):
         hits += isotropy_inner_product(s, lam, group)
     return lam.degree, hits
 
@@ -647,13 +604,17 @@ def oracle_dimension(
     group: GroupSpec,
     long_running: bool = False,
     workers: int = 1,
-    mode: str = "auto",
 ) -> PoincareTable:
-    """Graded invariant dimension summed over cosets, degree by degree."""
+    """Graded invariant dimension summed over cosets, degree by degree.
+
+    The pool never exceeds the job count or the CPUs this process may run
+    on: the fork start method starts every requested worker up front.
+    """
     if group.n != n:
         raise ValueError("group degree must equal n")
     _check_oracle_scale(n, long_running)
-    jobs = [(group, lam.parts, mode) for lam in all_partitions(n)]
+    jobs = [(group, lam.parts) for lam in all_partitions(n)]
+    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
     counts = Counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -11,8 +11,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .character_oracle import GroupSpec, oracle_dimension
 from .cycle_invariants import (
@@ -35,38 +34,18 @@ SPIN_NOTE = "upper container for H*(S(Σ_g;c))"
 VERIFY_PLAIN_LIMIT = 8
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus its knobs."""
-
-    command: str
-    n: int = 0
-    q: Optional[int] = None
-    group: str = "prod"
-    degree: Optional[int] = None
-    fmt: str = "table"
-    verbose: bool = False
-    workers: int = 1
-    long_running: bool = False
-    method: str = "formula"
-    necklace_kind: str = "pi"
-    lam: int = 0
-    d: int = 0
-    genus: int = 0
-    notes: List[str] = field(default_factory=list)
-
-    def resolved_q(self) -> int:
-        if self.group == "ext":
-            if self.n % 2:
-                raise ValueError("the extension group needs even n")
-            if self.q is not None and self.q != self.n // 2:
-                raise ValueError("the extension group fixes q = n/2")
-            return self.n // 2
-        if self.q is None:
-            raise ValueError("--q is required for the product group")
-        if not 0 <= self.q <= self.n // 2:
-            raise ValueError("need 0 <= q <= n/2")
-        return self.q
+def _resolved_q(n: int, q: Optional[int], group: str) -> int:
+    if group == "ext":
+        if n % 2:
+            raise ValueError("the extension group needs even n")
+        if q is not None and q != n // 2:
+            raise ValueError("the extension group fixes q = n/2")
+        return n // 2
+    if q is None:
+        raise ValueError("--q is required for the product group")
+    if not 0 <= q <= n // 2:
+        raise ValueError("need 0 <= q <= n/2")
+    return q
 
 
 def _filtered(table: PoincareTable, degree: Optional[int]) -> List[tuple]:
@@ -76,10 +55,9 @@ def _filtered(table: PoincareTable, degree: Optional[int]) -> List[tuple]:
     return rows
 
 
-def render_table(config: RunConfig, table: PoincareTable) -> str:
-    """One fixed-width line per degree, then the total."""
-    lines = list(config.notes)
-    rows = _filtered(table, config.degree)
+def render_table(rows, notes: Sequence[str] = ()) -> str:
+    """One fixed-width line per (degree, dim) row, then the total."""
+    lines = list(notes)
     width = max([len(str(i)) for i, _ in rows] + [6])
     lines.append("%*s  %s" % (width, "degree", "dim"))
     for i, d in rows:
@@ -88,18 +66,19 @@ def render_table(config: RunConfig, table: PoincareTable) -> str:
     return "\n".join(lines)
 
 
-def render_json(config: RunConfig, table: PoincareTable) -> str:
-    rows = _filtered(table, config.degree)
+def render_json(
+    rows, n: int, q: int, group: str, method: str, notes: Sequence[str] = ()
+) -> str:
     doc = {
-        "n": config.n,
-        "q": config.resolved_q(),
-        "group": config.group,
+        "n": n,
+        "q": q,
+        "group": group,
         "graded": [{"degree": i, "dim": d} for i, d in rows],
         "total": sum(d for _, d in rows),
-        "provenance": {"method": config.method},
+        "provenance": {"method": method},
     }
-    if config.notes:
-        doc["annotation"] = " ".join(config.notes)
+    if notes:
+        doc["annotation"] = " ".join(notes)
     return json.dumps(doc, indent=2)
 
 
@@ -107,53 +86,58 @@ def render_csv_rows(rows) -> str:
     return "\n".join(["degree,dim"] + ["%d,%d" % (i, d) for i, d in rows])
 
 
-def _emit_dim(config: RunConfig, table: PoincareTable) -> None:
-    if config.fmt == "json":
-        print(render_json(config, table))
-    elif config.fmt == "csv":
-        for note in config.notes:
-            print(note, file=sys.stderr)
-        print(render_csv_rows(_filtered(table, config.degree)))
+def _show_dim(
+    args: argparse.Namespace,
+    n: int,
+    q: Optional[int],
+    group: str,
+    method: str = "formula",
+    notes: Sequence[str] = (),
+) -> int:
+    """Compute one table and print it in args.format, keeping args.degree."""
+    q = _resolved_q(n, q, group)
+    if group == "ext":
+        table = ext_dimension(n, method=method)[1]
     else:
-        print(render_table(config, table))
-
-
-def _dim_table(config: RunConfig) -> PoincareTable:
-    q = config.resolved_q()
-    if config.group == "ext":
-        _, table = ext_dimension(config.n, method=config.method)
-        return table
-    return product_dimension(config.n, q, method=config.method)
-
-
-def cmd_dim(config: RunConfig) -> int:
-    _emit_dim(config, _dim_table(config))
+        table = product_dimension(n, q, method=method)
+    rows = _filtered(table, args.degree)
+    if args.format == "json":
+        print(render_json(rows, n, q, group, method, notes))
+    elif args.format == "csv":
+        for note in notes:
+            print(note, file=sys.stderr)
+        print(render_csv_rows(rows))
+    else:
+        print(render_table(rows, notes))
     return 0
 
 
-def cmd_spin(config: RunConfig) -> int:
+def cmd_dim(args: argparse.Namespace) -> int:
+    return _show_dim(args, args.n, args.q, args.group, args.method)
+
+
+def cmd_spin(args: argparse.Namespace) -> int:
     """Dimension table reindexed by genus; an upper bound, not the spin
     mapping class group computation itself."""
-    if config.genus < 0:
+    if args.genus < 0:
         raise ValueError("genus must be non-negative")
-    config.n = 2 * config.genus + 2
-    config.group = "ext"
-    config.q = None
-    config.notes.append("# genus %d (n = %d): %s" % (config.genus, config.n, SPIN_NOTE))
-    return cmd_dim(config)
+    n = 2 * args.genus + 2
+    note = "# genus %d (n = %d): %s" % (args.genus, n, SPIN_NOTE)
+    return _show_dim(args, n, None, "ext", notes=[note])
 
 
-def _verify_one(config: RunConfig, q: int) -> bool:
-    if config.group == "ext":
-        formula = ext_dimension(config.n, method="formula")[1]
-        catalog = ext_dimension(config.n, method="catalog")[1]
+def _verify_one(args: argparse.Namespace, q: int) -> bool:
+    n = args.n
+    if args.group == "ext":
+        formula = ext_dimension(n, method="formula")[1]
+        catalog = ext_dimension(n, method="catalog")[1]
         group = GroupSpec.extension(q)
     else:
-        formula = product_dimension(config.n, q, method="formula")
-        catalog = product_dimension(config.n, q, method="catalog")
-        group = GroupSpec.product(config.n, q)
+        formula = product_dimension(n, q, method="formula")
+        catalog = product_dimension(n, q, method="catalog")
+        group = GroupSpec.product(n, q)
     oracle = oracle_dimension(
-        config.n, group, long_running=config.long_running, workers=config.workers
+        n, group, long_running=args.long_running, workers=args.workers
     )
     top = max(formula.max_degree, catalog.max_degree, oracle.max_degree)
     print("%s  %6s %7s %7s %6s" % (group.describe(), "degree", "formula", "catalog", "oracle"))
@@ -167,42 +151,44 @@ def _verify_one(config: RunConfig, q: int) -> bool:
     return ok
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Formula vs catalog vs oracle, degree by degree; exit 0 iff equal."""
-    if config.n > VERIFY_PLAIN_LIMIT and not config.long_running:
+    if args.n > VERIFY_PLAIN_LIMIT and not args.long_running:
         raise CapabilityError(
             "verification beyond n = %d needs --long" % VERIFY_PLAIN_LIMIT
         )
-    if config.group == "prod" and config.q is None:
-        qs = list(range(config.n // 2 + 1))
+    if args.group == "prod" and args.q is None:
+        qs = list(range(args.n // 2 + 1))
     else:
-        qs = [config.resolved_q()]
-    ok = all([_verify_one(config, q) for q in qs])
+        qs = [_resolved_q(args.n, args.q, args.group)]
+    ok = all([_verify_one(args, q) for q in qs])
     print("verification %s" % ("OK" if ok else "FAILED"))
     return 0 if ok else 1
 
 
-def cmd_necklace(config: RunConfig) -> int:
-    if config.necklace_kind == "selfdual":
-        members = enumerate_selfdual(config.d)
-        print("enum=%d formula=%d" % (len(members), selfdual_count_closed_form(config.d)))
-        if config.verbose:
-            for chi in members:
-                print(" ", chi)
-        return 0
-    cycles = enumerate_Pi(config.lam, config.d)
+def cmd_selfdual(args: argparse.Namespace) -> int:
+    members = enumerate_selfdual(args.d)
+    print("enum=%d formula=%d" % (len(members), selfdual_count_closed_form(args.d)))
+    if args.verbose:
+        for chi in members:
+            print(" ", chi)
+    return 0
+
+
+def cmd_pi(args: argparse.Namespace) -> int:
+    cycles = enumerate_Pi(args.lam, args.d)
     for chi in cycles:
         print(chi)
     print("%d cycles" % len(cycles))
     return 0
 
 
-def cmd_ep(config: RunConfig) -> int:
+def cmd_ep(args: argparse.Namespace) -> int:
     """Kernel-pairing listing: each label with its block data and sign."""
-    if config.n % 2:
+    if args.n % 2:
         raise ValueError("only even n has the extension catalog")
     rows = []
-    for pmp, label in _ep_members(config.n):
+    for pmp, label in _ep_members(args.n):
         sign = epsilon_sign(pmp)
         rows.append(
             {
@@ -219,16 +205,16 @@ def cmd_ep(config: RunConfig) -> int:
         )
     ep_total = len(rows)
     kp_total = sum(1 for r in rows if r["kernel"])
-    if config.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
-                    "n": config.n,
+                    "n": args.n,
                     "members": rows,
                     "ep": ep_total,
                     "kp": kp_total,
-                    "ep_formula": count_EP_closed_form(config.n),
-                    "kp_formula": count_KP_closed_form(config.n),
+                    "ep_formula": count_EP_closed_form(args.n),
+                    "kp_formula": count_KP_closed_form(args.n),
                 },
                 indent=2,
             )
@@ -247,7 +233,7 @@ def cmd_ep(config: RunConfig) -> int:
         )
     print(
         "|EP|=%d |KP|=%d closed-form EP=%d KP=%d"
-        % (ep_total, kp_total, count_EP_closed_form(config.n), count_KP_closed_form(config.n))
+        % (ep_total, kp_total, count_EP_closed_form(args.n), count_KP_closed_form(args.n))
     )
     return 0
 
@@ -259,76 +245,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_group=True):
-        p.add_argument("--format", default="table", choices=("table", "json", "csv"))
-        p.add_argument("--degree", type=int, default=None)
+    def command(parent, name, func, help):
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--verbose", action="store_true")
-        p.add_argument("--workers", type=int, default=max(os.cpu_count() or 1, 1))
-        p.add_argument("--long", action="store_true", dest="long_running")
-        if with_group:
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--q", type=int, default=None)
-            p.add_argument("--group", default="prod", choices=("prod", "ext"))
+        return p
 
-    p_dim = sub.add_parser("dim", help="graded dimension table")
-    common(p_dim)
+    def group_options(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--q", type=int, default=None)
+        p.add_argument("--group", default="prod", choices=("prod", "ext"))
+
+    def format_option(p):
+        p.add_argument("--format", default="table", choices=("table", "json", "csv"))
+
+    def table_options(p):
+        format_option(p)
+        p.add_argument("--degree", type=int, default=None)
+
+    p_dim = command(sub, "dim", cmd_dim, "graded dimension table")
+    group_options(p_dim)
     p_dim.add_argument("--method", default="formula", choices=("formula", "catalog"))
+    table_options(p_dim)
 
-    p_verify = sub.add_parser("verify", help="formula vs catalog vs oracle")
-    common(p_verify)
+    p_verify = command(sub, "verify", cmd_verify, "formula vs catalog vs oracle")
+    group_options(p_verify)
+    p_verify.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_verify.add_argument("--long", action="store_true", dest="long_running")
 
     p_neck = sub.add_parser("necklace", help="invariant cycle listings")
     kind = p_neck.add_subparsers(dest="necklace_kind", required=True)
-    p_pi = kind.add_parser("pi", help="the cycles of one part and weight")
+    p_pi = command(kind, "pi", cmd_pi, "the cycles of one part and weight")
     p_pi.add_argument("--lambda", type=int, required=True, dest="lam")
     p_pi.add_argument("--d", type=int, required=True)
-    p_sd = kind.add_parser("selfdual", help="self-dual count vs closed form")
+    p_sd = command(kind, "selfdual", cmd_selfdual, "self-dual count vs closed form")
     p_sd.add_argument("--d", type=int, required=True)
-    for p in (p_pi, p_sd):
-        p.add_argument("--verbose", action="store_true")
 
-    p_ep = sub.add_parser("ep", help="extension catalog listing")
-    common(p_ep)
+    p_ep = command(sub, "ep", cmd_ep, "extension catalog listing")
+    p_ep.add_argument("--n", type=int, required=True)
+    format_option(p_ep)
 
-    p_spin = sub.add_parser("spin", help="table indexed by hyperelliptic genus")
-    common(p_spin, with_group=False)
+    p_spin = command(sub, "spin", cmd_spin, "table indexed by hyperelliptic genus")
     p_spin.add_argument("--genus", type=int, required=True)
+    table_options(p_spin)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in (
-        "n",
-        "q",
-        "degree",
-        "verbose",
-        "workers",
-        "long_running",
-        "method",
-        "necklace_kind",
-        "lam",
-        "d",
-        "genus",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "group"):
-        config.group = args.group
-    if hasattr(args, "format"):
-        config.fmt = args.format
-    if getattr(args, "q", "missing") is None:
-        config.q = None
-    return config
-
-
-COMMANDS = {
-    "dim": cmd_dim,
-    "verify": cmd_verify,
-    "necklace": cmd_necklace,
-    "ep": cmd_ep,
-    "spin": cmd_spin,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -336,14 +296,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = _config_from_args(args)
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.DEBUG if config.verbose else logging.WARNING,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return COMMANDS[config.command](config)
+        return args.func(args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2

@@ -106,20 +106,15 @@ def cycle_block_key(chi: InvariantCycle):
     return (-chi.weight, chi.gaps or ())
 
 
-def _gap_word(positions: Sequence[int], lam: int, printed_last=False) -> Word:
+def _gap_word(positions: Sequence[int], lam: int) -> Word:
     """Raw gap word of marked positions (1-based, ascending) on a lam-cycle.
 
     The last coordinate closes the cycle: zeros from the last marked position
-    back around to the first.  printed_last=True drops the -1 from that
-    coordinate; it exists only so a diagnostic test can show that reading
-    breaks the sum rule and the complement duality.
+    back around to the first.
     """
     d = len(positions)
     gaps = [positions[t + 1] - positions[t] - 1 for t in range(d - 1)]
-    last = lam - positions[-1] + positions[0]
-    if not printed_last:
-        last -= 1
-    gaps.append(last)
+    gaps.append(lam - positions[-1] + positions[0] - 1)
     return tuple(gaps)
 
 
@@ -144,16 +139,13 @@ def _bits_of(chi: InvariantCycle) -> Tuple[int, ...]:
     return tuple(bits)
 
 
-def delta_from_permutation(s, q: int) -> DeltaMap:
-    """Marking with bit i set iff s sends i into the top q values.
-
-    s may be a permutation object with 1-based images or a plain image tuple.
-    """
-    images = tuple(getattr(s, "images", s))
-    n = len(images)
+def delta_from_permutation(s: Tuple[int, ...], q: int) -> DeltaMap:
+    """Marking with bit i set iff the 1-based image tuple s sends i into
+    the top q values."""
+    n = len(s)
     if not 0 <= q <= n:
         raise ValueError("need 0 <= q <= n")
-    return DeltaMap(tuple(0 if im <= n - q else 1 for im in images))
+    return DeltaMap(tuple(0 if im <= n - q else 1 for im in s))
 
 
 def block_support(delta: DeltaMap, lam: Partition, i: int) -> Tuple[int, ...]:

@@ -231,30 +231,6 @@ def epsilon_sign(pmp: PairedMarkedPartition) -> int:
     return -1 if exponent % 2 else 1
 
 
-def kernel_parity_conditions(pmp: PairedMarkedPartition) -> bool:
-    """Explicit residue test for a structure landing in the kernel.
-
-    A block contributes when its (value, multiplicity, pair count) residues
-    mod 4 match one of four patterns; the structure is in the kernel when an
-    odd number of blocks contribute.  Kept as a cross-check against the sign
-    computation, which is authoritative.
-    """
-    hits = 0
-    for bp in pmp.block_structure():
-        v, m, k = bp.value % 4, bp.mult % 4, bp.k % 2
-        if k == 0:
-            if v in (0, 3) and m in (1, 3):
-                hits += 1
-        else:
-            if v == 2:
-                hits += 1
-            elif v == 0 and m in (0, 2):
-                hits += 1
-            elif v == 3 and m in (1, 3):
-                hits += 1
-    return hits % 2 == 1
-
-
 def enumerate_KP(n: int) -> Tuple[GeneratorLabel, ...]:
     """The swap-fixed labels on which the swap acts by -1."""
     return tuple(

@@ -2,12 +2,16 @@ import os
 
 import pytest
 
+from braidinv import character_oracle
 from braidinv.character_oracle import (
     CyclotomicSum,
     GroupSpec,
-    Perm,
+    _comp,
     _cyclotomic,
     _elements_with_exponents,
+    _from_cycles,
+    _inv,
+    _sign,
     build_centralizer,
     double_cosets,
     isotropy_inner_product,
@@ -26,15 +30,21 @@ LONG = os.environ.get("BRAID_LONG") == "1"
 
 
 def test_perm_basics():
-    s = Perm((2, 3, 1))
-    assert s(1) == 2 and s(3) == 1
-    assert (s * s).images == (3, 1, 2)
-    assert s.inverse().images == (3, 1, 2)
-    assert s.sign() == 1
-    assert Perm((2, 1, 3)).sign() == -1
-    assert Perm.from_cycles(4, (1, 3, 2)).images == (3, 1, 2, 4)
+    s = (2, 3, 1)
+    assert (s[0], s[2]) == (2, 1)  # 1 -> 2 and 3 -> 1, images 1-based
+    assert _comp(s, s) == (3, 1, 2)
+    assert _inv(s) == (3, 1, 2)
+    assert _sign(s) == 1
+    assert _sign((2, 1, 3)) == -1
+    assert _from_cycles(4, (1, 3, 2)) == (3, 1, 2, 4)
+    # a non-bijection is refused where a caller's permutation comes in
     with pytest.raises(ValueError):
-        Perm((1, 1, 2))
+        zeta_value(Partition((2, 1)), (1, 1, 2))
+    with pytest.raises(ValueError):
+        isotropy_inner_product((1, 1, 2), Partition((2, 1)), GroupSpec.product(3, 1))
+    # so is one of the wrong degree
+    with pytest.raises(ValueError):
+        zeta_value(Partition((2, 1)), (2, 1))
 
 
 def test_group_spec_orders_and_membership():
@@ -76,7 +86,19 @@ def test_centralizer_orders():
     assert build_centralizer(Partition((1, 1, 1, 1))).order == 24
     for lam in all_partitions(5):
         pres = build_centralizer(lam)
-        assert len(set(p.images for p in pres.elements())) == pres.order
+        elements = {im for im, _ in _elements_with_exponents(lam)}
+        assert len(elements) == pres.order
+        # the generators generate exactly those elements
+        seen = {tuple(range(1, lam.n + 1))}
+        frontier = list(seen)
+        while frontier:
+            z = frontier.pop()
+            for g in pres.generators:
+                w = _comp(z, g)
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        assert seen == elements
 
 
 def test_root_order():
@@ -110,25 +132,25 @@ def test_cyclotomic_sum_arithmetic():
 
 
 def test_zeta_values_pinned():
-    assert zeta_value(Partition((2,)), Perm((2, 1))).integer_value() == 1
+    assert zeta_value(Partition((2,)), (2, 1)).integer_value() == 1
     # the 3-cycle gets a primitive cube root: x^2 over order 6 reduces to x-1
-    assert zeta_value(Partition((3,)), Perm((2, 3, 1))).reduced() == (-1, 1)
+    assert zeta_value(Partition((3,)), (2, 3, 1)).reduced() == (-1, 1)
     # a block transposition on two 2-cycles is odd
-    assert zeta_value(Partition((2, 2)), Perm((3, 4, 1, 2))).integer_value() == -1
+    assert zeta_value(Partition((2, 2)), (3, 4, 1, 2)).integer_value() == -1
     # and on two 3-cycles even
-    assert zeta_value(Partition((3, 3)), Perm((4, 5, 6, 1, 2, 3))).integer_value() == 1
+    assert zeta_value(Partition((3, 3)), (4, 5, 6, 1, 2, 3)).integer_value() == 1
     with pytest.raises(ValueError):
-        zeta_value(Partition((3, 1)), Perm((1, 2, 4, 3)))
+        zeta_value(Partition((3, 1)), (1, 2, 4, 3))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_zeta_multiplicative_exhaustive(n):
     for lam in all_partitions(n):
-        elements = [Perm(im) for im, _ in _elements_with_exponents(lam)]
-        values = {z.images: zeta_value(lam, z) for z in elements}
+        elements = [im for im, _ in _elements_with_exponents(lam)]
+        values = {z: zeta_value(lam, z) for z in elements}
         for z1 in elements:
             for z2 in elements:
-                assert values[(z1 * z2).images] == values[z1.images] * values[z2.images]
+                assert values[_comp(z1, z2)] == values[z1] * values[z2]
 
 
 def test_double_cosets_examples():
@@ -186,11 +208,11 @@ def test_double_coset_modes_agree_n8_spot():
 
 def test_isotropy_examples():
     assert (
-        isotropy_inner_product(Perm.identity(2), Partition((2,)), GroupSpec.extension(1))
+        isotropy_inner_product((1, 2), Partition((2,)), GroupSpec.extension(1))
         == 1
     )
     # the alternating 1010 marking on a 4-cycle fails the multiplicity rule
-    s = Perm((3, 1, 4, 2))
+    s = (3, 1, 4, 2)
     assert delta_from_permutation(s, 2).bits == (1, 0, 1, 0)
     assert isotropy_inner_product(s, Partition((4,)), GroupSpec.product(4, 2)) == 0
 
@@ -208,11 +230,11 @@ def test_predicate_matches_oracle(n, q):
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_sigma_shift_invariance(n):
     group = GroupSpec.extension(n // 2)
-    sigma = Perm(tuple(range(n, 0, -1)))
+    sigma = tuple(range(n, 0, -1))
     for lam in all_partitions(n):
         for s in double_cosets(group, lam):
             assert isotropy_inner_product(s, lam, group) == isotropy_inner_product(
-                sigma * s, lam, group
+                _comp(sigma, s), lam, group
             )
 
 
@@ -251,6 +273,36 @@ def test_oracle_workers_deterministic():
     serial = oracle_dimension(6, GroupSpec.extension(3), workers=1)
     parallel = oracle_dimension(6, GroupSpec.extension(3), workers=3)
     assert serial.as_dict() == parallel.as_dict()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the size, forks nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_oracle_pool_is_capped_at_jobs_and_cpus(monkeypatch):
+    monkeypatch.setattr(character_oracle, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    group = GroupSpec.product(4, 2)
+    table = oracle_dimension(4, group, workers=64)
+    assert table.as_dict() == oracle_dimension(4, group, workers=1).as_dict()
+    # n = 4 has 5 partitions, so 5 jobs
+    cap = min(5, len(os.sched_getaffinity(0)))
+    assert all(size <= cap for size in _RecordingPool.sizes)
+    assert len(_RecordingPool.sizes) == (1 if cap > 1 else 0)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

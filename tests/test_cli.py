@@ -1,11 +1,14 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from braidinv.cli import RunConfig, main, render_table
-from braidinv.product_catalog import PoincareTable
+from braidinv.cli import main, render_table
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -49,6 +52,59 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+# options each command used to accept and ignore; the rest of each argv
+# is a valid request on its own
+VALID = {
+    "dim": ["dim", "--n", "4", "--q", "1"],
+    "verify": ["verify", "--n", "4", "--group", "ext", "--workers", "1"],
+    "ep": ["ep", "--n", "4"],
+    "spin": ["spin", "--genus", "1"],
+}
+IGNORED_OPTIONS = [
+    ("dim", ["--workers", "1"]),
+    ("dim", ["--long"]),
+    ("verify", ["--format", "json"]),
+    ("verify", ["--degree", "1"]),
+    ("ep", ["--q", "2"]),
+    ("ep", ["--group", "ext"]),
+    ("ep", ["--degree", "1"]),
+    ("ep", ["--workers", "1"]),
+    ("ep", ["--long"]),
+    ("spin", ["--workers", "1"]),
+    ("spin", ["--long"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,option", IGNORED_OPTIONS, ids=["%s %s" % (c, o[0]) for c, o in IGNORED_OPTIONS]
+)
+def test_option_a_command_does_not_read_exits_2(capsys, command, option):
+    assert run(capsys, *VALID[command])[0] == 0
+    assert run(capsys, *VALID[command], *option)[0] == 2
+
+
+def _readme_command_lines():
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_lines_run(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_readme_library_block_runs_and_matches_all():
+    import braidinv
+
+    section = README.read_text().split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    names = {}
+    exec(block, names)
+    imported = {k for k, v in names.items() if k != "__builtins__"}
+    assert imported == set(braidinv.__all__)
+
+
 def test_json_output_and_round_trip(capsys):
     code, out, _ = run(capsys, "dim", "--n", "6", "--group", "ext", "--format", "json")
     assert code == 0
@@ -57,10 +113,8 @@ def test_json_output_and_round_trip(capsys):
     assert doc["total"] == sum(row["dim"] for row in doc["graded"])
     assert doc["provenance"]["method"] == "formula"
 
-    # re-render the parsed table and compare with the direct table output
-    table = PoincareTable.from_dict({r["degree"]: r["dim"] for r in doc["graded"]})
-    config = RunConfig(command="dim", n=doc["n"], q=doc["q"], group=doc["group"])
-    rendered = render_table(config, table)
+    # re-render the parsed rows and compare with the direct table output
+    rendered = render_table([(r["degree"], r["dim"]) for r in doc["graded"]])
     code2, out2, _ = run(capsys, "dim", "--n", "6", "--group", "ext")
     assert rendered == out2.strip("\n")
 

@@ -7,7 +7,6 @@ from braidinv.core_combinatorics import Partition, binomial, min_rotation
 from braidinv.cycle_invariants import (
     DeltaMap,
     InvariantCycle,
-    _gap_word,
     block_support,
     cycle_admissible,
     cycle_from_bits,
@@ -66,16 +65,6 @@ def test_gap_sum_rule():
                 continue
             assert len(chi.gaps) == sum(bits)
             assert len(chi.gaps) + sum(chi.gaps) == lam_i
-
-
-def test_printed_last_coordinate_breaks_the_sum_rule():
-    # Keeping the wrap-around coordinate unshortened makes every word sum
-    # to length - weight + 1, so no set of words could tile the cycle.
-    positions = (1, 3)
-    word = _gap_word(positions, 6)
-    assert word == (1, 3) and sum(word) == 6 - 2
-    printed = _gap_word(positions, 6, printed_last=True)
-    assert sum(printed) == 6 - 2 + 1
 
 
 def test_cycle_validation():

@@ -13,7 +13,6 @@ from braidinv.extension_catalog import (
     enumerate_KP,
     epsilon_sign,
     ext_dimension,
-    kernel_parity_conditions,
     pairing_of_label,
     sigma_dual_label,
     signed_generators,
@@ -125,6 +124,30 @@ def test_epsilon_sign_examples():
     assert signs[(4, 1, 1)] == -1
     assert signs[(4, 2)] == -1
     assert signs[(1, 1, 1, 1, 1, 1)] == 1
+
+
+def kernel_parity_conditions(pmp: PairedMarkedPartition) -> bool:
+    """Explicit residue test for a structure landing in the kernel.
+
+    A block contributes when its (value, multiplicity, pair count) residues
+    mod 4 match one of four patterns; the structure is in the kernel when an
+    odd number of blocks contribute.  A cross-check against the sign
+    computation, which is authoritative.
+    """
+    hits = 0
+    for bp in pmp.block_structure():
+        v, m, k = bp.value % 4, bp.mult % 4, bp.k % 2
+        if k == 0:
+            if v in (0, 3) and m in (1, 3):
+                hits += 1
+        else:
+            if v == 2:
+                hits += 1
+            elif v == 0 and m in (0, 2):
+                hits += 1
+            elif v == 3 and m in (1, 3):
+                hits += 1
+    return hits % 2 == 1
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
