@@ -13,29 +13,22 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from braidinv import GroupSpec, ext_dimension, oracle_dimension, product_dimension
 from braidinv.character_oracle import total_rank_check
+from braidinv.cli import positive_int
 
 
-@dataclass
-class Config:
-    max_n: int
-    long_running: bool
-    workers: int
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=8)
     parser.add_argument("--long", action="store_true", dest="long_running")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=positive_int, default=1)
     args = parser.parse_args(argv)
     limit = 10 if args.long_running else 8
     if not 1 <= args.max_n <= limit:
         parser.error("--max-n must be in 1..%d" % limit)
-    return Config(args.max_n, args.long_running, args.workers)
+    return args
 
 
 def check(name: str, formula, catalog, oracle) -> bool:
@@ -49,9 +42,9 @@ def check(name: str, formula, catalog, oracle) -> bool:
 
 
 def main(argv=None) -> int:
-    config = parse_args(argv)
+    args = parse_args(argv)
     ok = True
-    for n in range(2, config.max_n + 1):
+    for n in range(2, args.max_n + 1):
         t0 = time.monotonic()
         for q in range(n // 2 + 1):
             group = GroupSpec.product(n, q)
@@ -60,7 +53,7 @@ def main(argv=None) -> int:
                 product_dimension(n, q, method="formula"),
                 product_dimension(n, q, method="catalog"),
                 oracle_dimension(
-                    n, group, long_running=config.long_running, workers=config.workers
+                    n, group, long_running=args.long_running, workers=args.workers
                 ),
             )
         if n % 2 == 0:
@@ -70,10 +63,10 @@ def main(argv=None) -> int:
                 ext_dimension(n, method="formula")[1],
                 ext_dimension(n, method="catalog")[1],
                 oracle_dimension(
-                    n, group, long_running=config.long_running, workers=config.workers
+                    n, group, long_running=args.long_running, workers=args.workers
                 ),
             )
-        rank_ok = total_rank_check(n, long_running=config.long_running)
+        rank_ok = total_rank_check(n, long_running=args.long_running)
         ok &= rank_ok
         print(
             "n=%d rank-identity %s (%.1fs)"

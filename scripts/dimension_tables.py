@@ -12,32 +12,25 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from braidinv import ext_dimension, product_dimension
 
 
-@dataclass
-class Config:
-    max_n: int
-    ext_only: bool
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=12)
     parser.add_argument("--ext-only", action="store_true")
     args = parser.parse_args(argv)
     if args.max_n < 1:
         parser.error("--max-n must be positive")
-    return Config(max_n=args.max_n, ext_only=args.ext_only)
+    return args
 
 
 def main(argv=None) -> int:
-    config = parse_args(argv)
+    args = parse_args(argv)
     print("group,n,q,degree,dim")
-    for n in range(1, config.max_n + 1):
-        if not config.ext_only:
+    for n in range(1, args.max_n + 1):
+        if not args.ext_only:
             for q in range(n // 2 + 1):
                 table = product_dimension(n, q)
                 for i in range(table.max_degree + 1):

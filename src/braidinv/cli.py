@@ -48,6 +48,13 @@ def _resolved_q(n: int, q: Optional[int], group: str) -> int:
     return q
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %s" % text)
+    return int(text)
+
+
 def _filtered(table: PoincareTable, degree: Optional[int]) -> List[tuple]:
     rows = [(i, table[i]) for i in range(table.max_degree + 1) if table[i]]
     if degree is not None:
@@ -270,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = command(sub, "verify", cmd_verify, "formula vs catalog vs oracle")
     group_options(p_verify)
-    p_verify.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_verify.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1)
     p_verify.add_argument("--long", action="store_true", dest="long_running")
 
     p_neck = sub.add_parser("necklace", help="invariant cycle listings")

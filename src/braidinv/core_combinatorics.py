@@ -7,9 +7,10 @@ anywhere in this package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 Word = Tuple[int, ...]
 
@@ -112,13 +113,6 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def compositions_count(m: int, b: int) -> int:
-    """Ordered b-tuples of positive integers summing to m."""
-    if m < 1 or b < 1:
-        raise ValueError("need m >= 1 and b >= 1")
-    return binomial(m - 1, b - 1)
-
-
 def min_rotation(w: Iterable[int]) -> Tuple[Word, int]:
     """Lexicographically minimal rotation and how many rotations attain it.
 
@@ -137,20 +131,30 @@ def min_rotation(w: Iterable[int]) -> Tuple[Word, int]:
     return best, rotations.count(best)
 
 
-def odd_prime_factors(d: int) -> frozenset:
-    """Distinct odd prime divisors of d."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    out = set()
-    while d % 2 == 0:
-        d //= 2
-    p = 3
-    while p * p <= d:
-        if d % p == 0:
-            out.add(p)
-            while d % p == 0:
-                d //= p
-        p += 2
-    if d > 1:
-        out.add(d)
-    return frozenset(out)
+def mobius(n: int) -> int:
+    """The Moebius function: 0 if a square divides n, else (-1)^(prime count)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    sign, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def series_times(series: Dict[tuple, int], step: tuple, coeffs, limit: int):
+    """The series times the sum of coeffs[c] X^c, X the monomial with
+    exponents step, dropping terms whose first exponent (size) exceeds limit.
+    A series maps exponent tuples to integer coefficients."""
+    out = {key: a * coeffs[0] for key, a in series.items()}
+    for c in range(1, len(coeffs)):
+        shift = tuple(c * s for s in step)
+        for key, a in series.items():
+            if coeffs[c] and key[0] + shift[0] <= limit:
+                moved = tuple(map(operator.add, key, shift))
+                out[moved] = out.get(moved, 0) + a * coeffs[c]
+    return out

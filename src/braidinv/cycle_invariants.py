@@ -4,23 +4,18 @@ A marking of [n] restricts to each consecutive cycle interval of a partition;
 what survives conjugation by the centralizer is the cyclic word of zero-gaps
 between marked positions.  This module builds those gap words, the complement
 duality, the admissibility predicate, the sets Pi(lam, d) of admissible
-weight-d words, and the self-dual words at half weight together with their
-closed-form count.
+weight-d words, and the self-dual words at half weight, each listing with
+its closed-form count.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
-from .core_combinatorics import (
-    Partition,
-    Word,
-    min_rotation,
-    odd_prime_factors,
-)
+from .core_combinatorics import Partition, Word, binomial, min_rotation, mobius
 from .errors import InternalConsistencyError
 
 
@@ -199,6 +194,27 @@ def cycle_admissible(chi: InvariantCycle) -> bool:
     return mult == 1
 
 
+def _aperiodic_count(v: int, d: int) -> int:
+    # Moreau: primitive binary necklaces of length v with d ones
+    g = math.gcd(v, d)
+    return sum(
+        mobius(e) * binomial(v // e, d // e) for e in range(1, g + 1) if g % e == 0
+    ) // v
+
+
+def necklace_count(v: int, d: int) -> int:
+    """|Pi(v, d)|, counted by the rule cycle_admissible applies: every weight
+    once on parts 1 and 2; otherwise the primitive necklaces of weight
+    0 < d < v, plus on v = 2 mod 4 the squares of primitive necklaces of
+    half length."""
+    if v <= 2:
+        return 1
+    if d in (0, v):
+        return 0
+    squares = _aperiodic_count(v // 2, d // 2) if v % 4 == 2 and d % 2 == 0 else 0
+    return _aperiodic_count(v, d) + squares
+
+
 def _weak_compositions(total: int, parts: int):
     if parts == 0:
         if total == 0:
@@ -267,19 +283,12 @@ def enumerate_selfdual(d: int) -> Tuple[InvariantCycle, ...]:
 def selfdual_count_closed_form(d: int) -> int:
     """Count of complement-self-dual weight-d words on a 2d-cycle.
 
-    Inclusion-exclusion over the odd prime divisors of d, divided by the 2d
-    rotations; the division must be exact.
+    (1/2d) times the sum of mu(e) 2^(d/e) over the odd divisors e of d;
+    the division must be exact.
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    primes = sorted(odd_prime_factors(d))
-    total = 2 ** d
-    for r in range(1, len(primes) + 1):
-        for sub in itertools.combinations(primes, r):
-            prod = 1
-            for p in sub:
-                prod *= p
-            total += (-1) ** r * 2 ** (d // prod)
+    total = sum(mobius(e) * 2 ** (d // e) for e in range(1, d + 1, 2) if d % e == 0)
     if total % (2 * d) != 0:
         raise InternalConsistencyError(
             "self-dual count %d not divisible by %d" % (total, 2 * d)

@@ -3,8 +3,10 @@
 For n = 2q the reversal permutation swaps the two value blocks; on generator
 labels it dualizes every gap word and re-sorts.  This module enumerates the
 pairing structures a swap-fixed label can have, lists the fixed labels
-themselves, attaches the reordering sign, and turns both into counting
-formulas and the graded dimension of the extension invariants.
+themselves and attaches the reordering sign.  Independently it counts the
+fixed labels, with and without their signs, as coefficients of generating
+series built from closed-form necklace counts, and combines either route
+into the graded dimension of the extension invariants.
 """
 
 from __future__ import annotations
@@ -15,15 +17,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
-from .core_combinatorics import (
-    all_partitions,
-    binomial,
-    compositions_count,
-)
+from .core_combinatorics import all_partitions, binomial, series_times
 from .cycle_invariants import (
     cycle_block_key,
     dual_cycle,
     enumerate_Pi,
+    necklace_count,
+    selfdual_count_closed_form,
 )
 from .errors import InternalConsistencyError
 from .product_catalog import (
@@ -263,55 +263,61 @@ def pairing_of_label(label: GeneratorLabel) -> PairedMarkedPartition:
     return PairedMarkedPartition(label.marked(), tuple(ks))
 
 
-def _structure_factor(pmp: PairedMarkedPartition) -> int:
-    """Number of labels realizing a pairing structure, as binomial factors."""
-    factor = 1
-    for bp in pmp.block_structure():
-        v = bp.value
-        for h, c in sorted(Counter(d for d in bp.marks if 2 * d > v).items()):
-            size = len(enumerate_Pi(v, h))
-            if v % 2 == 0:
-                factor *= binomial(size, c)
-            else:
-                factor *= sum(
-                    compositions_count(c, b) * binomial(size, b)
-                    for b in range(1, c + 1)
-                )
-        if v % 2 == 0:
-            fixed, orbit_pairs = _selfdual_split(v)
-            total = len(enumerate_Pi(v, v // 2))
-            if (total - len(fixed)) % 2:
-                raise InternalConsistencyError(
-                    "half-weight duality orbits of %d are unbalanced" % v
-                )
-            factor *= binomial(len(orbit_pairs), bp.w)
-            factor *= binomial(len(fixed), bp.t)
-    return factor
+def _fixed_factors(n: int, signed: bool):
+    """(step, coefficients) of each factor of the EP series or the signed sum.
+
+    Per part value v, with Y = y^v t, the dual pairs (weight h > v/2 with
+    v - h, and on even v the O(v) orbit pairs at v/2) give (1 + eps Y^2)^pairs
+    on even v, whose blocks take distinct words, and (1 - Y^2)^-pairs on odd
+    v; the S(v) self-dual words of even v give (1 + s_v Y)^S(v).  EP takes
+    eps = s_v = 1, the signed sum eps = -1 and s_v = (-1)^((v-1)(v-2)/2).
+    """
+    for v in range(1, n + 1):
+        pairs = sum(necklace_count(v, h) for h in range(v // 2 + 1, v + 1))
+        pair_range = range(n // (2 * v) + 1)
+        if v % 2:
+            yield (2 * v, 2), [binomial(pairs + c - 1, c) for c in pair_range]
+            continue
+        selfdual = selfdual_count_closed_form(v // 2)
+        moved = necklace_count(v, v // 2) - selfdual
+        if moved % 2:
+            raise InternalConsistencyError(
+                "half-weight duality orbits of %d are unbalanced" % v
+            )
+        pairs += moved // 2
+        eps = -1 if signed else 1
+        s_v = -1 if signed and (v - 1) * (v - 2) // 2 % 2 else 1
+        yield (2 * v, 2), [eps ** c * binomial(pairs, c) for c in pair_range]
+        yield (v, 1), [s_v ** c * binomial(selfdual, c) for c in range(n // v + 1)]
 
 
 @lru_cache(maxsize=None)
-def _closed_counts_by_degree(n: int):
-    ep = Counter()
-    kp = Counter()
-    for pmp in enumerate_E(n):
-        factor = _structure_factor(pmp)
-        if not factor:
-            continue
-        degree = pmp.partition.degree
-        ep[degree] += factor
-        if epsilon_sign(pmp) == -1:
-            kp[degree] += factor
+def _fixed_series(n: int):
+    """Swap-fixed label counts EP and KP by degree, KP = (EP - signed) / 2."""
+    if n < 2 or n % 2:
+        raise ValueError("need an even n >= 2")
+    ep, signed_sum, kp = Counter(), Counter(), Counter()
+    for counts, signed in ((ep, False), (signed_sum, True)):
+        series = {(0, 0): 1}
+        for step, coeffs in _fixed_factors(n, signed):
+            series = series_times(series, step, coeffs, n)
+        # keys are (size, part count); the degree is n minus the parts
+        counts.update({n - key[1]: c for key, c in series.items() if key[0] == n})
+    for degree, count in ep.items():
+        kp[degree], odd = divmod(count - signed_sum[degree], 2)
+        if odd:
+            raise InternalConsistencyError(
+                "EP minus the signed count is odd in degree %d" % degree
+            )
     return ep, kp
 
 
 def count_EP_closed_form(n: int) -> int:
-    ep, _ = _closed_counts_by_degree(n)
-    return sum(ep.values())
+    return sum(_fixed_series(n)[0].values())
 
 
 def count_KP_closed_form(n: int) -> int:
-    _, kp = _closed_counts_by_degree(n)
-    return sum(kp.values())
+    return sum(_fixed_series(n)[1].values())
 
 
 def ext_dimension(n: int, method: str = "formula"):
@@ -328,7 +334,7 @@ def ext_dimension(n: int, method: str = "formula"):
         raise ValueError("method must be 'formula' or 'catalog'")
     prod = product_dimension(n, n // 2, method=method)
     if method == "formula":
-        ep, kp = _closed_counts_by_degree(n)
+        ep, kp = _fixed_series(n)
     else:
         ep = Counter(label.degree for label in enumerate_EP(n))
         kp = Counter(label.degree for label in enumerate_KP(n))

@@ -4,8 +4,9 @@ A generator is labeled by a partition of n together with one admissible gap
 word per part, total weight q, arranged canonically inside each run of equal
 parts: weights weakly decreasing, ties broken by ascending word, and for
 even part values no repeated (weight, word) pair.  Dimensions are computed
-two independent ways, by listing the labels and by a product of binomial
-factors, and the two must agree.
+two independent ways, and the two must agree: by listing the labels, and by
+counting them as the coefficients of a generating series whose factors take
+their exponents from closed-form necklace counts, so nothing is listed.
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .core_combinatorics import (
-    Partition,
-    all_partitions,
-    binomial,
-)
+from .core_combinatorics import Partition, all_partitions, binomial, series_times
 from .cycle_invariants import (
     DeltaMap,
     InvariantCycle,
@@ -28,6 +25,7 @@ from .cycle_invariants import (
     cycle_block_key,
     enumerate_Pi,
     invariant_cycle,
+    necklace_count,
 )
 
 
@@ -163,32 +161,21 @@ class PoincareTable:
 
 
 @lru_cache(maxsize=None)
-def enumerate_marked(n: int, q: int) -> Tuple[MarkedPartition, ...]:
-    """All marked partitions of n with total mark weight exactly q."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not 0 <= q <= n:
-        raise ValueError("need 0 <= q <= n")
-    out = []
-    for lam in all_partitions(n):
-        blocks = lam.blocks
-        partial = [((), 0)]
-        for v, m in blocks:
-            grown = []
-            for marks, w in partial:
-                for block in itertools.combinations_with_replacement(
-                    range(v, -1, -1), m
-                ):
-                    w2 = w + sum(block)
-                    if w2 <= q:
-                        grown.append((marks + block, w2))
-            partial = grown
-        for marks, w in partial:
-            if w == q:
-                out.append(MarkedPartition(lam, marks))
-    return tuple(
-        sorted(out, key=lambda mp: (mp.partition.parts, mp.marks), reverse=True)
-    )
+def _label_series(n: int):
+    """Label counts keyed by (size, weight, part count), sizes up to n: the
+    product over parts v and weights d of (1 + X)^P(v,d) for even v, whose
+    blocks take distinct words, and (1 - X)^-P(v,d) for odd v, where words
+    repeat, with X = x^d y^v t and P = necklace_count."""
+    series = {(0, 0, 0): 1}
+    for v in range(1, n + 1):
+        for d in range(v + 1):
+            p = necklace_count(v, d)
+            if not p:
+                continue
+            cs = range(n // v + 1)
+            coeffs = [binomial(p + c - 1, c) if v % 2 else binomial(p, c) for c in cs]
+            series = series_times(series, (v, d, 1), coeffs, n)
+    return series
 
 
 @lru_cache(maxsize=None)
@@ -239,19 +226,6 @@ def enumerate_generators(n: int, q: int) -> Tuple[GeneratorLabel, ...]:
     return tuple(sorted(out, key=GeneratorLabel.sort_key))
 
 
-def _marked_label_count(mp: MarkedPartition) -> int:
-    """Number of labels realizing a marked partition, as binomial factors."""
-    count = 1
-    for v, marks in mp.block_marks():
-        for d, c in sorted(Counter(marks).items()):
-            size = len(enumerate_Pi(v, d))
-            if v % 2 == 0:
-                count *= binomial(size, c)
-            else:
-                count *= binomial(size + c - 1, c)
-    return count
-
-
 def label_from_delta(delta: DeltaMap, lam: Partition):
     """The generator label a coset word induces, or None when rejected.
 
@@ -275,7 +249,7 @@ def label_from_delta(delta: DeltaMap, lam: Partition):
 def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:
     """Graded dimension of the weight-q invariant catalog.
 
-    method "formula" multiplies binomial counts over marked partitions;
+    method "formula" reads a coefficient of the label series;
     method "catalog" counts the explicitly enumerated labels.
     """
     if method == "catalog":
@@ -284,9 +258,8 @@ def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:
         )
     if method != "formula":
         raise ValueError("method must be 'formula' or 'catalog'")
-    counts = Counter()
-    for mp in enumerate_marked(n, q):
-        c = _marked_label_count(mp)
-        if c:
-            counts[mp.partition.degree] += c
-    return PoincareTable.from_dict(counts)
+    if n < 1 or not 0 <= q <= n:
+        raise ValueError("need n >= 1 and 0 <= q <= n")
+    return PoincareTable.from_dict(
+        {n - key[2]: c for key, c in _label_series(n).items() if key[:2] == (n, q)}
+    )

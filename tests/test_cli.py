@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from braidinv import character_oracle, cli
 from braidinv.cli import main, render_table
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -45,6 +46,20 @@ def test_dim_requires_q_for_product(capsys):
 def test_dim_ext_rejects_mismatched_q(capsys):
     code, _, _ = run(capsys, "dim", "--n", "6", "--group", "ext", "--q", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_rejects_non_positive_workers(capsys, monkeypatch, workers):
+    def start(*args, **kwargs):
+        raise AssertionError("a rejected request reached the oracle")
+
+    monkeypatch.setattr(cli, "oracle_dimension", start)
+    monkeypatch.setattr(character_oracle, "ProcessPoolExecutor", start)
+    code, _, err = run(
+        capsys, "verify", "--n", "4", "--group", "ext", "--workers", workers
+    )
+    assert code == 2
+    assert "--workers" in err
 
 
 def test_unknown_flag_exits_2(capsys):

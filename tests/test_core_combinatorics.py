@@ -7,10 +7,10 @@ from braidinv.core_combinatorics import (
     Partition,
     all_partitions,
     binomial,
-    compositions_count,
     enumerate_partitions,
     min_rotation,
-    odd_prime_factors,
+    mobius,
+    series_times,
 )
 
 # partition numbers p(1)..p(12)
@@ -73,21 +73,12 @@ def test_binomial_matches_comb(a, b):
     assert binomial(a, b) == expected
 
 
-def test_compositions_count_values():
-    assert compositions_count(4, 2) == 3
-    assert compositions_count(3, 1) == 1
-    assert compositions_count(2, 5) == 0
-
-
-@given(st.integers(1, 10))
-def test_compositions_total(m):
-    # 2^(m-1) compositions of m in total
-    assert sum(compositions_count(m, b) for b in range(1, m + 1)) == 2 ** (m - 1)
-
-
 @given(st.integers(1, 12), st.integers(1, 12))
 def test_vandermonde_multiset_identity(m, N):
-    total = sum(compositions_count(m, b) * binomial(N, b) for b in range(1, m + 1))
+    # a multiset of m words from N splits into b distinct words and a
+    # composition of m into b multiplicities: why odd parts, whose words
+    # repeat, take the factor (1 - X)^-N where even parts take (1 + X)^N
+    total = sum(binomial(m - 1, b - 1) * binomial(N, b) for b in range(1, m + 1))
     assert total == binomial(N + m - 1, m)
 
 
@@ -120,9 +111,15 @@ def test_min_rotation_multiplicity_is_period_count(w):
     assert best[period:] + best[:period] == best
 
 
-def test_odd_prime_factors():
-    assert odd_prime_factors(1) == frozenset()
-    assert odd_prime_factors(8) == frozenset()
-    assert odd_prime_factors(12) == frozenset({3})
-    assert odd_prime_factors(15) == frozenset({3, 5})
-    assert odd_prime_factors(18) == frozenset({3})
+def test_mobius_pinned():
+    assert [mobius(k) for k in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    with pytest.raises(ValueError):
+        mobius(0)
+
+
+def test_series_times_multiplies_and_truncates():
+    # (1 + 2X + X^2)(1 - X)^-1 with X = y^2 t, sizes up to 5
+    series = series_times({(0, 0): 1}, (2, 1), [1, 2, 1], 5)
+    assert series == {(0, 0): 1, (2, 1): 2, (4, 2): 1}
+    series = series_times(series, (2, 1), [1, 1, 1], 5)
+    assert series == {(0, 0): 1, (2, 1): 3, (4, 2): 4}

@@ -16,6 +16,7 @@ from braidinv.cycle_invariants import (
     enumerate_Pi,
     enumerate_selfdual,
     invariant_cycle,
+    necklace_count,
     selfdual_count_closed_form,
 )
 from braidinv.errors import InternalConsistencyError
@@ -150,6 +151,20 @@ def test_enumerate_Pi_matches_necklace_count(lam, d):
         if cycle_admissible(c)
     }
     assert admissible == set(enumerate_Pi(lam, d))
+
+
+@pytest.mark.parametrize(
+    "v,d", [(v, d) for v in range(1, 17) for d in range(v + 1)]
+)
+def test_necklace_count_matches_listing(v, d):
+    assert necklace_count(v, d) == len(enumerate_Pi(v, d))
+
+
+@pytest.mark.parametrize("v", range(2, 17, 2))
+def test_selfdual_closed_form_counts_selfdual_half_weight_words(v):
+    # S(v), the exponent of the self-dual factor in the extension series
+    pool = enumerate_Pi(v, v // 2)
+    assert selfdual_count_closed_form(v // 2) == sum(dual_cycle(c) == c for c in pool)
 
 
 SELFDUAL_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 15: 1091, 18: 7280}

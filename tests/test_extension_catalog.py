@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from braidinv import cycle_invariants, extension_catalog, product_catalog
 from braidinv.core_combinatorics import Partition
 from braidinv.cycle_invariants import InvariantCycle
 from braidinv.extension_catalog import (
@@ -21,6 +24,7 @@ from braidinv.product_catalog import (
     GeneratorLabel,
     MarkedPartition,
     enumerate_generators,
+    product_dimension,
 )
 
 # pinned: both enumeration and closed form produce these
@@ -188,6 +192,33 @@ def test_ext_dimension_routes_agree(n):
     _, formula = ext_dimension(n, method="formula")
     _, catalog = ext_dimension(n, method="catalog")
     assert formula.as_dict() == catalog.as_dict()
+
+
+def test_formula_route_lists_nothing(monkeypatch):
+    # every binding of the listing functions raises; the counting route
+    # must still give its pinned values from cold caches
+    listings = (
+        cycle_invariants.enumerate_Pi,
+        cycle_invariants.enumerate_selfdual,
+        extension_catalog.enumerate_E,
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the formula route called a listing")
+
+    for name, module in list(sys.modules.items()):
+        if name == "braidinv" or name.startswith("braidinv."):
+            for binding, value in list(vars(module).items()):
+                if any(value is fn for fn in listings):
+                    monkeypatch.setattr(module, binding, refuse)
+    product_catalog._label_series.cache_clear()
+    extension_catalog._fixed_series.cache_clear()
+    assert product_dimension(8, 3).as_dict() == {
+        0: 1, 1: 3, 2: 5, 3: 9, 4: 16, 5: 22, 6: 19, 7: 7
+    }
+    total, table = ext_dimension(10)
+    assert (total, table.as_dict()) == (182, EXT_TABLES[10])
+    assert count_KP_closed_form(10) == EP_KP_COUNTS[10][1]
 
 
 def test_ext_dimension_rejects_odd_or_bad_method():

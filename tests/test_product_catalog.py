@@ -13,7 +13,6 @@ from braidinv.product_catalog import (
     MarkedPartition,
     PoincareTable,
     enumerate_generators,
-    enumerate_marked,
     label_from_delta,
     product_dimension,
 )
@@ -80,14 +79,6 @@ def test_poincare_table():
     assert PoincareTable.from_degrees([0, 1, 1, 3]).as_dict() == {0: 1, 1: 2, 3: 1}
 
 
-def test_enumerate_marked_small():
-    # n=2, q=1: (2) marked 1, (1,1) marked (1,0)
-    got = {(mp.partition.parts, mp.marks) for mp in enumerate_marked(2, 1)}
-    assert got == {((2,), (1,)), ((1, 1), (1, 0))}
-    total_weight = {mp.weight for mp in enumerate_marked(6, 2)}
-    assert total_weight == {2}
-
-
 def test_enumerate_generators_weights_sum_to_q():
     for n, q in ((4, 2), (6, 3), (7, 2)):
         labels = enumerate_generators(n, q)
@@ -107,12 +98,20 @@ def test_product_dimension_pinned(n, q):
     assert product_dimension(n, q).as_dict() == PRODUCT_TABLES[(n, q)]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_product_dimension_routes_agree(n):
     for q in range(n + 1):
         formula = product_dimension(n, q, method="formula")
         catalog = product_dimension(n, q, method="catalog")
         assert formula.as_dict() == catalog.as_dict()
+
+
+def test_product_dimension_rejects_bad_arguments():
+    for n, q in ((0, 0), (4, -1), (4, 5)):
+        with pytest.raises(ValueError):
+            product_dimension(n, q)
+    with pytest.raises(ValueError):
+        product_dimension(4, 1, method="guess")
 
 
 @pytest.mark.parametrize("n", range(2, 9))
