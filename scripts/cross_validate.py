@@ -31,9 +31,20 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def check(name: str, formula, catalog, oracle) -> bool:
+def check(group: GroupSpec, table, args: argparse.Namespace) -> bool:
+    """Compare the formula, catalog and oracle tables of one group.
+
+    The verdict goes to stdout, the group's wall time to stderr."""
+    t0 = time.monotonic()
+    formula = table("formula")
+    catalog = table("catalog")
+    oracle = oracle_dimension(
+        group.n, group, long_running=args.long_running, workers=args.workers
+    )
     ok = formula.as_dict() == catalog.as_dict() == oracle.as_dict()
+    name = group.describe()
     print("%-18s %s" % (name, "OK" if ok else "MISMATCH"))
+    print("%-18s %.2fs" % (name, time.monotonic() - t0), file=sys.stderr)
     if not ok:
         print("  formula: %s" % formula.as_dict())
         print("  catalog: %s" % catalog.as_dict())
@@ -47,24 +58,16 @@ def main(argv=None) -> int:
     for n in range(2, args.max_n + 1):
         t0 = time.monotonic()
         for q in range(n // 2 + 1):
-            group = GroupSpec.product(n, q)
             ok &= check(
-                group.describe(),
-                product_dimension(n, q, method="formula"),
-                product_dimension(n, q, method="catalog"),
-                oracle_dimension(
-                    n, group, long_running=args.long_running, workers=args.workers
-                ),
+                GroupSpec.product(n, q),
+                lambda method: product_dimension(n, q, method=method),
+                args,
             )
         if n % 2 == 0:
-            group = GroupSpec.extension(n // 2)
             ok &= check(
-                group.describe(),
-                ext_dimension(n, method="formula")[1],
-                ext_dimension(n, method="catalog")[1],
-                oracle_dimension(
-                    n, group, long_running=args.long_running, workers=args.workers
-                ),
+                GroupSpec.extension(n // 2),
+                lambda method: ext_dimension(n, method=method)[1],
+                args,
             )
         rank_ok = total_rank_check(n, long_running=args.long_running)
         ok &= rank_ok

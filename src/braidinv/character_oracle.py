@@ -18,7 +18,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from .core_combinatorics import Partition, all_partitions
 from .errors import CapabilityError, InternalConsistencyError
@@ -34,13 +34,6 @@ ORACLE_LONG_LIMIT = 10
 def _comp(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     """Images of the composition a after b, both 1-based image tuples."""
     return tuple(a[x - 1] for x in b)
-
-
-def _inv(a: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = [0] * len(a)
-    for i, im in enumerate(a):
-        out[im - 1] = i + 1
-    return tuple(out)
 
 
 def _sign(images: Tuple[int, ...]) -> int:
@@ -134,33 +127,6 @@ class GroupSpec:
         """The block-swapping reversal i -> n + 1 - i."""
         return tuple(range(self.n, 0, -1))
 
-    def contains(self, images: Tuple[int, ...]) -> bool:
-        if self.variant == "full":
-            return True
-        split = self.n - self.q
-        if all(images[i] <= split for i in range(split)):
-            return True
-        if self.variant == "extension":
-            flipped = tuple(self.n + 1 - x for x in images)
-            return all(flipped[i] <= split for i in range(split))
-        return False
-
-    def members(self) -> Iterator[Tuple[int, ...]]:
-        """All image tuples, lazily, in a deterministic order."""
-        if self.variant == "full":
-            for a in itertools.permutations(range(1, self.n + 1)):
-                yield a
-            return
-        split = self.n - self.q
-        lower = itertools.permutations(range(1, split + 1))
-        for a in lower:
-            for b in itertools.permutations(range(split + 1, self.n + 1)):
-                yield a + b
-        if self.variant == "extension":
-            for a in itertools.permutations(range(1, split + 1)):
-                for b in itertools.permutations(range(split + 1, self.n + 1)):
-                    yield tuple(self.n + 1 - x for x in a + b)
-
     def generators(self) -> Tuple[Tuple[int, ...], ...]:
         """Adjacent transpositions of each factor, plus the reversal."""
         out = []
@@ -242,28 +208,42 @@ def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=8)
-def _elements_with_exponents(lam: Partition):
-    """Every centralizer element with its character data, materialized.
+def _stabilizer(lam: Partition, word: Tuple[int, ...], flip: bool = False):
+    """The centralizer elements z that keep a 0/1 word on the points 1..n
+    (the letter at z(x) is the letter at x), or with flip complement it,
+    as their (block_map, exponents) data.
 
-    Each entry is (images, (block_map, exponents)); the pair is the unique
-    factorization into a rigid block permutation and in-cycle rotations.
+    Backtracks part by part: part i may go to an unused part j of its value
+    with rotation e only if that carries part i's letters onto part j's.
     """
-    runs = _value_runs(lam)
-    out = []
-    perms_per_run = [
-        list(itertools.permutations(indices)) for _, indices in runs
-    ]
-    for arrangement in itertools.product(*perms_per_run):
-        block_map = [0] * lam.part_count
-        for (_, indices), placed in zip(runs, arrangement):
-            for src, dst in zip(indices, placed):
-                block_map[src] = dst
-        for exponents in itertools.product(*[range(p) for p in lam.parts]):
-            out.append(
-                (_assemble(lam, block_map, exponents), (tuple(block_map), exponents))
-            )
-    return tuple(out)
+    starts = [lam.block_start(i + 1) for i in range(lam.part_count)]
+    segments = [tuple(word[s:s + v]) for s, v in zip(starts, lam.parts)]
+    options = []
+    for i, v in enumerate(lam.parts):
+        want = tuple(1 - b for b in segments[i]) if flip else segments[i]
+        options.append([
+            (j, e)
+            for j in range(lam.part_count)
+            if lam.parts[j] == v
+            for e in range(v)
+            if segments[j][e:] + segments[j][:e] == want
+        ])
+    block_map = [0] * lam.part_count
+    exponents = [0] * lam.part_count
+    used = [False] * lam.part_count
+
+    def place(i):
+        if i == lam.part_count:
+            yield tuple(block_map), tuple(exponents)
+            return
+        for j, e in options[i]:
+            if not used[j]:
+                used[j] = True
+                block_map[i], exponents[i] = j, e
+                yield from place(i + 1)
+                used[j] = False
+
+    return place(0)
 
 
 def root_order(lam: Partition) -> int:
@@ -449,7 +429,10 @@ def _coset_words(group: GroupSpec, lam: Partition):
         # a single coset; the all-late word reconstructs the identity
         return [tuple([0] * n)]
     z_gens = build_centralizer(lam).generators
-    words = set(itertools.permutations([0] * (n - q) + [1] * q))
+    words = {
+        tuple(int(x in marked) for x in range(n))
+        for marked in itertools.combinations(range(n), q)
+    }
     reps = []
     while words:
         seed = min(words)
@@ -531,31 +514,17 @@ def double_cosets(
 def _isotropy_sum(s: Tuple[int, ...], lam: Partition, group: GroupSpec):
     """Coefficient counts of the character sum over the twisted isotropy.
 
-    Iterates whichever of the group and the centralizer is smaller.
+    Conjugated by s, the isotropy is the stabilizer in the centralizer of
+    the marking word of s (for the extension: of the word up to complement).
     Returns (counts per exponent, isotropy order)."""
+    word = tuple(int(x > group.n - group.q) for x in s)
+    flips = (False, True) if group.variant == "extension" else (False,)
     L = root_order(lam)
     counts = [0] * L
-    total = 0
-    s_inv = _inv(s)
-    if group.order <= build_centralizer(lam).order:
-        for g in group.members():
-            z = _comp(s_inv, _comp(g, s))
-            data = _decompose(lam, z)
-            if data is None:
-                continue
-            counts[_character_exponent(lam, data[0], data[1], L)] += 1
-            total += 1
-    else:
-        for images, (block_map, exponents) in _elements_with_exponents(lam):
-            if group.contains(_comp(s, _comp(images, s_inv))):
-                counts[_character_exponent(lam, block_map, exponents, L)] += 1
-                total += 1
-    return counts, total
-
-
-def isotropy_order(s: Tuple[int, ...], lam: Partition, group: GroupSpec) -> int:
-    _, total = _isotropy_sum(s, lam, group)
-    return total
+    for flip in flips:
+        for block_map, exponents in _stabilizer(lam, word, flip):
+            counts[_character_exponent(lam, block_map, exponents, L)] += 1
+    return counts, sum(counts)
 
 
 def isotropy_inner_product(
@@ -656,7 +625,7 @@ def total_rank_check(n: int, long_running: bool = False) -> bool:
         got = Counter()
         for lam in all_partitions(n):
             for s in double_cosets(group, lam):
-                h = isotropy_order(s, lam, group)
+                h = _isotropy_sum(s, lam, group)[1]
                 if group.order % h:
                     raise InternalConsistencyError(
                         "isotropy order %d does not divide the group order" % h

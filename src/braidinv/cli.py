@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     def group_options(p):
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=positive_int, required=True)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--group", default="prod", choices=("prod", "ext"))
 
@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sd.add_argument("--d", type=int, required=True)
 
     p_ep = command(sub, "ep", cmd_ep, "extension catalog listing")
-    p_ep.add_argument("--n", type=int, required=True)
+    p_ep.add_argument("--n", type=positive_int, required=True)
     format_option(p_ep)
 
     p_spin = command(sub, "spin", cmd_spin, "table indexed by hyperelliptic genus")

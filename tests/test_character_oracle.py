@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -6,12 +7,12 @@ from braidinv import character_oracle
 from braidinv.character_oracle import (
     CyclotomicSum,
     GroupSpec,
+    _assemble,
     _comp,
     _cyclotomic,
-    _elements_with_exponents,
     _from_cycles,
-    _inv,
     _sign,
+    _stabilizer,
     build_centralizer,
     double_cosets,
     isotropy_inner_product,
@@ -33,7 +34,7 @@ def test_perm_basics():
     s = (2, 3, 1)
     assert (s[0], s[2]) == (2, 1)  # 1 -> 2 and 3 -> 1, images 1-based
     assert _comp(s, s) == (3, 1, 2)
-    assert _inv(s) == (3, 1, 2)
+    assert _comp(s, (3, 1, 2)) == _comp((3, 1, 2), s) == (1, 2, 3)
     assert _sign(s) == 1
     assert _sign((2, 1, 3)) == -1
     assert _from_cycles(4, (1, 3, 2)) == (3, 1, 2, 4)
@@ -50,17 +51,21 @@ def test_perm_basics():
 def test_group_spec_orders_and_membership():
     g = GroupSpec.product(5, 2)
     assert g.order == 12
-    assert g.contains((2, 3, 1, 5, 4))
-    assert not g.contains((4, 2, 3, 1, 5))
-    assert len(list(g.members())) == 12
     e = GroupSpec.extension(2)
     assert e.order == 2 * 2 * 2
-    assert e.contains((4, 3, 2, 1))  # the reversal itself
-    assert not e.contains((2, 3, 4, 1))
-    assert len(set(e.members())) == 8
     assert GroupSpec.full(3).order == 6
     with pytest.raises(ValueError):
         GroupSpec("extension", 5, 2)
+
+
+def _in_group(group, images):
+    """Whether the image tuple keeps the first n - q points together, or,
+    in the extension, sends them onto the last n - q."""
+    split = group.n - group.q
+    low = set(images[:split])
+    if low == set(range(1, split + 1)):
+        return True
+    return group.variant == "extension" and low == set(range(group.q + 1, group.n + 1))
 
 
 def test_group_generators_generate():
@@ -76,7 +81,30 @@ def test_group_generators_generate():
                     seen.add(t)
                     frontier.append(t)
         assert len(seen) == g.order
-        assert all(g.contains(s) for s in seen)
+        assert all(_in_group(g, s) for s in seen)
+    assert _in_group(GroupSpec.product(5, 2), (2, 3, 1, 5, 4))
+    assert not _in_group(GroupSpec.product(5, 2), (4, 2, 3, 1, 5))
+    assert _in_group(GroupSpec.extension(2), (4, 3, 2, 1))  # the reversal itself
+    assert not _in_group(GroupSpec.extension(2), (2, 3, 4, 1))
+
+
+def _centralizer(lam):
+    """Every centralizer element, as the stabilizer of the all-zero word."""
+    return [_assemble(lam, *data) for data in _stabilizer(lam, (0,) * lam.n)]
+
+
+def _generated(generators, n):
+    """The group the generators generate, by breadth-first search."""
+    seen = {tuple(range(1, n + 1))}
+    frontier = list(seen)
+    while frontier:
+        z = frontier.pop()
+        for g in generators:
+            w = _comp(z, g)
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
 
 
 def test_centralizer_orders():
@@ -86,19 +114,26 @@ def test_centralizer_orders():
     assert build_centralizer(Partition((1, 1, 1, 1))).order == 24
     for lam in all_partitions(5):
         pres = build_centralizer(lam)
-        elements = {im for im, _ in _elements_with_exponents(lam)}
+        elements = set(_centralizer(lam))
         assert len(elements) == pres.order
         # the generators generate exactly those elements
-        seen = {tuple(range(1, lam.n + 1))}
-        frontier = list(seen)
-        while frontier:
-            z = frontier.pop()
-            for g in pres.generators:
-                w = _comp(z, g)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        assert seen == elements
+        assert _generated(pres.generators, lam.n) == elements
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stabilizer_matches_filtered_centralizer(n):
+    for lam in all_partitions(n):
+        centralizer = _generated(build_centralizer(lam).generators, n)
+        for word in itertools.product((0, 1), repeat=n):
+            for flip in (False, True):
+                listed = [_assemble(lam, *data) for data in _stabilizer(lam, word, flip)]
+                kept = {
+                    z
+                    for z in centralizer
+                    if all(word[z[x] - 1] == word[x] ^ flip for x in range(n))
+                }
+                assert len(listed) == len(set(listed))
+                assert set(listed) == kept, (lam.parts, word, flip)
 
 
 def test_root_order():
@@ -146,7 +181,7 @@ def test_zeta_values_pinned():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_zeta_multiplicative_exhaustive(n):
     for lam in all_partitions(n):
-        elements = [im for im, _ in _elements_with_exponents(lam)]
+        elements = _centralizer(lam)
         values = {z: zeta_value(lam, z) for z in elements}
         for z1 in elements:
             for z2 in elements:
@@ -256,10 +291,15 @@ def test_oracle_matches_ext_formula(n):
     assert oracle.total == total
 
 
-@pytest.mark.skipif(not LONG, reason="set BRAID_LONG=1 for the n=10 oracle run")
 def test_oracle_matches_ext_formula_n10():
     oracle = oracle_dimension(10, GroupSpec.extension(5), long_running=True, workers=4)
     assert oracle.as_dict() == ext_dimension(10)[1].as_dict()
+
+
+def test_oracle_matches_product_formula_n10():
+    # not q = 0: its isotropy is all of Z_(1^10), some 3.6 M elements
+    oracle = oracle_dimension(10, GroupSpec.product(10, 5), long_running=True)
+    assert oracle.as_dict() == product_dimension(10, 5).as_dict()
 
 
 def test_oracle_capability_gate():

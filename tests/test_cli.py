@@ -62,6 +62,23 @@ def test_verify_rejects_non_positive_workers(capsys, monkeypatch, workers):
     assert "--workers" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "-5"],
+        ["verify", "--n", "-1", "--group", "prod"],
+        ["dim", "--n", "0", "--group", "ext"],
+        ["ep", "--n", "-2"],
+    ],
+    ids=" ".join,
+)
+def test_non_positive_n_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "argument --n" in err
+    assert "verification OK" not in out
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["dim", "--n", "4", "--bogus"]) == 2
     capsys.readouterr()
