@@ -274,8 +274,9 @@ def _decompose(lam: Partition, images: Tuple[int, ...]):
     return tuple(block_map), tuple(exponents)
 
 
-def _character_exponent(lam: Partition, block_map, exponents, L: int) -> int:
-    """Exponent of the character value on the element with this data.
+def _character_exponent(lam: Partition, runs, block_map, exponents, L: int) -> int:
+    """Exponent of the character value on the element with this data;
+    runs is _value_runs(lam).
 
     Rotation by e on a part of size p contributes e times the primitive
     p-th root, and e(p-1) to the sign; the block permutation contributes
@@ -286,7 +287,7 @@ def _character_exponent(lam: Partition, block_map, exponents, L: int) -> int:
     for p, e in zip(lam.parts, exponents):
         root += e * (L // p)
         sign_parity += e * (p - 1)
-    for v, indices in _value_runs(lam):
+    for v, indices in runs:
         if v % 2:
             continue
         placed = tuple(block_map[i] for i in indices)
@@ -417,7 +418,8 @@ def zeta_value(lam: Partition, z: Tuple[int, ...]) -> CyclotomicSum:
         raise ValueError("%s does not centralize the cycle product" % (z,))
     L = root_order(lam)
     block_map, exponents = data
-    return CyclotomicSum.monomial(L, _character_exponent(lam, block_map, exponents, L))
+    exponent = _character_exponent(lam, _value_runs(lam), block_map, exponents, L)
+    return CyclotomicSum.monomial(L, exponent)
 
 
 def _coset_words(group: GroupSpec, lam: Partition):
@@ -520,10 +522,11 @@ def _isotropy_sum(s: Tuple[int, ...], lam: Partition, group: GroupSpec):
     word = tuple(int(x > group.n - group.q) for x in s)
     flips = (False, True) if group.variant == "extension" else (False,)
     L = root_order(lam)
+    runs = _value_runs(lam)
     counts = [0] * L
     for flip in flips:
         for block_map, exponents in _stabilizer(lam, word, flip):
-            counts[_character_exponent(lam, block_map, exponents, L)] += 1
+            counts[_character_exponent(lam, runs, block_map, exponents, L)] += 1
     return counts, sum(counts)
 
 

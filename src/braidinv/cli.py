@@ -15,9 +15,11 @@ from typing import List, Optional, Sequence
 
 from .character_oracle import GroupSpec, oracle_dimension
 from .cycle_invariants import (
+    Pi_letters_exceed,
     enumerate_Pi,
     enumerate_selfdual,
     selfdual_count_closed_form,
+    selfdual_letters_exceed,
 )
 from .errors import CapabilityError, InternalConsistencyError
 from .extension_catalog import (
@@ -32,6 +34,10 @@ from .product_catalog import PoincareTable, product_dimension
 SPIN_NOTE = "upper container for H*(S(Σ_g;c))"
 
 VERIFY_PLAIN_LIMIT = 8
+
+# the most letters (words times word length) a necklace listing may hold;
+# a larger one exits 4 before it starts, counted in closed form
+NECKLACE_LISTING_LIMIT = 10**6
 
 
 def _resolved_q(n: int, q: Optional[int], group: str) -> int:
@@ -173,7 +179,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _refuse_listing(exceeds: bool, what: str):
+    if exceeds:
+        raise CapabilityError(
+            "%s holds more than %d letters" % (what, NECKLACE_LISTING_LIMIT)
+        )
+
+
 def cmd_selfdual(args: argparse.Namespace) -> int:
+    _refuse_listing(
+        selfdual_letters_exceed(args.d, NECKLACE_LISTING_LIMIT),
+        "the self-dual listing at d = %d" % args.d,
+    )
     members = enumerate_selfdual(args.d)
     print("enum=%d formula=%d" % (len(members), selfdual_count_closed_form(args.d)))
     if args.verbose:
@@ -183,6 +200,10 @@ def cmd_selfdual(args: argparse.Namespace) -> int:
 
 
 def cmd_pi(args: argparse.Namespace) -> int:
+    _refuse_listing(
+        Pi_letters_exceed(args.lam, args.d, NECKLACE_LISTING_LIMIT),
+        "Pi(%d, %d)" % (args.lam, args.d),
+    )
     cycles = enumerate_Pi(args.lam, args.d)
     for chi in cycles:
         print(chi)

@@ -215,22 +215,45 @@ def necklace_count(v: int, d: int) -> int:
     return _aperiodic_count(v, d) + squares
 
 
-def _weak_compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _necklaces(n: int, bounds):
+    """The necklaces a[1..n] whose letters bounds allows, ascending, each
+    with its least period p as (word, p).
+
+    The Fredricksen-Kessler-Maiorana prenecklace recursion: a prenecklace
+    a[1..t-1] of least period p extends by a[t] = a[t-p], keeping p, or by
+    a larger letter, making the period t; a prenecklace of length n is a
+    necklace iff p divides n.  bounds(t, a) gives the lowest and highest
+    letter position t may take after a[1..t-1]; it may leave out only
+    letters that no wanted necklace has there.
+    """
+    a = [0] * (n + 1)
+
+    def extend(t, p):
+        if t > n:
+            if n % p == 0:
+                yield tuple(a[1:]), p
+            return
+        floor = a[t - p]
+        lo, hi = bounds(t, a)
+        for c in range(max(lo, floor), hi + 1):
+            a[t] = c
+            yield from extend(t + 1, p if c == floor else t)
+
+    return extend(1, 1)
 
 
 @lru_cache(maxsize=None)
 def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
-    """All admissible weight-d words on a cycle of length lam_i, ascending."""
+    """All admissible weight-d words on a cycle of length lam_i, ascending.
+
+    Lists the necklaces among gap words of length d with entries summing
+    to lam_i - d, in the manner of Ruskey and Sawada's fixed-density
+    necklaces (SIAM J. Comput. 1999).  A necklace starts with its least
+    letter, so letter t is at most what a[1..t-1] leave of lam_i - d, less
+    a[1] for each letter after it; the last letter takes what is left.
+    A word of least period p repeats d/p times, so cycle_admissible keeps
+    it iff d/p = 1, or d/p = 2 on lam_i = 2 mod 4, or lam_i <= 2.
+    """
     if lam_i < 1:
         raise ValueError("cycle length must be positive")
     if not 0 <= d <= lam_i:
@@ -238,44 +261,47 @@ def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
     if d == 0:
         empty = InvariantCycle.empty(lam_i)
         return (empty,) if cycle_admissible(empty) else ()
-    seen = set()
-    for comp in _weak_compositions(lam_i - d, d):
-        chi = InvariantCycle.from_gaps(lam_i, comp)
-        if chi not in seen and cycle_admissible(chi):
-            seen.add(chi)
-    return tuple(sorted(seen, key=cycle_sort_key))
+    total = lam_i - d
+
+    def bounds(t, a):
+        left = total - sum(a[1:t])
+        if t == d:
+            return left, left
+        return 0, left - (d - t) * a[1] if t > 1 else total // d
+
+    return tuple(
+        InvariantCycle(lam_i, word)
+        for word, p in _necklaces(d, bounds)
+        if p == d or lam_i <= 2 or (lam_i % 4 == 2 and 2 * p == d)
+    )
 
 
 @lru_cache(maxsize=None)
 def enumerate_selfdual(d: int) -> Tuple[InvariantCycle, ...]:
     """Complement-self-dual weight-d words on a cycle of length 2d.
 
-    Enumerates the bit words of length 2d whose second half complements the
-    first, discards those whose complement already appears at a rotation by
-    a proper divisor of d, and canonicalizes the survivors.
+    Lists the aperiodic binary necklaces of length 2d whose letter t > d
+    complements letter t - d.  Such a word whose complement already
+    appears at a rotation by a proper divisor s of d has period 2s, so
+    keeping the aperiodic words drops exactly those; each survivor is
+    then read as its gap word.
     """
     if d < 1:
         raise ValueError("need d >= 1")
     n2 = 2 * d
-    mask = (1 << n2) - 1
-    half = (1 << d) - 1
-    shifts = [s for s in range(1, d) if d % s == 0]
 
-    def rot(x, r):
-        return ((x << r) | (x >> (n2 - r))) & mask
+    def bounds(t, a):
+        if t > d:
+            return 1 - a[t - d], 1 - a[t - d]
+        return 0, 1
 
-    canon = set()
-    for seed in range(1 << d):
-        x = seed | ((~seed & half) << d)
-        comp = ~x & mask
-        if any(rot(x, s) == comp for s in shifts):
-            continue
-        canon.add(min(rot(x, r) for r in range(n2)))
-    out = {
-        cycle_from_bits(n2, tuple((x >> t) & 1 for t in range(n2)))
-        for x in canon
-    }
-    if len(out) != len(canon):
+    out = set()
+    words = 0
+    for bits, p in _necklaces(n2, bounds):
+        if p == n2:
+            words += 1
+            out.add(cycle_from_bits(n2, bits))
+    if len(out) != words:
         raise InternalConsistencyError("bit and gap canonical forms disagree")
     return tuple(sorted(out, key=cycle_sort_key))
 
@@ -294,3 +320,48 @@ def selfdual_count_closed_form(d: int) -> int:
             "self-dual count %d not divisible by %d" % (total, 2 * d)
         )
     return total // (2 * d)
+
+
+def _binomial_exceeds(a: int, b: int, cap: int) -> bool:
+    """Whether C(a, b) > cap, for 0 <= b <= a, in O(log cap) steps."""
+    k = min(b, a - b)
+    c = 1
+    for i in range(1, k + 1):
+        # c = C(a - k + i, i), at least doubling since a - k >= k >= i
+        c = c * (a - k + i) // i
+        if c > cap:
+            return True
+    return False
+
+
+def Pi_letters_exceed(v: int, d: int, limit: int) -> bool:
+    """Whether enumerate_Pi(v, d) holds more than limit letters, d to a
+    word; False for arguments it refuses.
+
+    Takes no binomial above T = max(4v^2, 2v limit).  A periodic word
+    repeats a block of some proper divisor length p of v, and two such
+    blocks side by side are words C(v, d) counts, so there are at most
+    (v - 1) sqrt(C(v, d)) periodic words.  Once C(v, d) > T that is at
+    most C(v, d)/2, which leaves more than limit primitive necklaces.
+    """
+    if not (v >= 1 and 0 <= d <= v):
+        return False
+    cap = max(4 * v * v, 2 * v * limit)
+    if v >= 3 and 0 < d < v and _binomial_exceeds(v, d, cap):
+        return True
+    return necklace_count(v, d) * d > limit
+
+
+def selfdual_letters_exceed(d: int, limit: int) -> bool:
+    """Whether enumerate_selfdual(d) holds more than limit letters, d to a
+    word; False for arguments it refuses.
+
+    Takes no power of 2 above 2^(d-2) <= limit: for d >= 5 the odd
+    divisors e >= 3 take at most d 2^(d/3) <= 2^(d-1) off 2^d in the
+    closed form, so there are at least 2^(d-2)/d words.
+    """
+    if d < 1:
+        return False
+    if d >= 5 and d - 2 >= limit.bit_length():
+        return True
+    return selfdual_count_closed_form(d) * d > limit

@@ -162,10 +162,14 @@ class PoincareTable:
 
 @lru_cache(maxsize=None)
 def _label_series(n: int):
-    """Label counts keyed by (size, weight, part count), sizes up to n: the
+    """Label counts of size n keyed by (size, weight, part count): the
     product over parts v and weights d of (1 + X)^P(v,d) for even v, whose
     blocks take distinct words, and (1 - X)^-P(v,d) for odd v, where words
-    repeat, with X = x^d y^v t and P = necklace_count."""
+    repeat, with X = x^d y^v t and P = necklace_count.
+
+    After the factors of v, a term short of n by 1 to v is dropped: the
+    parts still to come are larger than v, so none of its products reaches
+    size n."""
     series = {(0, 0, 0): 1}
     for v in range(1, n + 1):
         for d in range(v + 1):
@@ -175,6 +179,7 @@ def _label_series(n: int):
             cs = range(n // v + 1)
             coeffs = [binomial(p + c - 1, c) if v % 2 else binomial(p, c) for c in cs]
             series = series_times(series, (v, d, 1), coeffs, n)
+        series = {key: a for key, a in series.items() if not 0 < n - key[0] <= v}
     return series
 
 

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,39 @@ def test_necklace_pi(capsys):
     code, out, _ = run(capsys, "necklace", "pi", "--lambda", "6", "--d", "3")
     assert code == 0
     assert out.strip().splitlines() == ["(0,0,3)", "(0,1,2)", "(0,2,1)", "3 cycles"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["necklace", "pi", "--lambda", "40", "--d", "20"],
+        ["necklace", "selfdual", "--d", "40"],
+        ["necklace", "pi", "--lambda", str(10**12), "--d", str(5 * 10**11)],
+        ["necklace", "pi", "--lambda", str(10**12), "--d", str(10**12 - 1)],
+        ["necklace", "selfdual", "--d", str(10**12)],
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_oversized_necklace_listing_exits_4_before_listing(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("an oversized request reached the listing")
+
+    monkeypatch.setattr(cli, "enumerate_Pi", refuse)
+    monkeypatch.setattr(cli, "enumerate_selfdual", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (4, "")
+    assert "more than %d letters" % cli.NECKLACE_LISTING_LIMIT in err
+
+
+def test_necklace_limit_counts_letters(capsys, monkeypatch):
+    # Pi(6, 3) holds 3 words of 3 letters, the self-dual listing at d = 6
+    # 5 words of 6 letters
+    for limit, codes in ((9, (0, 4)), (8, (4, 4)), (30, (0, 0))):
+        monkeypatch.setattr(cli, "NECKLACE_LISTING_LIMIT", limit)
+        assert run(capsys, "necklace", "pi", "--lambda", "6", "--d", "3")[0] == codes[0]
+        assert run(capsys, "necklace", "selfdual", "--d", "6")[0] == codes[1]
 
 
 def test_necklace_selfdual(capsys):

@@ -7,6 +7,7 @@ from braidinv.core_combinatorics import Partition, binomial, min_rotation
 from braidinv.cycle_invariants import (
     DeltaMap,
     InvariantCycle,
+    Pi_letters_exceed,
     block_support,
     cycle_admissible,
     cycle_from_bits,
@@ -18,6 +19,7 @@ from braidinv.cycle_invariants import (
     invariant_cycle,
     necklace_count,
     selfdual_count_closed_form,
+    selfdual_letters_exceed,
 )
 from braidinv.errors import InternalConsistencyError
 
@@ -153,11 +155,61 @@ def test_enumerate_Pi_matches_necklace_count(lam, d):
     assert admissible == set(enumerate_Pi(lam, d))
 
 
+def _weak_compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _Pi_by_compositions(lam, d):
+    """Brute-force Pi(lam, d): canonicalize every weak composition of
+    lam - d into d parts and keep the admissible ones."""
+    if d == 0:
+        empty = InvariantCycle.empty(lam)
+        return (empty,) if cycle_admissible(empty) else ()
+    seen = set()
+    for comp in _weak_compositions(lam - d, d):
+        chi = InvariantCycle(lam, min_rotation(comp)[0])
+        if cycle_admissible(chi):
+            seen.add(chi)
+    return tuple(sorted(seen, key=cycle_sort_key))
+
+
+@pytest.mark.parametrize("lam", range(1, 15))
+def test_enumerate_Pi_matches_composition_listing(lam):
+    for d in range(lam + 1):
+        assert enumerate_Pi(lam, d) == _Pi_by_compositions(lam, d)
+
+
 @pytest.mark.parametrize(
-    "v,d", [(v, d) for v in range(1, 17) for d in range(v + 1)]
+    "v,d", [(v, d) for v in range(1, 21) for d in range(v + 1)]
 )
 def test_necklace_count_matches_listing(v, d):
     assert necklace_count(v, d) == len(enumerate_Pi(v, d))
+
+
+@pytest.mark.parametrize("limit", [1, 5, 40, 1000, 10**6])
+def test_Pi_letters_exceed_matches_count(limit):
+    for v in range(1, 41):
+        for d in range(v + 1):
+            assert Pi_letters_exceed(v, d, limit) == (necklace_count(v, d) * d > limit)
+    assert not Pi_letters_exceed(5, 6, limit)
+    assert not Pi_letters_exceed(0, 0, limit)
+
+
+@pytest.mark.parametrize("limit", [1, 5, 40, 1000, 10**6])
+def test_selfdual_letters_exceed_matches_count(limit):
+    for d in range(1, 61):
+        exact = selfdual_count_closed_form(d) * d > limit
+        assert selfdual_letters_exceed(d, limit) == exact
+    assert not selfdual_letters_exceed(0, limit)
 
 
 @pytest.mark.parametrize("v", range(2, 17, 2))
@@ -176,6 +228,38 @@ def test_selfdual_count_matches_closed_form(d):
     assert len(members) == selfdual_count_closed_form(d)
     if d in SELFDUAL_COUNTS:
         assert len(members) == SELFDUAL_COUNTS[d]
+
+
+def _selfdual_by_seeds(d):
+    """Brute-force self-dual listing: every seed of the first half, its
+    complement as the second half, less the words whose complement
+    appears at a rotation by a proper divisor of d, least rotation taken."""
+    n2 = 2 * d
+    mask = (1 << n2) - 1
+    half = (1 << d) - 1
+    shifts = [s for s in range(1, d) if d % s == 0]
+
+    def rot(x, r):
+        return ((x << r) | (x >> (n2 - r))) & mask
+
+    canon = set()
+    for seed in range(1 << d):
+        x = seed | ((~seed & half) << d)
+        comp = ~x & mask
+        if any(rot(x, s) == comp for s in shifts):
+            continue
+        canon.add(min(rot(x, r) for r in range(n2)))
+    out = {
+        cycle_from_bits(n2, tuple((x >> t) & 1 for t in range(n2)))
+        for x in canon
+    }
+    assert len(out) == len(canon)
+    return tuple(sorted(out, key=cycle_sort_key))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_enumerate_selfdual_matches_seed_listing(d):
+    assert enumerate_selfdual(d) == _selfdual_by_seeds(d)
 
 
 @pytest.mark.parametrize("d", range(1, 13))

@@ -2,16 +2,23 @@ import itertools
 
 import pytest
 
-from braidinv.core_combinatorics import Partition, all_partitions
+from braidinv.core_combinatorics import (
+    Partition,
+    all_partitions,
+    binomial,
+    series_times,
+)
 from braidinv.cycle_invariants import (
     DeltaMap,
     InvariantCycle,
     cycle_block_key,
+    necklace_count,
 )
 from braidinv.product_catalog import (
     GeneratorLabel,
     MarkedPartition,
     PoincareTable,
+    _label_series,
     enumerate_generators,
     label_from_delta,
     product_dimension,
@@ -112,6 +119,27 @@ def test_product_dimension_rejects_bad_arguments():
             product_dimension(n, q)
     with pytest.raises(ValueError):
         product_dimension(4, 1, method="guess")
+
+
+def _untrimmed_label_series(n):
+    """The label series with every term of size up to n kept."""
+    series = {(0, 0, 0): 1}
+    for v in range(1, n + 1):
+        for d in range(v + 1):
+            p = necklace_count(v, d)
+            if p:
+                coeffs = [
+                    binomial(p + c - 1, c) if v % 2 else binomial(p, c)
+                    for c in range(n // v + 1)
+                ]
+                series = series_times(series, (v, d, 1), coeffs, n)
+    return series
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_label_series_keeps_every_size_n_term(n):
+    full = _untrimmed_label_series(n)
+    assert _label_series(n) == {k: a for k, a in full.items() if k[0] == n}
 
 
 @pytest.mark.parametrize("n", range(2, 9))
