@@ -3,9 +3,10 @@
 Builds the centralizer of the canonical cycle product of a partition, its
 distinguished 1-dimensional character, the double cosets against a chosen
 subgroup, and the Mackey inner products with the trivial character, using
-exact cyclotomic integer arithmetic throughout.  Nothing here consults the
-admissibility predicate or the counting formulas, so agreement between the
-two paths is a real check.
+exact integer arithmetic throughout: character values are exponents of
+roots of unity, and an inner product is decided on generators of the
+isotropy.  Nothing here consults the admissibility predicate or the
+counting formulas, so agreement between the two paths is a real check.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .core_combinatorics import Partition, all_partitions
+from .core_combinatorics import Partition, all_partitions, min_rotation
 from .errors import CapabilityError, InternalConsistencyError
 from .product_catalog import PoincareTable
 
@@ -51,20 +53,6 @@ def _sign(images: Tuple[int, ...]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def _cycle_count(images: Tuple[int, ...]) -> int:
-    seen = [False] * len(images)
-    count = 0
-    for i in range(len(images)):
-        if seen[i]:
-            continue
-        count += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = images[j] - 1
-    return count
 
 
 def _from_cycles(n: int, *cycles: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -208,42 +196,65 @@ def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _stabilizer(lam: Partition, word: Tuple[int, ...], flip: bool = False):
-    """The centralizer elements z that keep a 0/1 word on the points 1..n
-    (the letter at z(x) is the letter at x), or with flip complement it,
-    as their (block_map, exponents) data.
+def _rotation_onto(segment: Tuple[int, ...], target: Tuple[int, ...]) -> int:
+    """The least e with segment[(t + e) % v] == target[t] for every t."""
+    for e in range(len(segment)):
+        if segment[e:] + segment[:e] == target:
+            return e
+    raise InternalConsistencyError("%s is not a rotation of %s" % (target, segment))
 
-    Backtracks part by part: part i may go to an unused part j of its value
-    with rotation e only if that carries part i's letters onto part j's.
+
+def _isotropy_generators(
+    lam: Partition, word: Tuple[int, ...], up_to_complement: bool
+):
+    """Generators, as (block_map, exponents) data, of the centralizer
+    elements z that keep a 0/1 word on the points 1..n (the letter at z(x)
+    is the letter at x), or with up_to_complement keep it or complement it;
+    and the order of that group, read from its structure.
+
+    Parts fall into classes: same value v, same segment up to rotation.  A
+    class of k parts whose segment has least period p contributes
+    C_(v/p) wr S_k, generated by a rotation by p of its first part and by
+    swaps of adjacent parts, each carried onto the other's letters.  Up to
+    complement, one element carrying every class onto its complement class
+    doubles the group when it exists.
     """
-    starts = [lam.block_start(i + 1) for i in range(lam.part_count)]
+    count = lam.part_count
+    starts = [lam.block_start(i + 1) for i in range(count)]
     segments = [tuple(word[s:s + v]) for s, v in zip(starts, lam.parts)]
-    options = []
-    for i, v in enumerate(lam.parts):
-        want = tuple(1 - b for b in segments[i]) if flip else segments[i]
-        options.append([
-            (j, e)
-            for j in range(lam.part_count)
-            if lam.parts[j] == v
-            for e in range(v)
-            if segments[j][e:] + segments[j][:e] == want
-        ])
-    block_map = [0] * lam.part_count
-    exponents = [0] * lam.part_count
-    used = [False] * lam.part_count
-
-    def place(i):
-        if i == lam.part_count:
-            yield tuple(block_map), tuple(exponents)
-            return
-        for j, e in options[i]:
-            if not used[j]:
-                used[j] = True
-                block_map[i], exponents[i] = j, e
-                yield from place(i + 1)
-                used[j] = False
-
-    return place(0)
+    classes = {}  # (least rotation, v / p) -> part indices
+    for i, segment in enumerate(segments):
+        classes.setdefault(min_rotation(segment), []).append(i)
+    generators = []
+    order = 1
+    for (least, symmetry), members in classes.items():
+        v = len(least)
+        order *= symmetry ** len(members) * math.factorial(len(members))
+        if symmetry > 1:
+            exponents = [0] * count
+            exponents[members[0]] = v // symmetry
+            generators.append((tuple(range(count)), tuple(exponents)))
+        for a, b in zip(members, members[1:]):
+            block_map, exponents = list(range(count)), [0] * count
+            e = _rotation_onto(segments[b], segments[a])
+            block_map[a], exponents[a] = b, e
+            block_map[b], exponents[b] = a, -e % v
+            generators.append((tuple(block_map), tuple(exponents)))
+    if up_to_complement:
+        block_map, exponents = [0] * count, [0] * count
+        for (least, _), members in classes.items():
+            partners = classes.get(min_rotation(tuple(1 - b for b in least)), ())
+            if len(partners) != len(members):
+                break
+            for i, j in zip(members, partners):
+                block_map[i] = j
+                exponents[i] = _rotation_onto(
+                    segments[j], tuple(1 - b for b in segments[i])
+                )
+        else:
+            generators.append((tuple(block_map), tuple(exponents)))
+            order *= 2
+    return generators, order
 
 
 def root_order(lam: Partition) -> int:
@@ -430,28 +441,40 @@ def _coset_words(group: GroupSpec, lam: Partition):
     if group.variant == "full":
         # a single coset; the all-late word reconstructs the identity
         return [tuple([0] * n)]
-    z_gens = build_centralizer(lam).generators
-    words = {
-        tuple(int(x in marked) for x in range(n))
-        for marked in itertools.combinations(range(n), q)
-    }
+    identity = tuple(range(1, n + 1))
+    # fixing every point moves no word; at n = 1 that is every generator,
+    # so itemgetter never sees a single index and returns a scalar
+    moves = [
+        operator.itemgetter(*(x - 1 for x in g))
+        for g in build_centralizer(lam).generators
+        if g != identity
+    ]
+    # marked sets in lex order give their words in descending lex order
+    words = []
+    for marked in itertools.combinations(range(n), q):
+        word = [0] * n
+        for x in marked:
+            word[x] = 1
+        words.append(tuple(word))
+    seen = set()
     reps = []
-    while words:
-        seed = min(words)
-        orbit = {seed}
+    for seed in reversed(words):
+        if seed in seen:
+            continue
+        # the first word of an orbit met in lex order is its least
+        reps.append(seed)
+        seen.add(seed)
         frontier = [seed]
         while frontier:
             w = frontier.pop()
-            nexts = [tuple(w[g[i] - 1] for i in range(n)) for g in z_gens]
+            nexts = [move(w) for move in moves]
             if group.variant == "extension":
                 nexts.append(tuple(1 - b for b in w))
             for w2 in nexts:
-                if w2 not in orbit:
-                    orbit.add(w2)
+                if w2 not in seen:
+                    seen.add(w2)
                     frontier.append(w2)
-        reps.append(min(orbit))
-        words -= orbit
-    return sorted(reps)
+    return reps
 
 
 def _perm_of_word(word: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -472,13 +495,11 @@ def double_cosets(
     mode "generic" partitions all of the symmetric group by a two-sided
     orbit search and is the ground truth; mode "delta" enumerates orbits
     of marking words, which the generic mode confirms at small n.  "auto"
-    switches to words above n = 6.
+    takes the words at every n.
     """
     if lam.n != group.n:
         raise ValueError("partition total must match the group degree")
-    if mode == "auto":
-        mode = "generic" if group.n <= 6 else "delta"
-    if mode == "delta":
+    if mode in ("auto", "delta"):
         return tuple(_perm_of_word(w) for w in _coset_words(group, lam))
     if mode != "generic":
         raise ValueError("mode must be 'auto', 'generic' or 'delta'")
@@ -514,44 +535,37 @@ def double_cosets(
 
 
 def _isotropy_sum(s: Tuple[int, ...], lam: Partition, group: GroupSpec):
-    """Coefficient counts of the character sum over the twisted isotropy.
+    """The character sum over the twisted isotropy, decided on generators.
 
     Conjugated by s, the isotropy is the stabilizer in the centralizer of
     the marking word of s (for the extension: of the word up to complement).
-    Returns (counts per exponent, isotropy order)."""
+    A character sums to the group order over a group it is trivial on, and
+    to 0 otherwise; it is trivial exactly when it is 1 on every generator.
+    Returns (whether the sum is the isotropy order, isotropy order)."""
     word = tuple(int(x > group.n - group.q) for x in s)
-    flips = (False, True) if group.variant == "extension" else (False,)
+    generators, order = _isotropy_generators(
+        lam, word, group.variant == "extension"
+    )
     L = root_order(lam)
     runs = _value_runs(lam)
-    counts = [0] * L
-    for flip in flips:
-        for block_map, exponents in _stabilizer(lam, word, flip):
-            counts[_character_exponent(lam, runs, block_map, exponents, L)] += 1
-    return counts, sum(counts)
+    trivial = all(
+        _character_exponent(lam, runs, block_map, exponents, L) == 0
+        for block_map, exponents in generators
+    )
+    return trivial, order
 
 
 def isotropy_inner_product(
     s: Tuple[int, ...], lam: Partition, group: GroupSpec
 ) -> int:
-    """Multiplicity of the trivial character in the twisted restriction.
-
-    The reduced character sum must equal 0 or the isotropy order; anything
-    else would violate the character axioms and raises.
-    """
+    """Multiplicity of the trivial character in the twisted restriction:
+    1 when the centralizer character is trivial on the isotropy, else 0."""
     s = _checked(s, lam.n)
-    counts, total = _isotropy_sum(s, lam, group)
-    value = CyclotomicSum(root_order(lam), tuple(counts)).integer_value()
-    if value == 0:
-        return 0
-    if value == total:
-        return 1
-    raise InternalConsistencyError(
-        "character sum for %s on %s reduced to %r, expected 0 or %d"
-        % (lam, s, value, total)
-    )
+    return int(_isotropy_sum(s, lam, group)[0])
 
 
-def _check_oracle_scale(n: int, long_running: bool):
+def check_oracle_scale(n: int, long_running: bool):
+    """Refuse (CapabilityError) an oracle run beyond the supported n."""
     if n <= ORACLE_LIMIT:
         return
     if long_running and n <= ORACLE_LONG_LIMIT:
@@ -571,44 +585,63 @@ def _lambda_contribution(args):
     return lam.degree, hits
 
 
+def oracle_tables(
+    n: int,
+    groups: Sequence[GroupSpec],
+    long_running: bool = False,
+    workers: int = 1,
+) -> Tuple[PoincareTable, ...]:
+    """Graded invariant dimension of each group, summed over cosets degree
+    by degree.
+
+    Every (group, partition) job of the call goes through one pool, which
+    never exceeds the job count or the CPUs this process may run on: the
+    fork start method starts every requested worker up front.
+    """
+    if any(group.n != n for group in groups):
+        raise ValueError("group degree must equal n")
+    check_oracle_scale(n, long_running)
+    partitions = all_partitions(n)
+    jobs = [(group, lam.parts) for group in groups for lam in partitions]
+    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        # a round trip to a worker costs more than most jobs: send each
+        # worker about four chunks
+        chunk = -(-len(jobs) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_lambda_contribution, jobs, chunksize=chunk))
+    else:
+        results = []
+        for job in jobs:
+            results.append(_lambda_contribution(job))
+            log.debug("oracle %s: partition %s done", job[0].describe(), job[1])
+    tables = []
+    for first in range(0, len(results), len(partitions)):
+        counts = Counter()
+        for degree, hits in results[first:first + len(partitions)]:
+            counts[degree] += hits
+        tables.append(PoincareTable.from_dict(counts))
+    return tuple(tables)
+
+
 def oracle_dimension(
     n: int,
     group: GroupSpec,
     long_running: bool = False,
     workers: int = 1,
 ) -> PoincareTable:
-    """Graded invariant dimension summed over cosets, degree by degree.
-
-    The pool never exceeds the job count or the CPUs this process may run
-    on: the fork start method starts every requested worker up front.
-    """
-    if group.n != n:
-        raise ValueError("group degree must equal n")
-    _check_oracle_scale(n, long_running)
-    jobs = [(group, lam.parts) for lam in all_partitions(n)]
-    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
-    counts = Counter()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_lambda_contribution, jobs))
-    else:
-        results = []
-        for job in jobs:
-            results.append(_lambda_contribution(job))
-            log.debug("oracle %s: partition %s done", group.describe(), job[1])
-    for degree, hits in sorted(results):
-        if hits:
-            counts[degree] += hits
-    return PoincareTable.from_dict(counts)
+    """The oracle table of one group."""
+    return oracle_tables(n, (group,), long_running, workers)[0]
 
 
 def _stirling_degrees(n: int) -> Counter:
-    """Degree table of the full cohomology: permutations counted by
-    n minus their cycle count."""
-    counts = Counter()
-    for images in itertools.permutations(range(1, n + 1)):
-        counts[n - _cycle_count(images)] += 1
-    return counts
+    """Degree table of the full cohomology: permutations counted by n minus
+    their cycle count, the coefficients of the product of (1 + k t) over
+    k < n."""
+    coeffs = [1]
+    for k in range(1, n):
+        coeffs = [a + k * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return Counter(dict(enumerate(coeffs)))
 
 
 def total_rank_check(n: int, long_running: bool = False) -> bool:
@@ -618,7 +651,7 @@ def total_rank_check(n: int, long_running: bool = False) -> bool:
     cosets of the group order divided by the isotropy order is compared
     per degree with the permutation cycle counts.
     """
-    _check_oracle_scale(n, long_running)
+    check_oracle_scale(n, long_running)
     expected = _stirling_degrees(n)
     groups = [GroupSpec.product(n, q) for q in range(n // 2 + 1)]
     if n % 2 == 0:

@@ -11,9 +11,10 @@ import json
 import logging
 import os
 import sys
+import time
 from typing import List, Optional, Sequence
 
-from .character_oracle import GroupSpec, oracle_dimension
+from .character_oracle import GroupSpec, check_oracle_scale, oracle_tables
 from .cycle_invariants import (
     Pi_letters_exceed,
     enumerate_Pi,
@@ -32,8 +33,6 @@ from .extension_catalog import (
 from .product_catalog import PoincareTable, product_dimension
 
 SPIN_NOTE = "upper container for H*(S(Σ_g;c))"
-
-VERIFY_PLAIN_LIMIT = 8
 
 # the most letters (words times word length) a necklace listing may hold;
 # a larger one exits 4 before it starts, counted in closed form
@@ -139,42 +138,57 @@ def cmd_spin(args: argparse.Namespace) -> int:
     return _show_dim(args, n, None, "ext", notes=[note])
 
 
-def _verify_one(args: argparse.Namespace, q: int) -> bool:
-    n = args.n
-    if args.group == "ext":
-        formula = ext_dimension(n, method="formula")[1]
-        catalog = ext_dimension(n, method="catalog")[1]
-        group = GroupSpec.extension(q)
-    else:
-        formula = product_dimension(n, q, method="formula")
-        catalog = product_dimension(n, q, method="catalog")
-        group = GroupSpec.product(n, q)
-    oracle = oracle_dimension(
-        n, group, long_running=args.long_running, workers=args.workers
-    )
+def _timed(label: str, compute):
+    """compute(), with its wall time on stderr; stdout carries the tables."""
+    t0 = time.perf_counter()
+    out = compute()
+    print("%s: %.3f s" % (label, time.perf_counter() - t0), file=sys.stderr)
+    return out
+
+
+def _verify_one(n: int, group: GroupSpec, oracle: PoincareTable) -> bool:
+    name = group.describe()
+
+    def table(method):
+        if group.variant == "extension":
+            return ext_dimension(n, method=method)[1]
+        return product_dimension(n, group.q, method=method)
+
+    formula = _timed(name + " formula", lambda: table("formula"))
+    catalog = _timed(name + " catalog", lambda: table("catalog"))
     top = max(formula.max_degree, catalog.max_degree, oracle.max_degree)
-    print("%s  %6s %7s %7s %6s" % (group.describe(), "degree", "formula", "catalog", "oracle"))
+    print("%s  %6s %7s %7s %6s" % (name, "degree", "formula", "catalog", "oracle"))
     ok = True
     for i in range(top + 1):
         f, c, o = formula[i], catalog[i], oracle[i]
         verdict = "OK" if f == c == o else "MISMATCH"
         ok = ok and f == c == o
         if f or c or o:
-            print("%s  %6d %7d %7d %6d  %s" % (" " * len(group.describe()), i, f, c, o, verdict))
+            print("%s  %6d %7d %7d %6d  %s" % (" " * len(name), i, f, c, o, verdict))
     return ok
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Formula vs catalog vs oracle, degree by degree; exit 0 iff equal."""
-    if args.n > VERIFY_PLAIN_LIMIT and not args.long_running:
-        raise CapabilityError(
-            "verification beyond n = %d needs --long" % VERIFY_PLAIN_LIMIT
-        )
+    """Formula vs catalog vs oracle, degree by degree; exit 0 iff equal.
+
+    The oracle's size gate comes first, so an oversized request computes
+    nothing; the oracle then runs every group of the request on one pool."""
+    check_oracle_scale(args.n, args.long_running)
     if args.group == "prod" and args.q is None:
         qs = list(range(args.n // 2 + 1))
     else:
         qs = [_resolved_q(args.n, args.q, args.group)]
-    ok = all([_verify_one(args, q) for q in qs])
+    if args.group == "ext":
+        groups = [GroupSpec.extension(q) for q in qs]
+    else:
+        groups = [GroupSpec.product(args.n, q) for q in qs]
+    oracles = _timed(
+        ", ".join(group.describe() for group in groups) + " oracle",
+        lambda: oracle_tables(
+            args.n, groups, long_running=args.long_running, workers=args.workers
+        ),
+    )
+    ok = all([_verify_one(args.n, g, o) for g, o in zip(groups, oracles)])
     print("verification %s" % ("OK" if ok else "FAILED"))
     return 0 if ok else 1
 

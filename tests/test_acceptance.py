@@ -15,7 +15,6 @@ from braidinv.character_oracle import (
     total_rank_check,
     zeta_value,
     _assemble,
-    _stabilizer,
 )
 from braidinv.core_combinatorics import Partition, all_partitions
 from braidinv.cycle_invariants import (
@@ -35,6 +34,7 @@ from braidinv.extension_catalog import (
     sigma_dual_label,
 )
 from braidinv.product_catalog import enumerate_generators, product_dimension
+from oracle_listing import listed_inner_product, stabilizer
 
 def _finish(num, name, ok):
     print("ACCEPTANCE %d %s: %s" % (num, name, "PASS" if ok else "FAIL"))
@@ -167,7 +167,7 @@ def test_criterion_9_character_axioms():
         for n in range(1, 7):
             for lam in all_partitions(n):
                 elements = [
-                    _assemble(lam, *data) for data in _stabilizer(lam, (0,) * n)
+                    _assemble(lam, *data) for data in stabilizer(lam, (0,) * n)
                 ]
                 values = {z: zeta_value(lam, z) for z in elements}
                 ok = ok and all(
@@ -176,7 +176,8 @@ def test_criterion_9_character_axioms():
                     for z2 in elements
                 )
         # every reduction across the full n <= 8 sweep must land in {0, |H|};
-        # isotropy_inner_product raises InternalConsistencyError otherwise
+        # the listed sum raises InternalConsistencyError otherwise, and the
+        # oracle's verdict on generators must agree with it
         checked = 0
         for n in range(2, 9):
             groups = [GroupSpec.product(n, q) for q in range(n // 2 + 1)]
@@ -185,7 +186,8 @@ def test_criterion_9_character_axioms():
             for group in groups:
                 for lam in all_partitions(n):
                     for s in double_cosets(group, lam):
-                        isotropy_inner_product(s, lam, group)
+                        verdict, _ = listed_inner_product(s, lam, group)
+                        ok = ok and verdict == isotropy_inner_product(s, lam, group)
                         checked += 1
         ok = ok and checked > 0
     except InternalConsistencyError:

@@ -11,12 +11,15 @@ from braidinv.character_oracle import (
     _comp,
     _cyclotomic,
     _from_cycles,
+    _isotropy_generators,
+    _isotropy_sum,
     _sign,
-    _stabilizer,
+    _stirling_degrees,
     build_centralizer,
     double_cosets,
     isotropy_inner_product,
     oracle_dimension,
+    oracle_tables,
     root_order,
     total_rank_check,
     zeta_value,
@@ -26,6 +29,7 @@ from braidinv.cycle_invariants import delta_from_permutation
 from braidinv.errors import CapabilityError
 from braidinv.extension_catalog import ext_dimension
 from braidinv.product_catalog import label_from_delta, product_dimension
+from oracle_listing import listed_inner_product, stabilizer
 
 LONG = os.environ.get("BRAID_LONG") == "1"
 
@@ -90,7 +94,7 @@ def test_group_generators_generate():
 
 def _centralizer(lam):
     """Every centralizer element, as the stabilizer of the all-zero word."""
-    return [_assemble(lam, *data) for data in _stabilizer(lam, (0,) * lam.n)]
+    return [_assemble(lam, *data) for data in stabilizer(lam, (0,) * lam.n)]
 
 
 def _generated(generators, n):
@@ -126,7 +130,7 @@ def test_stabilizer_matches_filtered_centralizer(n):
         centralizer = _generated(build_centralizer(lam).generators, n)
         for word in itertools.product((0, 1), repeat=n):
             for flip in (False, True):
-                listed = [_assemble(lam, *data) for data in _stabilizer(lam, word, flip)]
+                listed = [_assemble(lam, *data) for data in stabilizer(lam, word, flip)]
                 kept = {
                     z
                     for z in centralizer
@@ -134,6 +138,63 @@ def test_stabilizer_matches_filtered_centralizer(n):
                 }
                 assert len(listed) == len(set(listed))
                 assert set(listed) == kept, (lam.parts, word, flip)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_isotropy_generators_generate_the_listed_stabilizer(n):
+    for lam in all_partitions(n):
+        for word in itertools.product((0, 1), repeat=n):
+            for up_to_complement in (False, True):
+                flips = (False, True) if up_to_complement else (False,)
+                listed = {
+                    _assemble(lam, *data)
+                    for flip in flips
+                    for data in stabilizer(lam, word, flip)
+                }
+                generators, order = _isotropy_generators(lam, word, up_to_complement)
+                closure = _generated([_assemble(lam, *g) for g in generators], n)
+                assert closure == listed, (lam.parts, word, up_to_complement)
+                assert order == len(listed)
+
+
+def _groups(n):
+    """Every product split, the extension at even n, and the full group."""
+    groups = [GroupSpec.product(n, q) for q in range(n // 2 + 1)]
+    if n % 2 == 0:
+        groups.append(GroupSpec.extension(n // 2))
+    return groups + [GroupSpec.full(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generator_verdict_and_order_match_listing(n):
+    for group in _groups(n):
+        for lam in all_partitions(n):
+            for s in double_cosets(group, lam):
+                # the listed sum must reduce to 0 or |H|; it raises otherwise
+                verdict, order = listed_inner_product(s, lam, group)
+                assert _isotropy_sum(s, lam, group) == (bool(verdict), order)
+                assert isotropy_inner_product(s, lam, group) == verdict
+
+
+def _stirling_by_walk(n):
+    """Permutations of 1..n counted by n minus their cycle count."""
+    counts = {}
+    for images in itertools.permutations(range(n)):
+        seen = set()
+        cycles = 0
+        for x in range(n):
+            if x not in seen:
+                cycles += 1
+                while x not in seen:
+                    seen.add(x)
+                    x = images[x]
+        counts[n - cycles] = counts.get(n - cycles, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stirling_degrees_match_permutation_walk(n):
+    assert dict(_stirling_degrees(n)) == _stirling_by_walk(n)
 
 
 def test_root_order():
@@ -297,9 +358,9 @@ def test_oracle_matches_ext_formula_n10():
 
 
 def test_oracle_matches_product_formula_n10():
-    # not q = 0: its isotropy is all of Z_(1^10), some 3.6 M elements
-    oracle = oracle_dimension(10, GroupSpec.product(10, 5), long_running=True)
-    assert oracle.as_dict() == product_dimension(10, 5).as_dict()
+    for q in range(6):
+        oracle = oracle_dimension(10, GroupSpec.product(10, q), long_running=True)
+        assert oracle.as_dict() == product_dimension(10, q).as_dict(), q
 
 
 def test_oracle_capability_gate():
@@ -329,18 +390,18 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
+    def map(self, fn, jobs, chunksize=1):
         return map(fn, jobs)
 
 
 def test_oracle_pool_is_capped_at_jobs_and_cpus(monkeypatch):
     monkeypatch.setattr(character_oracle, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    group = GroupSpec.product(4, 2)
-    table = oracle_dimension(4, group, workers=64)
-    assert table.as_dict() == oracle_dimension(4, group, workers=1).as_dict()
-    # n = 4 has 5 partitions, so 5 jobs
-    cap = min(5, len(os.sched_getaffinity(0)))
+    groups = [GroupSpec.product(4, q) for q in range(3)]
+    tables = oracle_tables(4, groups, workers=64)
+    assert tables == tuple(oracle_dimension(4, g, workers=1) for g in groups)
+    # n = 4 has 5 partitions, so 15 jobs, all through one pool
+    cap = min(15, len(os.sched_getaffinity(0)))
     assert all(size <= cap for size in _RecordingPool.sizes)
     assert len(_RecordingPool.sizes) == (1 if cap > 1 else 0)
 

@@ -54,7 +54,7 @@ def test_verify_rejects_non_positive_workers(capsys, monkeypatch, workers):
     def start(*args, **kwargs):
         raise AssertionError("a rejected request reached the oracle")
 
-    monkeypatch.setattr(cli, "oracle_dimension", start)
+    monkeypatch.setattr(cli, "oracle_tables", start)
     monkeypatch.setattr(character_oracle, "ProcessPoolExecutor", start)
     code, _, err = run(
         capsys, "verify", "--n", "4", "--group", "ext", "--workers", workers
@@ -190,6 +190,52 @@ def test_verify_capability_gate(capsys):
     code, _, err = run(capsys, "verify", "--n", "12", "--group", "ext")
     assert code == 4
     assert "capability" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "12", "--group", "ext", "--long"],
+        ["verify", "--n", "9", "--group", "prod", "--q", "4"],
+    ],
+    ids=" ".join,
+)
+def test_verify_size_gate_comes_before_any_leg(capsys, monkeypatch, argv):
+    def leg(*args, **kwargs):
+        raise AssertionError("an oversized request computed a table")
+
+    for name in ("product_dimension", "ext_dimension", "oracle_tables"):
+        monkeypatch.setattr(cli, name, leg)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert "capability" in err
+
+
+def test_verify_runs_the_oracle_once_per_command(capsys, monkeypatch):
+    # one oracle_tables call forks at most one pool
+    calls = []
+
+    def record(n, groups, **kwargs):
+        calls.append([group.describe() for group in groups])
+        return character_oracle.oracle_tables(n, groups, **kwargs)
+
+    monkeypatch.setattr(cli, "oracle_tables", record)
+    code, out, _ = run(capsys, "verify", "--n", "6", "--group", "prod", "--workers", "1")
+    assert code == 0
+    assert "verification OK" in out
+    assert calls == [["product(6,0)", "product(5,1)", "product(4,2)", "product(3,3)"]]
+
+
+def test_verify_times_each_leg_on_stderr(capsys):
+    code, out, err = run(capsys, "verify", "--n", "4", "--group", "prod", "--workers", "1")
+    assert code == 0
+    for q in range(3):
+        name = "product(%d,%d)" % (4 - q, q)
+        assert re.search(r"^%s formula: \d+\.\d{3} s$" % re.escape(name), err, re.M)
+        assert re.search(r"^%s catalog: \d+\.\d{3} s$" % re.escape(name), err, re.M)
+    assert re.search(r"^product\(4,0\), product\(3,1\), product\(2,2\) oracle: ", err, re.M)
+    assert " s\n" not in out
 
 
 def test_necklace_pi(capsys):
