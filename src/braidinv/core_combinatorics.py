@@ -7,10 +7,9 @@ anywhere in this package.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 Word = Tuple[int, ...]
 
@@ -146,15 +145,46 @@ def mobius(n: int) -> int:
     return sign
 
 
-def series_times(series: Dict[tuple, int], step: tuple, coeffs, limit: int):
-    """The series times the sum of coeffs[c] X^c, X the monomial with
-    exponents step, dropping terms whose first exponent (size) exceeds limit.
-    A series maps exponent tuples to integer coefficients."""
-    out = {key: a * coeffs[0] for key, a in series.items()}
-    for c in range(1, len(coeffs)):
-        shift = tuple(c * s for s in step)
-        for key, a in series.items():
-            if coeffs[c] and key[0] + shift[0] <= limit:
-                moved = tuple(map(operator.add, key, shift))
-                out[moved] = out.get(moved, 0) + a * coeffs[c]
-    return out
+def packed_series(n: int, slots: int, factors) -> List[int]:
+    """Size-n coefficients of the product over part values v = 1..n of the
+    factors factors(v) yields, one per slot of the packed polynomial.
+
+    A factor is (size, slot, coeffs) with size >= v and coeffs[0] = 1: the
+    sum of coeffs[c] X^c, X a term of that size that moves a coefficient
+    that many slots up.  The series is a list indexed by size; each entry
+    packs its polynomial into one integer, 2n + 2 bits to a slot (Kronecker
+    substitution), so a factor step is shifts and multiply-adds.  A slot
+    holds any coefficient below 2^(2n+1) in absolute value, which the label
+    counts meet: a size-n term counts at most p(n) 2^n < 4^n labels, each
+    fixed by its partition and one marking word.
+
+    After the factors of v, a term short of n by 1 to v is dropped: the
+    parts still to come are larger than v, so none of its products reaches
+    size n.  Only sizes up to n - v and n itself are updated for v, for the
+    same reason."""
+    width = 2 * n + 2
+    series = [1] + [0] * n
+    for v in range(1, n + 1):
+        for size, slot, coeffs in factors(v):
+            shift = slot * width
+            targets = [n] + list(range(n - v, size - 1, -1))
+            for s in targets:
+                acc = series[s]
+                for c in range(1, min(len(coeffs) - 1, s // size) + 1):
+                    below = series[s - c * size]
+                    if below and coeffs[c]:
+                        acc += coeffs[c] * below << c * shift
+                series[s] = acc
+        series[max(n - v, 0):n] = [0] * min(v, n)
+    return _balanced_digits(series[n], width, slots)
+
+
+def _balanced_digits(packed: int, width: int, slots: int) -> List[int]:
+    """The slots of a packed integer, each read as a signed width-bit digit."""
+    half = 1 << (width - 1)
+    ones = ((1 << width * slots) - 1) // ((1 << width) - 1)
+    digits = format(packed + half * ones, "0%db" % (width * slots))
+    return [
+        int(digits[i - width:i], 2) - half
+        for i in range(len(digits), 0, -width)
+    ]

@@ -224,22 +224,34 @@ def _necklaces(n: int, bounds):
     a larger letter, making the period t; a prenecklace of length n is a
     necklace iff p divides n.  bounds(t, a) gives the lowest and highest
     letter position t may take after a[1..t-1]; it may leave out only
-    letters that no wanted necklace has there.
+    letters that no wanted necklace has there.  It is called each time
+    position t is reached from t - 1, and only then.
     """
     a = [0] * (n + 1)
-
-    def extend(t, p):
+    top = [0] * (n + 1)
+    period = [1] * (n + 1)  # period[t]: least period of a[1..t]
+    # the recursion in loop form, so a long word cannot exhaust the stack:
+    # t is the position to fill, fresh whether it gets its lowest letter
+    # (having just been reached) or the one after a[t] (on the way back)
+    t, fresh = 1, True
+    while t:
         if t > n:
-            if n % p == 0:
-                yield tuple(a[1:]), p
-            return
-        floor = a[t - p]
-        lo, hi = bounds(t, a)
-        for c in range(max(lo, floor), hi + 1):
-            a[t] = c
-            yield from extend(t + 1, p if c == floor else t)
-
-    return extend(1, 1)
+            if n % period[n] == 0:
+                yield tuple(a[1:]), period[n]
+            t, fresh = n, False
+            continue
+        floor = a[t - period[t - 1]]
+        if fresh:
+            lo, top[t] = bounds(t, a)
+            c = max(lo, floor)
+        else:
+            c = a[t] + 1
+        if c > top[t]:
+            t, fresh = t - 1, False
+            continue
+        a[t] = c
+        period[t] = period[t - 1] if c == floor else t
+        t, fresh = t + 1, True
 
 
 @lru_cache(maxsize=None)
@@ -263,11 +275,16 @@ def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
         return (empty,) if cycle_admissible(empty) else ()
     total = lam_i - d
 
+    # left[t]: what a[1..t-1] leave of the total; position t is reached
+    # only from t - 1, so the running sum is current whenever bounds is called
+    left = [total] * (d + 1)
+
     def bounds(t, a):
-        left = total - sum(a[1:t])
+        if t > 1:
+            left[t] = left[t - 1] - a[t - 1]
         if t == d:
-            return left, left
-        return 0, left - (d - t) * a[1] if t > 1 else total // d
+            return left[t], left[t]
+        return 0, left[t] - (d - t) * a[1] if t > 1 else total // d
 
     return tuple(
         InvariantCycle(lam_i, word)

@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Tuple
 
-from .core_combinatorics import all_partitions, binomial, series_times
+from .core_combinatorics import all_partitions, binomial, packed_series
 from .cycle_invariants import (
     cycle_block_key,
     dual_cycle,
@@ -263,32 +263,32 @@ def pairing_of_label(label: GeneratorLabel) -> PairedMarkedPartition:
     return PairedMarkedPartition(label.marked(), tuple(ks))
 
 
-def _fixed_factors(n: int, signed: bool):
-    """(step, coefficients) of each factor of the EP series or the signed sum.
+def _fixed_factors(n: int, signed: bool, v: int):
+    """(size, slot, coefficients) of each factor of part value v in the EP
+    series or the signed sum; slot j holds t^j.
 
-    Per part value v, with Y = y^v t, the dual pairs (weight h > v/2 with
-    v - h, and on even v the O(v) orbit pairs at v/2) give (1 + eps Y^2)^pairs
-    on even v, whose blocks take distinct words, and (1 - Y^2)^-pairs on odd
-    v; the S(v) self-dual words of even v give (1 + s_v Y)^S(v).  EP takes
+    With Y = y^v t, the dual pairs (weight h > v/2 with v - h, and on even v
+    the O(v) orbit pairs at v/2) give (1 + eps Y^2)^pairs on even v, whose
+    blocks take distinct words, and (1 - Y^2)^-pairs on odd v; the S(v)
+    self-dual words of even v give (1 + s_v Y)^S(v).  EP takes
     eps = s_v = 1, the signed sum eps = -1 and s_v = (-1)^((v-1)(v-2)/2).
     """
-    for v in range(1, n + 1):
-        pairs = sum(necklace_count(v, h) for h in range(v // 2 + 1, v + 1))
-        pair_range = range(n // (2 * v) + 1)
-        if v % 2:
-            yield (2 * v, 2), [binomial(pairs + c - 1, c) for c in pair_range]
-            continue
-        selfdual = selfdual_count_closed_form(v // 2)
-        moved = necklace_count(v, v // 2) - selfdual
-        if moved % 2:
-            raise InternalConsistencyError(
-                "half-weight duality orbits of %d are unbalanced" % v
-            )
-        pairs += moved // 2
-        eps = -1 if signed else 1
-        s_v = -1 if signed and (v - 1) * (v - 2) // 2 % 2 else 1
-        yield (2 * v, 2), [eps ** c * binomial(pairs, c) for c in pair_range]
-        yield (v, 1), [s_v ** c * binomial(selfdual, c) for c in range(n // v + 1)]
+    pairs = sum(necklace_count(v, h) for h in range(v // 2 + 1, v + 1))
+    pair_range = range(n // (2 * v) + 1)
+    if v % 2:
+        yield 2 * v, 2, [binomial(pairs + c - 1, c) for c in pair_range]
+        return
+    selfdual = selfdual_count_closed_form(v // 2)
+    moved = necklace_count(v, v // 2) - selfdual
+    if moved % 2:
+        raise InternalConsistencyError(
+            "half-weight duality orbits of %d are unbalanced" % v
+        )
+    pairs += moved // 2
+    eps = -1 if signed else 1
+    s_v = -1 if signed and (v - 1) * (v - 2) // 2 % 2 else 1
+    yield 2 * v, 2, [eps ** c * binomial(pairs, c) for c in pair_range]
+    yield v, 1, [s_v ** c * binomial(selfdual, c) for c in range(n // v + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -296,19 +296,20 @@ def _fixed_series(n: int):
     """Swap-fixed label counts EP and KP by degree, KP = (EP - signed) / 2."""
     if n < 2 or n % 2:
         raise ValueError("need an even n >= 2")
-    ep, signed_sum, kp = Counter(), Counter(), Counter()
-    for counts, signed in ((ep, False), (signed_sum, True)):
-        series = {(0, 0): 1}
-        for step, coeffs in _fixed_factors(n, signed):
-            series = series_times(series, step, coeffs, n)
-        # keys are (size, part count); the degree is n minus the parts
-        counts.update({n - key[1]: c for key, c in series.items() if key[0] == n})
-    for degree, count in ep.items():
-        kp[degree], odd = divmod(count - signed_sum[degree], 2)
-        if odd:
-            raise InternalConsistencyError(
-                "EP minus the signed count is odd in degree %d" % degree
-            )
+    ep_slots, signed_slots = (
+        packed_series(n, n + 1, partial(_fixed_factors, n, signed))
+        for signed in (False, True)
+    )
+    # slot j counts the labels with j parts, in degree n - j
+    ep, kp = Counter(), Counter()
+    for j, (count, signed_count) in enumerate(zip(ep_slots, signed_slots)):
+        if count:
+            ep[n - j] = count
+            kp[n - j], odd = divmod(count - signed_count, 2)
+            if odd:
+                raise InternalConsistencyError(
+                    "EP minus the signed count is odd in degree %d" % (n - j)
+                )
     return ep, kp
 
 

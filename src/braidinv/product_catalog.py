@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .core_combinatorics import Partition, all_partitions, binomial, series_times
+from .core_combinatorics import Partition, all_partitions, binomial, packed_series
 from .cycle_invariants import (
     DeltaMap,
     InvariantCycle,
@@ -161,26 +161,24 @@ class PoincareTable:
 
 
 @lru_cache(maxsize=None)
-def _label_series(n: int):
-    """Label counts of size n keyed by (size, weight, part count): the
-    product over parts v and weights d of (1 + X)^P(v,d) for even v, whose
-    blocks take distinct words, and (1 - X)^-P(v,d) for odd v, where words
-    repeat, with X = x^d y^v t and P = necklace_count.
+def _label_series(n: int) -> Dict[Tuple[int, int], int]:
+    """Label counts of size n keyed by (weight, part count): the size-n
+    coefficients of the product over parts v and weights d of
+    (1 + X)^P(v,d) for even v, whose blocks take distinct words, and
+    (1 - X)^-P(v,d) for odd v, where words repeat, with X = x^d y^v t and
+    P = necklace_count.  Slot w (n + 1) + j holds x^w t^j."""
 
-    After the factors of v, a term short of n by 1 to v is dropped: the
-    parts still to come are larger than v, so none of its products reaches
-    size n."""
-    series = {(0, 0, 0): 1}
-    for v in range(1, n + 1):
+    def factors(v):
         for d in range(v + 1):
             p = necklace_count(v, d)
             if not p:
                 continue
             cs = range(n // v + 1)
             coeffs = [binomial(p + c - 1, c) if v % 2 else binomial(p, c) for c in cs]
-            series = series_times(series, (v, d, 1), coeffs, n)
-        series = {key: a for key, a in series.items() if not 0 < n - key[0] <= v}
-    return series
+            yield v, d * (n + 1) + 1, coeffs
+
+    coeffs = packed_series(n, (n + 1) ** 2, factors)
+    return {divmod(i, n + 1): c for i, c in enumerate(coeffs) if c}
 
 
 @lru_cache(maxsize=None)
@@ -266,5 +264,5 @@ def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:
     if n < 1 or not 0 <= q <= n:
         raise ValueError("need n >= 1 and 0 <= q <= n")
     return PoincareTable.from_dict(
-        {n - key[2]: c for key, c in _label_series(n).items() if key[:2] == (n, q)}
+        {n - j: c for (w, j), c in _label_series(n).items() if w == q}
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from braidinv import character_oracle, cli
+from braidinv import character_oracle, cli, extension_catalog, product_catalog
 from braidinv.cli import main, render_table
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -343,3 +343,70 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "total 2" in proc.stdout
+
+
+def test_long_necklace_lists_without_recursion(capsys):
+    # one word of 1,199 letters, under the listing limit
+    code, out, _ = run(capsys, "necklace", "pi", "--lambda", "1200", "--d", "1199")
+    assert code == 0
+    assert out.splitlines()[-1] == "1 cycles"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--n", str(cli.FORMULA_LIMIT + 1), "--q", "0"],
+        ["dim", "--n", str(cli.FORMULA_LIMIT + 2), "--group", "ext"],
+        ["dim", "--n", str(10**12), "--q", "1", "--format", "json"],
+        ["spin", "--genus", str(cli.FORMULA_LIMIT // 2)],
+        ["spin", "--genus", str(10**12)],
+    ],
+    ids=" ".join,
+)
+def test_oversized_formula_request_exits_4_before_any_series(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("an oversized request built a series")
+
+    monkeypatch.setattr(product_catalog, "_label_series", refuse)
+    monkeypatch.setattr(extension_catalog, "_fixed_series", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (4, "")
+    assert "the formula route takes n up to %d" % cli.FORMULA_LIMIT in err
+
+
+def test_formula_limit_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "FORMULA_LIMIT", 6)
+    assert run(capsys, "dim", "--n", "6", "--group", "ext")[0] == 0
+    assert run(capsys, "spin", "--genus", "2")[0] == 0
+    assert run(capsys, "dim", "--n", "7", "--q", "3")[0] == 4
+    assert run(capsys, "spin", "--genus", "3")[0] == 4
+    # the catalog route lists, and is not gated by the formula limit
+    assert run(capsys, "dim", "--n", "7", "--q", "3", "--method", "catalog")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["dim", "--n", "6", "--q", "2", "--degree", "3"], ["dim", "--n", "6", "--q", "2"]),
+        (["dim", "--n", "6", "--q", "2", "--format", "json"], ["spin", "--genus", "2"]),
+        (
+            ["verify", "--n", "4", "--group", "ext", "--workers", "1"],
+            ["verify", "--n", "4", "--group", "ext"],
+        ),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_parser_built_once_keeps_no_state_between_calls(capsys, first, second):
+    # the parser is cached for the process; each of two calls in a row must
+    # print what the same call prints in a fresh process
+    in_process = [run(capsys, *first)[:2], run(capsys, *second)[:2]]
+    fresh = []
+    for argv in (first, second):
+        proc = subprocess.run(
+            [sys.executable, "-m", "braidinv", *argv], capture_output=True, text=True
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
+    assert cli._build_parser() is cli._build_parser()

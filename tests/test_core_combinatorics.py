@@ -10,8 +10,9 @@ from braidinv.core_combinatorics import (
     enumerate_partitions,
     min_rotation,
     mobius,
-    series_times,
+    packed_series,
 )
+from dict_series import series_times
 
 # partition numbers p(1)..p(12)
 PARTITION_NUMBERS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -123,3 +124,18 @@ def test_series_times_multiplies_and_truncates():
     assert series == {(0, 0): 1, (2, 1): 2, (4, 2): 1}
     series = series_times(series, (2, 1), [1, 1, 1], 5)
     assert series == {(0, 0): 1, (2, 1): 3, (4, 2): 4}
+
+
+def test_packed_series_decodes_signed_slots():
+    # (1 - Y)^2 (1 + 3 Y^2) (1 + Y^3) (1 + y^4 t^2), Y = y t: at size 4,
+    # Y^2 Y^2 gives 3 t^3, Y Y^3 gives -2 t^2 and y^4 t^2 gives t^2
+    factors = {1: [(1, 1, [1, -2, 1])], 2: [(2, 1, [1, 3])],
+               3: [(3, 1, [1, 1])], 4: [(4, 2, [1, 1])]}
+    assert packed_series(4, 5, factors.get) == [0, 0, -1, 3, 0]
+    series = {(0, 0): 1}
+    for v in range(1, 5):
+        for size, slot, coeffs in factors[v]:
+            series = series_times(series, (size, slot), coeffs, 4)
+    assert {key: a for key, a in series.items() if key[0] == 4 and a} == {
+        (4, 2): -1, (4, 3): 3
+    }

@@ -1,14 +1,16 @@
 import sys
+from functools import partial
 
 import pytest
 
 from braidinv import cycle_invariants, extension_catalog, product_catalog
-from braidinv.core_combinatorics import Partition
+from braidinv.core_combinatorics import Partition, packed_series
 from braidinv.cycle_invariants import InvariantCycle
 from braidinv.extension_catalog import (
     PairedMarkedPartition,
     SignedGenerator,
     _ep_members,
+    _fixed_factors,
     count_EP_closed_form,
     count_KP_closed_form,
     enumerate_E,
@@ -26,6 +28,7 @@ from braidinv.product_catalog import (
     enumerate_generators,
     product_dimension,
 )
+from dict_series import fixed_series
 
 # pinned: both enumeration and closed form produce these
 EP_KP_COUNTS = {2: (2, 0), 4: (4, 2), 6: (8, 4), 8: (14, 7), 10: (28, 14), 12: (56, 28)}
@@ -233,3 +236,14 @@ def test_equal_weight_orbit_pair_appears_at_n12():
     members = [label for label in enumerate_EP(12) if label.partition.parts == (6, 6)]
     strings = {str(label) for label in members}
     assert "(6,6) (0,1,2)(0,2,1)" in strings
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("n", range(2, 25, 2))
+def test_fixed_series_matches_dict_engine(n, signed):
+    reference = fixed_series(n, signed)
+    packed = packed_series(n, n + 1, partial(_fixed_factors, n, signed))
+    assert packed == [reference.get((n, j), 0) for j in range(n + 1)]
+    if signed and n >= 4:
+        # negative coefficients exercise the balanced decode
+        assert min(packed) < 0

@@ -2,18 +2,8 @@ import itertools
 
 import pytest
 
-from braidinv.core_combinatorics import (
-    Partition,
-    all_partitions,
-    binomial,
-    series_times,
-)
-from braidinv.cycle_invariants import (
-    DeltaMap,
-    InvariantCycle,
-    cycle_block_key,
-    necklace_count,
-)
+from braidinv.core_combinatorics import Partition, all_partitions
+from braidinv.cycle_invariants import DeltaMap, InvariantCycle, cycle_block_key
 from braidinv.product_catalog import (
     GeneratorLabel,
     MarkedPartition,
@@ -23,6 +13,7 @@ from braidinv.product_catalog import (
     label_from_delta,
     product_dimension,
 )
+from dict_series import untrimmed_label_series
 
 # pinned against the brute-force character path (see test_character_oracle)
 PRODUCT_TABLES = {
@@ -121,25 +112,11 @@ def test_product_dimension_rejects_bad_arguments():
         product_dimension(4, 1, method="guess")
 
 
-def _untrimmed_label_series(n):
-    """The label series with every term of size up to n kept."""
-    series = {(0, 0, 0): 1}
-    for v in range(1, n + 1):
-        for d in range(v + 1):
-            p = necklace_count(v, d)
-            if p:
-                coeffs = [
-                    binomial(p + c - 1, c) if v % 2 else binomial(p, c)
-                    for c in range(n // v + 1)
-                ]
-                series = series_times(series, (v, d, 1), coeffs, n)
-    return series
-
-
-@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("n", range(1, 25))
 def test_label_series_keeps_every_size_n_term(n):
-    full = _untrimmed_label_series(n)
-    assert _label_series(n) == {k: a for k, a in full.items() if k[0] == n}
+    # the packed engine, trimmed, against the dict engine with nothing dropped
+    full = untrimmed_label_series(n)
+    assert _label_series(n) == {(w, j): a for (s, w, j), a in full.items() if s == n}
 
 
 @pytest.mark.parametrize("n", range(2, 9))
