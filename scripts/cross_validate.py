@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Full cross-validation sweep: formula vs catalog vs brute-force oracle.
 
-Covers every product split and the extension for each n in range.  The
-oracle is the expensive leg; --long raises its ceiling from 8 to 10.
+Covers every product split and the extension for each n in range, in one
+process.  The oracle is the expensive leg; --long raises its ceiling from
+8 to 10.
 
     python3 scripts/cross_validate.py --max-n 8
-    python3 scripts/cross_validate.py --max-n 10 --long --workers 8
+    python3 scripts/cross_validate.py --max-n 10 --long
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ import time
 
 from braidinv import GroupSpec, ext_dimension, oracle_dimension, product_dimension
 from braidinv.character_oracle import total_rank_check
-from braidinv.cli import positive_int
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=8)
     parser.add_argument("--long", action="store_true", dest="long_running")
-    parser.add_argument("--workers", type=positive_int, default=1)
     args = parser.parse_args(argv)
     limit = 10 if args.long_running else 8
     if not 1 <= args.max_n <= limit:
@@ -38,9 +37,7 @@ def check(group: GroupSpec, table, args: argparse.Namespace) -> bool:
     t0 = time.monotonic()
     formula = table("formula")
     catalog = table("catalog")
-    oracle = oracle_dimension(
-        group.n, group, long_running=args.long_running, workers=args.workers
-    )
+    oracle = oracle_dimension(group.n, group, long_running=args.long_running)
     ok = formula.as_dict() == catalog.as_dict() == oracle.as_dict()
     name = group.describe()
     print("%-18s %s" % (name, "OK" if ok else "MISMATCH"))

@@ -15,12 +15,10 @@ import itertools
 import logging
 import math
 import operator
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .core_combinatorics import Partition, all_partitions, min_rotation
 from .errors import CapabilityError, InternalConsistencyError
@@ -81,7 +79,7 @@ class GroupSpec:
     q: int
 
     def __post_init__(self):
-        if self.variant not in ("product", "extension", "full"):
+        if self.variant not in ("product", "extension"):
             raise ValueError("unknown group variant")
         if self.n < 1:
             raise ValueError("need n >= 1")
@@ -89,8 +87,6 @@ class GroupSpec:
             raise ValueError("need 0 <= q <= n")
         if self.variant == "extension" and self.n != 2 * self.q:
             raise ValueError("the extension needs n = 2q")
-        if self.variant == "full" and self.q != 0:
-            raise ValueError("the full group takes q = 0")
 
     @classmethod
     def product(cls, n: int, q: int) -> "GroupSpec":
@@ -100,14 +96,8 @@ class GroupSpec:
     def extension(cls, q: int) -> "GroupSpec":
         return cls("extension", 2 * q, q)
 
-    @classmethod
-    def full(cls, n: int) -> "GroupSpec":
-        return cls("full", n, 0)
-
     @property
     def order(self) -> int:
-        if self.variant == "full":
-            return math.factorial(self.n)
         base = math.factorial(self.n - self.q) * math.factorial(self.q)
         return 2 * base if self.variant == "extension" else base
 
@@ -118,9 +108,8 @@ class GroupSpec:
     def generators(self) -> Tuple[Tuple[int, ...], ...]:
         """Adjacent transpositions of each factor, plus the reversal."""
         out = []
-        split = self.n if self.variant == "full" else self.n - self.q
         for i in range(1, self.n):
-            if i == split:
+            if i == self.n - self.q:
                 continue
             images = list(range(1, self.n + 1))
             images[i - 1], images[i] = images[i], images[i - 1]
@@ -130,8 +119,6 @@ class GroupSpec:
         return tuple(out)
 
     def describe(self) -> str:
-        if self.variant == "full":
-            return "full(%d)" % self.n
         if self.variant == "extension":
             return "extension(q=%d)" % self.q
         return "product(%d,%d)" % (self.n - self.q, self.q)
@@ -180,20 +167,6 @@ def _value_runs(lam: Partition):
         runs.append((v, tuple(range(pos, pos + m))))
         pos += m
     return runs
-
-
-def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:
-    """Images of the element sending part i rigidly onto part block_map[i]
-    after rotating part i by its exponent."""
-    starts = [lam.block_start(i + 1) for i in range(lam.part_count)]
-    out = [0] * lam.n
-    for i in range(lam.part_count):
-        v = lam.parts[i]
-        target = starts[block_map[i]]
-        e = exponents[i]
-        for t in range(v):
-            out[starts[i] + t] = target + (t + e) % v + 1
-    return tuple(out)
 
 
 def _rotation_onto(segment: Tuple[int, ...], target: Tuple[int, ...]) -> int:
@@ -265,26 +238,6 @@ def root_order(lam: Partition) -> int:
     return L if L % 2 == 0 else 2 * L
 
 
-def _decompose(lam: Partition, images: Tuple[int, ...]):
-    """Unique (block_map, exponents) of a centralizer element, else None."""
-    starts = [lam.block_start(i + 1) for i in range(lam.part_count)]
-    block_of = {}
-    for i in range(lam.part_count):
-        for t in range(lam.parts[i]):
-            block_of[starts[i] + t + 1] = i
-    block_map = [0] * lam.part_count
-    exponents = [0] * lam.part_count
-    for i in range(lam.part_count):
-        target = block_of[images[starts[i]]]
-        if lam.parts[target] != lam.parts[i]:
-            return None
-        block_map[i] = target
-        exponents[i] = (images[starts[i]] - starts[target] - 1) % lam.parts[i]
-    if _assemble(lam, block_map, exponents) != images:
-        return None
-    return tuple(block_map), tuple(exponents)
-
-
 def _character_exponent(lam: Partition, runs, block_map, exponents, L: int) -> int:
     """Exponent of the character value on the element with this data;
     runs is _value_runs(lam).
@@ -308,139 +261,11 @@ def _character_exponent(lam: Partition, runs, block_map, exponents, L: int) -> i
     return (root + (sign_parity % 2) * (L // 2)) % L
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(L: int) -> Tuple[int, ...]:
-    """Coefficients of the L-th cyclotomic polynomial, ascending degree."""
-    if L == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (L - 1) + [1]
-    for d in range(1, L):
-        if L % d:
-            continue
-        num = _polydiv(num, list(_cyclotomic(d)))
-    return tuple(num)
-
-
-def _polydiv(num, den):
-    """Exact polynomial quotient over the integers."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for shift in range(len(out) - 1, -1, -1):
-        c = num[shift + len(den) - 1]
-        if c % lead:
-            raise InternalConsistencyError("inexact polynomial division")
-        c //= lead
-        out[shift] = c
-        if c:
-            for k, dk in enumerate(den):
-                num[shift + k] -= c * dk
-    if any(num):
-        raise InternalConsistencyError("polynomial division left a remainder")
-    return out
-
-
-@lru_cache(maxsize=None)
-def _reduced(order: int, coeffs: Tuple[int, ...]) -> Tuple[int, ...]:
-    phi = _cyclotomic(order)
-    deg = len(phi) - 1
-    r = list(coeffs)
-    for i in range(len(r) - 1, deg - 1, -1):
-        c = r[i]
-        if not c:
-            continue
-        shift = i - deg
-        for k, pk in enumerate(phi):
-            r[shift + k] -= c * pk
-    r = r[:deg]
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(r)
-
-
-@dataclass(frozen=True)
-class CyclotomicSum:
-    """An integer combination of L-th roots of unity, compared canonically."""
-
-    order: int
-    coeffs: Tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != self.order:
-            raise ValueError("need one coefficient per exponent 0..L-1")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def zero(cls, order: int) -> "CyclotomicSum":
-        return cls(order, (0,) * order)
-
-    @classmethod
-    def monomial(cls, order: int, exponent: int, coefficient: int = 1):
-        coeffs = [0] * order
-        coeffs[exponent % order] = coefficient
-        return cls(order, tuple(coeffs))
-
-    def reduced(self) -> Tuple[int, ...]:
-        return _reduced(self.order, self.coeffs)
-
-    def __add__(self, other: "CyclotomicSum") -> "CyclotomicSum":
-        if self.order != other.order:
-            raise ValueError("mismatched orders")
-        return CyclotomicSum(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other: "CyclotomicSum") -> "CyclotomicSum":
-        if self.order != other.order:
-            raise ValueError("mismatched orders")
-        out = [0] * self.order
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[(i + j) % self.order] += a * b
-        return CyclotomicSum(self.order, tuple(out))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicSum):
-            return NotImplemented
-        if self.order != other.order:
-            return False
-        return self.reduced() == other.reduced()
-
-    def __hash__(self):
-        return hash((self.order, self.reduced()))
-
-    def integer_value(self) -> Optional[int]:
-        """The sum as a plain integer, or None if it is not one."""
-        r = self.reduced()
-        if len(r) > 1:
-            return None
-        return r[0] if r else 0
-
-
-def zeta_value(lam: Partition, z: Tuple[int, ...]) -> CyclotomicSum:
-    """The distinguished character of the centralizer, evaluated exactly."""
-    z = _checked(z, lam.n)
-    data = _decompose(lam, z)
-    if data is None:
-        raise ValueError("%s does not centralize the cycle product" % (z,))
-    L = root_order(lam)
-    block_map, exponents = data
-    exponent = _character_exponent(lam, _value_runs(lam), block_map, exponents, L)
-    return CyclotomicSum.monomial(L, exponent)
-
-
 def _coset_words(group: GroupSpec, lam: Partition):
     """Orbits of weight-q bit words under the centralizer position action,
     with the complement thrown in for the extension.  One lex-least word
     per orbit, sorted."""
     n, q = group.n, group.q
-    if group.variant == "full":
-        # a single coset; the all-late word reconstructs the identity
-        return [tuple([0] * n)]
     identity = tuple(range(1, n + 1))
     # fixing every point moves no word; at n = 1 that is every generator,
     # so itemgetter never sees a single index and returns a scalar
@@ -576,62 +401,37 @@ def check_oracle_scale(n: int, long_running: bool):
     )
 
 
-def _lambda_contribution(args):
-    group, parts = args
-    lam = Partition(parts)
-    hits = 0
-    for s in double_cosets(group, lam):
-        hits += isotropy_inner_product(s, lam, group)
-    return lam.degree, hits
+def _lambda_contribution(group: GroupSpec, lam: Partition) -> int:
+    """The invariants of one cycle type: its cosets whose isotropy the
+    centralizer character is trivial on."""
+    return sum(
+        isotropy_inner_product(s, lam, group) for s in double_cosets(group, lam)
+    )
 
 
 def oracle_tables(
-    n: int,
-    groups: Sequence[GroupSpec],
-    long_running: bool = False,
-    workers: int = 1,
+    n: int, groups: Sequence[GroupSpec], long_running: bool = False
 ) -> Tuple[PoincareTable, ...]:
     """Graded invariant dimension of each group, summed over cosets degree
-    by degree.
-
-    Every (group, partition) job of the call goes through one pool, which
-    never exceeds the job count or the CPUs this process may run on: the
-    fork start method starts every requested worker up front.
-    """
+    by degree, one (group, partition) job after another in this process."""
     if any(group.n != n for group in groups):
         raise ValueError("group degree must equal n")
     check_oracle_scale(n, long_running)
-    partitions = all_partitions(n)
-    jobs = [(group, lam.parts) for group in groups for lam in partitions]
-    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
-    if workers > 1:
-        # a round trip to a worker costs more than most jobs: send each
-        # worker about four chunks
-        chunk = -(-len(jobs) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_lambda_contribution, jobs, chunksize=chunk))
-    else:
-        results = []
-        for job in jobs:
-            results.append(_lambda_contribution(job))
-            log.debug("oracle %s: partition %s done", job[0].describe(), job[1])
     tables = []
-    for first in range(0, len(results), len(partitions)):
+    for group in groups:
         counts = Counter()
-        for degree, hits in results[first:first + len(partitions)]:
-            counts[degree] += hits
+        for lam in all_partitions(n):
+            counts[lam.degree] += _lambda_contribution(group, lam)
+            log.debug("oracle %s: partition %s done", group.describe(), lam.parts)
         tables.append(PoincareTable.from_dict(counts))
     return tuple(tables)
 
 
 def oracle_dimension(
-    n: int,
-    group: GroupSpec,
-    long_running: bool = False,
-    workers: int = 1,
+    n: int, group: GroupSpec, long_running: bool = False
 ) -> PoincareTable:
     """The oracle table of one group."""
-    return oracle_tables(n, (group,), long_running, workers)[0]
+    return oracle_tables(n, (group,), long_running)[0]
 
 
 def _stirling_degrees(n: int) -> Counter:

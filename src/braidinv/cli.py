@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 from functools import lru_cache
@@ -182,7 +181,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Formula vs catalog vs oracle, degree by degree; exit 0 iff equal.
 
     The oracle's size gate comes first, so an oversized request computes
-    nothing; the oracle then runs every group of the request on one pool."""
+    nothing; the oracle then runs every group of the request in one call,
+    in this process."""
     check_oracle_scale(args.n, args.long_running)
     if args.group == "prod" and args.q is None:
         qs = list(range(args.n // 2 + 1))
@@ -194,9 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         groups = [GroupSpec.product(args.n, q) for q in qs]
     oracles = _timed(
         ", ".join(group.describe() for group in groups) + " oracle",
-        lambda: oracle_tables(
-            args.n, groups, long_running=args.long_running, workers=args.workers
-        ),
+        lambda: oracle_tables(args.n, groups, long_running=args.long_running),
     )
     ok = all([_verify_one(args.n, g, o) for g, o in zip(groups, oracles)])
     print("verification %s" % ("OK" if ok else "FAILED"))
@@ -325,7 +323,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = command(sub, "verify", cmd_verify, "formula vs catalog vs oracle")
     group_options(p_verify)
-    p_verify.add_argument("--workers", type=positive_int, default=os.cpu_count() or 1)
+    # still parsed, so that existing command lines keep working; read nowhere
+    p_verify.add_argument(
+        "--workers",
+        type=positive_int,
+        default=1,
+        help="no effect; the oracle runs in one process (must be at least 1)",
+    )
     p_verify.add_argument("--long", action="store_true", dest="long_running")
 
     p_neck = sub.add_parser("necklace", help="invariant cycle listings")
@@ -344,6 +348,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spin.add_argument("--genus", type=int, required=True)
     table_options(p_spin)
     return parser
+
+
+# built on import, so that its one-time cost (gettext imports locale for
+# it) falls on start-up with the other imports, not on the first command
+_build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

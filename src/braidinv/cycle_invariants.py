@@ -273,6 +273,10 @@ def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
     if d == 0:
         empty = InvariantCycle.empty(lam_i)
         return (empty,) if cycle_admissible(empty) else ()
+    if d == lam_i:
+        # the one word is all zeros, of period 1, which the walk would
+        # reach only after lam_i steps and lists of lam_i entries
+        return (InvariantCycle(lam_i, (0,) * d),) if lam_i <= 2 else ()
     total = lam_i - d
 
     # left[t]: what a[1..t-1] leave of the total; position t is reached

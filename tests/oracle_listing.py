@@ -4,18 +4,186 @@ The oracle decides each character sum on generators of the isotropy and
 reads the isotropy order from its structure.  This module lists the
 isotropy element by element instead and sums the character over it, so
 the tests can check both the generator verdict and the order, and assert
-on every coset that the reduced sum is 0 or the isotropy order.
+on every coset that the reduced sum is 0 or the isotropy order.  The
+exact cyclotomic-integer arithmetic that reduces such a sum, and the
+character evaluated on a centralizer element given as a permutation,
+live here too: the oracle itself only ever compares exponents with 0.
 """
 
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional, Tuple
+
 from braidinv.character_oracle import (
-    CyclotomicSum,
     GroupSpec,
     _character_exponent,
+    _checked,
     _value_runs,
     root_order,
 )
 from braidinv.core_combinatorics import Partition
 from braidinv.errors import InternalConsistencyError
+
+
+def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:
+    """Images of the element sending part i rigidly onto part block_map[i]
+    after rotating part i by its exponent."""
+    starts = [lam.block_start(i + 1) for i in range(lam.part_count)]
+    out = [0] * lam.n
+    for i in range(lam.part_count):
+        v = lam.parts[i]
+        target = starts[block_map[i]]
+        e = exponents[i]
+        for t in range(v):
+            out[starts[i] + t] = target + (t + e) % v + 1
+    return tuple(out)
+
+
+def _decompose(lam: Partition, images: Tuple[int, ...]):
+    """Unique (block_map, exponents) of a centralizer element, else None."""
+    starts = [lam.block_start(i + 1) for i in range(lam.part_count)]
+    block_of = {}
+    for i in range(lam.part_count):
+        for t in range(lam.parts[i]):
+            block_of[starts[i] + t + 1] = i
+    block_map = [0] * lam.part_count
+    exponents = [0] * lam.part_count
+    for i in range(lam.part_count):
+        target = block_of[images[starts[i]]]
+        if lam.parts[target] != lam.parts[i]:
+            return None
+        block_map[i] = target
+        exponents[i] = (images[starts[i]] - starts[target] - 1) % lam.parts[i]
+    if _assemble(lam, block_map, exponents) != images:
+        return None
+    return tuple(block_map), tuple(exponents)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(L: int) -> Tuple[int, ...]:
+    """Coefficients of the L-th cyclotomic polynomial, ascending degree."""
+    if L == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (L - 1) + [1]
+    for d in range(1, L):
+        if L % d:
+            continue
+        num = _polydiv(num, list(_cyclotomic(d)))
+    return tuple(num)
+
+
+def _polydiv(num, den):
+    """Exact polynomial quotient over the integers."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    lead = den[-1]
+    for shift in range(len(out) - 1, -1, -1):
+        c = num[shift + len(den) - 1]
+        if c % lead:
+            raise InternalConsistencyError("inexact polynomial division")
+        c //= lead
+        out[shift] = c
+        if c:
+            for k, dk in enumerate(den):
+                num[shift + k] -= c * dk
+    if any(num):
+        raise InternalConsistencyError("polynomial division left a remainder")
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reduced(order: int, coeffs: Tuple[int, ...]) -> Tuple[int, ...]:
+    phi = _cyclotomic(order)
+    deg = len(phi) - 1
+    r = list(coeffs)
+    for i in range(len(r) - 1, deg - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        shift = i - deg
+        for k, pk in enumerate(phi):
+            r[shift + k] -= c * pk
+    r = r[:deg]
+    while r and r[-1] == 0:
+        r.pop()
+    return tuple(r)
+
+
+@dataclass(frozen=True)
+class CyclotomicSum:
+    """An integer combination of L-th roots of unity, compared canonically."""
+
+    order: int
+    coeffs: Tuple[int, ...]
+
+    def __post_init__(self):
+        coeffs = tuple(self.coeffs)
+        if len(coeffs) != self.order:
+            raise ValueError("need one coefficient per exponent 0..L-1")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def zero(cls, order: int) -> "CyclotomicSum":
+        return cls(order, (0,) * order)
+
+    @classmethod
+    def monomial(cls, order: int, exponent: int, coefficient: int = 1):
+        coeffs = [0] * order
+        coeffs[exponent % order] = coefficient
+        return cls(order, tuple(coeffs))
+
+    def reduced(self) -> Tuple[int, ...]:
+        return _reduced(self.order, self.coeffs)
+
+    def __add__(self, other: "CyclotomicSum") -> "CyclotomicSum":
+        if self.order != other.order:
+            raise ValueError("mismatched orders")
+        return CyclotomicSum(
+            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __mul__(self, other: "CyclotomicSum") -> "CyclotomicSum":
+        if self.order != other.order:
+            raise ValueError("mismatched orders")
+        out = [0] * self.order
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b:
+                    out[(i + j) % self.order] += a * b
+        return CyclotomicSum(self.order, tuple(out))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CyclotomicSum):
+            return NotImplemented
+        if self.order != other.order:
+            return False
+        return self.reduced() == other.reduced()
+
+    def __hash__(self):
+        return hash((self.order, self.reduced()))
+
+    def integer_value(self) -> Optional[int]:
+        """The sum as a plain integer, or None if it is not one."""
+        r = self.reduced()
+        if len(r) > 1:
+            return None
+        return r[0] if r else 0
+
+
+def zeta_value(lam: Partition, z: Tuple[int, ...]) -> CyclotomicSum:
+    """The distinguished character of the centralizer, evaluated exactly."""
+    z = _checked(z, lam.n)
+    data = _decompose(lam, z)
+    if data is None:
+        raise ValueError("%s does not centralize the cycle product" % (z,))
+    L = root_order(lam)
+    block_map, exponents = data
+    exponent = _character_exponent(lam, _value_runs(lam), block_map, exponents, L)
+    return CyclotomicSum.monomial(L, exponent)
+
+
 
 
 def stabilizer(lam: Partition, word, flip: bool = False):

@@ -13,8 +13,6 @@ from braidinv.character_oracle import (
     isotropy_inner_product,
     oracle_dimension,
     total_rank_check,
-    zeta_value,
-    _assemble,
 )
 from braidinv.core_combinatorics import Partition, all_partitions
 from braidinv.cycle_invariants import (
@@ -34,7 +32,7 @@ from braidinv.extension_catalog import (
     sigma_dual_label,
 )
 from braidinv.product_catalog import enumerate_generators, product_dimension
-from oracle_listing import listed_inner_product, stabilizer
+from oracle_listing import _assemble, listed_inner_product, stabilizer, zeta_value
 
 def _finish(num, name, ok):
     print("ACCEPTANCE %d %s: %s" % (num, name, "PASS" if ok else "FAIL"))
@@ -69,9 +67,7 @@ def test_criterion_2_ext_vs_oracle():
             oracle = oracle_dimension(n, GroupSpec.extension(n // 2))
             ok = ok and oracle.as_dict() == table.as_dict() and oracle.total == total
         ok = ok and time.monotonic() - t0 < 300.0
-        oracle10 = oracle_dimension(
-            10, GroupSpec.extension(5), long_running=True, workers=4
-        )
+        oracle10 = oracle_dimension(10, GroupSpec.extension(5), long_running=True)
         ok = ok and oracle10.as_dict() == ext_dimension(10)[1].as_dict()
     finally:
         _finish(2, "ext-vs-oracle", ok)

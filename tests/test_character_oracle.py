@@ -3,13 +3,9 @@ import os
 
 import pytest
 
-from braidinv import character_oracle
 from braidinv.character_oracle import (
-    CyclotomicSum,
     GroupSpec,
-    _assemble,
     _comp,
-    _cyclotomic,
     _from_cycles,
     _isotropy_generators,
     _isotropy_sum,
@@ -19,17 +15,22 @@ from braidinv.character_oracle import (
     double_cosets,
     isotropy_inner_product,
     oracle_dimension,
-    oracle_tables,
     root_order,
     total_rank_check,
-    zeta_value,
 )
 from braidinv.core_combinatorics import Partition, all_partitions
 from braidinv.cycle_invariants import delta_from_permutation
 from braidinv.errors import CapabilityError
 from braidinv.extension_catalog import ext_dimension
 from braidinv.product_catalog import label_from_delta, product_dimension
-from oracle_listing import listed_inner_product, stabilizer
+from oracle_listing import (
+    CyclotomicSum,
+    _assemble,
+    _cyclotomic,
+    listed_inner_product,
+    stabilizer,
+    zeta_value,
+)
 
 LONG = os.environ.get("BRAID_LONG") == "1"
 
@@ -57,7 +58,7 @@ def test_group_spec_orders_and_membership():
     assert g.order == 12
     e = GroupSpec.extension(2)
     assert e.order == 2 * 2 * 2
-    assert GroupSpec.full(3).order == 6
+    assert GroupSpec.product(3, 0).order == 6
     with pytest.raises(ValueError):
         GroupSpec("extension", 5, 2)
 
@@ -73,7 +74,7 @@ def _in_group(group, images):
 
 
 def test_group_generators_generate():
-    for g in (GroupSpec.product(4, 2), GroupSpec.extension(2), GroupSpec.full(4)):
+    for g in (GroupSpec.product(4, 2), GroupSpec.extension(2), GroupSpec.product(4, 0)):
         seen = {tuple(range(1, g.n + 1))}
         frontier = [tuple(range(1, g.n + 1))]
         gens = g.generators()
@@ -158,11 +159,12 @@ def test_isotropy_generators_generate_the_listed_stabilizer(n):
 
 
 def _groups(n):
-    """Every product split, the extension at even n, and the full group."""
+    """Every product split (product(n, 0) is the full group) and the
+    extension at even n."""
     groups = [GroupSpec.product(n, q) for q in range(n // 2 + 1)]
     if n % 2 == 0:
         groups.append(GroupSpec.extension(n // 2))
-    return groups + [GroupSpec.full(n)]
+    return groups
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -353,7 +355,7 @@ def test_oracle_matches_ext_formula(n):
 
 
 def test_oracle_matches_ext_formula_n10():
-    oracle = oracle_dimension(10, GroupSpec.extension(5), long_running=True, workers=4)
+    oracle = oracle_dimension(10, GroupSpec.extension(5), long_running=True)
     assert oracle.as_dict() == ext_dimension(10)[1].as_dict()
 
 
@@ -368,42 +370,6 @@ def test_oracle_capability_gate():
         oracle_dimension(10, GroupSpec.extension(5))
     with pytest.raises(CapabilityError):
         oracle_dimension(12, GroupSpec.extension(6), long_running=True)
-
-
-def test_oracle_workers_deterministic():
-    serial = oracle_dimension(6, GroupSpec.extension(3), workers=1)
-    parallel = oracle_dimension(6, GroupSpec.extension(3), workers=3)
-    assert serial.as_dict() == parallel.as_dict()
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the size, forks nothing."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
-
-
-def test_oracle_pool_is_capped_at_jobs_and_cpus(monkeypatch):
-    monkeypatch.setattr(character_oracle, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    groups = [GroupSpec.product(4, q) for q in range(3)]
-    tables = oracle_tables(4, groups, workers=64)
-    assert tables == tuple(oracle_dimension(4, g, workers=1) for g in groups)
-    # n = 4 has 5 partitions, so 15 jobs, all through one pool
-    cap = min(15, len(os.sched_getaffinity(0)))
-    assert all(size <= cap for size in _RecordingPool.sizes)
-    assert len(_RecordingPool.sizes) == (1 if cap > 1 else 0)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidinv import character_oracle, cli, extension_catalog, product_catalog
+from braidinv.character_oracle import GroupSpec
 from braidinv.cli import main, render_table
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -55,7 +61,6 @@ def test_verify_rejects_non_positive_workers(capsys, monkeypatch, workers):
         raise AssertionError("a rejected request reached the oracle")
 
     monkeypatch.setattr(cli, "oracle_tables", start)
-    monkeypatch.setattr(character_oracle, "ProcessPoolExecutor", start)
     code, _, err = run(
         capsys, "verify", "--n", "4", "--group", "ext", "--workers", workers
     )
@@ -213,7 +218,6 @@ def test_verify_size_gate_comes_before_any_leg(capsys, monkeypatch, argv):
 
 
 def test_verify_runs_the_oracle_once_per_command(capsys, monkeypatch):
-    # one oracle_tables call forks at most one pool
     calls = []
 
     def record(n, groups, **kwargs):
@@ -225,6 +229,21 @@ def test_verify_runs_the_oracle_once_per_command(capsys, monkeypatch):
     assert code == 0
     assert "verification OK" in out
     assert calls == [["product(6,0)", "product(5,1)", "product(4,2)", "product(3,3)"]]
+
+
+def test_verify_forks_nothing(capsys, monkeypatch):
+    groups = [GroupSpec.product(4, q) for q in range(3)]
+    assert character_oracle.oracle_tables(4, groups) == tuple(
+        character_oracle.oracle_dimension(4, g) for g in groups
+    )
+
+    def fork():
+        raise AssertionError("verify forked a process")
+
+    monkeypatch.setattr(os, "fork", fork)
+    code, out, _ = run(capsys, "verify", "--n", "8", "--group", "ext", "--workers", "2")
+    assert code == 0
+    assert "verification OK" in out
 
 
 def test_verify_times_each_leg_on_stderr(capsys):
@@ -266,6 +285,22 @@ def test_oversized_necklace_listing_exits_4_before_listing(capsys, monkeypatch, 
     assert time.perf_counter() - start < 5
     assert (code, out) == (4, "")
     assert "more than %d letters" % cli.NECKLACE_LISTING_LIMIT in err
+
+
+def test_necklace_of_zero_gaps_lists_without_walking(capsys):
+    # weight lam leaves only the all-zero gap word, of period 1: admissible
+    # on parts 1 and 2, and found without lam steps or lists of lam entries
+    start = time.perf_counter()
+    huge = str(10**12)
+    assert run(capsys, "necklace", "pi", "--lambda", huge, "--d", huge)[:2] == (
+        0,
+        "0 cycles\n",
+    )
+    assert time.perf_counter() - start < 5
+    assert run(capsys, "necklace", "pi", "--lambda", "2", "--d", "2")[:2] == (
+        0,
+        "(0,0)\n1 cycles\n",
+    )
 
 
 def test_necklace_limit_counts_letters(capsys, monkeypatch):
@@ -410,3 +445,75 @@ def test_parser_built_once_keeps_no_state_between_calls(capsys, first, second):
         fresh.append((proc.returncode, proc.stdout))
     assert in_process == fresh
     assert cli._build_parser() is cli._build_parser()
+
+
+HUGE = 10**15
+
+
+def _ints(answered, refused=None):
+    """Integers from -3 to answered, which the command answers in well
+    under a second, negative ones down to -HUGE and, when refused is
+    given, ones from there to HUGE, which it must refuse."""
+    parts = [st.integers(-3, answered), st.integers(-HUGE, -1)]
+    if refused is not None:
+        parts.append(st.integers(refused, HUGE))
+    return st.one_of(*parts)
+
+
+# every integer, the small ones drawn often
+ANY_INT = st.one_of(st.integers(-3, 24), st.integers(-HUGE, HUGE))
+
+
+@st.composite
+def cli_argv(draw):
+    """A command with drawn integer options.
+
+    Accepted formula sizes stop at n = 40, and self-dual listings at
+    d = 16, to keep tier-1 short: both are bounded, by cli.FORMULA_LIMIT
+    and the listing limit, but take seconds near the bound.  The catalog
+    route and ep list every label with no limit yet, so their n stays at
+    14.  necklace pi draws --lambda up to 40 and from the listing limit
+    on, where any listing it accepts holds at most one letter: between the
+    two, a --d just under --lambda makes the listing walk and its rotation
+    check grow much faster than the letter count that limit bounds.
+    """
+
+    def opt(name, values):
+        return [name, str(draw(values))]
+
+    def maybe(name, values):
+        return opt(name, values) if draw(st.booleans()) else []
+
+    group = ["--group", draw(st.sampled_from(["prod", "ext"]))]
+    command = draw(
+        st.sampled_from(["dim", "catalog", "verify", "ep", "spin", "pi", "selfdual"])
+    )
+    if command == "dim":
+        n = _ints(40, cli.FORMULA_LIMIT + 1)
+        return ["dim", *opt("--n", n), *maybe("--q", ANY_INT), *group,
+                *maybe("--degree", ANY_INT)]
+    if command == "catalog":
+        return ["dim", *opt("--n", _ints(14)), *maybe("--q", ANY_INT), *group,
+                "--method", "catalog", *maybe("--degree", ANY_INT)]
+    if command == "verify":
+        long_running = ["--long"] if draw(st.booleans()) else []
+        return ["verify", *opt("--n", ANY_INT), *maybe("--q", ANY_INT), *group,
+                *maybe("--workers", st.integers(-3, 3)), *long_running]
+    if command == "ep":
+        return ["ep", *opt("--n", _ints(14))]
+    if command == "spin":
+        genus = _ints(19, cli.FORMULA_LIMIT // 2)
+        return ["spin", *opt("--genus", genus), *maybe("--degree", ANY_INT)]
+    if command == "pi":
+        lam = _ints(40, cli.NECKLACE_LISTING_LIMIT + 2)
+        return ["necklace", "pi", *opt("--lambda", lam), *opt("--d", ANY_INT)]
+    return ["necklace", "selfdual", *opt("--d", _ints(16, 21))]
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(cli_argv())
+def test_fuzzed_integer_options_exit_0_2_or_4(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 4), (argv, err.getvalue()[-2000:])
