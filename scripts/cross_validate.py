@@ -2,8 +2,8 @@
 """Full cross-validation sweep: formula vs catalog vs brute-force oracle.
 
 Covers every product split and the extension for each n in range, in one
-process.  The oracle is the expensive leg; --long raises its ceiling from
-8 to 10.
+process.  The oracle is the expensive leg; --max-n stops at its ceiling,
+`ORACLE_LIMIT`, or `ORACLE_LONG_LIMIT` with --long.
 
     python3 scripts/cross_validate.py --max-n 8
     python3 scripts/cross_validate.py --max-n 10 --long
@@ -16,7 +16,11 @@ import sys
 import time
 
 from braidinv import GroupSpec, ext_dimension, oracle_dimension, product_dimension
-from braidinv.character_oracle import total_rank_check
+from braidinv.character_oracle import (
+    ORACLE_LIMIT,
+    ORACLE_LONG_LIMIT,
+    total_rank_check,
+)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -24,7 +28,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--max-n", type=int, default=8)
     parser.add_argument("--long", action="store_true", dest="long_running")
     args = parser.parse_args(argv)
-    limit = 10 if args.long_running else 8
+    limit = ORACLE_LONG_LIMIT if args.long_running else ORACLE_LIMIT
     if not 1 <= args.max_n <= limit:
         parser.error("--max-n must be in 1..%d" % limit)
     return args

@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from braidinv import ext_dimension, product_dimension
+from braidinv.cli import FORMULA_LIMIT
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -21,8 +22,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--max-n", type=int, default=12)
     parser.add_argument("--ext-only", action="store_true")
     args = parser.parse_args(argv)
-    if args.max_n < 1:
-        parser.error("--max-n must be positive")
+    if not 1 <= args.max_n <= FORMULA_LIMIT:
+        parser.error("--max-n must be in 1..%d" % FORMULA_LIMIT)
     return args
 
 

@@ -2,11 +2,12 @@
 
 Builds the centralizer of the canonical cycle product of a partition, its
 distinguished 1-dimensional character, the double cosets against a chosen
-subgroup, and the Mackey inner products with the trivial character, using
-exact integer arithmetic throughout: character values are exponents of
-roots of unity, and an inner product is decided on generators of the
-isotropy.  Nothing here consults the admissibility predicate or the
-counting formulas, so agreement between the two paths is a real check.
+subgroup (each as its marking word), and the Mackey inner products with
+the trivial character, using exact integer arithmetic throughout:
+character values are exponents of roots of unity, and an inner product is
+decided on generators of the isotropy.  Nothing here consults the
+admissibility predicate or the counting formulas, so agreement between
+the two paths is a real check.
 """
 
 from __future__ import annotations
@@ -26,14 +27,8 @@ from .product_catalog import PoincareTable
 
 log = logging.getLogger(__name__)
 
-GENERIC_COSET_LIMIT = 10
 ORACLE_LIMIT = 8
 ORACLE_LONG_LIMIT = 10
-
-
-def _comp(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Images of the composition a after b, both 1-based image tuples."""
-    return tuple(a[x - 1] for x in b)
 
 
 def _sign(images: Tuple[int, ...]) -> int:
@@ -60,14 +55,6 @@ def _from_cycles(n: int, *cycles: Tuple[int, ...]) -> Tuple[int, ...]:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             out[a - 1] = b
     return tuple(out)
-
-
-def _checked(images, n: int) -> Tuple[int, ...]:
-    """The images as a tuple, once they are known to be a bijection of 1..n."""
-    images = tuple(images)
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError("%s is not a permutation of 1..%d" % (images, n))
-    return images
 
 
 @dataclass(frozen=True)
@@ -100,23 +87,6 @@ class GroupSpec:
     def order(self) -> int:
         base = math.factorial(self.n - self.q) * math.factorial(self.q)
         return 2 * base if self.variant == "extension" else base
-
-    def sigma(self) -> Tuple[int, ...]:
-        """The block-swapping reversal i -> n + 1 - i."""
-        return tuple(range(self.n, 0, -1))
-
-    def generators(self) -> Tuple[Tuple[int, ...], ...]:
-        """Adjacent transpositions of each factor, plus the reversal."""
-        out = []
-        for i in range(1, self.n):
-            if i == self.n - self.q:
-                continue
-            images = list(range(1, self.n + 1))
-            images[i - 1], images[i] = images[i], images[i - 1]
-            out.append(tuple(images))
-        if self.variant == "extension":
-            out.append(self.sigma())
-        return tuple(out)
 
     def describe(self) -> str:
         if self.variant == "extension":
@@ -261,10 +231,16 @@ def _character_exponent(lam: Partition, runs, block_map, exponents, L: int) -> i
     return (root + (sign_parity % 2) * (L // 2)) % L
 
 
-def _coset_words(group: GroupSpec, lam: Partition):
-    """Orbits of weight-q bit words under the centralizer position action,
-    with the complement thrown in for the extension.  One lex-least word
-    per orbit, sorted."""
+def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ...]:
+    """One marking word per (group, centralizer) double coset, sorted.
+
+    A coset's marking word is the 0/1 word on the points 1..n that marks
+    the points it sends into the top block.  The double cosets are the
+    orbits of weight-q words under the centralizer's position action, with
+    the complement thrown in for the extension; each is given by its
+    lex-least word."""
+    if lam.n != group.n:
+        raise ValueError("partition total must match the group degree")
     n, q = group.n, group.q
     identity = tuple(range(1, n + 1))
     # fixing every point moves no word; at n = 1 that is every generator,
@@ -299,75 +275,18 @@ def _coset_words(group: GroupSpec, lam: Partition):
                 if w2 not in seen:
                     seen.add(w2)
                     frontier.append(w2)
-    return reps
+    return tuple(reps)
 
 
-def _perm_of_word(word: Tuple[int, ...]) -> Tuple[int, ...]:
-    """A permutation whose marking is the given word: unmarked positions
-    take the low values in order, marked positions the high ones."""
-    n = len(word)
-    q = sum(word)
-    low = iter(range(1, n - q + 1))
-    high = iter(range(n - q + 1, n + 1))
-    return tuple(next(high) if b else next(low) for b in word)
-
-
-def double_cosets(
-    group: GroupSpec, lam: Partition, mode: str = "auto"
-) -> Tuple[Tuple[int, ...], ...]:
-    """One representative per (group, centralizer) double coset.
-
-    mode "generic" partitions all of the symmetric group by a two-sided
-    orbit search and is the ground truth; mode "delta" enumerates orbits
-    of marking words, which the generic mode confirms at small n.  "auto"
-    takes the words at every n.
-    """
-    if lam.n != group.n:
-        raise ValueError("partition total must match the group degree")
-    if mode in ("auto", "delta"):
-        return tuple(_perm_of_word(w) for w in _coset_words(group, lam))
-    if mode != "generic":
-        raise ValueError("mode must be 'auto', 'generic' or 'delta'")
-    n = group.n
-    if n > GENERIC_COSET_LIMIT:
-        raise CapabilityError(
-            "generic double cosets stop at n = %d; use the word mode"
-            % GENERIC_COSET_LIMIT
-        )
-    right = build_centralizer(lam).generators
-    left = list(group.generators())
-    todo = set(itertools.permutations(range(1, n + 1)))
-    reps = []
-    while todo:
-        seed = min(todo)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            s = frontier.pop()
-            for g in left:
-                s2 = _comp(g, s)
-                if s2 not in orbit:
-                    orbit.add(s2)
-                    frontier.append(s2)
-            for z in right:
-                s2 = _comp(s, z)
-                if s2 not in orbit:
-                    orbit.add(s2)
-                    frontier.append(s2)
-        reps.append(min(orbit))
-        todo -= orbit
-    return tuple(sorted(reps))
-
-
-def _isotropy_sum(s: Tuple[int, ...], lam: Partition, group: GroupSpec):
+def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
     """The character sum over the twisted isotropy, decided on generators.
 
-    Conjugated by s, the isotropy is the stabilizer in the centralizer of
-    the marking word of s (for the extension: of the word up to complement).
-    A character sums to the group order over a group it is trivial on, and
-    to 0 otherwise; it is trivial exactly when it is 1 on every generator.
+    Conjugated by a coset with this marking word, the isotropy is the
+    stabilizer of the word in the centralizer (for the extension: of the
+    word up to complement).  A character sums to the group order over a
+    group it is trivial on, and to 0 otherwise; it is trivial exactly when
+    it is 1 on every generator.
     Returns (whether the sum is the isotropy order, isotropy order)."""
-    word = tuple(int(x > group.n - group.q) for x in s)
     generators, order = _isotropy_generators(
         lam, word, group.variant == "extension"
     )
@@ -381,12 +300,20 @@ def _isotropy_sum(s: Tuple[int, ...], lam: Partition, group: GroupSpec):
 
 
 def isotropy_inner_product(
-    s: Tuple[int, ...], lam: Partition, group: GroupSpec
+    word: Tuple[int, ...], lam: Partition, group: GroupSpec
 ) -> int:
-    """Multiplicity of the trivial character in the twisted restriction:
-    1 when the centralizer character is trivial on the isotropy, else 0."""
-    s = _checked(s, lam.n)
-    return int(_isotropy_sum(s, lam, group)[0])
+    """Multiplicity of the trivial character in the twisted restriction of
+    the coset with this marking word: 1 when the centralizer character is
+    trivial on the isotropy, else 0."""
+    word = tuple(word)
+    if any(b not in (0, 1) for b in word):
+        raise ValueError("%s is not a 0/1 word" % (word,))
+    if len(word) != lam.n or sum(word) != group.q:
+        raise ValueError(
+            "a marking word needs length %d and weight %d, got %s"
+            % (lam.n, group.q, word)
+        )
+    return int(_isotropy_sum(word, lam, group)[0])
 
 
 def check_oracle_scale(n: int, long_running: bool):
@@ -405,7 +332,8 @@ def _lambda_contribution(group: GroupSpec, lam: Partition) -> int:
     """The invariants of one cycle type: its cosets whose isotropy the
     centralizer character is trivial on."""
     return sum(
-        isotropy_inner_product(s, lam, group) for s in double_cosets(group, lam)
+        isotropy_inner_product(word, lam, group)
+        for word in double_cosets(group, lam)
     )
 
 
@@ -460,8 +388,8 @@ def total_rank_check(n: int, long_running: bool = False) -> bool:
     for group in groups:
         got = Counter()
         for lam in all_partitions(n):
-            for s in double_cosets(group, lam):
-                h = _isotropy_sum(s, lam, group)[1]
+            for word in double_cosets(group, lam):
+                h = _isotropy_sum(word, lam, group)[1]
                 if group.order % h:
                     raise InternalConsistencyError(
                         "isotropy order %d does not divide the group order" % h

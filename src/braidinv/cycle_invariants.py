@@ -20,27 +20,6 @@ from .errors import InternalConsistencyError
 
 
 @dataclass(frozen=True)
-class DeltaMap:
-    """A 0/1 marking of the points 1..n."""
-
-    bits: Tuple[int, ...]
-
-    def __post_init__(self):
-        bits = tuple(self.bits)
-        object.__setattr__(self, "bits", bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
-
-@dataclass(frozen=True)
 class InvariantCycle:
     """A canonical cyclic gap word on a cycle of a given length.
 
@@ -134,29 +113,21 @@ def _bits_of(chi: InvariantCycle) -> Tuple[int, ...]:
     return tuple(bits)
 
 
-def delta_from_permutation(s: Tuple[int, ...], q: int) -> DeltaMap:
-    """Marking with bit i set iff the 1-based image tuple s sends i into
-    the top q values."""
-    n = len(s)
-    if not 0 <= q <= n:
-        raise ValueError("need 0 <= q <= n")
-    return DeltaMap(tuple(0 if im <= n - q else 1 for im in s))
-
-
-def block_support(delta: DeltaMap, lam: Partition, i: int) -> Tuple[int, ...]:
-    """Marked positions inside the i-th part interval, ascending, 1-based."""
-    if delta.n != lam.n:
+def block_support(word: Sequence[int], lam: Partition, i: int) -> Tuple[int, ...]:
+    """Marked positions of a 0/1 word on the points 1..n inside the i-th
+    part interval, ascending, 1-based."""
+    if any(b not in (0, 1) for b in word):
+        raise ValueError("a marking word has letters 0 and 1 only")
+    if len(word) != lam.n:
         raise ValueError("marking length must match the partition total")
     start = lam.block_start(i)
     lam_i = lam.parts[i - 1]
-    return tuple(
-        p for p in range(start + 1, start + lam_i + 1) if delta.bits[p - 1]
-    )
+    return tuple(p for p in range(start + 1, start + lam_i + 1) if word[p - 1])
 
 
-def invariant_cycle(delta: DeltaMap, lam: Partition, i: int) -> InvariantCycle:
-    """Canonical gap word of the marking restricted to the i-th cycle."""
-    support = block_support(delta, lam, i)
+def invariant_cycle(word: Sequence[int], lam: Partition, i: int) -> InvariantCycle:
+    """Canonical gap word of a 0/1 word restricted to the i-th cycle."""
+    support = block_support(word, lam, i)
     lam_i = lam.parts[i - 1]
     if not support:
         return InvariantCycle.empty(lam_i)

@@ -95,22 +95,6 @@ class PairedMarkedPartition:
         return "%s k=%s" % (self.marked, list(self.pair_counts))
 
 
-@dataclass(frozen=True)
-class SignedGenerator:
-    """A swap-fixed label with the sign the swap acts by."""
-
-    label: GeneratorLabel
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    @property
-    def in_kernel(self) -> bool:
-        return self.sign == -1
-
-
 def sigma_dual_label(label: GeneratorLabel) -> GeneratorLabel:
     """Dualize every cycle and restore the canonical block order."""
     parts = label.partition.parts
@@ -235,12 +219,6 @@ def enumerate_KP(n: int) -> Tuple[GeneratorLabel, ...]:
     """The swap-fixed labels on which the swap acts by -1."""
     return tuple(
         label for pmp, label in _ep_members(n) if epsilon_sign(pmp) == -1
-    )
-
-
-def signed_generators(n: int) -> Tuple[SignedGenerator, ...]:
-    return tuple(
-        SignedGenerator(label, epsilon_sign(pmp)) for pmp, label in _ep_members(n)
     )
 
 

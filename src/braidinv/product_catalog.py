@@ -19,7 +19,6 @@ from typing import Dict, Tuple
 
 from .core_combinatorics import Partition, all_partitions, binomial, packed_series
 from .cycle_invariants import (
-    DeltaMap,
     InvariantCycle,
     cycle_admissible,
     cycle_block_key,
@@ -229,8 +228,8 @@ def enumerate_generators(n: int, q: int) -> Tuple[GeneratorLabel, ...]:
     return tuple(sorted(out, key=GeneratorLabel.sort_key))
 
 
-def label_from_delta(delta: DeltaMap, lam: Partition):
-    """The generator label a coset word induces, or None when rejected.
+def label_from_word(word: Tuple[int, ...], lam: Partition):
+    """The generator label a 0/1 coset word induces, or None when rejected.
 
     Each part reads its gap word off the word restricted to its block;
     the per-part words are canonicalized blockwise and must pass the same
@@ -239,7 +238,7 @@ def label_from_delta(delta: DeltaMap, lam: Partition):
     cycles = []
     pos = 0
     for _, m in lam.blocks:
-        block = [invariant_cycle(delta, lam, pos + t + 1) for t in range(m)]
+        block = [invariant_cycle(word, lam, pos + t + 1) for t in range(m)]
         block.sort(key=cycle_block_key)
         cycles.extend(block)
         pos += m

@@ -8,8 +8,12 @@ on every coset that the reduced sum is 0 or the isotropy order.  The
 exact cyclotomic-integer arithmetic that reduces such a sum, and the
 character evaluated on a centralizer element given as a permutation,
 live here too: the oracle itself only ever compares exponents with 0.
+The ground truth for the oracle's coset words lives here as well: a
+two-sided orbit search over every permutation, which never reads a
+marking word.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -17,12 +21,71 @@ from typing import Optional, Tuple
 from braidinv.character_oracle import (
     GroupSpec,
     _character_exponent,
-    _checked,
     _value_runs,
+    build_centralizer,
     root_order,
 )
 from braidinv.core_combinatorics import Partition
 from braidinv.errors import InternalConsistencyError
+
+
+def _comp(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Images of the composition a after b, both 1-based image tuples."""
+    return tuple(a[x - 1] for x in b)
+
+
+def _checked(images, n: int) -> Tuple[int, ...]:
+    """The images as a tuple, once they are known to be a bijection of 1..n."""
+    images = tuple(images)
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError("%s is not a permutation of 1..%d" % (images, n))
+    return images
+
+
+def group_generators(group: GroupSpec) -> Tuple[Tuple[int, ...], ...]:
+    """Adjacent transpositions of each factor, plus for the extension the
+    block-swapping reversal i -> n + 1 - i."""
+    out = []
+    for i in range(1, group.n):
+        if i == group.n - group.q:
+            continue
+        images = list(range(1, group.n + 1))
+        images[i - 1], images[i] = images[i], images[i - 1]
+        out.append(tuple(images))
+    if group.variant == "extension":
+        out.append(tuple(range(group.n, 0, -1)))
+    return tuple(out)
+
+
+def generic_double_cosets(group: GroupSpec, lam: Partition):
+    """One permutation per (group, centralizer) double coset, the least of
+    its orbit under the two-sided search over all of the symmetric group;
+    sorted."""
+    if lam.n != group.n:
+        raise ValueError("partition total must match the group degree")
+    right = build_centralizer(lam).generators
+    left = group_generators(group)
+    todo = set(itertools.permutations(range(1, group.n + 1)))
+    reps = []
+    while todo:
+        seed = min(todo)
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            s = frontier.pop()
+            for g in left:
+                s2 = _comp(g, s)
+                if s2 not in orbit:
+                    orbit.add(s2)
+                    frontier.append(s2)
+            for z in right:
+                s2 = _comp(s, z)
+                if s2 not in orbit:
+                    orbit.add(s2)
+                    frontier.append(s2)
+        reps.append(min(orbit))
+        todo -= orbit
+    return tuple(sorted(reps))
 
 
 def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:
@@ -224,13 +287,13 @@ def stabilizer(lam: Partition, word, flip: bool = False):
     return place(0)
 
 
-def listed_isotropy_sum(s, lam: Partition, group: GroupSpec):
+def listed_isotropy_sum(word, lam: Partition, group: GroupSpec):
     """Coefficient counts of the character sum over the twisted isotropy.
 
-    Conjugated by s, the isotropy is the stabilizer in the centralizer of
-    the marking word of s (for the extension: of the word up to complement).
+    Conjugated by a coset with this marking word, the isotropy is the
+    stabilizer of the word in the centralizer (for the extension: of the
+    word up to complement).
     Returns (counts per exponent, isotropy order)."""
-    word = tuple(int(x > group.n - group.q) for x in s)
     flips = (False, True) if group.variant == "extension" else (False,)
     L = root_order(lam)
     runs = _value_runs(lam)
@@ -241,11 +304,11 @@ def listed_isotropy_sum(s, lam: Partition, group: GroupSpec):
     return counts, sum(counts)
 
 
-def listed_inner_product(s, lam: Partition, group: GroupSpec):
+def listed_inner_product(word, lam: Partition, group: GroupSpec):
     """(multiplicity of the trivial character, isotropy order) from the
     listed sum, which must reduce to 0 or the isotropy order; anything else
     would violate the character axioms and raises."""
-    counts, total = listed_isotropy_sum(s, lam, group)
+    counts, total = listed_isotropy_sum(word, lam, group)
     value = CyclotomicSum(root_order(lam), tuple(counts)).integer_value()
     if value == 0:
         return 0, total
@@ -253,5 +316,5 @@ def listed_inner_product(s, lam: Partition, group: GroupSpec):
         return 1, total
     raise InternalConsistencyError(
         "character sum for %s on %s reduced to %r, expected 0 or %d"
-        % (lam, s, value, total)
+        % (lam, word, value, total)
     )

@@ -8,7 +8,6 @@ import time
 
 from braidinv.character_oracle import (
     GroupSpec,
-    _comp,
     double_cosets,
     isotropy_inner_product,
     oracle_dimension,
@@ -32,7 +31,14 @@ from braidinv.extension_catalog import (
     sigma_dual_label,
 )
 from braidinv.product_catalog import enumerate_generators, product_dimension
-from oracle_listing import _assemble, listed_inner_product, stabilizer, zeta_value
+from oracle_listing import (
+    _assemble,
+    _comp,
+    listed_inner_product,
+    stabilizer,
+    zeta_value,
+)
+
 
 def _finish(num, name, ok):
     print("ACCEPTANCE %d %s: %s" % (num, name, "PASS" if ok else "FAIL"))
@@ -181,9 +187,9 @@ def test_criterion_9_character_axioms():
                 groups.append(GroupSpec.extension(n // 2))
             for group in groups:
                 for lam in all_partitions(n):
-                    for s in double_cosets(group, lam):
-                        verdict, _ = listed_inner_product(s, lam, group)
-                        ok = ok and verdict == isotropy_inner_product(s, lam, group)
+                    for word in double_cosets(group, lam):
+                        verdict, _ = listed_inner_product(word, lam, group)
+                        ok = ok and verdict == isotropy_inner_product(word, lam, group)
                         checked += 1
         ok = ok and checked > 0
     except InternalConsistencyError:

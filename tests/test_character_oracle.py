@@ -5,7 +5,6 @@ import pytest
 
 from braidinv.character_oracle import (
     GroupSpec,
-    _comp,
     _from_cycles,
     _isotropy_generators,
     _isotropy_sum,
@@ -19,14 +18,16 @@ from braidinv.character_oracle import (
     total_rank_check,
 )
 from braidinv.core_combinatorics import Partition, all_partitions
-from braidinv.cycle_invariants import delta_from_permutation
 from braidinv.errors import CapabilityError
 from braidinv.extension_catalog import ext_dimension
-from braidinv.product_catalog import label_from_delta, product_dimension
+from braidinv.product_catalog import label_from_word, product_dimension
 from oracle_listing import (
     CyclotomicSum,
     _assemble,
+    _comp,
     _cyclotomic,
+    generic_double_cosets,
+    group_generators,
     listed_inner_product,
     stabilizer,
     zeta_value,
@@ -46,11 +47,17 @@ def test_perm_basics():
     # a non-bijection is refused where a caller's permutation comes in
     with pytest.raises(ValueError):
         zeta_value(Partition((2, 1)), (1, 1, 2))
-    with pytest.raises(ValueError):
-        isotropy_inner_product((1, 1, 2), Partition((2, 1)), GroupSpec.product(3, 1))
     # so is one of the wrong degree
     with pytest.raises(ValueError):
         zeta_value(Partition((2, 1)), (2, 1))
+    # a coset word must be 0/1, of length n and of weight q
+    lam, group = Partition((2, 1)), GroupSpec.product(3, 1)
+    with pytest.raises(ValueError):
+        isotropy_inner_product((0, 2, 0), lam, group)
+    with pytest.raises(ValueError):
+        isotropy_inner_product((0, 1), lam, group)
+    with pytest.raises(ValueError):
+        isotropy_inner_product((1, 1, 0), lam, group)
 
 
 def test_group_spec_orders_and_membership():
@@ -77,7 +84,7 @@ def test_group_generators_generate():
     for g in (GroupSpec.product(4, 2), GroupSpec.extension(2), GroupSpec.product(4, 0)):
         seen = {tuple(range(1, g.n + 1))}
         frontier = [tuple(range(1, g.n + 1))]
-        gens = g.generators()
+        gens = group_generators(g)
         while frontier:
             s = frontier.pop()
             for z in gens:
@@ -171,11 +178,11 @@ def _groups(n):
 def test_generator_verdict_and_order_match_listing(n):
     for group in _groups(n):
         for lam in all_partitions(n):
-            for s in double_cosets(group, lam):
+            for word in double_cosets(group, lam):
                 # the listed sum must reduce to 0 or |H|; it raises otherwise
-                verdict, order = listed_inner_product(s, lam, group)
-                assert _isotropy_sum(s, lam, group) == (bool(verdict), order)
-                assert isotropy_inner_product(s, lam, group) == verdict
+                verdict, order = listed_inner_product(word, lam, group)
+                assert _isotropy_sum(word, lam, group) == (bool(verdict), order)
+                assert isotropy_inner_product(word, lam, group) == verdict
 
 
 def _stirling_by_walk(n):
@@ -256,32 +263,28 @@ def test_double_cosets_examples():
     assert len(double_cosets(GroupSpec.product(4, 2), Partition((4,)))) == 2
     # identity-centralizer case: the full symmetric group acts transitively
     assert len(double_cosets(GroupSpec.product(4, 2), Partition((1, 1, 1, 1)))) == 1
-    with pytest.raises(CapabilityError):
-        double_cosets(GroupSpec.product(11, 5), Partition((11,)), mode="generic")
 
 
-GENERIC_DELTA_NS = range(2, 7)
+GENERIC_WORD_NS = range(2, 7)
 
 
-@pytest.mark.parametrize("n", GENERIC_DELTA_NS)
+@pytest.mark.parametrize("n", GENERIC_WORD_NS)
 def test_double_coset_modes_agree(n):
     groups = [GroupSpec.product(n, q) for q in range(n // 2 + 1)]
     if n % 2 == 0:
         groups.append(GroupSpec.extension(n // 2))
     for lam in all_partitions(n):
         for g in groups:
-            generic = double_cosets(g, lam, mode="generic")
-            delta = double_cosets(g, lam, mode="delta")
-            assert len(generic) == len(delta), (n, lam.parts, g.describe())
+            generic = generic_double_cosets(g, lam)
+            words = double_cosets(g, lam)
+            assert len(generic) == len(words), (n, lam.parts, g.describe())
 
 
 def test_double_coset_modes_agree_n7():
     for lam in all_partitions(7):
         for q in range(4):
             g = GroupSpec.product(7, q)
-            assert len(double_cosets(g, lam, mode="generic")) == len(
-                double_cosets(g, lam, mode="delta")
-            )
+            assert len(generic_double_cosets(g, lam)) == len(double_cosets(g, lam))
 
 
 @pytest.mark.skipif(not LONG, reason="set BRAID_LONG=1 for the full n=8 sweep")
@@ -290,49 +293,46 @@ def test_double_coset_modes_agree_n8_full():
     groups.append(GroupSpec.extension(4))
     for lam in all_partitions(8):
         for g in groups:
-            assert len(double_cosets(g, lam, mode="generic")) == len(
-                double_cosets(g, lam, mode="delta")
-            )
+            assert len(generic_double_cosets(g, lam)) == len(double_cosets(g, lam))
 
 
 def test_double_coset_modes_agree_n8_spot():
     # default-run subset of the n=8 sweep; BRAID_LONG=1 covers all groups
     for g in (GroupSpec.extension(4), GroupSpec.product(8, 3)):
         for lam in all_partitions(8):
-            assert len(double_cosets(g, lam, mode="generic")) == len(
-                double_cosets(g, lam, mode="delta")
-            )
+            assert len(generic_double_cosets(g, lam)) == len(double_cosets(g, lam))
 
 
 def test_isotropy_examples():
     assert (
-        isotropy_inner_product((1, 2), Partition((2,)), GroupSpec.extension(1))
+        isotropy_inner_product((0, 1), Partition((2,)), GroupSpec.extension(1))
         == 1
     )
     # the alternating 1010 marking on a 4-cycle fails the multiplicity rule
-    s = (3, 1, 4, 2)
-    assert delta_from_permutation(s, 2).bits == (1, 0, 1, 0)
-    assert isotropy_inner_product(s, Partition((4,)), GroupSpec.product(4, 2)) == 0
+    assert (
+        isotropy_inner_product((1, 0, 1, 0), Partition((4,)), GroupSpec.product(4, 2))
+        == 0
+    )
 
 
 @pytest.mark.parametrize("n,q", [(n, q) for n in range(2, 7) for q in range(n // 2 + 1)])
 def test_predicate_matches_oracle(n, q):
     group = GroupSpec.product(n, q)
     for lam in all_partitions(n):
-        for s in double_cosets(group, lam):
-            delta = delta_from_permutation(s, q)
-            verdict = 0 if label_from_delta(delta, lam) is None else 1
-            assert verdict == isotropy_inner_product(s, lam, group)
+        for word in double_cosets(group, lam):
+            verdict = 0 if label_from_word(word, lam) is None else 1
+            assert verdict == isotropy_inner_product(word, lam, group)
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_sigma_shift_invariance(n):
+    # the reversal after a coset representative complements its marking word
     group = GroupSpec.extension(n // 2)
-    sigma = tuple(range(n, 0, -1))
     for lam in all_partitions(n):
-        for s in double_cosets(group, lam):
-            assert isotropy_inner_product(s, lam, group) == isotropy_inner_product(
-                _comp(sigma, s), lam, group
+        for word in double_cosets(group, lam):
+            complement = tuple(1 - b for b in word)
+            assert isotropy_inner_product(word, lam, group) == isotropy_inner_product(
+                complement, lam, group
             )
 
 

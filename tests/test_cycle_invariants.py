@@ -5,14 +5,12 @@ from hypothesis import given, strategies as st
 
 from braidinv.core_combinatorics import Partition, binomial, min_rotation
 from braidinv.cycle_invariants import (
-    DeltaMap,
     InvariantCycle,
     Pi_letters_exceed,
     block_support,
     cycle_admissible,
     cycle_from_bits,
     cycle_sort_key,
-    delta_from_permutation,
     dual_cycle,
     enumerate_Pi,
     enumerate_selfdual,
@@ -24,38 +22,30 @@ from braidinv.cycle_invariants import (
 from braidinv.errors import InternalConsistencyError
 
 
-def test_delta_from_permutation():
-    # images (3,1,4,2) with q=2: positions mapping into {3,4}
-    delta = delta_from_permutation((3, 1, 4, 2), 2)
-    assert delta.bits == (1, 0, 1, 0)
-    assert delta.n == 4
-    assert delta.weight == 2
-    assert delta_from_permutation((1, 2, 3), 0).bits == (0, 0, 0)
-    assert delta_from_permutation((1, 2, 3), 3).bits == (1, 1, 1)
-
-
 def test_block_support():
     lam = Partition((3, 2, 1))
-    delta = DeltaMap((0, 1, 1, 0, 1, 0))
-    assert block_support(delta, lam, 1) == (2, 3)
-    assert block_support(delta, lam, 2) == (5,)
-    assert block_support(delta, lam, 3) == ()
+    word = (0, 1, 1, 0, 1, 0)
+    assert block_support(word, lam, 1) == (2, 3)
+    assert block_support(word, lam, 2) == (5,)
+    assert block_support(word, lam, 3) == ()
+    with pytest.raises(ValueError):
+        block_support((0, 1, 2, 0, 1, 0), lam, 1)
 
 
 def test_invariant_cycle_examples():
     lam = Partition((4, 2))
     # block positions 2 and 4 of the 4-cycle: gaps 1 then wrap 4-4+2-1
-    delta = DeltaMap((0, 1, 0, 1, 0, 0))
-    chi = invariant_cycle(delta, lam, 1)
+    word = (0, 1, 0, 1, 0, 0)
+    chi = invariant_cycle(word, lam, 1)
     assert chi.length == 4 and chi.gaps == (1, 1)
-    assert invariant_cycle(delta, lam, 2) == InvariantCycle.empty(2)
+    assert invariant_cycle(word, lam, 2) == InvariantCycle.empty(2)
 
 
 def test_invariant_cycle_is_rotation_canonical():
     lam = Partition((5,))
-    a = invariant_cycle(DeltaMap((1, 0, 1, 0, 0)), lam, 1)
-    b = invariant_cycle(DeltaMap((0, 1, 0, 1, 0)), lam, 1)
-    c = invariant_cycle(DeltaMap((0, 0, 1, 0, 1)), lam, 1)
+    a = invariant_cycle((1, 0, 1, 0, 0), lam, 1)
+    b = invariant_cycle((0, 1, 0, 1, 0), lam, 1)
+    c = invariant_cycle((0, 0, 1, 0, 1), lam, 1)
     assert a == b == c
 
 

@@ -8,7 +8,6 @@ from braidinv.core_combinatorics import Partition, packed_series
 from braidinv.cycle_invariants import InvariantCycle
 from braidinv.extension_catalog import (
     PairedMarkedPartition,
-    SignedGenerator,
     _ep_members,
     _fixed_factors,
     count_EP_closed_form,
@@ -20,7 +19,6 @@ from braidinv.extension_catalog import (
     ext_dimension,
     pairing_of_label,
     sigma_dual_label,
-    signed_generators,
 )
 from braidinv.product_catalog import (
     GeneratorLabel,
@@ -167,13 +165,6 @@ def test_kernel_parity_conditions_match_sign(n):
 def test_pairing_recovery_and_sign_constancy(n):
     for pmp, label in _ep_members(n):
         assert pairing_of_label(label) == pmp
-
-
-def test_signed_generators_shape():
-    gens = signed_generators(6)
-    assert len(gens) == 8
-    assert all(isinstance(g, SignedGenerator) for g in gens)
-    assert sum(1 for g in gens if g.in_kernel) == 4
 
 
 def test_enumerate_E_contains_structures_beyond_labels():

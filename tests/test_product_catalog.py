@@ -3,14 +3,14 @@ import itertools
 import pytest
 
 from braidinv.core_combinatorics import Partition, all_partitions
-from braidinv.cycle_invariants import DeltaMap, InvariantCycle, cycle_block_key
+from braidinv.cycle_invariants import InvariantCycle, cycle_block_key
 from braidinv.product_catalog import (
     GeneratorLabel,
     MarkedPartition,
     PoincareTable,
     _label_series,
     enumerate_generators,
-    label_from_delta,
+    label_from_word,
     product_dimension,
 )
 from dict_series import untrimmed_label_series
@@ -135,8 +135,8 @@ def test_classical_anchor_full_invariants(n):
 def test_label_from_delta_accepts_and_rejects():
     lam = Partition((4,))
     # 1010 pattern on a 4-cycle has rotation multiplicity 2 at 4 = 0 mod 4
-    assert label_from_delta(DeltaMap((1, 0, 1, 0)), lam) is None
-    built = label_from_delta(DeltaMap((1, 1, 0, 0)), lam)
+    assert label_from_word((1, 0, 1, 0), lam) is None
+    built = label_from_word((1, 1, 0, 0), lam)
     assert built is not None
     assert built.cycles[0] == InvariantCycle(4, (0, 2))
 
@@ -149,7 +149,7 @@ def test_label_from_delta_reaches_exactly_the_catalog(n):
         reachable = set()
         for lam in all_partitions(n):
             for word in set(itertools.permutations([1] * q + [0] * (n - q))):
-                got = label_from_delta(DeltaMap(word), lam)
+                got = label_from_word(word, lam)
                 if got is not None:
                     reachable.add(got)
         assert reachable == labels

@@ -23,6 +23,8 @@ def exit_code(script, argv):
         ("dimension_tables", ["--max-n", "6"], 0),
         ("cross_validate", ["--max-n", "4"], 0),
         ("cross_validate", ["--workers", "0"], 2),
+        ("cross_validate", ["--max-n", "9"], 2),
+        ("dimension_tables", ["--max-n", "93"], 2),
     ],
 )
 def test_script_exit_codes(capsys, script, argv, code):
