@@ -15,10 +15,12 @@ from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from .character_oracle import GroupSpec, check_oracle_scale, oracle_tables
+from .core_combinatorics import partition_count
 from .cycle_invariants import (
     Pi_letters_exceed,
     enumerate_Pi,
     enumerate_selfdual,
+    necklace_count,
     selfdual_count_closed_form,
     selfdual_letters_exceed,
 )
@@ -42,6 +44,11 @@ NECKLACE_LISTING_LIMIT = 10**6
 # 4 before any series is built (dim --n 92 --group ext takes about 5 s on a
 # 2-vCPU host, n = 80 about 2 s)
 FORMULA_LIMIT = 92
+
+# the most work a catalog listing (dim --method catalog, ep) may take:
+# partitions walked, necklace words pooled and labels listed, each counted
+# in closed form; a larger one exits 4 before it starts
+CATALOG_LISTING_LIMIT = 10**5
 
 
 def _resolved_q(n: int, q: Optional[int], group: str) -> int:
@@ -103,6 +110,31 @@ def render_csv_rows(rows) -> str:
     return "\n".join(["degree,dim"] + ["%d,%d" % (i, d) for i, d in rows])
 
 
+def _refuse_catalog(n: int, top: int, labels, what: str):
+    """Exit 4 before a catalog listing of partitions of n, pooling the
+    necklace words of weight at most top, whose work exceeds
+    CATALOG_LISTING_LIMIT; labels() counts the labels it lists.
+
+    The terms are added in turn and the first to pass the limit refuses:
+    p(n) comes first and stops once it passes, so a huge n is refused in
+    bounded time, before any sum or series grows with it."""
+    limit = CATALOG_LISTING_LIMIT
+    terms = (
+        lambda: partition_count(n, limit),
+        lambda: sum(
+            necklace_count(v, d) for v in range(1, n + 1) for d in range(min(v, top) + 1)
+        ),
+        labels,
+    )
+    work = 0
+    for term in terms:
+        work += term()
+        if work > limit:
+            raise CapabilityError(
+                "%s walks, pools and lists more than %d items" % (what, limit)
+            )
+
+
 def _show_dim(
     args: argparse.Namespace,
     n: int,
@@ -116,6 +148,16 @@ def _show_dim(
     if method == "formula" and n > FORMULA_LIMIT:
         raise CapabilityError(
             "the formula route takes n up to %d, got %d" % (FORMULA_LIMIT, n)
+        )
+    if method == "catalog":
+        # the extension also lists its swap-fixed labels, from words of
+        # every weight
+        ext = group == "ext"
+        _refuse_catalog(
+            n,
+            n if ext else q,
+            lambda: product_dimension(n, q).total + (count_EP_closed_form(n) if ext else 0),
+            "the catalog listing at n = %d" % n,
         )
     if group == "ext":
         table = ext_dimension(n, method=method)[1]
@@ -237,6 +279,12 @@ def cmd_ep(args: argparse.Namespace) -> int:
     """Kernel-pairing listing: each label with its block data and sign."""
     if args.n % 2:
         raise ValueError("only even n has the extension catalog")
+    _refuse_catalog(
+        args.n,
+        args.n,
+        lambda: count_EP_closed_form(args.n),
+        "the ep listing at n = %d" % args.n,
+    )
     rows = []
     for pmp, label in _ep_members(args.n):
         sign = epsilon_sign(pmp)

@@ -88,9 +88,10 @@ def enumerate_partitions(n: int, part_count: int) -> Tuple[Partition, ...]:
             if remaining == 0:
                 out.append(Partition(prefix))
             return
-        # each remaining part is at least 1
+        # each remaining part is at least 1, and none exceeds this one
         hi = min(max_part, remaining - (left - 1))
-        for p in range(hi, 0, -1):
+        lo = -(-remaining // left)
+        for p in range(hi, lo - 1, -1):
             rec(remaining - p, left - 1, p, prefix + (p,))
 
     rec(n, part_count, n, ())
@@ -103,6 +104,31 @@ def all_partitions(n: int) -> Tuple[Partition, ...]:
     for j in range(1, n + 1):
         out.extend(enumerate_partitions(n, j))
     return tuple(out)
+
+
+def partition_count(n: int, cap: int) -> int:
+    """p(n), or the first p(k) above cap for some k <= n when there is one.
+
+    Euler's pentagonal recurrence, stopped at the first k with p(k) > cap:
+    p grows, so a huge n costs no more than the k where p first passes
+    cap.
+
+    >>> partition_count(10, 100), partition_count(10**9, 100)
+    (42, 101)
+    """
+    p = [1]
+    for k in range(1, n + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            total += sign * p[k - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= k:
+                total += sign * p[k - j * (3 * j + 1) // 2]
+            j += 1
+        p.append(total)
+        if total > cap:
+            break
+    return p[-1]
 
 
 def binomial(a: int, b: int) -> int:

@@ -11,7 +11,7 @@ its closed-form count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -19,23 +19,26 @@ from .core_combinatorics import Partition, Word, binomial, min_rotation, mobius
 from .errors import InternalConsistencyError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantCycle:
     """A canonical cyclic gap word on a cycle of a given length.
 
     gaps is None for the empty marking.  A non-empty word with d entries
     records the zeros strictly between consecutive marked positions read
     cyclically, so its entries sum to length - d.  Stored in minimal
-    rotation form.
+    rotation form, with the number of rotations that attain it, which the
+    rotation check finds anyway.
     """
 
     length: int
     gaps: Optional[Word]
+    _multiplicity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("cycle length must be positive")
         if self.gaps is None:
+            object.__setattr__(self, "_multiplicity", 1)
             return
         gaps = tuple(self.gaps)
         object.__setattr__(self, "gaps", gaps)
@@ -46,8 +49,10 @@ class InvariantCycle:
             raise ValueError("gaps must be non-negative")
         if sum(gaps) != self.length - d:
             raise ValueError("gap word must sum to length - weight")
-        if gaps != min_rotation(gaps)[0]:
+        least, multiplicity = min_rotation(gaps)
+        if gaps != least:
             raise ValueError("gap word must be in minimal rotation form")
+        object.__setattr__(self, "_multiplicity", multiplicity)
 
     @classmethod
     def empty(cls, length: int) -> "InvariantCycle":
@@ -62,7 +67,7 @@ class InvariantCycle:
         return 0 if self.gaps is None else len(self.gaps)
 
     def rotation_multiplicity(self) -> int:
-        return 1 if self.gaps is None else min_rotation(self.gaps)[1]
+        return self._multiplicity
 
     def __str__(self):
         if self.gaps is None:
@@ -102,17 +107,6 @@ def cycle_from_bits(lam: int, bits: Sequence[int]) -> InvariantCycle:
     return InvariantCycle.from_gaps(lam, _gap_word(positions, lam))
 
 
-def _bits_of(chi: InvariantCycle) -> Tuple[int, ...]:
-    """One representative bit word of the necklace (marked at position 1)."""
-    if chi.gaps is None:
-        return (0,) * chi.length
-    bits = []
-    for g in chi.gaps:
-        bits.append(1)
-        bits.extend([0] * g)
-    return tuple(bits)
-
-
 def block_support(word: Sequence[int], lam: Partition, i: int) -> Tuple[int, ...]:
     """Marked positions of a 0/1 word on the points 1..n inside the i-th
     part interval, ascending, 1-based."""
@@ -139,10 +133,20 @@ def invariant_cycle(word: Sequence[int], lam: Partition, i: int) -> InvariantCyc
 def dual_cycle(chi: InvariantCycle) -> InvariantCycle:
     """Gap word of the complemented marking on the same cycle.
 
-    An involution exchanging weight d and weight length - d.
+    An involution exchanging weight d and weight length - d.  The
+    complement of 1 0^g1 ... 1 0^gd is 0 1^g1 ... 0 1^gd; read from a
+    block with g > 0, each 1 opens a gap and each 0 lengthens the last.
     """
-    bits = _bits_of(chi)
-    return cycle_from_bits(chi.length, tuple(1 - b for b in bits))
+    if chi.gaps is None:
+        return InvariantCycle(chi.length, (0,) * chi.length)
+    k = next((t for t, g in enumerate(chi.gaps) if g), None)
+    if k is None:
+        return InvariantCycle.empty(chi.length)
+    gaps = []
+    for g in chi.gaps[k:] + chi.gaps[:k]:
+        gaps.extend([0] * g)
+        gaps[-1] += 1
+    return InvariantCycle.from_gaps(chi.length, gaps)
 
 
 def cycle_admissible(chi: InvariantCycle) -> bool:

@@ -95,24 +95,6 @@ class PairedMarkedPartition:
         return "%s k=%s" % (self.marked, list(self.pair_counts))
 
 
-def sigma_dual_label(label: GeneratorLabel) -> GeneratorLabel:
-    """Dualize every cycle and restore the canonical block order."""
-    parts = label.partition.parts
-    cycles = []
-    pos = 0
-    for _, m in label.partition.blocks:
-        block = [dual_cycle(c) for c in label.cycles[pos:pos + m]]
-        block.sort(key=cycle_block_key)
-        cycles.extend(block)
-        pos += m
-    try:
-        return GeneratorLabel(label.partition, tuple(cycles))
-    except ValueError as exc:
-        raise InternalConsistencyError(
-            "dualized label %s is not canonical: %s" % (label, exc)
-        ) from exc
-
-
 @lru_cache(maxsize=None)
 def _block_pairings(v: int, m: int):
     """All (marks, k) a block of m parts of value v can carry."""
@@ -220,25 +202,6 @@ def enumerate_KP(n: int) -> Tuple[GeneratorLabel, ...]:
     return tuple(
         label for pmp, label in _ep_members(n) if epsilon_sign(pmp) == -1
     )
-
-
-def pairing_of_label(label: GeneratorLabel) -> PairedMarkedPartition:
-    """Recover the pairing structure of a swap-fixed label."""
-    ks = []
-    pos = 0
-    for v, m in label.partition.blocks:
-        block = label.cycles[pos:pos + m]
-        u = sum(1 for chi in block if 2 * chi.weight > v)
-        moved = sum(
-            1
-            for chi in block
-            if 2 * chi.weight == v and dual_cycle(chi) != chi
-        )
-        if moved % 2:
-            raise ValueError("label is not swap-fixed")
-        ks.append(u + moved // 2)
-        pos += m
-    return PairedMarkedPartition(label.marked(), tuple(ks))
 
 
 def _fixed_factors(n: int, signed: bool, v: int):

@@ -12,12 +12,12 @@ their exponents from closed-form necklace counts, so nothing is listed.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .core_combinatorics import Partition, all_partitions, binomial, packed_series
+from .core_combinatorics import Partition, binomial, enumerate_partitions, packed_series
 from .cycle_invariants import (
     InvariantCycle,
     cycle_admissible,
@@ -69,7 +69,7 @@ class MarkedPartition:
         return "%s d=%s" % (self.partition, list(self.marks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratorLabel:
     """A partition with one admissible gap word per part, block-canonical."""
 
@@ -180,52 +180,79 @@ def _label_series(n: int) -> Dict[Tuple[int, int], int]:
     return {divmod(i, n + 1): c for i, c in enumerate(coeffs) if c}
 
 
+BlockAssignments = namedtuple("BlockAssignments", "combos by_weight")
+
+
 @lru_cache(maxsize=None)
-def _block_assignments(v: int, m: int):
-    """Canonical cycle tuples for a block of m parts of value v, by weight.
+def _block_assignments(v: int, m: int, cap: int) -> BlockAssignments:
+    """Canonical cycle tuples for a block of m parts of value v whose words
+    each have weight at most cap.
 
     Pairs (weight, word) repeat freely on odd v but must be distinct on
-    even v.  Returns a dict mapping block weight to the list of tuples.
+    even v.  combos holds (tuple, block weight) pairs ascending in
+    cycle_block_key order, as combinations keep the order of a pool that
+    is ascending in it; by_weight maps each block weight to its tuples, in
+    the same order.
     """
     pool = []
-    for d in range(v, -1, -1):
+    for d in range(cap, -1, -1):
         pool.extend(enumerate_Pi(v, d))
     if v % 2 == 0:
-        combos = itertools.combinations(pool, m)
+        tuples = itertools.combinations(pool, m)
     else:
-        combos = itertools.combinations_with_replacement(pool, m)
+        tuples = itertools.combinations_with_replacement(pool, m)
+    combos = []
     by_weight = {}
-    for combo in combos:
+    for combo in tuples:
         w = sum(c.weight for c in combo)
+        combos.append((combo, w))
         by_weight.setdefault(w, []).append(combo)
-    return by_weight
+    return BlockAssignments(tuple(combos), by_weight)
+
+
+def _partition_labels(lam: Partition, q: int):
+    """The labels of weight q on lam, in sort_key order: depth first over
+    the blocks, each block's tuples in their order, keeping a tuple only
+    when the blocks after it can still make up the weight."""
+    blocks = [_block_assignments(v, m, min(v, q)) for v, m in lam.blocks]
+    # reach[i]: the weights at most q that blocks i, i + 1, ... can sum to
+    reach = [{0}]
+    for block in reversed(blocks):
+        reach.append(
+            {w + bw for w in reach[-1] for bw in block.by_weight if w + bw <= q}
+        )
+    reach.reverse()
+    if q not in reach[0]:
+        return
+    last = len(blocks) - 1
+
+    def walk(i, cycles, w):
+        if i == last:
+            for combo in blocks[i].by_weight.get(q - w, ()):
+                yield GeneratorLabel(lam, cycles + combo)
+            return
+        after = reach[i + 1]
+        for combo, bw in blocks[i].combos:
+            if q - w - bw in after:
+                yield from walk(i + 1, cycles + combo, w + bw)
+
+    yield from walk(0, (), 0)
 
 
 @lru_cache(maxsize=None)
 def enumerate_generators(n: int, q: int) -> Tuple[GeneratorLabel, ...]:
-    """All generator labels of total weight q over partitions of n."""
+    """All generator labels of total weight q over partitions of n, in
+    sort_key order: degree ascending (most parts first), then parts
+    ascending, then the cycles' block keys."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= q <= n:
         raise ValueError("need 0 <= q <= n")
     out = []
-    for lam in all_partitions(n):
-        blocks = lam.blocks
-        partial = [((), 0)]
-        for v, m in blocks:
-            by_weight = _block_assignments(v, m)
-            grown = []
-            for cycles, w in partial:
-                for bw, combos in by_weight.items():
-                    if w + bw > q:
-                        continue
-                    for combo in combos:
-                        grown.append((cycles + combo, w + bw))
-            partial = grown
-        for cycles, w in partial:
-            if w == q:
-                out.append(GeneratorLabel(lam, cycles))
-    return tuple(sorted(out, key=GeneratorLabel.sort_key))
+    for j in range(n, 0, -1):
+        for lam in reversed(enumerate_partitions(n, j)):
+            out.extend(_partition_labels(lam, q))
+    return tuple(out)
 
 
 def label_from_word(word: Tuple[int, ...], lam: Partition):

@@ -8,12 +8,13 @@ on every coset that the reduced sum is 0 or the isotropy order.  The
 exact cyclotomic-integer arithmetic that reduces such a sum, and the
 character evaluated on a centralizer element given as a permutation,
 live here too: the oracle itself only ever compares exponents with 0.
-The ground truth for the oracle's coset words lives here as well: a
-two-sided orbit search over every permutation, which never reads a
-marking word.
+The ground truth for the oracle's coset words lives here as well: orbits
+of the group acting by conjugation on a conjugacy class of the symmetric
+group, which never read a marking word.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -22,7 +23,6 @@ from braidinv.character_oracle import (
     GroupSpec,
     _character_exponent,
     _value_runs,
-    build_centralizer,
     root_order,
 )
 from braidinv.core_combinatorics import Partition
@@ -57,34 +57,70 @@ def group_generators(group: GroupSpec) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _cycles(s: Tuple[int, ...]):
+    """The cycles of a permutation (1-based images), each listed from its
+    least point in the order s visits them."""
+    seen = set()
+    out = []
+    for start in range(1, len(s) + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        while s[cycle[-1] - 1] != start:
+            cycle.append(s[cycle[-1] - 1])
+            seen.add(cycle[-1])
+        out.append(tuple(cycle))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _conjugacy_classes(n: int):
+    """Every permutation of 1..n in lex order, bucketed by cycle type."""
+    classes = {}
+    for s in itertools.permutations(range(1, n + 1)):
+        lengths = sorted((len(c) for c in _cycles(s)), reverse=True)
+        classes.setdefault(tuple(lengths), []).append(s)
+    return classes
+
+
 def generic_double_cosets(group: GroupSpec, lam: Partition):
-    """One permutation per (group, centralizer) double coset, the least of
-    its orbit under the two-sided search over all of the symmetric group;
-    sorted."""
+    """One permutation per (group, centralizer) double coset, sorted.
+
+    The centralizer Z is that of the cycle product c whose cycles run
+    through the consecutive intervals of lam, and H s Z goes to the
+    H-conjugacy orbit of s c s^-1, one to one.  So the double cosets are
+    the orbits of the group's generators, acting by conjugation, on the
+    conjugacy class of c.  Each is given by the permutation s carrying
+    c's cycles onto those of the orbit's least element, interval by
+    interval and from each cycle's least point, so s c s^-1 is that
+    element."""
     if lam.n != group.n:
         raise ValueError("partition total must match the group degree")
-    right = build_centralizer(lam).generators
-    left = group_generators(group)
-    todo = set(itertools.permutations(range(1, group.n + 1)))
+    n = group.n
+    # y -> g y g^-1: read y at g^-1's images, then map each through g
+    conjugations = []
+    for g in group_generators(group):
+        inverse = [0] * n
+        for x, y in enumerate(g):
+            inverse[y - 1] = x
+        conjugations.append(((0,) + g, operator.itemgetter(*inverse)))
+    seen = set()
     reps = []
-    while todo:
-        seed = min(todo)
-        orbit = {seed}
-        frontier = [seed]
+    for x in _conjugacy_classes(n)[lam.parts]:
+        if x in seen:
+            continue
+        seen.add(x)
+        frontier = [x]
         while frontier:
-            s = frontier.pop()
-            for g in left:
-                s2 = _comp(g, s)
-                if s2 not in orbit:
-                    orbit.add(s2)
-                    frontier.append(s2)
-            for z in right:
-                s2 = _comp(s, z)
-                if s2 not in orbit:
-                    orbit.add(s2)
-                    frontier.append(s2)
-        reps.append(min(orbit))
-        todo -= orbit
+            y = frontier.pop()
+            for g, read in conjugations:
+                y2 = tuple(map(g.__getitem__, read(y)))
+                if y2 not in seen:
+                    seen.add(y2)
+                    frontier.append(y2)
+        by_length = sorted(_cycles(x), key=len, reverse=True)
+        reps.append(tuple(p for cycle in by_length for p in cycle))
     return tuple(sorted(reps))
 
 

@@ -28,7 +28,6 @@ from braidinv.extension_catalog import (
     enumerate_EP,
     enumerate_KP,
     ext_dimension,
-    sigma_dual_label,
 )
 from braidinv.product_catalog import enumerate_generators, product_dimension
 from oracle_listing import (
@@ -38,6 +37,7 @@ from oracle_listing import (
     stabilizer,
     zeta_value,
 )
+from test_extension_catalog import sigma_dual_label
 
 
 def _finish(num, name, ok):

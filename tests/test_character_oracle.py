@@ -1,5 +1,4 @@
 import itertools
-import os
 
 import pytest
 
@@ -32,9 +31,6 @@ from oracle_listing import (
     stabilizer,
     zeta_value,
 )
-
-LONG = os.environ.get("BRAID_LONG") == "1"
-
 
 def test_perm_basics():
     s = (2, 3, 1)
@@ -287,7 +283,6 @@ def test_double_coset_modes_agree_n7():
             assert len(generic_double_cosets(g, lam)) == len(double_cosets(g, lam))
 
 
-@pytest.mark.skipif(not LONG, reason="set BRAID_LONG=1 for the full n=8 sweep")
 def test_double_coset_modes_agree_n8_full():
     groups = [GroupSpec.product(8, q) for q in range(5)]
     groups.append(GroupSpec.extension(4))
@@ -297,7 +292,7 @@ def test_double_coset_modes_agree_n8_full():
 
 
 def test_double_coset_modes_agree_n8_spot():
-    # default-run subset of the n=8 sweep; BRAID_LONG=1 covers all groups
+    # the extension and one product split; the full sweep covers every group
     for g in (GroupSpec.extension(4), GroupSpec.product(8, 3)):
         for lam in all_partitions(8):
             assert len(generic_double_cosets(g, lam)) == len(double_cosets(g, lam))

@@ -15,6 +15,10 @@ from hypothesis import given, settings, strategies as st
 from braidinv import character_oracle, cli, extension_catalog, product_catalog
 from braidinv.character_oracle import GroupSpec
 from braidinv.cli import main, render_table
+from braidinv.core_combinatorics import all_partitions
+from braidinv.cycle_invariants import enumerate_Pi
+from braidinv.extension_catalog import enumerate_EP
+from braidinv.product_catalog import enumerate_generators
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -421,6 +425,68 @@ def test_formula_limit_is_inclusive(capsys, monkeypatch):
     assert run(capsys, "dim", "--n", "7", "--q", "3", "--method", "catalog")[0] == 0
 
 
+def _refuse_listing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an oversized request listed labels")
+
+    monkeypatch.setattr(product_catalog, "enumerate_generators", refuse)
+    monkeypatch.setattr(extension_catalog, "_ep_members", refuse)
+    monkeypatch.setattr(cli, "_ep_members", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ep", "--n", "40"],
+        ["ep", "--n", str(10**12)],
+        ["dim", "--n", "20", "--q", "10", "--method", "catalog"],
+        ["dim", "--n", "46", "--q", "0", "--method", "catalog"],
+        ["dim", "--n", str(10**12), "--q", "1", "--method", "catalog"],
+        ["dim", "--n", "18", "--group", "ext", "--method", "catalog"],
+    ],
+    ids=" ".join,
+)
+def test_oversized_catalog_request_exits_4_before_listing(capsys, monkeypatch, argv):
+    _refuse_listing(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (4, "")
+    assert "more than %d items" % cli.CATALOG_LISTING_LIMIT in err
+
+
+def test_catalog_at_small_weight_answers_past_the_old_timeout(capsys):
+    # it pooled words of every weight, and ran past 20 s
+    code, out, _ = run(capsys, "dim", "--n", "24", "--q", "3", "--method", "catalog")
+    assert code == 0
+    assert out.splitlines()[-1] == "total 3586"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--n", "8", "--q", "3", "--method", "catalog"],
+        ["dim", "--n", "8", "--group", "ext", "--method", "catalog"],
+        ["ep", "--n", "8"],
+    ],
+    ids=" ".join,
+)
+def test_catalog_limit_counts_partitions_words_and_labels(capsys, monkeypatch, argv):
+    # the work, counted here by listing: every partition of 8, every word of
+    # the pools the listing reads and every label it lists
+    q = 3 if "--q" in argv else 4
+    top = 3 if "--q" in argv else 8
+    words = sum(len(enumerate_Pi(v, d)) for v in range(1, 9) for d in range(min(v, top) + 1))
+    labels = len(enumerate_EP(8))
+    if argv[0] == "dim":
+        labels = len(enumerate_generators(8, q)) + (labels if "ext" in argv else 0)
+    work = len(all_partitions(8)) + words + labels
+    monkeypatch.setattr(cli, "CATALOG_LISTING_LIMIT", work)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "CATALOG_LISTING_LIMIT", work - 1)
+    assert run(capsys, *argv)[0] == 4
+
+
 @pytest.mark.parametrize(
     "first, second",
     [
@@ -471,8 +537,10 @@ def cli_argv(draw):
     Accepted formula sizes stop at n = 40, and self-dual listings at
     d = 16, to keep tier-1 short: both are bounded, by cli.FORMULA_LIMIT
     and the listing limit, but take seconds near the bound.  The catalog
-    route and ep list every label with no limit yet, so their n stays at
-    14.  necklace pi draws --lambda up to 40 and from the listing limit
+    route draws n up to 30, where every size it accepts answers in about
+    1 s, and from 46 on, where p(n) alone passes
+    cli.CATALOG_LISTING_LIMIT; between the two it accepts sizes at small q
+    that take 2-3 s.  ep accepts nothing past n = 18.  necklace pi draws --lambda up to 40 and from the listing limit
     on, where any listing it accepts holds at most one letter: between the
     two, a --d just under --lambda makes the listing walk and its rotation
     check grow much faster than the letter count that limit bounds.
@@ -493,14 +561,14 @@ def cli_argv(draw):
         return ["dim", *opt("--n", n), *maybe("--q", ANY_INT), *group,
                 *maybe("--degree", ANY_INT)]
     if command == "catalog":
-        return ["dim", *opt("--n", _ints(14)), *maybe("--q", ANY_INT), *group,
+        return ["dim", *opt("--n", _ints(30, 46)), *maybe("--q", ANY_INT), *group,
                 "--method", "catalog", *maybe("--degree", ANY_INT)]
     if command == "verify":
         long_running = ["--long"] if draw(st.booleans()) else []
         return ["verify", *opt("--n", ANY_INT), *maybe("--q", ANY_INT), *group,
                 *maybe("--workers", st.integers(-3, 3)), *long_running]
     if command == "ep":
-        return ["ep", *opt("--n", _ints(14))]
+        return ["ep", *opt("--n", _ints(18, 19))]
     if command == "spin":
         genus = _ints(19, cli.FORMULA_LIMIT // 2)
         return ["spin", *opt("--genus", genus), *maybe("--degree", ANY_INT)]

@@ -70,6 +70,35 @@ def test_cycle_validation():
     assert InvariantCycle(4, (1, 1)).weight == 2
 
 
+@pytest.mark.parametrize("lam", range(1, 17))
+def test_stored_multiplicity_is_the_rotation_count(lam):
+    for d in range(lam + 1):
+        for chi in enumerate_Pi(lam, d):
+            expected = 1 if chi.gaps is None else min_rotation(chi.gaps)[1]
+            assert chi.rotation_multiplicity() == expected
+
+
+@pytest.mark.parametrize("lam", range(1, 9))
+def test_every_necklace_stores_its_multiplicity(lam):
+    # admissible or not: periodic words attain their least rotation d/p times
+    for d in range(1, lam + 1):
+        for comp in set(_weak_compositions(lam - d, d)):
+            least, count = min_rotation(comp)
+            assert InvariantCycle(lam, least).rotation_multiplicity() == count
+
+
+@pytest.mark.parametrize("lam", range(1, 10))
+def test_non_least_rotation_raises(lam):
+    for d in range(1, lam + 1):
+        for chi in enumerate_Pi(lam, d):
+            for r in range(1, d):
+                turned = chi.gaps[r:] + chi.gaps[:r]
+                if turned == chi.gaps:
+                    continue
+                with pytest.raises(ValueError):
+                    InvariantCycle(lam, turned)
+
+
 def test_cycle_str():
     assert str(InvariantCycle.empty(3)) == "()"
     assert str(InvariantCycle(4, (0, 2))) == "(0,2)"
@@ -80,6 +109,25 @@ def test_dual_cycle_examples():
     assert dual_cycle(InvariantCycle(4, (0, 2))) == InvariantCycle(4, (0, 2))
     assert dual_cycle(InvariantCycle(6, (0, 1, 2))) == InvariantCycle(6, (0, 2, 1))
     assert dual_cycle(InvariantCycle.empty(3)) == InvariantCycle(3, (0, 0, 0))
+
+
+def _dual_by_bits(chi):
+    """The complement read through a bit word: mark position 1, write
+    each gap as zeros, flip every letter and read the gaps back."""
+    if chi.gaps is None:
+        bits = (0,) * chi.length
+    else:
+        bits = tuple(b for g in chi.gaps for b in (1,) + (0,) * g)
+    return cycle_from_bits(chi.length, tuple(1 - b for b in bits))
+
+
+@pytest.mark.parametrize("lam", range(1, 15))
+def test_dual_cycle_matches_the_bit_route(lam):
+    for d in range(lam + 1):
+        for chi in enumerate_Pi(lam, d):
+            assert dual_cycle(chi) == _dual_by_bits(chi)
+    for chi in (InvariantCycle.empty(lam), InvariantCycle(lam, (0,) * lam)):
+        assert dual_cycle(chi) == _dual_by_bits(chi)
 
 
 @pytest.mark.parametrize("lam", range(1, 13))

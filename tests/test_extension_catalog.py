@@ -5,7 +5,8 @@ import pytest
 
 from braidinv import cycle_invariants, extension_catalog, product_catalog
 from braidinv.core_combinatorics import Partition, packed_series
-from braidinv.cycle_invariants import InvariantCycle
+from braidinv.cycle_invariants import InvariantCycle, cycle_block_key, dual_cycle
+from braidinv.errors import InternalConsistencyError
 from braidinv.extension_catalog import (
     PairedMarkedPartition,
     _ep_members,
@@ -17,8 +18,6 @@ from braidinv.extension_catalog import (
     enumerate_KP,
     epsilon_sign,
     ext_dimension,
-    pairing_of_label,
-    sigma_dual_label,
 )
 from braidinv.product_catalog import (
     GeneratorLabel,
@@ -39,6 +38,42 @@ EXT_TABLES = {
     8: {0: 1, 1: 2, 2: 2, 3: 4, 4: 10, 5: 16, 6: 12, 7: 3},
     10: {0: 1, 1: 2, 2: 2, 3: 4, 4: 12, 5: 26, 6: 39, 7: 45, 8: 37, 9: 14},
 }
+
+
+def sigma_dual_label(label: GeneratorLabel) -> GeneratorLabel:
+    """Dualize every cycle and restore the canonical block order."""
+    cycles = []
+    pos = 0
+    for _, m in label.partition.blocks:
+        block = [dual_cycle(c) for c in label.cycles[pos:pos + m]]
+        block.sort(key=cycle_block_key)
+        cycles.extend(block)
+        pos += m
+    try:
+        return GeneratorLabel(label.partition, tuple(cycles))
+    except ValueError as exc:
+        raise InternalConsistencyError(
+            "dualized label %s is not canonical: %s" % (label, exc)
+        ) from exc
+
+
+def pairing_of_label(label: GeneratorLabel) -> PairedMarkedPartition:
+    """Recover the pairing structure of a swap-fixed label."""
+    ks = []
+    pos = 0
+    for v, m in label.partition.blocks:
+        block = label.cycles[pos:pos + m]
+        u = sum(1 for chi in block if 2 * chi.weight > v)
+        moved = sum(
+            1
+            for chi in block
+            if 2 * chi.weight == v and dual_cycle(chi) != chi
+        )
+        if moved % 2:
+            raise ValueError("label is not swap-fixed")
+        ks.append(u + moved // 2)
+        pos += m
+    return PairedMarkedPartition(label.marked(), tuple(ks))
 
 
 def test_paired_marked_partition_validation():

@@ -1,13 +1,16 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
+from braidinv import product_catalog
 from braidinv.core_combinatorics import Partition, all_partitions
-from braidinv.cycle_invariants import InvariantCycle, cycle_block_key
+from braidinv.cycle_invariants import InvariantCycle, cycle_block_key, enumerate_Pi
 from braidinv.product_catalog import (
     GeneratorLabel,
     MarkedPartition,
     PoincareTable,
+    _block_assignments,
     _label_series,
     enumerate_generators,
     label_from_word,
@@ -153,3 +156,76 @@ def test_label_from_delta_reaches_exactly_the_catalog(n):
                 if got is not None:
                     reachable.add(got)
         assert reachable == labels
+
+
+@lru_cache(maxsize=None)
+def _uncapped_assignments(v, m):
+    """A block's tuples over the pool of every weight, in pool order, with
+    their block weights."""
+    pool = [chi for d in range(v, -1, -1) for chi in enumerate_Pi(v, d)]
+    if v % 2 == 0:
+        combos = itertools.combinations(pool, m)
+    else:
+        combos = itertools.combinations_with_replacement(pool, m)
+    return tuple((combo, sum(c.weight for c in combo)) for combo in combos)
+
+
+def _assembled_then_sorted(n, q):
+    """The labels by the first assembly: each partition's blocks joined
+    weight group by weight group over the uncapped pools, every label of
+    weight q kept, and the whole list sorted by sort_key."""
+    out = []
+    for lam in all_partitions(n):
+        partial = [((), 0)]
+        for v, m in lam.blocks:
+            by_weight = {}
+            for combo, w in _uncapped_assignments(v, m):
+                by_weight.setdefault(w, []).append(combo)
+            partial = [
+                (cycles + combo, w + bw)
+                for cycles, w in partial
+                for bw, combos in by_weight.items()
+                if w + bw <= q
+                for combo in combos
+            ]
+        out.extend(GeneratorLabel(lam, cycles) for cycles, w in partial if w == q)
+    return tuple(sorted(out, key=GeneratorLabel.sort_key))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_enumerate_generators_matches_sorted_assembly(n):
+    # built in sort_key order, the listing needs no sort to match
+    for q in range(n + 1):
+        assert enumerate_generators(n, q) == _assembled_then_sorted(n, q)
+
+
+@pytest.mark.parametrize("v", range(1, 10))
+def test_capped_pools_are_the_uncapped_pools_below_the_cap(v):
+    for m in range(1, 4):
+        full = _uncapped_assignments(v, m)
+        for cap in range(v + 1):
+            capped = _block_assignments(v, m, cap)
+            kept = tuple(
+                (combo, w) for combo, w in full if all(c.weight <= cap for c in combo)
+            )
+            assert capped.combos == kept
+            by_weight = {}
+            for combo, w in kept:
+                by_weight.setdefault(w, []).append(combo)
+            assert capped.by_weight == by_weight
+
+
+def test_catalog_pools_no_word_heavier_than_the_weight(monkeypatch):
+    # n = 24 at q = 3 lists its 3,586 labels from words of weight at most 3
+    requested = []
+
+    def recording(v, d):
+        requested.append((v, d))
+        return enumerate_Pi(v, d)
+
+    monkeypatch.setattr(product_catalog, "enumerate_Pi", recording)
+    _block_assignments.cache_clear()
+    enumerate_generators.cache_clear()
+    labels = enumerate_generators(24, 3)
+    assert len(labels) == product_dimension(24, 3).total == 3586
+    assert requested and max(d for _, d in requested) == 3
