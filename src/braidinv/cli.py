@@ -286,16 +286,16 @@ def cmd_ep(args: argparse.Namespace) -> int:
         "the ep listing at n = %d" % args.n,
     )
     rows = []
-    for pmp, label in _ep_members(args.n):
-        sign = epsilon_sign(pmp)
+    for label, pair_counts in _ep_members(args.n):
+        sign = epsilon_sign(label.partition, pair_counts)
         rows.append(
             {
                 "partition": str(label.partition),
                 "degree": label.degree,
                 "cycles": [str(c) for c in label.cycles],
                 "pairing": [
-                    {"part": bp.value, "mult": bp.mult, "k": bp.k}
-                    for bp in pmp.block_structure()
+                    {"part": v, "mult": m, "k": k}
+                    for (v, m), k in zip(label.partition.blocks, pair_counts)
                 ],
                 "sign": sign,
                 "kernel": sign < 0,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
-from .core_combinatorics import Partition, Word, binomial, min_rotation, mobius
+from .core_combinatorics import Word, binomial, min_rotation, mobius
 from .errors import InternalConsistencyError
 
 
@@ -105,29 +105,6 @@ def cycle_from_bits(lam: int, bits: Sequence[int]) -> InvariantCycle:
     if not positions:
         return InvariantCycle.empty(lam)
     return InvariantCycle.from_gaps(lam, _gap_word(positions, lam))
-
-
-def block_support(word: Sequence[int], lam: Partition, i: int) -> Tuple[int, ...]:
-    """Marked positions of a 0/1 word on the points 1..n inside the i-th
-    part interval, ascending, 1-based."""
-    if any(b not in (0, 1) for b in word):
-        raise ValueError("a marking word has letters 0 and 1 only")
-    if len(word) != lam.n:
-        raise ValueError("marking length must match the partition total")
-    start = lam.block_start(i)
-    lam_i = lam.parts[i - 1]
-    return tuple(p for p in range(start + 1, start + lam_i + 1) if word[p - 1])
-
-
-def invariant_cycle(word: Sequence[int], lam: Partition, i: int) -> InvariantCycle:
-    """Canonical gap word of a 0/1 word restricted to the i-th cycle."""
-    support = block_support(word, lam, i)
-    lam_i = lam.parts[i - 1]
-    if not support:
-        return InvariantCycle.empty(lam_i)
-    start = lam.block_start(i)
-    relative = [p - start for p in support]
-    return InvariantCycle.from_gaps(lam_i, _gap_word(relative, lam_i))
 
 
 def dual_cycle(chi: InvariantCycle) -> InvariantCycle:

@@ -1,198 +1,93 @@
 """Catalog machinery for the order-2 extension of the half-block product.
 
 For n = 2q the reversal permutation swaps the two value blocks; on generator
-labels it dualizes every gap word and re-sorts.  This module enumerates the
-pairing structures a swap-fixed label can have, lists the fixed labels
-themselves and attaches the reordering sign.  Independently it counts the
-fixed labels, with and without their signs, as coefficients of generating
-series built from closed-form necklace counts, and combines either route
-into the graded dimension of the extension invariants.
+labels it dualizes every gap word and re-sorts.  This module lists the
+fixed labels block by block, each block a union of whole duality orbits,
+and attaches the reordering sign, which depends only on each block's count
+of two-word orbits.  Independently it counts the fixed labels, with and
+without their signs, as coefficients of generating series built from
+closed-form necklace counts, and combines either route into the graded
+dimension of the extension invariants.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
-from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache, partial
 from typing import Tuple
 
-from .core_combinatorics import all_partitions, binomial, packed_series
+from .core_combinatorics import Partition, binomial, enumerate_partitions, packed_series
 from .cycle_invariants import (
     cycle_block_key,
     dual_cycle,
     enumerate_Pi,
+    enumerate_selfdual,
     necklace_count,
     selfdual_count_closed_form,
 )
 from .errors import InternalConsistencyError
-from .product_catalog import (
-    GeneratorLabel,
-    MarkedPartition,
-    PoincareTable,
-    product_dimension,
-)
-
-# Resolved pairing data of one block: m parts of value v carrying k dual
-# pairs, of which u join distinct weights (h, v-h) and w join two distinct
-# words of equal weight v/2, plus t = m - 2k self-dual words at weight v/2.
-BlockPairing = namedtuple("BlockPairing", "value mult marks k u w t")
-
-
-@dataclass(frozen=True)
-class PairedMarkedPartition:
-    """A marked partition together with one dual-pair count per block.
-
-    Within each block of m equal parts v, k pairs carry weights summing to
-    v, and the remaining m - 2k parts carry weight exactly v/2.  Two
-    structures on the same marks but with different pair counts are
-    distinct: a pair may join two different words of the same weight v/2.
-    """
-
-    marked: MarkedPartition
-    pair_counts: Tuple[int, ...]
-
-    def __post_init__(self):
-        pair_counts = tuple(self.pair_counts)
-        object.__setattr__(self, "pair_counts", pair_counts)
-        n = self.marked.partition.n
-        if n % 2 != 0:
-            raise ValueError("pairing structures need an even total")
-        if 2 * self.marked.weight != n:
-            raise ValueError("total weight must be half the partition total")
-        blocks = self.marked.block_marks()
-        if len(pair_counts) != len(blocks):
-            raise ValueError("one pair count per block required")
-        for (v, marks), k in zip(blocks, pair_counts):
-            highs = Counter(d for d in marks if 2 * d > v)
-            lows = Counter(d for d in marks if 2 * d < v)
-            if Counter(v - d for d in highs.elements()) != lows:
-                raise ValueError("marks are not balanced into dual pairs")
-            u = sum(highs.values())
-            e = len(marks) - 2 * u
-            if e and v % 2:
-                raise ValueError("odd parts cannot carry half weight")
-            if not u <= k or 2 * (k - u) > e:
-                raise ValueError("pair count out of range for the marks")
-
-    @property
-    def partition(self):
-        return self.marked.partition
-
-    def block_structure(self) -> Tuple[BlockPairing, ...]:
-        out = []
-        for (v, marks), k in zip(self.marked.block_marks(), self.pair_counts):
-            u = sum(1 for d in marks if 2 * d > v)
-            w = k - u
-            t = len(marks) - 2 * k
-            out.append(BlockPairing(v, len(marks), marks, k, u, w, t))
-        return tuple(out)
-
-    def sort_key(self):
-        return (self.partition.parts, self.marked.marks, self.pair_counts)
-
-    def __str__(self):
-        return "%s k=%s" % (self.marked, list(self.pair_counts))
+from .product_catalog import GeneratorLabel, PoincareTable, product_dimension
 
 
 @lru_cache(maxsize=None)
-def _block_pairings(v: int, m: int):
-    """All (marks, k) a block of m parts of value v can carry."""
+def _fixed_blocks(v: int, m: int):
+    """The cycle tuples of a block of m parts of value v that the swap
+    fixes, each with its pair count k, ascending in cycle_block_key order.
+
+    Such a tuple is a union of whole duality orbits: a word of weight
+    h > v/2 with its dual, and on even v two distinct dual words of weight
+    v/2, or one self-dual word there, as enumerate_selfdual lists them.
+    Orbits repeat on odd v and are distinct on even v, as words are; k
+    counts the two-word orbits.
+    """
+    selfdual = [(chi,) for chi in enumerate_selfdual(v // 2)] if v % 2 == 0 else []
+    pairs = []
+    if m > 1:  # a lone part builds no pairs
+        for h in range(v, (v - 1) // 2, -1):
+            for chi in enumerate_Pi(v, h):
+                mate = dual_cycle(chi)
+                if cycle_block_key(chi) < cycle_block_key(mate):
+                    pairs.append((chi, mate))
+    pick = itertools.combinations_with_replacement if v % 2 else itertools.combinations
     out = []
-    high_vals = range(v, v // 2, -1)
-    for u in range(m // 2 + 1):
-        rem = m - 2 * u
-        if rem and v % 2:
-            continue
-        for highs in itertools.combinations_with_replacement(high_vals, u):
-            base = list(highs) + [v // 2] * rem + [v - h for h in highs]
-            marks = tuple(sorted(base, reverse=True))
-            for w in range(rem // 2 + 1):
-                out.append((marks, u + w))
+    for k in range(m // 2 + 1):
+        for chosen in pick(pairs, k):
+            for alone in itertools.combinations(selfdual, m - 2 * k):
+                cycles = sorted(sum(chosen + alone, ()), key=cycle_block_key)
+                out.append((tuple(cycles), k))
+    out.sort(key=lambda pair: [cycle_block_key(chi) for chi in pair[0]])
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def enumerate_E(n: int) -> Tuple[PairedMarkedPartition, ...]:
-    """All pairing structures over partitions of an even n."""
+def _ep_members(n: int):
+    """All (label, pair counts) of swap-fixed generators, one pair count per
+    block, in sort_key order: partitions in enumerate_generators' order,
+    each taking the product of its blocks' fixed tuples."""
     if n < 2 or n % 2:
         raise ValueError("need an even n >= 2")
     out = []
-    for lam in all_partitions(n):
-        per_block = [_block_pairings(v, m) for v, m in lam.blocks]
-        for combo in itertools.product(*per_block):
-            marks = tuple(d for block_marks, _ in combo for d in block_marks)
-            ks = tuple(k for _, k in combo)
-            out.append(PairedMarkedPartition(MarkedPartition(lam, marks), ks))
-    return tuple(sorted(out, key=PairedMarkedPartition.sort_key))
-
-
-@lru_cache(maxsize=None)
-def _selfdual_split(v: int):
-    """Split the half-weight words on an even v into (self-dual, orbit pairs)."""
-    if v % 2:
-        raise ValueError("half weight needs an even part")
-    fixed = []
-    orbit_pairs = []
-    for chi in enumerate_Pi(v, v // 2):
-        mate = dual_cycle(chi)
-        if mate == chi:
-            fixed.append(chi)
-        elif cycle_block_key(chi) < cycle_block_key(mate):
-            orbit_pairs.append((chi, mate))
-    return tuple(fixed), tuple(orbit_pairs)
-
-
-def _block_labelings(bp: BlockPairing):
-    """All canonical cycle tuples realizing one block's pairing structure."""
-    v = bp.value
-    class_choices = []
-    for h, c in sorted(Counter(d for d in bp.marks if 2 * d > v).items()):
-        pool = enumerate_Pi(v, h)
-        if v % 2 == 0:
-            picks = itertools.combinations(pool, c)
-        else:
-            picks = itertools.combinations_with_replacement(pool, c)
-        class_choices.append(
-            [sum(((chi, dual_cycle(chi)) for chi in pick), ()) for pick in picks]
-        )
-    if v % 2 == 0:
-        fixed, orbit_pairs = _selfdual_split(v)
-        class_choices.append(
-            [sum(pick, ()) for pick in itertools.combinations(orbit_pairs, bp.w)]
-        )
-        class_choices.append(
-            list(itertools.combinations(fixed, bp.t))
-        )
-    for combo in itertools.product(*class_choices):
-        cycles = [chi for group in combo for chi in group]
-        cycles.sort(key=cycle_block_key)
-        yield tuple(cycles)
-
-
-@lru_cache(maxsize=None)
-def _ep_members(n: int):
-    """All (structure, label) pairs of swap-fixed generators."""
-    out = []
-    for pmp in enumerate_E(n):
-        per_block = [list(_block_labelings(bp)) for bp in pmp.block_structure()]
-        for combo in itertools.product(*per_block):
-            cycles = tuple(chi for block in combo for chi in block)
-            out.append((pmp, GeneratorLabel(pmp.partition, cycles)))
-    out.sort(key=lambda pair: pair[1].sort_key())
+    for j in range(n, 0, -1):
+        for lam in reversed(enumerate_partitions(n, j)):
+            per_block = [_fixed_blocks(v, m) for v, m in lam.blocks]
+            for combo in itertools.product(*per_block):
+                cycles = tuple(chi for block, _ in combo for chi in block)
+                pair_counts = tuple(k for _, k in combo)
+                out.append((GeneratorLabel(lam, cycles), pair_counts))
     return tuple(out)
 
 
 def enumerate_EP(n: int) -> Tuple[GeneratorLabel, ...]:
     """All swap-fixed generator labels of the half-weight catalog."""
-    return tuple(label for _, label in _ep_members(n))
+    return tuple(label for label, _ in _ep_members(n))
 
 
-def epsilon_sign(pmp: PairedMarkedPartition) -> int:
-    """Sign the swap acts by on any label with this pairing structure."""
+def epsilon_sign(lam: Partition, pair_counts: Tuple[int, ...]) -> int:
+    """Sign the swap acts by on a fixed label on lam with these pair counts,
+    one per block."""
     exponent = 0
-    for bp in pmp.block_structure():
-        v, m, k = bp.value, bp.mult, bp.k
+    for (v, m), k in zip(lam.blocks, pair_counts):
         exponent += m * (v - 1) * (v - 2) // 2 + (v - 1) ** 2 * k * (2 * k - 1)
     return -1 if exponent % 2 else 1
 
@@ -200,7 +95,9 @@ def epsilon_sign(pmp: PairedMarkedPartition) -> int:
 def enumerate_KP(n: int) -> Tuple[GeneratorLabel, ...]:
     """The swap-fixed labels on which the swap acts by -1."""
     return tuple(
-        label for pmp, label in _ep_members(n) if epsilon_sign(pmp) == -1
+        label
+        for label, pair_counts in _ep_members(n)
+        if epsilon_sign(label.partition, pair_counts) == -1
     )
 
 

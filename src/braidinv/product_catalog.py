@@ -23,50 +23,8 @@ from .cycle_invariants import (
     cycle_admissible,
     cycle_block_key,
     enumerate_Pi,
-    invariant_cycle,
     necklace_count,
 )
-
-
-@dataclass(frozen=True)
-class MarkedPartition:
-    """A partition with one weight 0 <= d_i <= part per part.
-
-    Every part carries a mark, parts of size 1 included; inside a run of
-    equal parts the marks are weakly decreasing.
-    """
-
-    partition: Partition
-    marks: Tuple[int, ...]
-
-    def __post_init__(self):
-        marks = tuple(self.marks)
-        object.__setattr__(self, "marks", marks)
-        parts = self.partition.parts
-        if len(marks) != len(parts):
-            raise ValueError("one mark per part required")
-        for p, d in zip(parts, marks):
-            if not 0 <= d <= p:
-                raise ValueError("mark out of range for its part")
-        for t in range(len(parts) - 1):
-            if parts[t] == parts[t + 1] and marks[t] < marks[t + 1]:
-                raise ValueError("marks must be weakly decreasing on equal parts")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.marks)
-
-    def block_marks(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-        """Per block: (part value, the marks of that block, descending)."""
-        out = []
-        pos = 0
-        for v, m in self.partition.blocks:
-            out.append((v, self.marks[pos:pos + m]))
-            pos += m
-        return tuple(out)
-
-    def __str__(self):
-        return "%s d=%s" % (self.partition, list(self.marks))
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,9 +62,6 @@ class GeneratorLabel:
     @property
     def weight(self) -> int:
         return sum(c.weight for c in self.cycles)
-
-    def marked(self) -> MarkedPartition:
-        return MarkedPartition(self.partition, tuple(c.weight for c in self.cycles))
 
     def sort_key(self):
         return (
@@ -253,26 +208,6 @@ def enumerate_generators(n: int, q: int) -> Tuple[GeneratorLabel, ...]:
         for lam in reversed(enumerate_partitions(n, j)):
             out.extend(_partition_labels(lam, q))
     return tuple(out)
-
-
-def label_from_word(word: Tuple[int, ...], lam: Partition):
-    """The generator label a 0/1 coset word induces, or None when rejected.
-
-    Each part reads its gap word off the word restricted to its block;
-    the per-part words are canonicalized blockwise and must pass the same
-    admissibility and repetition rules the catalog enforces.
-    """
-    cycles = []
-    pos = 0
-    for _, m in lam.blocks:
-        block = [invariant_cycle(word, lam, pos + t + 1) for t in range(m)]
-        block.sort(key=cycle_block_key)
-        cycles.extend(block)
-        pos += m
-    try:
-        return GeneratorLabel(lam, tuple(cycles))
-    except ValueError:
-        return None
 
 
 def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:

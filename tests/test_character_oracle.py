@@ -19,7 +19,7 @@ from braidinv.character_oracle import (
 from braidinv.core_combinatorics import Partition, all_partitions
 from braidinv.errors import CapabilityError
 from braidinv.extension_catalog import ext_dimension
-from braidinv.product_catalog import label_from_word, product_dimension
+from braidinv.product_catalog import product_dimension
 from oracle_listing import (
     CyclotomicSum,
     _assemble,
@@ -31,6 +31,7 @@ from oracle_listing import (
     stabilizer,
     zeta_value,
 )
+from test_product_catalog import label_from_word
 
 def test_perm_basics():
     s = (2, 3, 1)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -349,6 +350,27 @@ def test_ep_json(capsys):
     kernel_rows = [r for r in doc["members"] if r["kernel"]]
     assert len(kernel_rows) == 4
     assert all(r["sign"] == -1 for r in kernel_rows)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["ep", "--n", "12", "--format", "json"],
+            "db87119088a8d871a6481e5074f33a2429330fe3ef5d6116d08dfb1f15fcaa5b",
+        ),
+        (
+            ["ep", "--n", "10"],
+            "559eaf10a2bdc5c954f4b867741614f605f17028cc01d9ac1a9fb26e1bc55f76",
+        ),
+    ],
+    ids=["ep --n 12 --format json", "ep --n 10"],
+)
+def test_ep_output_is_pinned_byte_for_byte(capsys, argv, digest):
+    # every row, its order, its per-block pairing and its sign
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_ep_odd_n_exits_2(capsys):

@@ -1,4 +1,5 @@
 import itertools
+from typing import Sequence, Tuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,19 +8,41 @@ from braidinv.core_combinatorics import Partition, binomial, min_rotation
 from braidinv.cycle_invariants import (
     InvariantCycle,
     Pi_letters_exceed,
-    block_support,
+    _gap_word,
     cycle_admissible,
     cycle_from_bits,
     cycle_sort_key,
     dual_cycle,
     enumerate_Pi,
     enumerate_selfdual,
-    invariant_cycle,
     necklace_count,
     selfdual_count_closed_form,
     selfdual_letters_exceed,
 )
 from braidinv.errors import InternalConsistencyError
+
+
+def block_support(word: Sequence[int], lam: Partition, i: int) -> Tuple[int, ...]:
+    """Marked positions of a 0/1 word on the points 1..n inside the i-th
+    part interval, ascending, 1-based."""
+    if any(b not in (0, 1) for b in word):
+        raise ValueError("a marking word has letters 0 and 1 only")
+    if len(word) != lam.n:
+        raise ValueError("marking length must match the partition total")
+    start = lam.block_start(i)
+    lam_i = lam.parts[i - 1]
+    return tuple(p for p in range(start + 1, start + lam_i + 1) if word[p - 1])
+
+
+def invariant_cycle(word: Sequence[int], lam: Partition, i: int) -> InvariantCycle:
+    """Canonical gap word of a 0/1 word restricted to the i-th cycle."""
+    support = block_support(word, lam, i)
+    lam_i = lam.parts[i - 1]
+    if not support:
+        return InvariantCycle.empty(lam_i)
+    start = lam.block_start(i)
+    relative = [p - start for p in support]
+    return InvariantCycle.from_gaps(lam_i, _gap_word(relative, lam_i))
 
 
 def test_block_support():

@@ -8,23 +8,17 @@ from braidinv.core_combinatorics import Partition, packed_series
 from braidinv.cycle_invariants import InvariantCycle, cycle_block_key, dual_cycle
 from braidinv.errors import InternalConsistencyError
 from braidinv.extension_catalog import (
-    PairedMarkedPartition,
     _ep_members,
+    _fixed_blocks,
     _fixed_factors,
     count_EP_closed_form,
     count_KP_closed_form,
-    enumerate_E,
     enumerate_EP,
     enumerate_KP,
     epsilon_sign,
     ext_dimension,
 )
-from braidinv.product_catalog import (
-    GeneratorLabel,
-    MarkedPartition,
-    enumerate_generators,
-    product_dimension,
-)
+from braidinv.product_catalog import GeneratorLabel, enumerate_generators, product_dimension
 from dict_series import fixed_series
 
 # pinned: both enumeration and closed form produce these
@@ -57,50 +51,25 @@ def sigma_dual_label(label: GeneratorLabel) -> GeneratorLabel:
         ) from exc
 
 
-def pairing_of_label(label: GeneratorLabel) -> PairedMarkedPartition:
-    """Recover the pairing structure of a swap-fixed label."""
+def pairing_of_label(label: GeneratorLabel) -> tuple:
+    """Read each block's pair count off a swap-fixed label: the words the
+    swap does not fix come in dual pairs, so k = (m - self-dual words) / 2."""
     ks = []
     pos = 0
-    for v, m in label.partition.blocks:
+    for _, m in label.partition.blocks:
         block = label.cycles[pos:pos + m]
-        u = sum(1 for chi in block if 2 * chi.weight > v)
-        moved = sum(
-            1
-            for chi in block
-            if 2 * chi.weight == v and dual_cycle(chi) != chi
-        )
+        moved = sum(1 for chi in block if dual_cycle(chi) != chi)
         if moved % 2:
             raise ValueError("label is not swap-fixed")
-        ks.append(u + moved // 2)
+        ks.append(moved // 2)
         pos += m
-    return PairedMarkedPartition(label.marked(), tuple(ks))
-
-
-def test_paired_marked_partition_validation():
-    lam = Partition((3, 3))
-    mp = MarkedPartition(lam, (2, 1))
-    PairedMarkedPartition(mp, (1,))
-    with pytest.raises(ValueError):
-        PairedMarkedPartition(mp, (0,))  # the (2,1) pair must be counted
-    with pytest.raises(ValueError):
-        PairedMarkedPartition(mp, (1, 1))  # one count per block
-    with pytest.raises(ValueError):
-        # total weight must be n/2
-        PairedMarkedPartition(MarkedPartition(lam, (1, 1)), (1,))
-    with pytest.raises(ValueError):
-        # weight 3 on the 4-part has no weight-1 mate among the 1-parts
-        PairedMarkedPartition(
-            MarkedPartition(Partition((4, 1, 1)), (3, 0, 0)), (1, 0)
-        )
+    return tuple(ks)
 
 
 def test_paired_marked_partition_allows_large_k_on_ones():
     # four 1-parts, two dual (1,0)-pairs: k = 2 exceeds half of the part value
-    lam = Partition((3, 3, 1, 1, 1, 1))
-    mp = MarkedPartition(lam, (2, 1, 1, 1, 0, 0))
-    pmp = PairedMarkedPartition(mp, (1, 2))
-    bp = pmp.block_structure()[1]
-    assert (bp.value, bp.mult, bp.k, bp.u, bp.w, bp.t) == (1, 4, 2, 2, 0, 0)
+    full, empty = InvariantCycle(1, (0,)), InvariantCycle.empty(1)
+    assert _fixed_blocks(1, 4) == (((full, full, empty, empty), 2),)
 
 
 def test_sigma_dual_label_examples():
@@ -138,11 +107,12 @@ def test_counts_closed_form_vs_enumeration(n):
     assert count_KP_closed_form(n) == kp
 
 
-@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12, 14))
 def test_EP_is_the_fixed_point_set(n):
-    fixed = {g for g in enumerate_generators(n, n // 2) if sigma_dual_label(g) == g}
-    assert set(enumerate_EP(n)) == fixed
-    assert set(enumerate_KP(n)) <= fixed
+    # the same labels in the same order: the listing keeps sort_key order
+    fixed = [g for g in enumerate_generators(n, n // 2) if sigma_dual_label(g) == g]
+    assert list(enumerate_EP(n)) == fixed
+    assert set(enumerate_KP(n)) <= set(fixed)
 
 
 def test_ep_members_n6_explicit():
@@ -158,25 +128,27 @@ def test_ep_members_n6_explicit():
 
 
 def test_epsilon_sign_examples():
-    probe = {p.partition.parts: (p, None) for p, _ in _ep_members(6)}
-    signs = {parts: epsilon_sign(p) for parts, (p, _) in probe.items()}
+    signs = {
+        label.partition.parts: epsilon_sign(label.partition, pair_counts)
+        for label, pair_counts in _ep_members(6)
+    }
     assert signs[(3, 3)] == 1
     assert signs[(4, 1, 1)] == -1
     assert signs[(4, 2)] == -1
     assert signs[(1, 1, 1, 1, 1, 1)] == 1
 
 
-def kernel_parity_conditions(pmp: PairedMarkedPartition) -> bool:
-    """Explicit residue test for a structure landing in the kernel.
+def kernel_parity_conditions(lam: Partition, pair_counts: tuple) -> bool:
+    """Explicit residue test for a fixed label landing in the kernel.
 
     A block contributes when its (value, multiplicity, pair count) residues
-    mod 4 match one of four patterns; the structure is in the kernel when an
+    mod 4 match one of four patterns; the label is in the kernel when an
     odd number of blocks contribute.  A cross-check against the sign
     computation, which is authoritative.
     """
     hits = 0
-    for bp in pmp.block_structure():
-        v, m, k = bp.value % 4, bp.mult % 4, bp.k % 2
+    for (value, mult), k in zip(lam.blocks, pair_counts):
+        v, m, k = value % 4, mult % 4, k % 2
         if k == 0:
             if v in (0, 3) and m in (1, 3):
                 hits += 1
@@ -192,21 +164,15 @@ def kernel_parity_conditions(pmp: PairedMarkedPartition) -> bool:
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
 def test_kernel_parity_conditions_match_sign(n):
-    for pmp, _ in _ep_members(n):
-        assert (epsilon_sign(pmp) == -1) == kernel_parity_conditions(pmp)
+    for label, pair_counts in _ep_members(n):
+        kernel = epsilon_sign(label.partition, pair_counts) == -1
+        assert kernel == kernel_parity_conditions(label.partition, pair_counts)
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
 def test_pairing_recovery_and_sign_constancy(n):
-    for pmp, label in _ep_members(n):
-        assert pairing_of_label(label) == pmp
-
-
-def test_enumerate_E_contains_structures_beyond_labels():
-    # structures whose binomial factor vanishes still appear in E
-    structures = enumerate_E(4)
-    labeled = {pmp for pmp, _ in _ep_members(4)}
-    assert labeled <= set(structures)
+    for label, pair_counts in _ep_members(n):
+        assert pairing_of_label(label) == pair_counts
 
 
 @pytest.mark.parametrize("n", sorted(EXT_TABLES))
@@ -229,7 +195,7 @@ def test_formula_route_lists_nothing(monkeypatch):
     listings = (
         cycle_invariants.enumerate_Pi,
         cycle_invariants.enumerate_selfdual,
-        extension_catalog.enumerate_E,
+        extension_catalog._ep_members,
     )
 
     def refuse(*args, **kwargs):

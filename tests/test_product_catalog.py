@@ -1,5 +1,6 @@
 import itertools
 from functools import lru_cache
+from typing import Tuple
 
 import pytest
 
@@ -8,15 +9,14 @@ from braidinv.core_combinatorics import Partition, all_partitions
 from braidinv.cycle_invariants import InvariantCycle, cycle_block_key, enumerate_Pi
 from braidinv.product_catalog import (
     GeneratorLabel,
-    MarkedPartition,
     PoincareTable,
     _block_assignments,
     _label_series,
     enumerate_generators,
-    label_from_word,
     product_dimension,
 )
 from dict_series import untrimmed_label_series
+from test_cycle_invariants import invariant_cycle
 
 # pinned against the brute-force character path (see test_character_oracle)
 PRODUCT_TABLES = {
@@ -27,23 +27,6 @@ PRODUCT_TABLES = {
     (6, 3): {0: 1, 1: 3, 2: 5, 3: 8, 4: 8, 5: 3},
     (8, 3): {0: 1, 1: 3, 2: 5, 3: 9, 4: 16, 5: 22, 6: 19, 7: 7},
 }
-
-
-def test_marked_partition_validation():
-    lam = Partition((3, 3, 1))
-    MarkedPartition(lam, (2, 1, 0))
-    with pytest.raises(ValueError):
-        MarkedPartition(lam, (1, 2, 0))  # marks must not increase in a block
-    with pytest.raises(ValueError):
-        MarkedPartition(lam, (4, 1, 0))  # mark exceeds its part
-    with pytest.raises(ValueError):
-        MarkedPartition(lam, (2, 1))  # one mark per part
-
-
-def test_marked_partition_block_marks():
-    mp = MarkedPartition(Partition((3, 3, 1, 1)), (2, 1, 1, 0))
-    assert mp.block_marks() == ((3, (2, 1)), (1, (1, 0)))
-    assert mp.weight == 4
 
 
 def test_generator_label_validation():
@@ -67,7 +50,6 @@ def test_generator_label_degree_weight():
     label = GeneratorLabel(lam, (InvariantCycle(4, (0, 2)), InvariantCycle(2, (1,))))
     assert label.degree == 4
     assert label.weight == 3
-    assert label.marked() == MarkedPartition(lam, (2, 1))
     assert str(label) == "(4,2) (0,2)(1)"
 
 
@@ -133,6 +115,26 @@ def test_product_dimension_symmetry_and_degree_zero(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_classical_anchor_full_invariants(n):
     assert product_dimension(n, 0).as_dict() == {0: 1, 1: 1}
+
+
+def label_from_word(word: Tuple[int, ...], lam: Partition):
+    """The generator label a 0/1 coset word induces, or None when rejected.
+
+    Each part reads its gap word off the word restricted to its block;
+    the per-part words are canonicalized blockwise and must pass the same
+    admissibility and repetition rules the catalog enforces.
+    """
+    cycles = []
+    pos = 0
+    for _, m in lam.blocks:
+        block = [invariant_cycle(word, lam, pos + t + 1) for t in range(m)]
+        block.sort(key=cycle_block_key)
+        cycles.extend(block)
+        pos += m
+    try:
+        return GeneratorLabel(lam, tuple(cycles))
+    except ValueError:
+        return None
 
 
 def test_label_from_delta_accepts_and_rejects():
