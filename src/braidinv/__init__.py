@@ -6,10 +6,11 @@ suite and the `braidinv verify` command enforce it.
 """
 
 from .character_oracle import GroupSpec, oracle_dimension
+from .core_combinatorics import PoincareTable
 from .cycle_invariants import enumerate_selfdual, selfdual_count_closed_form
 from .errors import CapabilityError, InternalConsistencyError
 from .extension_catalog import enumerate_EP, enumerate_KP, ext_dimension
-from .product_catalog import PoincareTable, enumerate_generators, product_dimension
+from .product_catalog import enumerate_generators, product_dimension
 
 __version__ = "0.1.0"
 

@@ -2,12 +2,13 @@
 
 Builds the centralizer of the canonical cycle product of a partition, its
 distinguished 1-dimensional character, the double cosets against a chosen
-subgroup (each as its marking word), and the Mackey inner products with
-the trivial character, using exact integer arithmetic throughout:
-character values are exponents of roots of unity, and an inner product is
-decided on generators of the isotropy.  Nothing here consults the
-admissibility predicate or the counting formulas, so agreement between
-the two paths is a real check.
+subgroup, and the Mackey inner products with the trivial character, in
+exact integer arithmetic: character values are exponents of roots of
+unity, and an inner product is decided on generators of the isotropy.  A
+double coset is its marking word, built block by block from the rotation
+classes of 0/1 words, which are found by rotating every word.  Nothing
+here consults the admissibility predicate or the counting formulas, so
+agreement between the two paths is a real check.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .core_combinatorics import Partition, all_partitions, min_rotation
+from .core_combinatorics import Partition, PoincareTable, all_partitions, min_rotation
 from .errors import CapabilityError, InternalConsistencyError
-from .product_catalog import PoincareTable
 
 log = logging.getLogger(__name__)
 
@@ -231,51 +230,44 @@ def _character_exponent(lam: Partition, runs, block_map, exponents, L: int) -> i
     return (root + (sign_parity % 2) * (L // 2)) % L
 
 
+@lru_cache(maxsize=None)
+def _rotation_classes(v: int) -> Tuple[Tuple[int, ...], ...]:
+    """The least rotations of all 2^v words of 0s and 1s, ascending."""
+    words = itertools.product((0, 1), repeat=v)
+    return tuple(sorted({min_rotation(w)[0] for w in words}))
+
+
 def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ...]:
     """One marking word per (group, centralizer) double coset, sorted.
 
     A coset's marking word is the 0/1 word on the points 1..n that marks
     the points it sends into the top block.  The double cosets are the
-    orbits of weight-q words under the centralizer's position action, with
-    the complement thrown in for the extension; each is given by its
-    lex-least word."""
+    orbits of weight-q words under the centralizer, which rotates each part
+    and permutes equal parts, with the complement thrown in for the
+    extension.  An orbit is a multiset of rotation classes per block of
+    equal parts; its lex-least word, the one given here, lists each
+    block's least rotations in ascending order."""
     if lam.n != group.n:
         raise ValueError("partition total must match the group degree")
-    n, q = group.n, group.q
-    identity = tuple(range(1, n + 1))
-    # fixing every point moves no word; at n = 1 that is every generator,
-    # so itemgetter never sees a single index and returns a scalar
-    moves = [
-        operator.itemgetter(*(x - 1 for x in g))
-        for g in build_centralizer(lam).generators
-        if g != identity
+    choices = [
+        itertools.combinations_with_replacement(_rotation_classes(v), m)
+        for v, m in lam.blocks
     ]
-    # marked sets in lex order give their words in descending lex order
-    words = []
-    for marked in itertools.combinations(range(n), q):
-        word = [0] * n
-        for x in marked:
-            word[x] = 1
-        words.append(tuple(word))
-    seen = set()
     reps = []
-    for seed in reversed(words):
-        if seed in seen:
+    for pick in itertools.product(*choices):
+        word = tuple(b for block in pick for segment in block for b in segment)
+        if sum(word) != group.q:
             continue
-        # the first word of an orbit met in lex order is its least
-        reps.append(seed)
-        seen.add(seed)
-        frontier = [seed]
-        while frontier:
-            w = frontier.pop()
-            nexts = [move(w) for move in moves]
-            if group.variant == "extension":
-                nexts.append(tuple(1 - b for b in w))
-            for w2 in nexts:
-                if w2 not in seen:
-                    seen.add(w2)
-                    frontier.append(w2)
-    return tuple(reps)
+        if group.variant == "extension":
+            # segments line up, so nested tuples compare as their words do
+            complement = tuple(
+                tuple(sorted(min_rotation(1 - b for b in s)[0] for s in block))
+                for block in pick
+            )
+            if complement < pick:
+                continue
+        reps.append(word)
+    return tuple(sorted(reps))
 
 
 def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
@@ -318,22 +310,11 @@ def isotropy_inner_product(
 
 def check_oracle_scale(n: int, long_running: bool):
     """Refuse (CapabilityError) an oracle run beyond the supported n."""
-    if n <= ORACLE_LIMIT:
-        return
-    if long_running and n <= ORACLE_LONG_LIMIT:
+    if n <= ORACLE_LIMIT or (long_running and n <= ORACLE_LONG_LIMIT):
         return
     raise CapabilityError(
         "oracle runs stop at n = %d (n = %d with long runs enabled)"
         % (ORACLE_LIMIT, ORACLE_LONG_LIMIT)
-    )
-
-
-def _lambda_contribution(group: GroupSpec, lam: Partition) -> int:
-    """The invariants of one cycle type: its cosets whose isotropy the
-    centralizer character is trivial on."""
-    return sum(
-        isotropy_inner_product(word, lam, group)
-        for word in double_cosets(group, lam)
     )
 
 
@@ -349,7 +330,11 @@ def oracle_tables(
     for group in groups:
         counts = Counter()
         for lam in all_partitions(n):
-            counts[lam.degree] += _lambda_contribution(group, lam)
+            # one invariant per coset whose isotropy the character is trivial on
+            counts[lam.degree] += sum(
+                isotropy_inner_product(word, lam, group)
+                for word in double_cosets(group, lam)
+            )
             log.debug("oracle %s: partition %s done", group.describe(), lam.parts)
         tables.append(PoincareTable.from_dict(counts))
     return tuple(tables)

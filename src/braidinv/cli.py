@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from .character_oracle import GroupSpec, check_oracle_scale, oracle_tables
-from .core_combinatorics import partition_count
+from .core_combinatorics import PoincareTable, partition_count
 from .cycle_invariants import (
     Pi_letters_exceed,
     enumerate_Pi,
@@ -32,7 +32,7 @@ from .extension_catalog import (
     epsilon_sign,
     ext_dimension,
 )
-from .product_catalog import PoincareTable, product_dimension
+from .product_catalog import product_dimension
 
 SPIN_NOTE = "upper container for H*(S(Σ_g;c))"
 

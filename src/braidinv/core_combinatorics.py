@@ -1,4 +1,4 @@
-"""Partitions, words, rotations, and counting primitives.
+"""Partitions, words, rotations, counting primitives and graded dimension tables.
 
 Everything downstream works with exact integers; no floating point is used
 anywhere in this package.
@@ -7,9 +7,10 @@ anywhere in this package.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 Word = Tuple[int, ...]
 
@@ -70,6 +71,46 @@ class Partition:
 
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
+
+
+@dataclass(frozen=True)
+class PoincareTable:
+    """Degree-indexed dimensions; absent degrees are zero."""
+
+    entries: Tuple[Tuple[int, int], ...]
+
+    def __post_init__(self):
+        cleaned = tuple(sorted((d, v) for d, v in self.entries if v))
+        if any(d < 0 or v < 0 for d, v in cleaned):
+            raise ValueError("degrees and dimensions must be non-negative")
+        if len({d for d, _ in cleaned}) != len(cleaned):
+            raise ValueError("repeated degree")
+        object.__setattr__(self, "entries", cleaned)
+
+    @classmethod
+    def from_dict(cls, mapping: Dict[int, int]) -> "PoincareTable":
+        return cls(tuple(mapping.items()))
+
+    @classmethod
+    def from_degrees(cls, degrees) -> "PoincareTable":
+        return cls.from_dict(Counter(degrees))
+
+    def __getitem__(self, degree: int) -> int:
+        for d, v in self.entries:
+            if d == degree:
+                return v
+        return 0
+
+    @property
+    def total(self) -> int:
+        return sum(v for _, v in self.entries)
+
+    @property
+    def max_degree(self) -> int:
+        return max((d for d, _ in self.entries), default=0)
+
+    def as_dict(self) -> Dict[int, int]:
+        return dict(self.entries)
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,13 @@ from collections import Counter
 from functools import lru_cache, partial
 from typing import Tuple
 
-from .core_combinatorics import Partition, binomial, enumerate_partitions, packed_series
+from .core_combinatorics import (
+    Partition,
+    PoincareTable,
+    binomial,
+    enumerate_partitions,
+    packed_series,
+)
 from .cycle_invariants import (
     cycle_block_key,
     dual_cycle,
@@ -27,7 +33,7 @@ from .cycle_invariants import (
     selfdual_count_closed_form,
 )
 from .errors import InternalConsistencyError
-from .product_catalog import GeneratorLabel, PoincareTable, product_dimension
+from .product_catalog import GeneratorLabel, product_dimension
 
 
 @lru_cache(maxsize=None)

@@ -12,12 +12,18 @@ their exponents from closed-form necklace counts, so nothing is listed.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .core_combinatorics import Partition, binomial, enumerate_partitions, packed_series
+from .core_combinatorics import (
+    Partition,
+    PoincareTable,
+    binomial,
+    enumerate_partitions,
+    packed_series,
+)
 from .cycle_invariants import (
     InvariantCycle,
     cycle_admissible,
@@ -72,46 +78,6 @@ class GeneratorLabel:
 
     def __str__(self):
         return "%s %s" % (self.partition, "".join(str(c) for c in self.cycles))
-
-
-@dataclass(frozen=True)
-class PoincareTable:
-    """Degree-indexed dimensions; absent degrees are zero."""
-
-    entries: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        cleaned = tuple(sorted((d, v) for d, v in self.entries if v))
-        if any(d < 0 or v < 0 for d, v in cleaned):
-            raise ValueError("degrees and dimensions must be non-negative")
-        if len({d for d, _ in cleaned}) != len(cleaned):
-            raise ValueError("repeated degree")
-        object.__setattr__(self, "entries", cleaned)
-
-    @classmethod
-    def from_dict(cls, mapping: Dict[int, int]) -> "PoincareTable":
-        return cls(tuple(mapping.items()))
-
-    @classmethod
-    def from_degrees(cls, degrees) -> "PoincareTable":
-        return cls.from_dict(Counter(degrees))
-
-    def __getitem__(self, degree: int) -> int:
-        for d, v in self.entries:
-            if d == degree:
-                return v
-        return 0
-
-    @property
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
-
-    @property
-    def max_degree(self) -> int:
-        return max((d for d, _ in self.entries), default=0)
-
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self.entries)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,9 @@ character evaluated on a centralizer element given as a permutation,
 live here too: the oracle itself only ever compares exponents with 0.
 The ground truth for the oracle's coset words lives here as well: orbits
 of the group acting by conjugation on a conjugacy class of the symmetric
-group, which never read a marking word.
+group, which never read a marking word, and the breadth-first search over
+all C(n, q) marking words that the oracle's per-block construction
+replaced, which must give the same words in the same order.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from braidinv.character_oracle import (
     GroupSpec,
     _character_exponent,
     _value_runs,
+    build_centralizer,
     root_order,
 )
 from braidinv.core_combinatorics import Partition
@@ -122,6 +125,54 @@ def generic_double_cosets(group: GroupSpec, lam: Partition):
         by_length = sorted(_cycles(x), key=len, reverse=True)
         reps.append(tuple(p for cycle in by_length for p in cycle))
     return tuple(sorted(reps))
+
+
+def searched_double_cosets(group: GroupSpec, lam: Partition):
+    """One marking word per (group, centralizer) double coset, sorted, found
+    by searching the orbits of the centralizer's generators.
+
+    A coset's marking word is the 0/1 word on the points 1..n that marks
+    the points it sends into the top block.  The double cosets are the
+    orbits of weight-q words under the centralizer's position action, with
+    the complement thrown in for the extension; each is given by its
+    lex-least word."""
+    if lam.n != group.n:
+        raise ValueError("partition total must match the group degree")
+    n, q = group.n, group.q
+    identity = tuple(range(1, n + 1))
+    # fixing every point moves no word; at n = 1 that is every generator,
+    # so itemgetter never sees a single index and returns a scalar
+    moves = [
+        operator.itemgetter(*(x - 1 for x in g))
+        for g in build_centralizer(lam).generators
+        if g != identity
+    ]
+    # marked sets in lex order give their words in descending lex order
+    words = []
+    for marked in itertools.combinations(range(n), q):
+        word = [0] * n
+        for x in marked:
+            word[x] = 1
+        words.append(tuple(word))
+    seen = set()
+    reps = []
+    for seed in reversed(words):
+        if seed in seen:
+            continue
+        # the first word of an orbit met in lex order is its least
+        reps.append(seed)
+        seen.add(seed)
+        frontier = [seed]
+        while frontier:
+            w = frontier.pop()
+            nexts = [move(w) for move in moves]
+            if group.variant == "extension":
+                nexts.append(tuple(1 - b for b in w))
+            for w2 in nexts:
+                if w2 not in seen:
+                    seen.add(w2)
+                    frontier.append(w2)
+    return tuple(reps)
 
 
 def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:

@@ -1,7 +1,10 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+from braidinv import character_oracle
 from braidinv.character_oracle import (
     GroupSpec,
     _from_cycles,
@@ -28,6 +31,7 @@ from oracle_listing import (
     generic_double_cosets,
     group_generators,
     listed_inner_product,
+    searched_double_cosets,
     stabilizer,
     zeta_value,
 )
@@ -262,7 +266,21 @@ def test_double_cosets_examples():
     assert len(double_cosets(GroupSpec.product(4, 2), Partition((1, 1, 1, 1)))) == 1
 
 
-GENERIC_WORD_NS = range(2, 7)
+def test_double_cosets_match_the_search():
+    # the same words in the same order, for every group with n <= 10
+    for n in range(1, 11):
+        groups = [GroupSpec.product(n, q) for q in range(n + 1)]
+        if n % 2 == 0:
+            groups.append(GroupSpec.extension(n // 2))
+        for lam in all_partitions(n):
+            for g in groups:
+                assert double_cosets(g, lam) == searched_double_cosets(g, lam), (
+                    lam.parts,
+                    g.describe(),
+                )
+
+
+GENERIC_WORD_NS = range(2, 9)
 
 
 @pytest.mark.parametrize("n", GENERIC_WORD_NS)
@@ -275,28 +293,6 @@ def test_double_coset_modes_agree(n):
             generic = generic_double_cosets(g, lam)
             words = double_cosets(g, lam)
             assert len(generic) == len(words), (n, lam.parts, g.describe())
-
-
-def test_double_coset_modes_agree_n7():
-    for lam in all_partitions(7):
-        for q in range(4):
-            g = GroupSpec.product(7, q)
-            assert len(generic_double_cosets(g, lam)) == len(double_cosets(g, lam))
-
-
-def test_double_coset_modes_agree_n8_full():
-    groups = [GroupSpec.product(8, q) for q in range(5)]
-    groups.append(GroupSpec.extension(4))
-    for lam in all_partitions(8):
-        for g in groups:
-            assert len(generic_double_cosets(g, lam)) == len(double_cosets(g, lam))
-
-
-def test_double_coset_modes_agree_n8_spot():
-    # the extension and one product split; the full sweep covers every group
-    for g in (GroupSpec.extension(4), GroupSpec.product(8, 3)):
-        for lam in all_partitions(8):
-            assert len(generic_double_cosets(g, lam)) == len(double_cosets(g, lam))
 
 
 def test_isotropy_examples():
@@ -371,3 +367,25 @@ def test_oracle_capability_gate():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_total_rank_check(n):
     assert total_rank_check(n)
+
+
+def test_oracle_past_the_long_limit_at_n12(monkeypatch):
+    # the CLI gate stops at n = 10; the oracle itself runs on to n = 12
+    monkeypatch.setattr(character_oracle, "ORACLE_LONG_LIMIT", 12)
+    for q in range(7):
+        oracle = oracle_dimension(12, GroupSpec.product(12, q), long_running=True)
+        assert oracle.as_dict() == product_dimension(12, q).as_dict(), q
+    oracle = oracle_dimension(12, GroupSpec.extension(6), long_running=True)
+    assert oracle.as_dict() == ext_dimension(12)[1].as_dict()
+    assert total_rank_check(12, long_running=True)
+
+
+def test_oracle_imports_no_catalog_module():
+    # the oracle shares no rule with the catalog or the formulas
+    tree = ast.parse(Path(character_oracle.__file__).read_text())
+    relative = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert relative == {"core_combinatorics", "errors"}

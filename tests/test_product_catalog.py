@@ -5,11 +5,10 @@ from typing import Tuple
 import pytest
 
 from braidinv import product_catalog
-from braidinv.core_combinatorics import Partition, all_partitions
+from braidinv.core_combinatorics import Partition, PoincareTable, all_partitions
 from braidinv.cycle_invariants import InvariantCycle, cycle_block_key, enumerate_Pi
 from braidinv.product_catalog import (
     GeneratorLabel,
-    PoincareTable,
     _block_assignments,
     _label_series,
     enumerate_generators,

@@ -25,6 +25,7 @@ def exit_code(script, argv):
         ("cross_validate", ["--workers", "0"], 2),
         ("cross_validate", ["--max-n", "9"], 2),
         ("dimension_tables", ["--max-n", "93"], 2),
+        ("cross_validate", ["--max-n", "10", "--long"], 0),
     ],
 )
 def test_script_exit_codes(capsys, script, argv, code):
