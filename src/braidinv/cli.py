@@ -269,9 +269,7 @@ def cmd_pi(args: argparse.Namespace) -> int:
         "Pi(%d, %d)" % (args.lam, args.d),
     )
     cycles = enumerate_Pi(args.lam, args.d)
-    for chi in cycles:
-        print(chi)
-    print("%d cycles" % len(cycles))
+    print("\n".join([*map(str, cycles), "%d cycles" % len(cycles)]))
     return 0
 
 

@@ -5,13 +5,16 @@ what survives conjugation by the centralizer is the cyclic word of zero-gaps
 between marked positions.  This module builds those gap words, the complement
 duality, the admissibility predicate, the sets Pi(lam, d) of admissible
 weight-d words, and the self-dual words at half weight, each listing with
-its closed-form count.
+its closed-form count.  Both listings walk the same fixed-density necklace
+recursion: the self-dual words at weight d are in bijection with the
+binary Lyndon words of length d and odd weight, through the cyclic
+difference word.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -27,32 +30,36 @@ class InvariantCycle:
     records the zeros strictly between consecutive marked positions read
     cyclically, so its entries sum to length - d.  Stored in minimal
     rotation form, with the number of rotations that attain it, which the
-    rotation check finds anyway.
+    rotation check finds anyway, and whether cycle_admissible holds.
+    _rotation is min_rotation(gaps) when the caller has it already, as
+    from_gaps does, so the check need not compute it again.
     """
 
     length: int
     gaps: Optional[Word]
+    _rotation: InitVar[Optional[Tuple[Word, int]]] = None
     _multiplicity: int = field(init=False, repr=False, compare=False)
+    admissible: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _rotation):
         if self.length < 1:
             raise ValueError("cycle length must be positive")
-        if self.gaps is None:
-            object.__setattr__(self, "_multiplicity", 1)
-            return
-        gaps = tuple(self.gaps)
-        object.__setattr__(self, "gaps", gaps)
-        d = len(gaps)
-        if not 1 <= d <= self.length:
-            raise ValueError("gap word length out of range")
-        if any(g < 0 for g in gaps):
-            raise ValueError("gaps must be non-negative")
-        if sum(gaps) != self.length - d:
-            raise ValueError("gap word must sum to length - weight")
-        least, multiplicity = min_rotation(gaps)
-        if gaps != least:
-            raise ValueError("gap word must be in minimal rotation form")
+        multiplicity = 1
+        if self.gaps is not None:
+            gaps = tuple(self.gaps)
+            object.__setattr__(self, "gaps", gaps)
+            d = len(gaps)
+            if not 1 <= d <= self.length:
+                raise ValueError("gap word length out of range")
+            if any(g < 0 for g in gaps):
+                raise ValueError("gaps must be non-negative")
+            if sum(gaps) != self.length - d:
+                raise ValueError("gap word must sum to length - weight")
+            least, multiplicity = _rotation or min_rotation(gaps)
+            if gaps != least:
+                raise ValueError("gap word must be in minimal rotation form")
         object.__setattr__(self, "_multiplicity", multiplicity)
+        object.__setattr__(self, "admissible", cycle_admissible(self))
 
     @classmethod
     def empty(cls, length: int) -> "InvariantCycle":
@@ -60,7 +67,8 @@ class InvariantCycle:
 
     @classmethod
     def from_gaps(cls, length: int, gaps: Sequence[int]) -> "InvariantCycle":
-        return cls(length, min_rotation(gaps)[0])
+        rotation = min_rotation(gaps)
+        return cls(length, rotation[0], rotation)
 
     @property
     def weight(self) -> int:
@@ -83,28 +91,6 @@ def cycle_sort_key(chi: InvariantCycle):
 def cycle_block_key(chi: InvariantCycle):
     """Canonical order inside a block: weight descending, then word."""
     return (-chi.weight, chi.gaps or ())
-
-
-def _gap_word(positions: Sequence[int], lam: int) -> Word:
-    """Raw gap word of marked positions (1-based, ascending) on a lam-cycle.
-
-    The last coordinate closes the cycle: zeros from the last marked position
-    back around to the first.
-    """
-    d = len(positions)
-    gaps = [positions[t + 1] - positions[t] - 1 for t in range(d - 1)]
-    gaps.append(lam - positions[-1] + positions[0] - 1)
-    return tuple(gaps)
-
-
-def cycle_from_bits(lam: int, bits: Sequence[int]) -> InvariantCycle:
-    """Gap word of a 0/1 sequence of length lam read cyclically."""
-    if len(bits) != lam:
-        raise ValueError("bit word length must equal the cycle length")
-    positions = [t + 1 for t, b in enumerate(bits) if b]
-    if not positions:
-        return InvariantCycle.empty(lam)
-    return InvariantCycle.from_gaps(lam, _gap_word(positions, lam))
 
 
 def dual_cycle(chi: InvariantCycle) -> InvariantCycle:
@@ -206,31 +192,15 @@ def _necklaces(n: int, bounds):
         t, fresh = t + 1, True
 
 
-@lru_cache(maxsize=None)
-def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
-    """All admissible weight-d words on a cycle of length lam_i, ascending.
+def _gap_necklaces(d: int, total: int):
+    """The necklaces of d gaps summing to total, ascending, each with its
+    least period p as (gaps, p).
 
-    Lists the necklaces among gap words of length d with entries summing
-    to lam_i - d, in the manner of Ruskey and Sawada's fixed-density
-    necklaces (SIAM J. Comput. 1999).  A necklace starts with its least
-    letter, so letter t is at most what a[1..t-1] leave of lam_i - d, less
-    a[1] for each letter after it; the last letter takes what is left.
-    A word of least period p repeats d/p times, so cycle_admissible keeps
-    it iff d/p = 1, or d/p = 2 on lam_i = 2 mod 4, or lam_i <= 2.
+    The fixed-density walk of Ruskey and Sawada (SIAM J. Comput. 1999) over
+    gap words.  A necklace starts with its least letter, so letter t is at
+    most what a[1..t-1] leave of total, less a[1] for each letter after it;
+    the last letter takes what is left.
     """
-    if lam_i < 1:
-        raise ValueError("cycle length must be positive")
-    if not 0 <= d <= lam_i:
-        raise ValueError("need 0 <= d <= lam_i")
-    if d == 0:
-        empty = InvariantCycle.empty(lam_i)
-        return (empty,) if cycle_admissible(empty) else ()
-    if d == lam_i:
-        # the one word is all zeros, of period 1, which the walk would
-        # reach only after lam_i steps and lists of lam_i entries
-        return (InvariantCycle(lam_i, (0,) * d),) if lam_i <= 2 else ()
-    total = lam_i - d
-
     # left[t]: what a[1..t-1] leave of the total; position t is reached
     # only from t - 1, so the running sum is current whenever bounds is called
     left = [total] * (d + 1)
@@ -242,9 +212,32 @@ def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
             return left[t], left[t]
         return 0, left[t] - (d - t) * a[1] if t > 1 else total // d
 
+    return _necklaces(d, bounds)
+
+
+@lru_cache(maxsize=None)
+def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
+    """All admissible weight-d words on a cycle of length lam_i, ascending.
+
+    Lists the necklaces among gap words of length d with entries summing
+    to lam_i - d (_gap_necklaces).  A word of least period p repeats d/p
+    times, so cycle_admissible keeps it iff d/p = 1, or d/p = 2 on
+    lam_i = 2 mod 4, or lam_i <= 2.
+    """
+    if lam_i < 1:
+        raise ValueError("cycle length must be positive")
+    if not 0 <= d <= lam_i:
+        raise ValueError("need 0 <= d <= lam_i")
+    if d == 0:
+        empty = InvariantCycle.empty(lam_i)
+        return (empty,) if empty.admissible else ()
+    if d == lam_i:
+        # the one word is all zeros, of period 1, which the walk would
+        # reach only after lam_i steps and lists of lam_i entries
+        return (InvariantCycle(lam_i, (0,) * d),) if lam_i <= 2 else ()
     return tuple(
         InvariantCycle(lam_i, word)
-        for word, p in _necklaces(d, bounds)
+        for word, p in _gap_necklaces(d, lam_i - d)
         if p == d or lam_i <= 2 or (lam_i % 4 == 2 and 2 * p == d)
     )
 
@@ -253,29 +246,40 @@ def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
 def enumerate_selfdual(d: int) -> Tuple[InvariantCycle, ...]:
     """Complement-self-dual weight-d words on a cycle of length 2d.
 
-    Lists the aperiodic binary necklaces of length 2d whose letter t > d
-    complements letter t - d.  Such a word whose complement already
+    These are the aperiodic binary necklaces w of length 2d whose letter
+    t + d complements letter t.  Such a word whose complement already
     appears at a rotation by a proper divisor s of d has period 2s, so
-    keeping the aperiodic words drops exactly those; each survivor is
-    then read as its gap word.
+    keeping the aperiodic words drops exactly those.
+
+    They are listed from their cyclic difference words delta[t] =
+    w[t] xor w[t+1], which have period d and odd weight over one period.
+    Conversely an odd-weight delta of length d, summed from 0 around 2d
+    steps, closes up into such a w; summed from 1 it gives the complement
+    of w, which is w rotated by d, the same necklace.  Rotating w rotates
+    delta, and w is aperiodic iff delta is primitive, so the necklaces are
+    in bijection with the binary Lyndon words of length d and odd weight k:
+    the aperiodic gap words of k entries summing to d - k.  Summed twice
+    around, delta = 1 0^g1 ... 1 0^gk gives w = 1^(g1+1) 0^(g2+1)
+    1^(g3+1) ..., k being odd, whose run of a + 1 ones and the b + 1 zeros
+    after it are the gaps 0^a, b + 1 of w.
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    n2 = 2 * d
-
-    def bounds(t, a):
-        if t > d:
-            return 1 - a[t - d], 1 - a[t - d]
-        return 0, 1
-
     out = set()
     words = 0
-    for bits, p in _necklaces(n2, bounds):
-        if p == n2:
+    for k in range(1, d + 1, 2):
+        for gaps, p in _gap_necklaces(k, d - k):
+            if p != k:
+                continue
             words += 1
-            out.add(cycle_from_bits(n2, bits))
+            runs = gaps + gaps
+            word = []
+            for a, b in zip(runs[::2], runs[1::2]):
+                word.extend([0] * a)
+                word.append(b + 1)
+            out.add(InvariantCycle.from_gaps(2 * d, word))
     if len(out) != words:
-        raise InternalConsistencyError("bit and gap canonical forms disagree")
+        raise InternalConsistencyError("two Lyndon words gave one self-dual word")
     return tuple(sorted(out, key=cycle_sort_key))
 
 

@@ -26,7 +26,6 @@ from .core_combinatorics import (
 )
 from .cycle_invariants import (
     InvariantCycle,
-    cycle_admissible,
     cycle_block_key,
     enumerate_Pi,
     necklace_count,
@@ -49,7 +48,7 @@ class GeneratorLabel:
         for p, chi in zip(parts, cycles):
             if chi.length != p:
                 raise ValueError("cycle length must equal its part")
-            if not cycle_admissible(chi):
+            if not chi.admissible:
                 raise ValueError("inadmissible cycle %s on part %d" % (chi, p))
         for t in range(len(parts) - 1):
             if parts[t] != parts[t + 1]:

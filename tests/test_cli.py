@@ -556,9 +556,10 @@ ANY_INT = st.one_of(st.integers(-3, 24), st.integers(-HUGE, HUGE))
 def cli_argv(draw):
     """A command with drawn integer options.
 
-    Accepted formula sizes stop at n = 40, and self-dual listings at
-    d = 16, to keep tier-1 short: both are bounded, by cli.FORMULA_LIMIT
-    and the listing limit, but take seconds near the bound.  The catalog
+    Accepted formula sizes stop at n = 40, to keep tier-1 short: they are
+    bounded by cli.FORMULA_LIMIT but take seconds near the bound.
+    Self-dual listings draw every d the listing limit accepts, up to
+    d = 20, the largest, which answers in about a second.  The catalog
     route draws n up to 30, where every size it accepts answers in about
     1 s, and from 46 on, where p(n) alone passes
     cli.CATALOG_LISTING_LIMIT; between the two it accepts sizes at small q
@@ -597,7 +598,7 @@ def cli_argv(draw):
     if command == "pi":
         lam = _ints(40, cli.NECKLACE_LISTING_LIMIT + 2)
         return ["necklace", "pi", *opt("--lambda", lam), *opt("--d", ANY_INT)]
-    return ["necklace", "selfdual", *opt("--d", _ints(16, 21))]
+    return ["necklace", "selfdual", *opt("--d", _ints(20, 21))]
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=5))

@@ -4,13 +4,12 @@ from typing import Sequence, Tuple
 import pytest
 from hypothesis import given, strategies as st
 
+from braidinv import cycle_invariants
 from braidinv.core_combinatorics import Partition, binomial, min_rotation
 from braidinv.cycle_invariants import (
     InvariantCycle,
     Pi_letters_exceed,
-    _gap_word,
     cycle_admissible,
-    cycle_from_bits,
     cycle_sort_key,
     dual_cycle,
     enumerate_Pi,
@@ -20,6 +19,28 @@ from braidinv.cycle_invariants import (
     selfdual_letters_exceed,
 )
 from braidinv.errors import InternalConsistencyError
+
+
+def _gap_word(positions: Sequence[int], lam: int) -> Tuple[int, ...]:
+    """Raw gap word of marked positions (1-based, ascending) on a lam-cycle.
+
+    The last coordinate closes the cycle: zeros from the last marked position
+    back around to the first.
+    """
+    d = len(positions)
+    gaps = [positions[t + 1] - positions[t] - 1 for t in range(d - 1)]
+    gaps.append(lam - positions[-1] + positions[0] - 1)
+    return tuple(gaps)
+
+
+def cycle_from_bits(lam: int, bits: Sequence[int]) -> InvariantCycle:
+    """Gap word of a 0/1 sequence of length lam read cyclically."""
+    if len(bits) != lam:
+        raise ValueError("bit word length must equal the cycle length")
+    positions = [t + 1 for t, b in enumerate(bits) if b]
+    if not positions:
+        return InvariantCycle.empty(lam)
+    return InvariantCycle.from_gaps(lam, _gap_word(positions, lam))
 
 
 def block_support(word: Sequence[int], lam: Partition, i: int) -> Tuple[int, ...]:
@@ -108,6 +129,31 @@ def test_every_necklace_stores_its_multiplicity(lam):
         for comp in set(_weak_compositions(lam - d, d)):
             least, count = min_rotation(comp)
             assert InvariantCycle(lam, least).rotation_multiplicity() == count
+
+
+def test_from_gaps_rotates_once(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return min_rotation(w)
+
+    monkeypatch.setattr(cycle_invariants, "min_rotation", counted)
+    for lam in range(1, 9):
+        for bits in itertools.product((0, 1), repeat=lam):
+            if not any(bits):
+                continue
+            before = len(calls)
+            chi = cycle_from_bits(lam, bits)
+            assert len(calls) == before + 1
+            assert chi.admissible == cycle_admissible(chi)
+            assert chi.rotation_multiplicity() == min_rotation(chi.gaps)[1]
+    # the constructor alone still runs the check, once
+    before = len(calls)
+    InvariantCycle(6, (0, 1, 2))
+    assert len(calls) == before + 1
+    with pytest.raises(ValueError):
+        InvariantCycle(6, (1, 2, 0))
 
 
 @pytest.mark.parametrize("lam", range(1, 10))
@@ -318,9 +364,26 @@ def _selfdual_by_seeds(d):
     return tuple(sorted(out, key=cycle_sort_key))
 
 
-@pytest.mark.parametrize("d", range(1, 13))
+@pytest.mark.parametrize("d", range(1, 17))
 def test_enumerate_selfdual_matches_seed_listing(d):
     assert enumerate_selfdual(d) == _selfdual_by_seeds(d)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_selfdual_difference_words_are_odd_lyndon_classes(d):
+    # w[t] xor w[t+1] repeats with period d, has odd weight over it, is
+    # primitive, and no two listed words share its rotation class
+    classes = set()
+    for chi in enumerate_selfdual(d):
+        w = [b for g in chi.gaps for b in (1,) + (0,) * g]
+        delta = tuple(w[t] ^ w[(t + 1) % (2 * d)] for t in range(2 * d))
+        assert delta[:d] == delta[d:]
+        delta = delta[:d]
+        assert sum(delta) % 2 == 1
+        least, count = min_rotation(delta)
+        assert count == 1
+        classes.add(least)
+    assert len(classes) == len(enumerate_selfdual(d))
 
 
 @pytest.mark.parametrize("d", range(1, 13))
