@@ -15,12 +15,13 @@ import argparse
 import sys
 import time
 
-from braidinv import GroupSpec, ext_dimension, oracle_dimension, product_dimension
+from braidinv import GroupSpec, oracle_dimension
 from braidinv.character_oracle import (
     ORACLE_LIMIT,
     ORACLE_LONG_LIMIT,
     total_rank_check,
 )
+from braidinv.cli import group_table
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -34,13 +35,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def check(group: GroupSpec, table, args: argparse.Namespace) -> bool:
+def check(group: GroupSpec, args: argparse.Namespace) -> bool:
     """Compare the formula, catalog and oracle tables of one group.
 
     The verdict goes to stdout, the group's wall time to stderr."""
     t0 = time.monotonic()
-    formula = table("formula")
-    catalog = table("catalog")
+    formula = group_table(group, "formula")
+    catalog = group_table(group, "catalog")
     oracle = oracle_dimension(group.n, group, long_running=args.long_running)
     ok = formula.as_dict() == catalog.as_dict() == oracle.as_dict()
     name = group.describe()
@@ -59,17 +60,9 @@ def main(argv=None) -> int:
     for n in range(2, args.max_n + 1):
         t0 = time.monotonic()
         for q in range(n // 2 + 1):
-            ok &= check(
-                GroupSpec.product(n, q),
-                lambda method: product_dimension(n, q, method=method),
-                args,
-            )
+            ok &= check(GroupSpec.product(n, q), args)
         if n % 2 == 0:
-            ok &= check(
-                GroupSpec.extension(n // 2),
-                lambda method: ext_dimension(n, method=method)[1],
-                args,
-            )
+            ok &= check(GroupSpec.extension(n // 2), args)
         rank_ok = total_rank_check(n, long_running=args.long_running)
         ok &= rank_ok
         print(

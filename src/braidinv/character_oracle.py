@@ -128,16 +128,6 @@ def build_centralizer(lam: Partition) -> CentralizerPresentation:
     return CentralizerPresentation(lam, tuple(generators))
 
 
-def _value_runs(lam: Partition):
-    """Per distinct part value: the 0-based run of part indices carrying it."""
-    runs = []
-    pos = 0
-    for v, m in lam.blocks:
-        runs.append((v, tuple(range(pos, pos + m))))
-        pos += m
-    return runs
-
-
 def _rotation_onto(segment: Tuple[int, ...], target: Tuple[int, ...]) -> int:
     """The least e with segment[(t + e) % v] == target[t] for every t."""
     for e in range(len(segment)):
@@ -207,26 +197,24 @@ def root_order(lam: Partition) -> int:
     return L if L % 2 == 0 else 2 * L
 
 
-def _character_exponent(lam: Partition, runs, block_map, exponents, L: int) -> int:
-    """Exponent of the character value on the element with this data;
-    runs is _value_runs(lam).
+def _character_exponent(lam: Partition, block_map, exponents, L: int) -> int:
+    """Exponent of the character value on the element with this data.
 
     Rotation by e on a part of size p contributes e times the primitive
     p-th root, and e(p-1) to the sign; the block permutation contributes
-    its sign on each even part value.  Signs embed at exponent L/2.
+    its sign on the even parts, which is _sign of block_map with the odd
+    parts held fixed, as parts only go to parts of their own value.  Signs
+    embed at exponent L/2.
     """
     root = 0
     sign_parity = 0
-    for p, e in zip(lam.parts, exponents):
+    even_map = []
+    for i, (p, e, b) in enumerate(zip(lam.parts, exponents, block_map)):
         root += e * (L // p)
         sign_parity += e * (p - 1)
-    for v, indices in runs:
-        if v % 2:
-            continue
-        placed = tuple(block_map[i] for i in indices)
-        rank = {b: t for t, b in enumerate(sorted(placed))}
-        if _sign(tuple(rank[b] + 1 for b in placed)) == -1:
-            sign_parity += 1
+        even_map.append((i if p % 2 else b) + 1)
+    if _sign(tuple(even_map)) == -1:
+        sign_parity += 1
     return (root + (sign_parity % 2) * (L // 2)) % L
 
 
@@ -283,9 +271,8 @@ def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
         lam, word, group.variant == "extension"
     )
     L = root_order(lam)
-    runs = _value_runs(lam)
     trivial = all(
-        _character_exponent(lam, runs, block_map, exponents, L) == 0
+        _character_exponent(lam, block_map, exponents, L) == 0
         for block_map, exponents in generators
     )
     return trivial, order

@@ -65,6 +65,18 @@ def _resolved_q(n: int, q: Optional[int], group: str) -> int:
     return q
 
 
+def _group_spec(n: int, q: int, group: str) -> GroupSpec:
+    """The group of a resolved --group and --q."""
+    return GroupSpec.extension(q) if group == "ext" else GroupSpec.product(n, q)
+
+
+def group_table(group: GroupSpec, method: str) -> PoincareTable:
+    """The formula or catalog table of a group."""
+    if group.variant == "extension":
+        return ext_dimension(group.n, method=method)[1]
+    return product_dimension(group.n, group.q, method=method)
+
+
 def positive_int(text: str) -> int:
     """argparse type: an integer of at least 1."""
     if int(text) < 1:
@@ -159,11 +171,7 @@ def _show_dim(
             lambda: product_dimension(n, q).total + (count_EP_closed_form(n) if ext else 0),
             "the catalog listing at n = %d" % n,
         )
-    if group == "ext":
-        table = ext_dimension(n, method=method)[1]
-    else:
-        table = product_dimension(n, q, method=method)
-    rows = _filtered(table, args.degree)
+    rows = _filtered(group_table(_group_spec(n, q, group), method), args.degree)
     if args.format == "json":
         print(render_json(rows, n, q, group, method, notes))
     elif args.format == "csv":
@@ -197,16 +205,10 @@ def _timed(label: str, compute):
     return out
 
 
-def _verify_one(n: int, group: GroupSpec, oracle: PoincareTable) -> bool:
+def _verify_one(group: GroupSpec, oracle: PoincareTable) -> bool:
     name = group.describe()
-
-    def table(method):
-        if group.variant == "extension":
-            return ext_dimension(n, method=method)[1]
-        return product_dimension(n, group.q, method=method)
-
-    formula = _timed(name + " formula", lambda: table("formula"))
-    catalog = _timed(name + " catalog", lambda: table("catalog"))
+    formula = _timed(name + " formula", lambda: group_table(group, "formula"))
+    catalog = _timed(name + " catalog", lambda: group_table(group, "catalog"))
     top = max(formula.max_degree, catalog.max_degree, oracle.max_degree)
     print("%s  %6s %7s %7s %6s" % (name, "degree", "formula", "catalog", "oracle"))
     ok = True
@@ -230,15 +232,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         qs = list(range(args.n // 2 + 1))
     else:
         qs = [_resolved_q(args.n, args.q, args.group)]
-    if args.group == "ext":
-        groups = [GroupSpec.extension(q) for q in qs]
-    else:
-        groups = [GroupSpec.product(args.n, q) for q in qs]
+    groups = [_group_spec(args.n, q, args.group) for q in qs]
     oracles = _timed(
         ", ".join(group.describe() for group in groups) + " oracle",
         lambda: oracle_tables(args.n, groups, long_running=args.long_running),
     )
-    ok = all([_verify_one(args.n, g, o) for g, o in zip(groups, oracles)])
+    ok = all([_verify_one(g, o) for g, o in zip(groups, oracles)])
     print("verification %s" % ("OK" if ok else "FAILED"))
     return 0 if ok else 1
 

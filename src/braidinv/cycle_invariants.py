@@ -5,10 +5,11 @@ what survives conjugation by the centralizer is the cyclic word of zero-gaps
 between marked positions.  This module builds those gap words, the complement
 duality, the admissibility predicate, the sets Pi(lam, d) of admissible
 weight-d words, and the self-dual words at half weight, each listing with
-its closed-form count.  Both listings walk the same fixed-density necklace
-recursion: the self-dual words at weight d are in bijection with the
-binary Lyndon words of length d and odd weight, through the cyclic
-difference word.
+its closed-form count.  cycle_admissible states the admissibility rule for
+listing and necklace_count states it for counting.  Both listings walk the
+one fixed-density necklace loop, _gap_necklaces: the self-dual words at
+weight d are in bijection with the binary Lyndon words of length d and odd
+weight, through the cyclic difference word.
 """
 
 from __future__ import annotations
@@ -153,76 +154,53 @@ def necklace_count(v: int, d: int) -> int:
     return _aperiodic_count(v, d) + squares
 
 
-def _necklaces(n: int, bounds):
-    """The necklaces a[1..n] whose letters bounds allows, ascending, each
-    with its least period p as (word, p).
-
-    The Fredricksen-Kessler-Maiorana prenecklace recursion: a prenecklace
-    a[1..t-1] of least period p extends by a[t] = a[t-p], keeping p, or by
-    a larger letter, making the period t; a prenecklace of length n is a
-    necklace iff p divides n.  bounds(t, a) gives the lowest and highest
-    letter position t may take after a[1..t-1]; it may leave out only
-    letters that no wanted necklace has there.  It is called each time
-    position t is reached from t - 1, and only then.
-    """
-    a = [0] * (n + 1)
-    top = [0] * (n + 1)
-    period = [1] * (n + 1)  # period[t]: least period of a[1..t]
-    # the recursion in loop form, so a long word cannot exhaust the stack:
-    # t is the position to fill, fresh whether it gets its lowest letter
-    # (having just been reached) or the one after a[t] (on the way back)
-    t, fresh = 1, True
-    while t:
-        if t > n:
-            if n % period[n] == 0:
-                yield tuple(a[1:]), period[n]
-            t, fresh = n, False
-            continue
-        floor = a[t - period[t - 1]]
-        if fresh:
-            lo, top[t] = bounds(t, a)
-            c = max(lo, floor)
-        else:
-            c = a[t] + 1
-        if c > top[t]:
-            t, fresh = t - 1, False
-            continue
-        a[t] = c
-        period[t] = period[t - 1] if c == floor else t
-        t, fresh = t + 1, True
-
-
 def _gap_necklaces(d: int, total: int):
-    """The necklaces of d gaps summing to total, ascending, each with its
-    least period p as (gaps, p).
+    """The necklaces of d >= 1 gaps summing to total, ascending, each with
+    its least period p as (gaps, p).
 
     The fixed-density walk of Ruskey and Sawada (SIAM J. Comput. 1999) over
-    gap words.  A necklace starts with its least letter, so letter t is at
-    most what a[1..t-1] leave of total, less a[1] for each letter after it;
-    the last letter takes what is left.
+    gap words, on the Fredricksen-Kessler-Maiorana prenecklace recursion: a
+    prenecklace a[1..t-1] of least period p extends by a[t] = a[t-p],
+    keeping p, or by a larger letter, making the period t; a prenecklace of
+    length d is a necklace iff p divides d.  A necklace starts with its
+    least letter, so letter t is at most what a[1..t-1] leave of total,
+    less a[1] for each letter after it; the last letter takes what is left.
     """
-    # left[t]: what a[1..t-1] leave of the total; position t is reached
-    # only from t - 1, so the running sum is current whenever bounds is called
-    left = [total] * (d + 1)
-
-    def bounds(t, a):
-        if t > 1:
-            left[t] = left[t - 1] - a[t - 1]
+    a = [0] * (d + 1)
+    left = [total] * (d + 1)  # left[t]: what a[1..t-1] leave of the total
+    period = [1] * (d + 1)  # period[t]: least period of a[1..t]
+    # the recursion in loop form, so a long word cannot exhaust the stack:
+    # t is the position to fill and a[t] + 1 the next letter to try there,
+    # the lowest, a[t - period[t - 1]], when t has just been reached
+    t, a[1] = 1, -1
+    while t:
+        floor = a[t - period[t - 1]]
         if t == d:
-            return left[t], left[t]
-        return 0, left[t] - (d - t) * a[1] if t > 1 else total // d
-
-    return _necklaces(d, bounds)
+            c = left[d]
+            p = period[d - 1] if c == floor else d
+            if c >= floor and d % p == 0:
+                a[d] = c
+                yield tuple(a[1:]), p
+            t -= 1
+            continue
+        c = a[t] + 1
+        if c > (left[t] - (d - t) * a[1] if t > 1 else total // d):
+            t -= 1
+            continue
+        a[t] = c
+        left[t + 1] = left[t] - c
+        period[t] = period[t - 1] if c == floor else t
+        t += 1
+        a[t] = a[t - period[t - 1]] - 1
 
 
 @lru_cache(maxsize=None)
 def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
     """All admissible weight-d words on a cycle of length lam_i, ascending.
 
-    Lists the necklaces among gap words of length d with entries summing
-    to lam_i - d (_gap_necklaces).  A word of least period p repeats d/p
-    times, so cycle_admissible keeps it iff d/p = 1, or d/p = 2 on
-    lam_i = 2 mod 4, or lam_i <= 2.
+    Builds a cycle from each necklace among gap words of length d with
+    entries summing to lam_i - d (_gap_necklaces) and keeps those that
+    cycle_admissible, run by the constructor, admits.
     """
     if lam_i < 1:
         raise ValueError("cycle length must be positive")
@@ -235,11 +213,8 @@ def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
         # the one word is all zeros, of period 1, which the walk would
         # reach only after lam_i steps and lists of lam_i entries
         return (InvariantCycle(lam_i, (0,) * d),) if lam_i <= 2 else ()
-    return tuple(
-        InvariantCycle(lam_i, word)
-        for word, p in _gap_necklaces(d, lam_i - d)
-        if p == d or lam_i <= 2 or (lam_i % 4 == 2 and 2 * p == d)
-    )
+    cycles = (InvariantCycle(lam_i, word) for word, _ in _gap_necklaces(d, lam_i - d))
+    return tuple(chi for chi in cycles if chi.admissible)
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,6 @@ from .core_combinatorics import (
     Partition,
     PoincareTable,
     binomial,
-    enumerate_partitions,
     packed_series,
 )
 from .cycle_invariants import (
@@ -33,7 +32,11 @@ from .cycle_invariants import (
     selfdual_count_closed_form,
 )
 from .errors import InternalConsistencyError
-from .product_catalog import GeneratorLabel, product_dimension
+from .product_catalog import (
+    GeneratorLabel,
+    partitions_in_label_order,
+    product_dimension,
+)
 
 
 @lru_cache(maxsize=None)
@@ -69,18 +72,17 @@ def _fixed_blocks(v: int, m: int):
 @lru_cache(maxsize=None)
 def _ep_members(n: int):
     """All (label, pair counts) of swap-fixed generators, one pair count per
-    block, in sort_key order: partitions in enumerate_generators' order,
-    each taking the product of its blocks' fixed tuples."""
+    block, in sort_key order: partitions_in_label_order, each taking the
+    product of its blocks' fixed tuples."""
     if n < 2 or n % 2:
         raise ValueError("need an even n >= 2")
     out = []
-    for j in range(n, 0, -1):
-        for lam in reversed(enumerate_partitions(n, j)):
-            per_block = [_fixed_blocks(v, m) for v, m in lam.blocks]
-            for combo in itertools.product(*per_block):
-                cycles = tuple(chi for block, _ in combo for chi in block)
-                pair_counts = tuple(k for _, k in combo)
-                out.append((GeneratorLabel(lam, cycles), pair_counts))
+    for lam in partitions_in_label_order(n):
+        per_block = [_fixed_blocks(v, m) for v, m in lam.blocks]
+        for combo in itertools.product(*per_block):
+            cycles = tuple(chi for block, _ in combo for chi in block)
+            pair_counts = tuple(k for _, k in combo)
+            out.append((GeneratorLabel(lam, cycles), pair_counts))
     return tuple(out)
 
 

@@ -159,19 +159,25 @@ def _partition_labels(lam: Partition, q: int):
     yield from walk(0, (), 0)
 
 
+def partitions_in_label_order(n: int):
+    """The partitions of n in the order GeneratorLabel.sort_key puts their
+    labels: degree ascending (most parts first), then parts ascending."""
+    for j in range(n, 0, -1):
+        yield from reversed(enumerate_partitions(n, j))
+
+
 @lru_cache(maxsize=None)
 def enumerate_generators(n: int, q: int) -> Tuple[GeneratorLabel, ...]:
     """All generator labels of total weight q over partitions of n, in
-    sort_key order: degree ascending (most parts first), then parts
-    ascending, then the cycles' block keys."""
+    sort_key order: partitions_in_label_order, then the cycles' block
+    keys."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= q <= n:
         raise ValueError("need 0 <= q <= n")
     out = []
-    for j in range(n, 0, -1):
-        for lam in reversed(enumerate_partitions(n, j)):
-            out.extend(_partition_labels(lam, q))
+    for lam in partitions_in_label_order(n):
+        out.extend(_partition_labels(lam, q))
     return tuple(out)
 
 

@@ -24,7 +24,6 @@ from typing import Optional, Tuple
 from braidinv.character_oracle import (
     GroupSpec,
     _character_exponent,
-    _value_runs,
     build_centralizer,
     root_order,
 )
@@ -330,7 +329,7 @@ def zeta_value(lam: Partition, z: Tuple[int, ...]) -> CyclotomicSum:
         raise ValueError("%s does not centralize the cycle product" % (z,))
     L = root_order(lam)
     block_map, exponents = data
-    exponent = _character_exponent(lam, _value_runs(lam), block_map, exponents, L)
+    exponent = _character_exponent(lam, block_map, exponents, L)
     return CyclotomicSum.monomial(L, exponent)
 
 
@@ -383,11 +382,10 @@ def listed_isotropy_sum(word, lam: Partition, group: GroupSpec):
     Returns (counts per exponent, isotropy order)."""
     flips = (False, True) if group.variant == "extension" else (False,)
     L = root_order(lam)
-    runs = _value_runs(lam)
     counts = [0] * L
     for flip in flips:
         for block_map, exponents in stabilizer(lam, word, flip):
-            counts[_character_exponent(lam, runs, block_map, exponents, L)] += 1
+            counts[_character_exponent(lam, block_map, exponents, L)] += 1
     return counts, sum(counts)
 
 

@@ -1,8 +1,10 @@
+import doctest
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from braidinv import core_combinatorics
 from braidinv.core_combinatorics import (
     Partition,
     all_partitions,
@@ -81,6 +83,13 @@ def test_vandermonde_multiset_identity(m, N):
     # repeat, take the factor (1 - X)^-N where even parts take (1 + X)^N
     total = sum(binomial(m - 1, b - 1) * binomial(N, b) for b in range(1, m + 1))
     assert total == binomial(N + m - 1, m)
+
+
+def test_module_doctests_pass():
+    # the test run collects tests/ only, so the docstring examples run here
+    result = doctest.testmod(core_combinatorics)
+    assert result.failed == 0
+    assert result.attempted > 0
 
 
 def test_min_rotation_examples():

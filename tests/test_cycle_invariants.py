@@ -295,6 +295,29 @@ def test_enumerate_Pi_matches_composition_listing(lam):
         assert enumerate_Pi(lam, d) == _Pi_by_compositions(lam, d)
 
 
+def _gap_necklaces_by_compositions(d, total):
+    """Brute-force walk: the weak compositions of total into d parts that
+    are their own least rotation, ascending, each with its least period,
+    d over its rotation multiplicity."""
+    out = []
+    for comp in _weak_compositions(total, d):
+        least, mult = min_rotation(comp)
+        if comp == least:
+            out.append((comp, d // mult))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gap_necklaces_match_composition_listing(d):
+    for total in range(9):
+        walked = list(cycle_invariants._gap_necklaces(d, total))
+        assert walked == _gap_necklaces_by_compositions(d, total)
+
+
+def test_gap_necklaces_of_one_gap_take_the_whole_total():
+    assert list(cycle_invariants._gap_necklaces(1, 10**12)) == [((10**12,), 1)]
+
+
 @pytest.mark.parametrize(
     "v,d", [(v, d) for v in range(1, 21) for d in range(v + 1)]
 )
