@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Tuple
 
 Word = Tuple[int, ...]
@@ -46,7 +46,7 @@ class Partition:
     def part_count(self) -> int:
         return len(self.parts)
 
-    @property
+    @cached_property
     def degree(self) -> int:
         # a generator attached to a partition with j parts of n sits in
         # cohomological degree n - j

@@ -15,7 +15,7 @@ weight, through the cyclic difference word.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -30,35 +30,45 @@ class InvariantCycle:
     gaps is None for the empty marking.  A non-empty word with d entries
     records the zeros strictly between consecutive marked positions read
     cyclically, so its entries sum to length - d.  Stored in minimal
-    rotation form, with the number of rotations that attain it, which the
-    rotation check finds anyway, and whether cycle_admissible holds.
-    _rotation is min_rotation(gaps) when the caller has it already, as
-    from_gaps does, so the check need not compute it again.
+    rotation form, with its weight, the number of rotations that attain
+    it, and whether cycle_admissible holds.
+
+    The constructor checks the minimal rotation form in one linear scan
+    (Duval 1983; Ruskey, Savage and Wang 1992): a word is its own least
+    rotation iff it is a prenecklace whose longest Lyndon prefix has a
+    length p dividing d, and that rotation is then attained d / p times.
     """
 
     length: int
     gaps: Optional[Word]
-    _rotation: InitVar[Optional[Tuple[Word, int]]] = None
+    weight: int = field(init=False, repr=False, compare=False)
     _multiplicity: int = field(init=False, repr=False, compare=False)
     admissible: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _rotation):
+    def __post_init__(self):
         if self.length < 1:
             raise ValueError("cycle length must be positive")
-        multiplicity = 1
+        d, multiplicity = 0, 1
         if self.gaps is not None:
             gaps = tuple(self.gaps)
             object.__setattr__(self, "gaps", gaps)
             d = len(gaps)
             if not 1 <= d <= self.length:
                 raise ValueError("gap word length out of range")
-            if any(g < 0 for g in gaps):
+            if min(gaps) < 0:
                 raise ValueError("gaps must be non-negative")
             if sum(gaps) != self.length - d:
                 raise ValueError("gap word must sum to length - weight")
-            least, multiplicity = _rotation or min_rotation(gaps)
-            if gaps != least:
+            p = 1
+            for i in range(1, d):
+                if gaps[i] < gaps[i - p]:
+                    raise ValueError("gap word must be in minimal rotation form")
+                if gaps[i] > gaps[i - p]:
+                    p = i + 1
+            if d % p:
                 raise ValueError("gap word must be in minimal rotation form")
+            multiplicity = d // p
+        object.__setattr__(self, "weight", d)
         object.__setattr__(self, "_multiplicity", multiplicity)
         object.__setattr__(self, "admissible", cycle_admissible(self))
 
@@ -68,12 +78,7 @@ class InvariantCycle:
 
     @classmethod
     def from_gaps(cls, length: int, gaps: Sequence[int]) -> "InvariantCycle":
-        rotation = min_rotation(gaps)
-        return cls(length, rotation[0], rotation)
-
-    @property
-    def weight(self) -> int:
-        return 0 if self.gaps is None else len(self.gaps)
+        return cls(length, min_rotation(gaps)[0])
 
     def rotation_multiplicity(self) -> int:
         return self._multiplicity
@@ -81,7 +86,7 @@ class InvariantCycle:
     def __str__(self):
         if self.gaps is None:
             return "()"
-        return "(" + ",".join(str(g) for g in self.gaps) + ")"
+        return "(" + ",".join(map(str, self.gaps)) + ")"
 
 
 def cycle_sort_key(chi: InvariantCycle):

@@ -15,7 +15,7 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .core_combinatorics import (
     Partition,
@@ -45,20 +45,19 @@ class GeneratorLabel:
         parts = self.partition.parts
         if len(cycles) != len(parts):
             raise ValueError("one cycle per part required")
+        last_part = last_key = None
         for p, chi in zip(parts, cycles):
             if chi.length != p:
                 raise ValueError("cycle length must equal its part")
             if not chi.admissible:
                 raise ValueError("inadmissible cycle %s on part %d" % (chi, p))
-        for t in range(len(parts) - 1):
-            if parts[t] != parts[t + 1]:
-                continue
-            a, b = cycles[t], cycles[t + 1]
-            ka, kb = cycle_block_key(a), cycle_block_key(b)
-            if ka > kb:
-                raise ValueError("cycles out of canonical order inside a block")
-            if parts[t] % 2 == 0 and ka == kb:
-                raise ValueError("repeated pair on equal even parts")
+            key = cycle_block_key(chi)
+            if p == last_part:
+                if last_key > key:
+                    raise ValueError("cycles out of canonical order inside a block")
+                if p % 2 == 0 and last_key == key:
+                    raise ValueError("repeated pair on equal even parts")
+            last_part, last_key = p, key
 
     @property
     def degree(self) -> int:
@@ -130,7 +129,7 @@ def _block_assignments(v: int, m: int, cap: int) -> BlockAssignments:
     return BlockAssignments(tuple(combos), by_weight)
 
 
-def _partition_labels(lam: Partition, q: int):
+def _partition_labels(lam: Partition, q: int) -> List[GeneratorLabel]:
     """The labels of weight q on lam, in sort_key order: depth first over
     the blocks, each block's tuples in their order, keeping a tuple only
     when the blocks after it can still make up the weight."""
@@ -142,21 +141,23 @@ def _partition_labels(lam: Partition, q: int):
             {w + bw for w in reach[-1] for bw in block.by_weight if w + bw <= q}
         )
     reach.reverse()
+    labels = []
     if q not in reach[0]:
-        return
+        return labels
     last = len(blocks) - 1
 
     def walk(i, cycles, w):
         if i == last:
             for combo in blocks[i].by_weight.get(q - w, ()):
-                yield GeneratorLabel(lam, cycles + combo)
+                labels.append(GeneratorLabel(lam, cycles + combo))
             return
         after = reach[i + 1]
         for combo, bw in blocks[i].combos:
             if q - w - bw in after:
-                yield from walk(i + 1, cycles + combo, w + bw)
+                walk(i + 1, cycles + combo, w + bw)
 
-    yield from walk(0, (), 0)
+    walk(0, (), 0)
+    return labels
 
 
 def partitions_in_label_order(n: int):

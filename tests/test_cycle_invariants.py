@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 from typing import Sequence, Tuple
 
 import pytest
 from hypothesis import given, strategies as st
 
-from braidinv import cycle_invariants
+from braidinv import core_combinatorics, cycle_invariants, product_catalog
 from braidinv.core_combinatorics import Partition, binomial, min_rotation
 from braidinv.cycle_invariants import (
     InvariantCycle,
@@ -148,12 +149,58 @@ def test_from_gaps_rotates_once(monkeypatch):
             assert len(calls) == before + 1
             assert chi.admissible == cycle_admissible(chi)
             assert chi.rotation_multiplicity() == min_rotation(chi.gaps)[1]
-    # the constructor alone still runs the check, once
+    # the constructor alone checks the rotation by its linear scan
     before = len(calls)
     InvariantCycle(6, (0, 1, 2))
-    assert len(calls) == before + 1
     with pytest.raises(ValueError):
         InvariantCycle(6, (1, 2, 0))
+    assert len(calls) == before
+
+
+def test_rotation_scan_agrees_with_min_rotation():
+    # all 12,869 weak compositions with 1 <= d <= 8 entries summing to <= 7
+    seen = 0
+    for d in range(1, 9):
+        for total in range(8):
+            for w in _weak_compositions(total, d):
+                seen += 1
+                least, count = min_rotation(w)
+                if w != least:
+                    with pytest.raises(ValueError, match="minimal rotation"):
+                        InvariantCycle(total + d, w)
+                    continue
+                assert InvariantCycle(total + d, w).rotation_multiplicity() == count
+    assert seen == 12869
+
+
+def test_listing_computes_no_rotation(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return min_rotation(w)
+
+    monkeypatch.setattr(cycle_invariants, "min_rotation", counted)
+    monkeypatch.setattr(core_combinatorics, "min_rotation", counted)
+    enumerate_Pi.cache_clear()
+    product_catalog._block_assignments.cache_clear()
+    product_catalog.enumerate_generators.cache_clear()
+    assert len(enumerate_Pi(21, 10)) == 16796
+    assert product_catalog.enumerate_generators(12, 6)
+    assert calls == []
+
+
+def test_rotation_check_memory_is_linear():
+    # one Lyndon word of 3,000 letters: all its rotations would take ~70 MB
+    word = (0,) * 2999 + (1,)
+    tracemalloc.start()
+    try:
+        chi = InvariantCycle(3001, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chi.rotation_multiplicity() == 1
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("lam", range(1, 10))

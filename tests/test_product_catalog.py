@@ -44,6 +44,25 @@ def test_generator_label_validation():
     GeneratorLabel(Partition((3, 3)), (chi, chi))
 
 
+def test_generator_label_messages():
+    lam = Partition((3, 2, 2))
+    chi = InvariantCycle(3, (2,))
+    one = InvariantCycle(2, (1,))
+    full = InvariantCycle(2, (0, 0))
+    # block order is checked inside a block only: (3) may precede a heavier (2)
+    GeneratorLabel(lam, (chi, full, one))
+    cases = [
+        ((chi, full), "one cycle per part"),
+        ((one, full, one), "must equal its part"),
+        ((InvariantCycle.empty(3), full, one), "inadmissible cycle"),
+        ((chi, one, full), "out of canonical order"),
+        ((chi, one, one), "repeated pair"),
+    ]
+    for cycles, message in cases:
+        with pytest.raises(ValueError, match=message):
+            GeneratorLabel(lam, cycles)
+
+
 def test_generator_label_degree_weight():
     lam = Partition((4, 2))
     label = GeneratorLabel(lam, (InvariantCycle(4, (0, 2)), InvariantCycle(2, (1,))))
