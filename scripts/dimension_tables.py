@@ -33,15 +33,11 @@ def main(argv=None) -> int:
     for n in range(1, args.max_n + 1):
         if not args.ext_only:
             for q in range(n // 2 + 1):
-                table = product_dimension(n, q)
-                for i in range(table.max_degree + 1):
-                    if table[i]:
-                        print("prod,%d,%d,%d,%d" % (n, q, i, table[i]))
+                for i, d in product_dimension(n, q).entries:
+                    print("prod,%d,%d,%d,%d" % (n, q, i, d))
         if n % 2 == 0:
-            _, table = ext_dimension(n)
-            for i in range(table.max_degree + 1):
-                if table[i]:
-                    print("ext,%d,%d,%d,%d" % (n, n // 2, i, table[i]))
+            for i, d in ext_dimension(n)[1].entries:
+                print("ext,%d,%d,%d,%d" % (n, n // 2, i, d))
         print("progress n=%d done" % n, file=sys.stderr)
     return 0
 

@@ -242,6 +242,7 @@ def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ..
         for v, m in lam.blocks
     ]
     reps = []
+    # ascending classes and segments of fixed length: words come in lex order
     for pick in itertools.product(*choices):
         word = tuple(b for block in pick for segment in block for b in segment)
         if sum(word) != group.q:
@@ -255,7 +256,7 @@ def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ..
             if complement < pick:
                 continue
         reps.append(word)
-    return tuple(sorted(reps))
+    return tuple(reps)
 
 
 def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):

@@ -85,10 +85,7 @@ def positive_int(text: str) -> int:
 
 
 def _filtered(table: PoincareTable, degree: Optional[int]) -> List[tuple]:
-    rows = [(i, table[i]) for i in range(table.max_degree + 1) if table[i]]
-    if degree is not None:
-        rows = [(i, d) for i, d in rows if i == degree]
-    return rows
+    return [(i, d) for i, d in table.entries if degree is None or i == degree]
 
 
 def render_table(rows, notes: Sequence[str] = ()) -> str:
@@ -209,15 +206,14 @@ def _verify_one(group: GroupSpec, oracle: PoincareTable) -> bool:
     name = group.describe()
     formula = _timed(name + " formula", lambda: group_table(group, "formula"))
     catalog = _timed(name + " catalog", lambda: group_table(group, "catalog"))
-    top = max(formula.max_degree, catalog.max_degree, oracle.max_degree)
+    dims = [table.as_dict() for table in (formula, catalog, oracle)]
     print("%s  %6s %7s %7s %6s" % (name, "degree", "formula", "catalog", "oracle"))
     ok = True
-    for i in range(top + 1):
-        f, c, o = formula[i], catalog[i], oracle[i]
+    for i in sorted(set().union(*dims)):
+        f, c, o = (dim.get(i, 0) for dim in dims)
         verdict = "OK" if f == c == o else "MISMATCH"
         ok = ok and f == c == o
-        if f or c or o:
-            print("%s  %6d %7d %7d %6d  %s" % (" " * len(name), i, f, c, o, verdict))
+        print("%s  %6d %7d %7d %6d  %s" % (" " * len(name), i, f, c, o, verdict))
     return ok
 
 

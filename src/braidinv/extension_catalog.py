@@ -4,10 +4,12 @@ For n = 2q the reversal permutation swaps the two value blocks; on generator
 labels it dualizes every gap word and re-sorts.  This module lists the
 fixed labels block by block, each block a union of whole duality orbits,
 and attaches the reordering sign, which depends only on each block's count
-of two-word orbits.  Independently it counts the fixed labels, with and
-without their signs, as coefficients of generating series built from
-closed-form necklace counts, and combines either route into the graded
-dimension of the extension invariants.
+of two-word orbits.  The extension invariants are the swap-invariant part
+of the product invariants, so their dimension in each degree is half the
+sum of the product count and the swap's trace, the fixed labels summed
+with their signs.  The trace comes from that listing or, independently,
+as the coefficients of a generating series built from closed-form
+necklace counts.
 """
 
 from __future__ import annotations
@@ -111,13 +113,13 @@ def enumerate_KP(n: int) -> Tuple[GeneratorLabel, ...]:
 
 def _fixed_factors(n: int, signed: bool, v: int):
     """(size, slot, coefficients) of each factor of part value v in the EP
-    series or the signed sum; slot j holds t^j.
+    series or the swap's trace; slot j holds t^j.
 
     With Y = y^v t, the dual pairs (weight h > v/2 with v - h, and on even v
     the O(v) orbit pairs at v/2) give (1 + eps Y^2)^pairs on even v, whose
     blocks take distinct words, and (1 - Y^2)^-pairs on odd v; the S(v)
     self-dual words of even v give (1 + s_v Y)^S(v).  EP takes
-    eps = s_v = 1, the signed sum eps = -1 and s_v = (-1)^((v-1)(v-2)/2).
+    eps = s_v = 1, the trace eps = -1 and s_v = (-1)^((v-1)(v-2)/2).
     """
     pairs = sum(necklace_count(v, h) for h in range(v // 2 + 1, v + 1))
     pair_range = range(n // (2 * v) + 1)
@@ -138,65 +140,63 @@ def _fixed_factors(n: int, signed: bool, v: int):
 
 
 @lru_cache(maxsize=None)
-def _fixed_series(n: int):
-    """Swap-fixed label counts EP and KP by degree, KP = (EP - signed) / 2."""
+def _fixed_series(n: int, signed: bool) -> Counter:
+    """Swap-fixed labels by degree: the EP count, or with signed the swap's
+    trace, the fixed labels summed with their signs."""
     if n < 2 or n % 2:
         raise ValueError("need an even n >= 2")
-    ep_slots, signed_slots = (
-        packed_series(n, n + 1, partial(_fixed_factors, n, signed))
-        for signed in (False, True)
-    )
+    slots = packed_series(n, n + 1, partial(_fixed_factors, n, signed))
     # slot j counts the labels with j parts, in degree n - j
-    ep, kp = Counter(), Counter()
-    for j, (count, signed_count) in enumerate(zip(ep_slots, signed_slots)):
-        if count:
-            ep[n - j] = count
-            kp[n - j], odd = divmod(count - signed_count, 2)
-            if odd:
-                raise InternalConsistencyError(
-                    "EP minus the signed count is odd in degree %d" % (n - j)
-                )
-    return ep, kp
+    return Counter({n - j: count for j, count in enumerate(slots) if count})
 
 
 def count_EP_closed_form(n: int) -> int:
-    return sum(_fixed_series(n)[0].values())
+    return sum(_fixed_series(n, False).values())
 
 
 def count_KP_closed_form(n: int) -> int:
-    return sum(_fixed_series(n)[1].values())
+    """The fixed labels of sign -1: (EP - trace) / 2, degree by degree."""
+    ep, trace = _fixed_series(n, False), _fixed_series(n, True)
+    kp = 0
+    for degree in ep.keys() | trace.keys():
+        half, odd = divmod(ep[degree] - trace[degree], 2)
+        if odd:
+            raise InternalConsistencyError(
+                "EP minus the signed count is odd in degree %d" % degree
+            )
+        kp += half
+    return kp
 
 
 def ext_dimension(n: int, method: str = "formula"):
     """Total and graded dimension of the extension invariants.
 
-    Half the sum of the product-invariant dimension and the swap-fixed
-    count, minus the kernel count, applied degree by degree.  Both halves
-    can come from closed-form counting (method "formula") or from explicit
-    label enumeration (method "catalog").
+    Half the sum of the product-invariant dimension and the swap's trace,
+    degree by degree.  Both can come from closed-form counting (method
+    "formula") or from explicit label enumeration (method "catalog").
     """
     if n < 2 or n % 2:
         raise ValueError("need an even n >= 2")
     if method not in ("formula", "catalog"):
         raise ValueError("method must be 'formula' or 'catalog'")
-    prod = product_dimension(n, n // 2, method=method)
+    prod = product_dimension(n, n // 2, method=method).as_dict()
     if method == "formula":
-        ep, kp = _fixed_series(n)
+        trace = _fixed_series(n, True)
     else:
-        ep = Counter(label.degree for label in enumerate_EP(n))
-        kp = Counter(label.degree for label in enumerate_KP(n))
+        trace = Counter()
+        for label, pair_counts in _ep_members(n):
+            trace[label.degree] += epsilon_sign(label.partition, pair_counts)
     graded = {}
-    for degree in set(prod.as_dict()) | set(ep) | set(kp):
-        p, e, k = prod[degree], ep[degree], kp[degree]
-        if (p + e) % 2:
+    for degree in prod.keys() | trace.keys():
+        p, t = prod.get(degree, 0), trace[degree]
+        if (p + t) % 2:
             raise InternalConsistencyError(
-                "odd orbit count %d + %d in degree %d" % (p, e, degree)
+                "odd orbit count %d + %d in degree %d" % (p, t, degree)
             )
-        value = (p + e) // 2 - k
-        if value < 0:
+        if p + t < 0:
             raise InternalConsistencyError(
                 "negative dimension in degree %d" % degree
             )
-        graded[degree] = value
+        graded[degree] = (p + t) // 2
     table = PoincareTable.from_dict(graded)
     return table.total, table

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from datetime import timedelta
 from pathlib import Path
 
@@ -435,6 +436,20 @@ def test_oversized_formula_request_exits_4_before_any_series(capsys, monkeypatch
     assert time.perf_counter() - start < 5
     assert (code, out) == (4, "")
     assert "the formula route takes n up to %d" % cli.FORMULA_LIMIT in err
+
+
+def test_dim_ext_exits_3_on_an_odd_trace(capsys, monkeypatch):
+    real = extension_catalog._fixed_series
+
+    def odd_trace(n, signed):
+        series = Counter(real(n, signed))
+        series[n - 1] += signed  # one more label of sign +1, in the trace only
+        return series
+
+    monkeypatch.setattr(extension_catalog, "_fixed_series", odd_trace)
+    code, out, err = run(capsys, "dim", "--n", "4", "--group", "ext")
+    assert (code, out) == (3, "")
+    assert "internal consistency failure: odd orbit count" in err
 
 
 def test_formula_limit_is_inclusive(capsys, monkeypatch):

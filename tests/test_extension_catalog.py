@@ -1,10 +1,11 @@
 import sys
+from collections import Counter
 from functools import partial
 
 import pytest
 
 from braidinv import cycle_invariants, extension_catalog, product_catalog
-from braidinv.core_combinatorics import Partition, packed_series
+from braidinv.core_combinatorics import Partition, PoincareTable, packed_series
 from braidinv.cycle_invariants import InvariantCycle, cycle_block_key, dual_cycle
 from braidinv.errors import InternalConsistencyError
 from braidinv.extension_catalog import (
@@ -239,3 +240,86 @@ def test_fixed_series_matches_dict_engine(n, signed):
     if signed and n >= 4:
         # negative coefficients exercise the balanced decode
         assert min(packed) < 0
+
+
+def shift_trace(monkeypatch, shift):
+    """Add shift to the formula route's trace in degree n - 1 (one part)."""
+    real = extension_catalog._fixed_series
+
+    def shifted(n, signed):
+        series = Counter(real(n, signed))
+        if signed:
+            series[n - 1] += shift
+        return series
+
+    monkeypatch.setattr(extension_catalog, "_fixed_series", shifted)
+
+
+def test_kp_closed_form_checks_ep_minus_trace_is_even(monkeypatch):
+    shift_trace(monkeypatch, 1)
+    with pytest.raises(InternalConsistencyError, match="EP minus the signed count is odd in degree 5"):
+        count_KP_closed_form(6)
+
+
+@pytest.mark.parametrize("method", ["formula", "catalog"])
+def test_both_routes_check_the_orbit_count_against_the_product_table(monkeypatch, method):
+    real = extension_catalog.product_dimension
+
+    def one_more(n, q, method):
+        dims = real(n, q, method=method).as_dict()
+        dims[0] += 1
+        return PoincareTable.from_dict(dims)
+
+    monkeypatch.setattr(extension_catalog, "product_dimension", one_more)
+    with pytest.raises(InternalConsistencyError, match="odd orbit count .* in degree 0"):
+        ext_dimension(6, method)
+
+
+def test_ext_dimension_checks_product_plus_trace_is_not_negative(monkeypatch):
+    shift_trace(monkeypatch, -1000)
+    with pytest.raises(InternalConsistencyError, match="negative dimension in degree 5"):
+        ext_dimension(6)
+
+
+def test_fixed_factors_check_half_weight_orbits_balance(monkeypatch):
+    real = extension_catalog.selfdual_count_closed_form
+    monkeypatch.setattr(
+        extension_catalog, "selfdual_count_closed_form", lambda d: real(d) + 1
+    )
+    extension_catalog._fixed_series.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="half-weight duality orbits of 2"):
+        count_EP_closed_form(4)
+
+
+def test_formula_route_builds_only_the_trace(monkeypatch):
+    signs, series = [], []
+    real_factors, real_series = extension_catalog._fixed_factors, extension_catalog.packed_series
+
+    def factors(n, signed, v):
+        signs.append(signed)
+        return real_factors(n, signed, v)
+
+    def packed(*args):
+        series.append(args[0])
+        return real_series(*args)
+
+    monkeypatch.setattr(extension_catalog, "_fixed_factors", factors)
+    monkeypatch.setattr(extension_catalog, "packed_series", packed)
+    extension_catalog._fixed_series.cache_clear()
+    _, table = ext_dimension(10)
+    assert table.as_dict() == EXT_TABLES[10]
+    assert series == [10] and set(signs) == {True}
+
+
+def test_catalog_route_walks_the_fixed_labels_once(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the catalog route listed EP or KP")
+
+    walks = []
+    real = extension_catalog._ep_members
+    monkeypatch.setattr(extension_catalog, "enumerate_EP", refuse)
+    monkeypatch.setattr(extension_catalog, "enumerate_KP", refuse)
+    monkeypatch.setattr(extension_catalog, "_ep_members", lambda n: walks.append(n) or real(n))
+    _, table = ext_dimension(10, "catalog")
+    assert table.as_dict() == EXT_TABLES[10]
+    assert walks == [10]
