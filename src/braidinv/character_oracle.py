@@ -6,9 +6,10 @@ subgroup, and the Mackey inner products with the trivial character, in
 exact integer arithmetic: character values are exponents of roots of
 unity, and an inner product is decided on generators of the isotropy.  A
 double coset is its marking word, built block by block from the rotation
-classes of 0/1 words, which are found by rotating every word.  Nothing
-here consults the admissibility predicate or the counting formulas, so
-agreement between the two paths is a real check.
+classes of 0/1 words; one table per part length maps every word to its
+least rotation and symmetry, found by rotating each class's least word.
+Nothing here consults the admissibility predicate or the counting
+formulas, so agreement between the two paths is a real check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .core_combinatorics import Partition, PoincareTable, all_partitions, min_rotation
 from .errors import CapabilityError, InternalConsistencyError
@@ -128,6 +129,21 @@ def build_centralizer(lam: Partition) -> CentralizerPresentation:
     return CentralizerPresentation(lam, tuple(generators))
 
 
+@lru_cache(maxsize=None)
+def _rotation_table(v: int) -> Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]]:
+    """Each of the 2^v words of 0s and 1s, mapped to min_rotation of it.
+
+    Words come in lex order, so the first one met of each rotation class
+    is its least rotation, and its value goes to every rotation of it."""
+    table = {}
+    for w in itertools.product((0, 1), repeat=v):
+        if w not in table:
+            value = min_rotation(w)
+            for e in range(v):
+                table[w[e:] + w[:e]] = value
+    return table
+
+
 def _rotation_onto(segment: Tuple[int, ...], target: Tuple[int, ...]) -> int:
     """The least e with segment[(t + e) % v] == target[t] for every t."""
     for e in range(len(segment)):
@@ -152,11 +168,11 @@ def _isotropy_generators(
     doubles the group when it exists.
     """
     count = lam.part_count
-    starts = [lam.block_start(i + 1) for i in range(count)]
+    starts = itertools.accumulate(lam.parts, initial=0)
     segments = [tuple(word[s:s + v]) for s, v in zip(starts, lam.parts)]
     classes = {}  # (least rotation, v / p) -> part indices
     for i, segment in enumerate(segments):
-        classes.setdefault(min_rotation(segment), []).append(i)
+        classes.setdefault(_rotation_table(len(segment))[segment], []).append(i)
     generators = []
     order = 1
     for (least, symmetry), members in classes.items():
@@ -175,7 +191,8 @@ def _isotropy_generators(
     if up_to_complement:
         block_map, exponents = [0] * count, [0] * count
         for (least, _), members in classes.items():
-            partners = classes.get(min_rotation(tuple(1 - b for b in least)), ())
+            flipped = tuple(1 - b for b in least)
+            partners = classes.get(_rotation_table(len(least))[flipped], ())
             if len(partners) != len(members):
                 break
             for i, j in zip(members, partners):
@@ -189,6 +206,7 @@ def _isotropy_generators(
     return generators, order
 
 
+@lru_cache(maxsize=None)
 def root_order(lam: Partition) -> int:
     """Exponent lattice: the lcm of the parts, doubled when odd."""
     L = 1
@@ -219,10 +237,15 @@ def _character_exponent(lam: Partition, block_map, exponents, L: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rotation_classes(v: int) -> Tuple[Tuple[int, ...], ...]:
-    """The least rotations of all 2^v words of 0s and 1s, ascending."""
-    words = itertools.product((0, 1), repeat=v)
-    return tuple(sorted({min_rotation(w)[0] for w in words}))
+def _block_picks(v: int, m: int):
+    """The multisets of m rotation classes of length v, in lex order, each
+    as (pick, its letters, its weight)."""
+    classes = sorted({least for least, _ in _rotation_table(v).values()})
+    out = []
+    for pick in itertools.combinations_with_replacement(classes, m):
+        letters = tuple(b for segment in pick for b in segment)
+        out.append((pick, letters, sum(letters)))
+    return tuple(out)
 
 
 def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ...]:
@@ -234,28 +257,37 @@ def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ..
     and permutes equal parts, with the complement thrown in for the
     extension.  An orbit is a multiset of rotation classes per block of
     equal parts; its lex-least word, the one given here, lists each
-    block's least rotations in ascending order."""
+    block's least rotations in ascending order.  The blocks are walked
+    depth first, each block's picks in order, keeping a pick only when
+    the blocks after it can still make up the weight q."""
     if lam.n != group.n:
         raise ValueError("partition total must match the group degree")
-    choices = [
-        itertools.combinations_with_replacement(_rotation_classes(v), m)
-        for v, m in lam.blocks
-    ]
+    blocks = [_block_picks(v, m) for v, m in lam.blocks]
+    # reach[i]: the weights at most q that blocks i, i + 1, ... can sum to
+    reach = [{0}]
+    for picks in reversed(blocks):
+        weights = {w for _, _, w in picks}
+        reach.append({a + b for a in reach[-1] for b in weights if a + b <= group.q})
+    reach.reverse()
     reps = []
+
+    def least_complement(segment):
+        return _rotation_table(len(segment))[tuple(1 - b for b in segment)][0]
+
     # ascending classes and segments of fixed length: words come in lex order
-    for pick in itertools.product(*choices):
-        word = tuple(b for block in pick for segment in block for b in segment)
-        if sum(word) != group.q:
-            continue
-        if group.variant == "extension":
+    def walk(i, pick, word, w):
+        if i == len(blocks):
             # segments line up, so nested tuples compare as their words do
-            complement = tuple(
-                tuple(sorted(min_rotation(1 - b for b in s)[0] for s in block))
-                for block in pick
-            )
-            if complement < pick:
-                continue
-        reps.append(word)
+            if group.variant == "product" or pick <= tuple(
+                tuple(sorted(map(least_complement, block))) for block in pick
+            ):
+                reps.append(word)
+            return
+        for block, letters, bw in blocks[i]:
+            if group.q - w - bw in reach[i + 1]:
+                walk(i + 1, pick + (block,), word + letters, w + bw)
+
+    walk(0, (), (), 0)
     return tuple(reps)
 
 

@@ -12,7 +12,9 @@ The ground truth for the oracle's coset words lives here as well: orbits
 of the group acting by conjugation on a conjugacy class of the symmetric
 group, which never read a marking word, and the breadth-first search over
 all C(n, q) marking words that the oracle's per-block construction
-replaced, which must give the same words in the same order.
+replaced, which must give the same words in the same order.  So must
+the unpruned per-block walk, which builds every pick of rotation classes
+and then drops the wrong weights.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from braidinv.character_oracle import (
     build_centralizer,
     root_order,
 )
-from braidinv.core_combinatorics import Partition
+from braidinv.core_combinatorics import Partition, min_rotation
 from braidinv.errors import InternalConsistencyError
 
 
@@ -171,6 +173,48 @@ def searched_double_cosets(group: GroupSpec, lam: Partition):
                 if w2 not in seen:
                     seen.add(w2)
                     frontier.append(w2)
+    return tuple(reps)
+
+
+@lru_cache(maxsize=None)
+def _rotation_classes(v: int) -> Tuple[Tuple[int, ...], ...]:
+    """The least rotations of all 2^v words of 0s and 1s, ascending."""
+    words = itertools.product((0, 1), repeat=v)
+    return tuple(sorted({min_rotation(w)[0] for w in words}))
+
+
+def filtered_double_cosets(group: GroupSpec, lam: Partition):
+    """One marking word per (group, centralizer) double coset, sorted, from
+    every pick of rotation classes, the wrong weights dropped.
+
+    A coset's marking word is the 0/1 word on the points 1..n that marks
+    the points it sends into the top block.  The double cosets are the
+    orbits of weight-q words under the centralizer, which rotates each part
+    and permutes equal parts, with the complement thrown in for the
+    extension.  An orbit is a multiset of rotation classes per block of
+    equal parts; its lex-least word, the one given here, lists each
+    block's least rotations in ascending order."""
+    if lam.n != group.n:
+        raise ValueError("partition total must match the group degree")
+    choices = [
+        itertools.combinations_with_replacement(_rotation_classes(v), m)
+        for v, m in lam.blocks
+    ]
+    reps = []
+    # ascending classes and segments of fixed length: words come in lex order
+    for pick in itertools.product(*choices):
+        word = tuple(b for block in pick for segment in block for b in segment)
+        if sum(word) != group.q:
+            continue
+        if group.variant == "extension":
+            # segments line up, so nested tuples compare as their words do
+            complement = tuple(
+                tuple(sorted(min_rotation(1 - b for b in s)[0] for s in block))
+                for block in pick
+            )
+            if complement < pick:
+                continue
+        reps.append(word)
     return tuple(reps)
 
 

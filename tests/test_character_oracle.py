@@ -10,6 +10,7 @@ from braidinv.character_oracle import (
     _from_cycles,
     _isotropy_generators,
     _isotropy_sum,
+    _rotation_table,
     _sign,
     _stirling_degrees,
     build_centralizer,
@@ -19,7 +20,7 @@ from braidinv.character_oracle import (
     root_order,
     total_rank_check,
 )
-from braidinv.core_combinatorics import Partition, all_partitions
+from braidinv.core_combinatorics import Partition, all_partitions, min_rotation
 from braidinv.errors import CapabilityError
 from braidinv.extension_catalog import ext_dimension
 from braidinv.product_catalog import product_dimension
@@ -28,6 +29,7 @@ from oracle_listing import (
     _assemble,
     _comp,
     _cyclotomic,
+    filtered_double_cosets,
     generic_double_cosets,
     group_generators,
     listed_inner_product,
@@ -280,6 +282,52 @@ def test_double_cosets_match_the_search():
                 )
 
 
+def test_double_cosets_match_the_filtered_picks():
+    # the weight-pruned walk gives the words of the unpruned one, in order
+    for n in range(1, 13):
+        groups = [GroupSpec.product(n, q) for q in range(n + 1)]
+        if n % 2 == 0:
+            groups.append(GroupSpec.extension(n // 2))
+        for lam in all_partitions(n):
+            for g in groups:
+                assert double_cosets(g, lam) == filtered_double_cosets(g, lam), (
+                    lam.parts,
+                    g.describe(),
+                )
+
+
+@pytest.mark.parametrize("v", range(1, 11))
+def test_rotation_table_is_min_rotation(v):
+    table = _rotation_table(v)
+    words = list(itertools.product((0, 1), repeat=v))
+    assert len(table) == len(words)
+    for word in words:
+        assert table[word] == min_rotation(word)
+
+
+def test_warm_tables_compute_no_rotation(monkeypatch):
+    n = 8
+    groups = [GroupSpec.product(n, q) for q in range(n + 1)]
+    groups.append(GroupSpec.extension(n // 2))
+    for v in range(1, n + 1):
+        _rotation_table(v)
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return min_rotation(w)
+
+    monkeypatch.setattr(character_oracle, "min_rotation", counted)
+    cosets = 0
+    for g in groups:
+        for lam in all_partitions(n):
+            for word in double_cosets(g, lam):
+                cosets += 1
+                _isotropy_generators(lam, word, g.variant == "extension")
+    assert cosets > 0
+    assert calls == []
+
+
 GENERIC_WORD_NS = range(2, 8)
 
 
@@ -393,6 +441,16 @@ def test_oracle_past_the_long_limit_at_n12(monkeypatch):
     oracle = oracle_dimension(12, GroupSpec.extension(6), long_running=True)
     assert oracle.as_dict() == ext_dimension(12)[1].as_dict()
     assert total_rank_check(12, long_running=True)
+
+
+def test_oracle_past_the_long_limit_at_n14(monkeypatch):
+    monkeypatch.setattr(character_oracle, "ORACLE_LONG_LIMIT", 14)
+    for q in range(8):
+        oracle = oracle_dimension(14, GroupSpec.product(14, q), long_running=True)
+        assert oracle.as_dict() == product_dimension(14, q).as_dict(), q
+    oracle = oracle_dimension(14, GroupSpec.extension(7), long_running=True)
+    assert oracle.as_dict() == ext_dimension(14)[1].as_dict()
+    assert total_rank_check(14, long_running=True)
 
 
 def test_oracle_imports_no_catalog_module():
