@@ -70,11 +70,13 @@ def main(argv=None) -> int:
             ok &= check(GroupSpec.product(n, q), args)
         if n % 2 == 0:
             ok &= check(GroupSpec.extension(n // 2), args)
+        t1 = time.monotonic()
         rank_ok = total_rank_check(n, long_running=args.long_running)
+        t2 = time.monotonic()
         ok &= rank_ok
         print(
-            "n=%d rank-identity %s (%.1fs)"
-            % (n, "OK" if rank_ok else "MISMATCH", time.monotonic() - t0),
+            "n=%d rank-identity %s %.3fs  (n=%d in all %.1fs)"
+            % (n, "OK" if rank_ok else "MISMATCH", t2 - t1, n, t2 - t0),
             file=sys.stderr,
         )
     print("all checks %s" % ("passed" if ok else "FAILED"))

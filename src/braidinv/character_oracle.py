@@ -8,6 +8,9 @@ unity, and an inner product is decided on generators of the isotropy.  A
 double coset is its marking word, built block by block from the rotation
 classes of 0/1 words; one table per part length maps every word to its
 least rotation and symmetry, found by rotating each class's least word.
+The centralizer and its character are products over the blocks of equal
+parts, so the isotropy is decided once per distinct block, on the
+one-block partition, and each coset multiplies its blocks' answers.
 Nothing here consults the admissibility predicate or the counting
 formulas, so agreement between the two paths is a real check.
 """
@@ -165,7 +168,7 @@ def _isotropy_generators(
     C_(v/p) wr S_k, generated by a rotation by p of its first part and by
     swaps of adjacent parts, each carried onto the other's letters.  Up to
     complement, one element carrying every class onto its complement class
-    doubles the group when it exists.
+    doubles the group when it exists; it is the last generator.
     """
     count = lam.part_count
     starts = itertools.accumulate(lam.parts, initial=0)
@@ -236,6 +239,13 @@ def _character_exponent(lam: Partition, block_map, exponents, L: int) -> int:
     return (root + (sign_parity % 2) * (L // 2)) % L
 
 
+def _complemented(block: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:
+    """A block's pick for the complemented word: the least rotations of its
+    complemented segments, ascending."""
+    least = _rotation_table(len(block[0]))
+    return tuple(sorted(least[tuple(1 - b for b in segment)][0] for segment in block))
+
+
 @lru_cache(maxsize=None)
 def _block_picks(v: int, m: int):
     """The multisets of m rotation classes of length v, in lex order, each
@@ -271,16 +281,11 @@ def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ..
     reach.reverse()
     reps = []
 
-    def least_complement(segment):
-        return _rotation_table(len(segment))[tuple(1 - b for b in segment)][0]
-
     # ascending classes and segments of fixed length: words come in lex order
     def walk(i, pick, word, w):
         if i == len(blocks):
             # segments line up, so nested tuples compare as their words do
-            if group.variant == "product" or pick <= tuple(
-                tuple(sorted(map(least_complement, block))) for block in pick
-            ):
+            if group.variant == "product" or pick <= tuple(map(_complemented, pick)):
                 reps.append(word)
             return
         for block, letters, bw in blocks[i]:
@@ -291,23 +296,70 @@ def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ..
     return tuple(reps)
 
 
+@lru_cache(maxsize=None)
+def _block_isotropy(
+    v: int, segments: Tuple[Tuple[int, ...], ...], up_to_complement: bool
+):
+    """The isotropy of one block of equal parts, whose m segments of length
+    v are these least rotations in ascending order, decided on generators
+    over the one-block partition (v^m).
+
+    Returns whether the character is trivial on the stabilizer of the
+    block's word, the stabilizer's order, and, up to complement, the
+    character exponent, over root_order((v^m)) = lcm(v, 2), of an element
+    carrying the word onto its complement; None when there is none."""
+    lam = Partition((v,) * len(segments))
+    word = tuple(itertools.chain.from_iterable(segments))
+    generators, order = _isotropy_generators(lam, word, up_to_complement)
+    L = root_order(lam)
+    exponents = [
+        _character_exponent(lam, block_map, shifts, L)
+        for block_map, shifts in generators
+    ]
+    if up_to_complement and _complemented(segments) == segments:
+        # the complement lies in the word's orbit, so its element came last
+        return not any(exponents[:-1]), order // 2, exponents[-1]
+    return not any(exponents), order, None
+
+
 def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
-    """The character sum over the twisted isotropy, decided on generators.
+    """The character sum over the twisted isotropy, decided block by block.
 
     Conjugated by a coset with this marking word, the isotropy is the
     stabilizer of the word in the centralizer (for the extension: of the
-    word up to complement).  A character sums to the group order over a
-    group it is trivial on, and to 0 otherwise; it is trivial exactly when
-    it is 1 on every generator.
+    word up to complement).  The centralizer is the product over its blocks
+    (v, m) of C_v wr S_m and the character is the product of its
+    restrictions, so the stabilizer of the word is the product of the
+    blocks' stabilizers, the character is trivial on it when it is on each,
+    and a complementing element exists when every block has one, its
+    exponent the sum of theirs carried from lcm(v, 2) to L.  A character
+    sums to the group order over a group it is trivial on, and to 0
+    otherwise.
     Returns (whether the sum is the isotropy order, isotropy order)."""
-    generators, order = _isotropy_generators(
-        lam, word, group.variant == "extension"
-    )
+    up_to_complement = group.variant == "extension"
     L = root_order(lam)
-    trivial = all(
-        _character_exponent(lam, block_map, exponents, L) == 0
-        for block_map, exponents in generators
-    )
+    trivial, order, flip = True, 1, 0
+    start = 0
+    for v, m in lam.blocks:
+        least = _rotation_table(v)
+        end = start + v * m
+        segments = tuple(
+            sorted([least[word[s:s + v]][0] for s in range(start, end, v)])
+        )
+        start = end
+        block_trivial, block_order, block_flip = _block_isotropy(
+            v, segments, up_to_complement
+        )
+        trivial = trivial and block_trivial
+        order *= block_order
+        if block_flip is None:
+            flip = None
+        elif flip is not None:
+            flip += block_flip * (L // math.lcm(v, 2))
+    if flip is not None:
+        # the complementing element doubles the group and must have value 1
+        trivial = trivial and flip % L == 0
+        order *= 2
     return trivial, order
 
 
@@ -392,14 +444,15 @@ def total_rank_check(n: int, long_running: bool = False) -> bool:
     ok = True
     for group in groups:
         got = Counter()
+        order = group.order
         for lam in all_partitions(n):
             for word in double_cosets(group, lam):
                 h = _isotropy_sum(word, lam, group)[1]
-                if group.order % h:
+                if order % h:
                     raise InternalConsistencyError(
                         "isotropy order %d does not divide the group order" % h
                     )
-                got[lam.degree] += group.order // h
+                got[lam.degree] += order // h
         if got != expected:
             ok = False
             log.warning(

@@ -402,9 +402,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
+    )
+    # basicConfig does nothing once the root logger has a handler, so a
+    # second call in one process sets its level here
+    logging.getLogger("braidinv").setLevel(
+        logging.DEBUG if args.verbose else logging.WARNING
     )
     try:
         return args.func(args)

@@ -52,7 +52,7 @@ class Partition:
         # cohomological degree n - j
         return self.n - self.part_count
 
-    @property
+    @cached_property
     def blocks(self) -> Tuple[Tuple[int, int], ...]:
         """Distinct part values with multiplicities, values descending."""
         out = []

@@ -14,7 +14,9 @@ group, which never read a marking word, and the breadth-first search over
 all C(n, q) marking words that the oracle's per-block construction
 replaced, which must give the same words in the same order.  So must
 the unpruned per-block walk, which builds every pick of rotation classes
-and then drops the wrong weights.
+and then drops the wrong weights.  The oracle decides the isotropy block
+by block; the whole-partition decision it replaced, on generators of the
+stabilizer of the full word, is kept here to check it coset by coset.
 """
 
 import itertools
@@ -26,6 +28,7 @@ from typing import Optional, Tuple
 from braidinv.character_oracle import (
     GroupSpec,
     _character_exponent,
+    _isotropy_generators,
     build_centralizer,
     root_order,
 )
@@ -216,6 +219,26 @@ def filtered_double_cosets(group: GroupSpec, lam: Partition):
                 continue
         reps.append(word)
     return tuple(reps)
+
+
+def whole_isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
+    """The character sum over the twisted isotropy, decided on generators.
+
+    Conjugated by a coset with this marking word, the isotropy is the
+    stabilizer of the word in the centralizer (for the extension: of the
+    word up to complement).  A character sums to the group order over a
+    group it is trivial on, and to 0 otherwise; it is trivial exactly when
+    it is 1 on every generator.
+    Returns (whether the sum is the isotropy order, isotropy order)."""
+    generators, order = _isotropy_generators(
+        lam, word, group.variant == "extension"
+    )
+    L = root_order(lam)
+    trivial = all(
+        _character_exponent(lam, block_map, exponents, L) == 0
+        for block_map, exponents in generators
+    )
+    return trivial, order
 
 
 def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:

@@ -8,6 +8,7 @@ from braidinv import character_oracle
 from braidinv.character_oracle import (
     GroupSpec,
     _from_cycles,
+    _block_isotropy,
     _isotropy_generators,
     _isotropy_sum,
     _rotation_table,
@@ -17,6 +18,7 @@ from braidinv.character_oracle import (
     double_cosets,
     isotropy_inner_product,
     oracle_dimension,
+    oracle_tables,
     root_order,
     total_rank_check,
 )
@@ -35,6 +37,7 @@ from oracle_listing import (
     listed_inner_product,
     searched_double_cosets,
     stabilizer,
+    whole_isotropy_sum,
     zeta_value,
 )
 from test_product_catalog import label_from_word
@@ -186,6 +189,63 @@ def test_generator_verdict_and_order_match_listing(n):
                 verdict, order = listed_inner_product(word, lam, group)
                 assert _isotropy_sum(word, lam, group) == (bool(verdict), order)
                 assert isotropy_inner_product(word, lam, group) == verdict
+
+
+def _all_groups(n):
+    """Every product split, q = 0..n, and the extension at even n."""
+    groups = [GroupSpec.product(n, q) for q in range(n + 1)]
+    if n % 2 == 0:
+        groups.append(GroupSpec.extension(n // 2))
+    return groups
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_block_isotropy_matches_the_whole_partition(n):
+    # blocks decided apart give the verdict and order of the full word
+    for group in _all_groups(n):
+        for lam in all_partitions(n):
+            for word in double_cosets(group, lam):
+                assert _isotropy_sum(word, lam, group) == whole_isotropy_sum(
+                    word, lam, group
+                ), (lam.parts, word, group.describe())
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_isotropy_of_every_word_matches_the_whole_partition(n):
+    # words that are not their orbit's least are canonicalized block by block
+    for group in _all_groups(n):
+        for lam in all_partitions(n):
+            for word in itertools.product((0, 1), repeat=n):
+                if sum(word) == group.q:
+                    assert _isotropy_sum(word, lam, group) == whole_isotropy_sum(
+                        word, lam, group
+                    ), (lam.parts, word, group.describe())
+
+
+def test_warm_block_cache_decides_each_block_once(monkeypatch):
+    n = 8
+    for v in range(1, n + 1):
+        _rotation_table(v)
+    _block_isotropy.cache_clear()
+    calls = []
+
+    def counted(lam, word, up_to_complement):
+        calls.append((lam, word, up_to_complement))
+        return _isotropy_generators(lam, word, up_to_complement)
+
+    monkeypatch.setattr(character_oracle, "_isotropy_generators", counted)
+    oracle_tables(n, _all_groups(n))
+    assert calls
+    keys = []
+    for lam, word, up_to_complement in calls:
+        ((v, m),) = lam.blocks  # one block of equal parts
+        segments = tuple(word[i:i + v] for i in range(0, v * m, v))
+        keys.append((v, segments, up_to_complement))
+    assert len(keys) == len(set(keys))
+    # a warm cache decides nothing again
+    del calls[:]
+    oracle_tables(n, _all_groups(n))
+    assert calls == []
 
 
 def _stirling_by_walk(n):

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -261,6 +262,25 @@ def test_verify_times_each_leg_on_stderr(capsys):
         assert re.search(r"^%s catalog: \d+\.\d{3} s$" % re.escape(name), err, re.M)
     assert re.search(r"^product\(4,0\), product\(3,1\), product\(2,2\) oracle: ", err, re.M)
     assert " s\n" not in out
+
+
+@pytest.mark.parametrize("first_verbose", (True, False))
+def test_verbose_is_set_on_every_call(capsys, caplog, first_verbose):
+    # a second main in one process takes its own --verbose, either way round
+    argv = ["verify", "--n", "4", "--group", "prod", "--q", "1"]
+    try:
+        for verbose in (first_verbose, not first_verbose):
+            caplog.clear()
+            code, _, _ = run(capsys, *argv, *["--verbose"] * verbose)
+            assert code == 0
+            done = [
+                r for r in caplog.records
+                if r.levelno == logging.DEBUG and r.getMessage().endswith(" done")
+            ]
+            # one line per partition of 4 when verbose, none otherwise
+            assert len(done) == (5 if verbose else 0)
+    finally:
+        logging.getLogger("braidinv").setLevel(logging.NOTSET)
 
 
 def test_necklace_pi(capsys):
