@@ -8,9 +8,13 @@ unity, and an inner product is decided on generators of the isotropy.  A
 double coset is its marking word, built block by block from the rotation
 classes of 0/1 words; one table per part length maps every word to its
 least rotation and symmetry, found by rotating each class's least word.
-The centralizer and its character are products over the blocks of equal
-parts, so the isotropy is decided once per distinct block, on the
-one-block partition, and each coset multiplies its blocks' answers.
+Each block's picks of rotation classes carry, computed once, which side
+of its complement's pick they fall on, so the extension's coset walk
+decides its complement test block by block.  The centralizer and its
+character are products over the blocks of equal parts, so the isotropy
+is decided once per distinct block, on the one-block partition, cached
+under the block's letters, and each coset multiplies its blocks'
+answers: one slice and one cache lookup per block.
 Nothing here consults the admissibility predicate or the counting
 formulas, so agreement between the two paths is a real check.
 """
@@ -249,13 +253,18 @@ def _complemented(block: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], 
 @lru_cache(maxsize=None)
 def _block_picks(v: int, m: int):
     """The multisets of m rotation classes of length v, in lex order, each
-    as (pick, its letters, its weight)."""
+    as (its letters, its weight, side), and the set of their weights.
+
+    side is -1, 0 or 1 as the pick is below, equal to or above its
+    complemented pick; segments line up, so nested tuples compare as
+    their words do."""
     classes = sorted({least for least, _ in _rotation_table(v).values()})
-    out = []
+    picks = []
     for pick in itertools.combinations_with_replacement(classes, m):
         letters = tuple(b for segment in pick for b in segment)
-        out.append((pick, letters, sum(letters)))
-    return tuple(out)
+        flipped = _complemented(pick)
+        picks.append((letters, sum(letters), (pick > flipped) - (pick < flipped)))
+    return tuple(picks), frozenset(w for _, w, _ in picks)
 
 
 def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ...]:
@@ -269,48 +278,60 @@ def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ..
     equal parts; its lex-least word, the one given here, lists each
     block's least rotations in ascending order.  The blocks are walked
     depth first, each block's picks in order, keeping a pick only when
-    the blocks after it can still make up the weight q."""
+    the blocks after it can still make up the weight q.  The extension
+    keeps a word when it is at most its complement's least word, compared
+    block by block: while the blocks so far equal their complemented
+    picks, a pick above its own prunes its subtree and one below it
+    accepts every completion."""
     if lam.n != group.n:
         raise ValueError("partition total must match the group degree")
     blocks = [_block_picks(v, m) for v, m in lam.blocks]
     # reach[i]: the weights at most q that blocks i, i + 1, ... can sum to
     reach = [{0}]
-    for picks in reversed(blocks):
-        weights = {w for _, _, w in picks}
+    for _, weights in reversed(blocks):
         reach.append({a + b for a in reach[-1] for b in weights if a + b <= group.q})
     reach.reverse()
     reps = []
 
     # ascending classes and segments of fixed length: words come in lex order
-    def walk(i, pick, word, w):
+    def walk(i, word, w, tied):
         if i == len(blocks):
-            # segments line up, so nested tuples compare as their words do
-            if group.variant == "product" or pick <= tuple(map(_complemented, pick)):
-                reps.append(word)
+            reps.append(word)
             return
-        for block, letters, bw in blocks[i]:
+        for letters, bw, side in blocks[i][0]:
+            if tied and side > 0:
+                continue
             if group.q - w - bw in reach[i + 1]:
-                walk(i + 1, pick + (block,), word + letters, w + bw)
+                walk(i + 1, word + letters, w + bw, tied and side == 0)
 
-    walk(0, (), (), 0)
+    walk(0, (), 0, group.variant == "extension")
     return tuple(reps)
 
 
 @lru_cache(maxsize=None)
-def _block_isotropy(
-    v: int, segments: Tuple[Tuple[int, ...], ...], up_to_complement: bool
-):
-    """The isotropy of one block of equal parts, whose m segments of length
-    v are these least rotations in ascending order, decided on generators
-    over the one-block partition (v^m).
+def _block_isotropy(v: int, letters: Tuple[int, ...], up_to_complement: bool):
+    """The isotropy of one block of equal parts of value v, whose letters,
+    word[start:end], cover its parts in order, decided on generators over
+    the one-block partition (v^m).
+
+    A block whose segments are not least rotations in ascending order
+    reads the entry of the one that is, found from the rotation table,
+    so generators are built once per distinct block; the words
+    double_cosets gives hit the cache directly.
 
     Returns whether the character is trivial on the stabilizer of the
     block's word, the stabilizer's order, and, up to complement, the
     character exponent, over root_order((v^m)) = lcm(v, 2), of an element
     carrying the word onto its complement; None when there is none."""
+    least = _rotation_table(v)
+    segments = tuple(
+        sorted(least[letters[s:s + v]][0] for s in range(0, len(letters), v))
+    )
+    canonical = tuple(itertools.chain.from_iterable(segments))
+    if canonical != letters:
+        return _block_isotropy(v, canonical, up_to_complement)
     lam = Partition((v,) * len(segments))
-    word = tuple(itertools.chain.from_iterable(segments))
-    generators, order = _isotropy_generators(lam, word, up_to_complement)
+    generators, order = _isotropy_generators(lam, canonical, up_to_complement)
     L = root_order(lam)
     exponents = [
         _character_exponent(lam, block_map, shifts, L)
@@ -337,19 +358,15 @@ def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
     otherwise.
     Returns (whether the sum is the isotropy order, isotropy order)."""
     up_to_complement = group.variant == "extension"
-    L = root_order(lam)
+    L = root_order(lam) if up_to_complement else None
     trivial, order, flip = True, 1, 0
     start = 0
     for v, m in lam.blocks:
-        least = _rotation_table(v)
         end = start + v * m
-        segments = tuple(
-            sorted([least[word[s:s + v]][0] for s in range(start, end, v)])
+        block_trivial, block_order, block_flip = _block_isotropy(
+            v, word[start:end], up_to_complement
         )
         start = end
-        block_trivial, block_order, block_flip = _block_isotropy(
-            v, segments, up_to_complement
-        )
         trivial = trivial and block_trivial
         order *= block_order
         if block_flip is None:
@@ -370,7 +387,7 @@ def isotropy_inner_product(
     the coset with this marking word: 1 when the centralizer character is
     trivial on the isotropy, else 0."""
     word = tuple(word)
-    if any(b not in (0, 1) for b in word):
+    if word.count(0) + word.count(1) != len(word):
         raise ValueError("%s is not a 0/1 word" % (word,))
     if len(word) != lam.n or sum(word) != group.q:
         raise ValueError(

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ from braidinv.character_oracle import (
     GroupSpec,
     _from_cycles,
     _block_isotropy,
+    _block_picks,
+    _complemented,
     _isotropy_generators,
     _isotropy_sum,
     _rotation_table,
@@ -64,6 +67,20 @@ def test_perm_basics():
         isotropy_inner_product((0, 1), lam, group)
     with pytest.raises(ValueError):
         isotropy_inner_product((1, 1, 0), lam, group)
+
+
+def test_letter_check():
+    # a letter other than 0 and 1 is refused, hashable or not
+    lam, group = Partition((2, 1)), GroupSpec.product(3, 1)
+    for word in ((0, 2, 0), (0, [1], 0)):
+        message = re.escape("%s is not a 0/1 word" % (word,))
+        with pytest.raises(ValueError, match=message):
+            isotropy_inner_product(word, lam, group)
+    # and accepts a bool, which equals its integer
+    lam, group = Partition((3,)), GroupSpec.product(3, 1)
+    assert isotropy_inner_product((0, True, 0), lam, group) == isotropy_inner_product(
+        (0, 1, 0), lam, group
+    )
 
 
 def test_group_spec_orders_and_membership():
@@ -245,6 +262,38 @@ def test_warm_block_cache_decides_each_block_once(monkeypatch):
     # a warm cache decides nothing again
     del calls[:]
     oracle_tables(n, _all_groups(n))
+    assert calls == []
+
+
+def test_canonical_words_skip_the_rotation_table(monkeypatch):
+    # the words double_cosets gives key the block cache as they stand
+    n = 8
+    first = oracle_tables(n, _all_groups(n))
+
+    def refused(v):
+        raise AssertionError("rotation table of length %d read" % v)
+
+    monkeypatch.setattr(character_oracle, "_rotation_table", refused)
+    assert oracle_tables(n, _all_groups(n)) == first
+
+
+def test_warm_picks_complement_each_pick_once(monkeypatch):
+    group = GroupSpec.extension(4)
+    lams = all_partitions(group.n)
+    blocks = {block for lam in lams for block in lam.blocks}
+    calls = []
+
+    def counted(pick):
+        calls.append(pick)
+        return _complemented(pick)
+
+    monkeypatch.setattr(character_oracle, "_complemented", counted)
+    _block_picks.cache_clear()
+    picks = sum(len(_block_picks(v, m)[0]) for v, m in blocks)
+    assert len(calls) == picks
+    # the walk reads each pick's side of its complement from the cache
+    del calls[:]
+    assert sum(len(double_cosets(group, lam)) for lam in lams) > 0
     assert calls == []
 
 
@@ -511,6 +560,17 @@ def test_oracle_past_the_long_limit_at_n14(monkeypatch):
     oracle = oracle_dimension(14, GroupSpec.extension(7), long_running=True)
     assert oracle.as_dict() == ext_dimension(14)[1].as_dict()
     assert total_rank_check(14, long_running=True)
+
+
+def test_oracle_past_the_long_limit_at_n16(monkeypatch):
+    monkeypatch.setattr(character_oracle, "ORACLE_LONG_LIMIT", 16)
+    groups = [GroupSpec.product(16, q) for q in range(9)]
+    groups.append(GroupSpec.extension(8))
+    *products, extension = oracle_tables(16, groups, long_running=True)
+    for q, oracle in enumerate(products):
+        assert oracle.as_dict() == product_dimension(16, q).as_dict(), q
+    assert extension.as_dict() == ext_dimension(16)[1].as_dict()
+    assert total_rank_check(16, long_running=True)
 
 
 def test_oracle_imports_no_catalog_module():
