@@ -1,8 +1,9 @@
 """Exact graded dimensions of invariant braid cohomology.
 
-Two independent computation paths: a generator catalog with closed-form
-counting, and a brute-force character oracle.  They must agree; the test
-suite and the `braidinv verify` command enforce it.
+Three routes to each table: a closed-form count (the formula), an explicit
+listing of generator labels (the catalog), and a brute-force character
+oracle that shares no rule with either.  They must agree; the test suite
+and the `braidinv verify` command enforce it.
 """
 
 from .character_oracle import GroupSpec, oracle_dimension

@@ -27,15 +27,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from .core_combinatorics import Partition, PoincareTable, all_partitions, min_rotation
-from .errors import CapabilityError, InternalConsistencyError
+from .errors import InternalConsistencyError
 
 log = logging.getLogger(__name__)
-
-ORACLE_LIMIT = 8
-ORACLE_LONG_LIMIT = 10
 
 
 def _sign(images: Tuple[int, ...]) -> int:
@@ -397,43 +394,20 @@ def isotropy_inner_product(
     return int(_isotropy_sum(word, lam, group)[0])
 
 
-def check_oracle_scale(n: int, long_running: bool):
-    """Refuse (CapabilityError) an oracle run beyond the supported n."""
-    if n <= ORACLE_LIMIT or (long_running and n <= ORACLE_LONG_LIMIT):
-        return
-    raise CapabilityError(
-        "oracle runs stop at n = %d (n = %d with long runs enabled)"
-        % (ORACLE_LIMIT, ORACLE_LONG_LIMIT)
-    )
-
-
-def oracle_tables(
-    n: int, groups: Sequence[GroupSpec], long_running: bool = False
-) -> Tuple[PoincareTable, ...]:
-    """Graded invariant dimension of each group, summed over cosets degree
-    by degree, one (group, partition) job after another in this process."""
-    if any(group.n != n for group in groups):
+def oracle_dimension(n: int, group: GroupSpec) -> PoincareTable:
+    """Graded invariant dimension of the group, summed over cosets degree
+    by degree, one partition after another in this process."""
+    if group.n != n:
         raise ValueError("group degree must equal n")
-    check_oracle_scale(n, long_running)
-    tables = []
-    for group in groups:
-        counts = Counter()
-        for lam in all_partitions(n):
-            # one invariant per coset whose isotropy the character is trivial on
-            counts[lam.degree] += sum(
-                isotropy_inner_product(word, lam, group)
-                for word in double_cosets(group, lam)
-            )
-            log.debug("oracle %s: partition %s done", group.describe(), lam.parts)
-        tables.append(PoincareTable.from_dict(counts))
-    return tuple(tables)
-
-
-def oracle_dimension(
-    n: int, group: GroupSpec, long_running: bool = False
-) -> PoincareTable:
-    """The oracle table of one group."""
-    return oracle_tables(n, (group,), long_running)[0]
+    counts = Counter()
+    for lam in all_partitions(n):
+        # one invariant per coset whose isotropy the character is trivial on
+        counts[lam.degree] += sum(
+            isotropy_inner_product(word, lam, group)
+            for word in double_cosets(group, lam)
+        )
+        log.debug("oracle %s: partition %s done", group.describe(), lam.parts)
+    return PoincareTable.from_dict(counts)
 
 
 def _stirling_degrees(n: int) -> Counter:
@@ -446,14 +420,13 @@ def _stirling_degrees(n: int) -> Counter:
     return Counter(dict(enumerate(coeffs)))
 
 
-def total_rank_check(n: int, long_running: bool = False) -> bool:
+def total_rank_check(n: int) -> bool:
     """Indices of the isotropy subgroups must recover the full cohomology.
 
     For every product split and the extension, the sum over partitions and
     cosets of the group order divided by the isotropy order is compared
     per degree with the permutation cycle counts.
     """
-    check_oracle_scale(n, long_running)
     expected = _stirling_degrees(n)
     groups = [GroupSpec.product(n, q) for q in range(n // 2 + 1)]
     if n % 2 == 0:

@@ -73,7 +73,7 @@ def test_criterion_2_ext_vs_oracle():
             oracle = oracle_dimension(n, GroupSpec.extension(n // 2))
             ok = ok and oracle.as_dict() == table.as_dict() and oracle.total == total
         ok = ok and time.monotonic() - t0 < 300.0
-        oracle10 = oracle_dimension(10, GroupSpec.extension(5), long_running=True)
+        oracle10 = oracle_dimension(10, GroupSpec.extension(5))
         ok = ok and oracle10.as_dict() == ext_dimension(10)[1].as_dict()
     finally:
         _finish(2, "ext-vs-oracle", ok)

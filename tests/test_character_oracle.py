@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from braidinv import character_oracle
+from braidinv import character_oracle, cli
 from braidinv.character_oracle import (
     GroupSpec,
     _from_cycles,
@@ -21,12 +21,10 @@ from braidinv.character_oracle import (
     double_cosets,
     isotropy_inner_product,
     oracle_dimension,
-    oracle_tables,
     root_order,
     total_rank_check,
 )
 from braidinv.core_combinatorics import Partition, all_partitions, min_rotation
-from braidinv.errors import CapabilityError
 from braidinv.extension_catalog import ext_dimension
 from braidinv.product_catalog import product_dimension
 from oracle_listing import (
@@ -251,7 +249,8 @@ def test_warm_block_cache_decides_each_block_once(monkeypatch):
         return _isotropy_generators(lam, word, up_to_complement)
 
     monkeypatch.setattr(character_oracle, "_isotropy_generators", counted)
-    oracle_tables(n, _all_groups(n))
+    for group in _all_groups(n):
+        oracle_dimension(n, group)
     assert calls
     keys = []
     for lam, word, up_to_complement in calls:
@@ -261,20 +260,21 @@ def test_warm_block_cache_decides_each_block_once(monkeypatch):
     assert len(keys) == len(set(keys))
     # a warm cache decides nothing again
     del calls[:]
-    oracle_tables(n, _all_groups(n))
+    for group in _all_groups(n):
+        oracle_dimension(n, group)
     assert calls == []
 
 
 def test_canonical_words_skip_the_rotation_table(monkeypatch):
     # the words double_cosets gives key the block cache as they stand
     n = 8
-    first = oracle_tables(n, _all_groups(n))
+    first = [oracle_dimension(n, group) for group in _all_groups(n)]
 
     def refused(v):
         raise AssertionError("rotation table of length %d read" % v)
 
     monkeypatch.setattr(character_oracle, "_rotation_table", refused)
-    assert oracle_tables(n, _all_groups(n)) == first
+    assert [oracle_dimension(n, group) for group in _all_groups(n)] == first
 
 
 def test_warm_picks_complement_each_pick_once(monkeypatch):
@@ -519,21 +519,21 @@ def test_oracle_matches_ext_formula(n):
 
 
 def test_oracle_matches_ext_formula_n10():
-    oracle = oracle_dimension(10, GroupSpec.extension(5), long_running=True)
+    oracle = oracle_dimension(10, GroupSpec.extension(5))
     assert oracle.as_dict() == ext_dimension(10)[1].as_dict()
 
 
 def test_oracle_matches_product_formula_n10():
     for q in range(6):
-        oracle = oracle_dimension(10, GroupSpec.product(10, q), long_running=True)
+        oracle = oracle_dimension(10, GroupSpec.product(10, q))
         assert oracle.as_dict() == product_dimension(10, q).as_dict(), q
 
 
-def test_oracle_capability_gate():
-    with pytest.raises(CapabilityError):
-        oracle_dimension(10, GroupSpec.extension(5))
-    with pytest.raises(CapabilityError):
-        oracle_dimension(12, GroupSpec.extension(6), long_running=True)
+def test_oracle_capability_gate(capsys):
+    # the size gate is the CLI's; the library oracle takes any n
+    assert cli.main(["verify", "--n", "10", "--group", "ext"]) == 4
+    assert cli.main(["verify", "--n", "12", "--group", "ext", "--long"]) == 4
+    assert "capability" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -541,36 +541,33 @@ def test_total_rank_check(n):
     assert total_rank_check(n)
 
 
-def test_oracle_past_the_long_limit_at_n12(monkeypatch):
+def test_oracle_past_the_long_limit_at_n12():
     # the CLI gate stops at n = 10; the oracle itself runs on to n = 12
-    monkeypatch.setattr(character_oracle, "ORACLE_LONG_LIMIT", 12)
     for q in range(7):
-        oracle = oracle_dimension(12, GroupSpec.product(12, q), long_running=True)
+        oracle = oracle_dimension(12, GroupSpec.product(12, q))
         assert oracle.as_dict() == product_dimension(12, q).as_dict(), q
-    oracle = oracle_dimension(12, GroupSpec.extension(6), long_running=True)
+    oracle = oracle_dimension(12, GroupSpec.extension(6))
     assert oracle.as_dict() == ext_dimension(12)[1].as_dict()
-    assert total_rank_check(12, long_running=True)
+    assert total_rank_check(12)
 
 
-def test_oracle_past_the_long_limit_at_n14(monkeypatch):
-    monkeypatch.setattr(character_oracle, "ORACLE_LONG_LIMIT", 14)
+def test_oracle_past_the_long_limit_at_n14():
     for q in range(8):
-        oracle = oracle_dimension(14, GroupSpec.product(14, q), long_running=True)
+        oracle = oracle_dimension(14, GroupSpec.product(14, q))
         assert oracle.as_dict() == product_dimension(14, q).as_dict(), q
-    oracle = oracle_dimension(14, GroupSpec.extension(7), long_running=True)
+    oracle = oracle_dimension(14, GroupSpec.extension(7))
     assert oracle.as_dict() == ext_dimension(14)[1].as_dict()
-    assert total_rank_check(14, long_running=True)
+    assert total_rank_check(14)
 
 
-def test_oracle_past_the_long_limit_at_n16(monkeypatch):
-    monkeypatch.setattr(character_oracle, "ORACLE_LONG_LIMIT", 16)
+def test_oracle_past_the_long_limit_at_n16():
     groups = [GroupSpec.product(16, q) for q in range(9)]
     groups.append(GroupSpec.extension(8))
-    *products, extension = oracle_tables(16, groups, long_running=True)
+    *products, extension = [oracle_dimension(16, group) for group in groups]
     for q, oracle in enumerate(products):
         assert oracle.as_dict() == product_dimension(16, q).as_dict(), q
     assert extension.as_dict() == ext_dimension(16)[1].as_dict()
-    assert total_rank_check(16, long_running=True)
+    assert total_rank_check(16)
 
 
 def test_oracle_imports_no_catalog_module():

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidinv import character_oracle, cli, extension_catalog, product_catalog
-from braidinv.character_oracle import GroupSpec
 from braidinv.cli import main, render_table
 from braidinv.core_combinatorics import all_partitions
 from braidinv.cycle_invariants import enumerate_Pi
@@ -67,7 +66,7 @@ def test_verify_rejects_non_positive_workers(capsys, monkeypatch, workers):
     def start(*args, **kwargs):
         raise AssertionError("a rejected request reached the oracle")
 
-    monkeypatch.setattr(cli, "oracle_tables", start)
+    monkeypatch.setattr(cli, "oracle_dimension", start)
     code, _, err = run(
         capsys, "verify", "--n", "4", "--group", "ext", "--workers", workers
     )
@@ -115,6 +114,7 @@ IGNORED_OPTIONS = [
     ("ep", ["--degree", "1"]),
     ("ep", ["--workers", "1"]),
     ("ep", ["--long"]),
+    ("ep", ["--format", "csv"]),
     ("spin", ["--workers", "1"]),
     ("spin", ["--long"]),
 ]
@@ -216,7 +216,7 @@ def test_verify_size_gate_comes_before_any_leg(capsys, monkeypatch, argv):
     def leg(*args, **kwargs):
         raise AssertionError("an oversized request computed a table")
 
-    for name in ("product_dimension", "ext_dimension", "oracle_tables"):
+    for name in ("product_dimension", "ext_dimension", "oracle_dimension"):
         monkeypatch.setattr(cli, name, leg)
     code, out, err = run(capsys, *argv)
     assert code == 4
@@ -224,26 +224,21 @@ def test_verify_size_gate_comes_before_any_leg(capsys, monkeypatch, argv):
     assert "capability" in err
 
 
-def test_verify_runs_the_oracle_once_per_command(capsys, monkeypatch):
+def test_verify_runs_the_oracle_once_per_group(capsys, monkeypatch):
     calls = []
 
-    def record(n, groups, **kwargs):
-        calls.append([group.describe() for group in groups])
-        return character_oracle.oracle_tables(n, groups, **kwargs)
+    def record(n, group):
+        calls.append(group.describe())
+        return character_oracle.oracle_dimension(n, group)
 
-    monkeypatch.setattr(cli, "oracle_tables", record)
+    monkeypatch.setattr(cli, "oracle_dimension", record)
     code, out, _ = run(capsys, "verify", "--n", "6", "--group", "prod", "--workers", "1")
     assert code == 0
     assert "verification OK" in out
-    assert calls == [["product(6,0)", "product(5,1)", "product(4,2)", "product(3,3)"]]
+    assert calls == ["product(6,0)", "product(5,1)", "product(4,2)", "product(3,3)"]
 
 
 def test_verify_forks_nothing(capsys, monkeypatch):
-    groups = [GroupSpec.product(4, q) for q in range(3)]
-    assert character_oracle.oracle_tables(4, groups) == tuple(
-        character_oracle.oracle_dimension(4, g) for g in groups
-    )
-
     def fork():
         raise AssertionError("verify forked a process")
 
@@ -260,7 +255,8 @@ def test_verify_times_each_leg_on_stderr(capsys):
         name = "product(%d,%d)" % (4 - q, q)
         assert re.search(r"^%s formula: \d+\.\d{3} s$" % re.escape(name), err, re.M)
         assert re.search(r"^%s catalog: \d+\.\d{3} s$" % re.escape(name), err, re.M)
-    assert re.search(r"^product\(4,0\), product\(3,1\), product\(2,2\) oracle: ", err, re.M)
+        assert re.search(r"^%s oracle: \d+\.\d{3} s$" % re.escape(name), err, re.M)
+    assert len(re.findall(r" oracle: ", err)) == 3
     assert " s\n" not in out
 
 

@@ -1,7 +1,12 @@
 import importlib.util
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from braidinv import character_oracle, cli
+from braidinv.core_combinatorics import PoincareTable
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,3 +36,26 @@ def exit_code(script, argv):
 def test_script_exit_codes(capsys, script, argv, code):
     assert exit_code(script, argv) == code
     capsys.readouterr()
+
+
+def test_cross_validate_sweeps_from_n1(capsys):
+    assert exit_code("cross_validate", ["--max-n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^product\(1,0\)  degree formula catalog oracle$", out, re.M)
+    assert out.endswith("all checks passed\n")
+
+
+@pytest.mark.parametrize(
+    "module,name,wrong",
+    [
+        (cli, "oracle_dimension", lambda n, group: PoincareTable(())),
+        (character_oracle, "_stirling_degrees", lambda n: Counter({0: 2})),
+    ],
+    ids=["verify", "rank-identity"],
+)
+def test_cross_validate_fails_on_a_mismatch(capsys, monkeypatch, module, name, wrong):
+    monkeypatch.setattr(module, name, wrong)
+    assert exit_code("cross_validate", ["--max-n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "MISMATCH" in captured.out + captured.err
+    assert captured.out.endswith("all checks FAILED\n")
