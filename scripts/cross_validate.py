@@ -2,7 +2,8 @@
 """Full cross-validation sweep: formula vs catalog vs brute-force oracle.
 
 Runs `braidinv verify` on every product split and on the extension for
-each n in range, then checks the oracle's rank identity, in one process.
+each n in range, then checks the oracle's rank identity, in one process,
+and ends with the run's peak RSS on stderr.
 The oracle is the expensive leg; --max-n stops at its ceiling,
 `cli.ORACLE_LIMIT`, or `cli.ORACLE_LONG_LIMIT` with --long.
 
@@ -13,6 +14,7 @@ The oracle is the expensive leg; --max-n stops at its ceiling,
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 
@@ -48,6 +50,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     print("all checks %s" % ("passed" if ok else "FAILED"))
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print("peak RSS %.1f MB" % peak, file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -6,8 +6,9 @@ subgroup, and the Mackey inner products with the trivial character, in
 exact integer arithmetic: character values are exponents of roots of
 unity, and an inner product is decided on generators of the isotropy.  A
 double coset is its marking word, built block by block from the rotation
-classes of 0/1 words; one table per part length maps every word to its
-least rotation and symmetry, found by rotating each class's least word.
+classes of 0/1 words, the words of each length that the linear scan
+necklace_multiplicity finds to be their own least rotation, in lex
+order; min_rotation runs once per cached pick or block, never per coset.
 Each block's picks of rotation classes carry, computed once, which side
 of its complement's pick they fall on, so the extension's coset walk
 decides its complement test block by block.  The centralizer and its
@@ -27,9 +28,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Tuple
 
-from .core_combinatorics import Partition, PoincareTable, all_partitions, min_rotation
+from .core_combinatorics import (
+    Partition, PoincareTable, all_partitions, min_rotation, necklace_multiplicity
+)
 from .errors import InternalConsistencyError
 
 log = logging.getLogger(__name__)
@@ -133,21 +136,6 @@ def build_centralizer(lam: Partition) -> CentralizerPresentation:
     return CentralizerPresentation(lam, tuple(generators))
 
 
-@lru_cache(maxsize=None)
-def _rotation_table(v: int) -> Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]]:
-    """Each of the 2^v words of 0s and 1s, mapped to min_rotation of it.
-
-    Words come in lex order, so the first one met of each rotation class
-    is its least rotation, and its value goes to every rotation of it."""
-    table = {}
-    for w in itertools.product((0, 1), repeat=v):
-        if w not in table:
-            value = min_rotation(w)
-            for e in range(v):
-                table[w[e:] + w[:e]] = value
-    return table
-
-
 def _rotation_onto(segment: Tuple[int, ...], target: Tuple[int, ...]) -> int:
     """The least e with segment[(t + e) % v] == target[t] for every t."""
     for e in range(len(segment)):
@@ -176,7 +164,7 @@ def _isotropy_generators(
     segments = [tuple(word[s:s + v]) for s, v in zip(starts, lam.parts)]
     classes = {}  # (least rotation, v / p) -> part indices
     for i, segment in enumerate(segments):
-        classes.setdefault(_rotation_table(len(segment))[segment], []).append(i)
+        classes.setdefault(min_rotation(segment), []).append(i)
     generators = []
     order = 1
     for (least, symmetry), members in classes.items():
@@ -195,8 +183,7 @@ def _isotropy_generators(
     if up_to_complement:
         block_map, exponents = [0] * count, [0] * count
         for (least, _), members in classes.items():
-            flipped = tuple(1 - b for b in least)
-            partners = classes.get(_rotation_table(len(least))[flipped], ())
+            partners = classes.get(min_rotation(1 - b for b in least), ())
             if len(partners) != len(members):
                 break
             for i, j in zip(members, partners):
@@ -243,8 +230,7 @@ def _character_exponent(lam: Partition, block_map, exponents, L: int) -> int:
 def _complemented(block: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:
     """A block's pick for the complemented word: the least rotations of its
     complemented segments, ascending."""
-    least = _rotation_table(len(block[0]))
-    return tuple(sorted(least[tuple(1 - b for b in segment)][0] for segment in block))
+    return tuple(sorted(min_rotation(1 - b for b in segment)[0] for segment in block))
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +241,8 @@ def _block_picks(v: int, m: int):
     side is -1, 0 or 1 as the pick is below, equal to or above its
     complemented pick; segments line up, so nested tuples compare as
     their words do."""
-    classes = sorted({least for least, _ in _rotation_table(v).values()})
+    words = itertools.product((0, 1), repeat=v)
+    classes = [w for w in words if necklace_multiplicity(w)]
     picks = []
     for pick in itertools.combinations_with_replacement(classes, m):
         letters = tuple(b for segment in pick for b in segment)
@@ -312,17 +299,16 @@ def _block_isotropy(v: int, letters: Tuple[int, ...], up_to_complement: bool):
     the one-block partition (v^m).
 
     A block whose segments are not least rotations in ascending order
-    reads the entry of the one that is, found from the rotation table,
-    so generators are built once per distinct block; the words
-    double_cosets gives hit the cache directly.
+    reads the entry of the one that is, found with min_rotation, so
+    generators are built once per distinct block; the words double_cosets
+    gives hit the cache directly.
 
     Returns whether the character is trivial on the stabilizer of the
     block's word, the stabilizer's order, and, up to complement, the
     character exponent, over root_order((v^m)) = lcm(v, 2), of an element
     carrying the word onto its complement; None when there is none."""
-    least = _rotation_table(v)
     segments = tuple(
-        sorted(least[letters[s:s + v]][0] for s in range(0, len(letters), v))
+        sorted(min_rotation(letters[s:s + v])[0] for s in range(0, len(letters), v))
     )
     canonical = tuple(itertools.chain.from_iterable(segments))
     if canonical != letters:
@@ -384,6 +370,8 @@ def isotropy_inner_product(
     the coset with this marking word: 1 when the centralizer character is
     trivial on the isotropy, else 0."""
     word = tuple(word)
+    if lam.n != group.n:
+        raise ValueError("partition total must match the group degree")
     if word.count(0) + word.count(1) != len(word):
         raise ValueError("%s is not a 0/1 word" % (word,))
     if len(word) != lam.n or sum(word) != group.q:

@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 Word = Tuple[int, ...]
 
@@ -195,6 +195,20 @@ def min_rotation(w: Iterable[int]) -> Tuple[Word, int]:
     rotations = [doubled[i:i + n] for i in range(n)]
     best = min(rotations)
     return best, rotations.count(best)
+
+
+def necklace_multiplicity(w: Sequence[int]) -> int:
+    """The number of rotations attaining a non-empty word of length d if it
+    is its own least rotation, else 0.  One linear scan (Duval 1983;
+    Ruskey, Savage and Wang 1992): it is iff it is a prenecklace whose
+    longest Lyndon prefix has a length p dividing d, and then d / p."""
+    p = 1
+    for i in range(1, len(w)):
+        if w[i] < w[i - p]:
+            return 0
+        if w[i] > w[i - p]:
+            p = i + 1
+    return 0 if len(w) % p else len(w) // p
 
 
 def mobius(n: int) -> int:

@@ -9,7 +9,9 @@ its closed-form count.  cycle_admissible states the admissibility rule for
 listing and necklace_count states it for counting.  Both listings walk the
 one fixed-density necklace loop, _gap_necklaces: the self-dual words at
 weight d are in bijection with the binary Lyndon words of length d and odd
-weight, through the cyclic difference word.
+weight, through the cyclic difference word.  Each word built is checked,
+and its rotation multiplicity read, by necklace_multiplicity, the linear
+least-rotation scan the oracle also finds its rotation classes with.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
-from .core_combinatorics import Word, binomial, min_rotation, mobius
+from .core_combinatorics import (
+    Word, binomial, min_rotation, mobius, necklace_multiplicity
+)
 from .errors import InternalConsistencyError
 
 
@@ -33,10 +37,8 @@ class InvariantCycle:
     rotation form, with its weight, the number of rotations that attain
     it, and whether cycle_admissible holds.
 
-    The constructor checks the minimal rotation form in one linear scan
-    (Duval 1983; Ruskey, Savage and Wang 1992): a word is its own least
-    rotation iff it is a prenecklace whose longest Lyndon prefix has a
-    length p dividing d, and that rotation is then attained d / p times.
+    The constructor checks the minimal rotation form and reads the
+    multiplicity in one linear scan, necklace_multiplicity.
     """
 
     length: int
@@ -59,15 +61,9 @@ class InvariantCycle:
                 raise ValueError("gaps must be non-negative")
             if sum(gaps) != self.length - d:
                 raise ValueError("gap word must sum to length - weight")
-            p = 1
-            for i in range(1, d):
-                if gaps[i] < gaps[i - p]:
-                    raise ValueError("gap word must be in minimal rotation form")
-                if gaps[i] > gaps[i - p]:
-                    p = i + 1
-            if d % p:
+            multiplicity = necklace_multiplicity(gaps)
+            if not multiplicity:
                 raise ValueError("gap word must be in minimal rotation form")
-            multiplicity = d // p
         object.__setattr__(self, "weight", d)
         object.__setattr__(self, "_multiplicity", multiplicity)
         object.__setattr__(self, "admissible", cycle_admissible(self))

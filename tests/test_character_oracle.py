@@ -1,6 +1,9 @@
 import ast
 import itertools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,6 @@ from braidinv.character_oracle import (
     _complemented,
     _isotropy_generators,
     _isotropy_sum,
-    _rotation_table,
     _sign,
     _stirling_degrees,
     build_centralizer,
@@ -24,7 +26,9 @@ from braidinv.character_oracle import (
     root_order,
     total_rank_check,
 )
-from braidinv.core_combinatorics import Partition, all_partitions, min_rotation
+from braidinv.core_combinatorics import (
+    Partition, all_partitions, min_rotation, necklace_multiplicity
+)
 from braidinv.extension_catalog import ext_dimension
 from braidinv.product_catalog import product_dimension
 from oracle_listing import (
@@ -32,6 +36,7 @@ from oracle_listing import (
     _assemble,
     _comp,
     _cyclotomic,
+    _rotation_classes,
     filtered_double_cosets,
     generic_double_cosets,
     group_generators,
@@ -74,6 +79,10 @@ def test_letter_check():
         message = re.escape("%s is not a 0/1 word" % (word,))
         with pytest.raises(ValueError, match=message):
             isotropy_inner_product(word, lam, group)
+    # a group of another degree is refused, as double_cosets refuses it
+    lam, group = Partition((3,)), GroupSpec.product(5, 1)
+    with pytest.raises(ValueError, match="partition total must match the group degree"):
+        isotropy_inner_product((1, 0, 0), lam, group)
     # and accepts a bool, which equals its integer
     lam, group = Partition((3,)), GroupSpec.product(3, 1)
     assert isotropy_inner_product((0, True, 0), lam, group) == isotropy_inner_product(
@@ -239,8 +248,6 @@ def test_isotropy_of_every_word_matches_the_whole_partition(n):
 
 def test_warm_block_cache_decides_each_block_once(monkeypatch):
     n = 8
-    for v in range(1, n + 1):
-        _rotation_table(v)
     _block_isotropy.cache_clear()
     calls = []
 
@@ -270,10 +277,10 @@ def test_canonical_words_skip_the_rotation_table(monkeypatch):
     n = 8
     first = [oracle_dimension(n, group) for group in _all_groups(n)]
 
-    def refused(v):
-        raise AssertionError("rotation table of length %d read" % v)
+    def refused(w):
+        raise AssertionError("least rotation of %s formed" % (w,))
 
-    monkeypatch.setattr(character_oracle, "_rotation_table", refused)
+    monkeypatch.setattr(character_oracle, "min_rotation", refused)
     assert [oracle_dimension(n, group) for group in _all_groups(n)] == first
 
 
@@ -405,35 +412,40 @@ def test_double_cosets_match_the_filtered_picks():
                 )
 
 
-@pytest.mark.parametrize("v", range(1, 11))
+@pytest.mark.parametrize("v", range(1, 13))
 def test_rotation_table_is_min_rotation(v):
-    table = _rotation_table(v)
-    words = list(itertools.product((0, 1), repeat=v))
-    assert len(table) == len(words)
-    for word in words:
-        assert table[word] == min_rotation(word)
+    # the scan finds min_rotation's least words and counts on 0/1 words
+    for word in itertools.product((0, 1), repeat=v):
+        least, count = min_rotation(word)
+        assert necklace_multiplicity(word) == (count if word == least else 0)
+    # and the one-part picks are the rotation classes, in order
+    assert [letters for letters, _, _ in _block_picks(v, 1)[0]] == list(
+        _rotation_classes(v)
+    )
 
 
 def test_warm_tables_compute_no_rotation(monkeypatch):
     n = 8
     groups = [GroupSpec.product(n, q) for q in range(n + 1)]
     groups.append(GroupSpec.extension(n // 2))
-    for v in range(1, n + 1):
-        _rotation_table(v)
     calls = []
 
     def counted(w):
         calls.append(w)
         return min_rotation(w)
 
+    def walk():
+        cosets = 0
+        for g in groups:
+            for lam in all_partitions(n):
+                for word in double_cosets(g, lam):
+                    cosets += 1
+                    _isotropy_sum(word, lam, g)
+        return cosets
+
+    assert walk() > 0
     monkeypatch.setattr(character_oracle, "min_rotation", counted)
-    cosets = 0
-    for g in groups:
-        for lam in all_partitions(n):
-            for word in double_cosets(g, lam):
-                cosets += 1
-                _isotropy_generators(lam, word, g.variant == "extension")
-    assert cosets > 0
+    assert walk() > 0
     assert calls == []
 
 
@@ -568,6 +580,31 @@ def test_oracle_past_the_long_limit_at_n16():
         assert oracle.as_dict() == product_dimension(16, q).as_dict(), q
     assert extension.as_dict() == ext_dimension(16)[1].as_dict()
     assert total_rank_check(16)
+
+
+MEMORY_PROBE = """
+import tracemalloc
+from braidinv.character_oracle import GroupSpec, oracle_dimension
+n = 14
+tracemalloc.start()
+for q in range(n // 2 + 1):
+    oracle_dimension(n, GroupSpec.product(n, q))
+oracle_dimension(n, GroupSpec.extension(n // 2))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_oracle_memory_at_n14():
+    # a fresh interpreter, so that no other test's caches count
+    src = str(Path(character_oracle.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5 * 2**20
 
 
 def test_oracle_imports_no_catalog_module():

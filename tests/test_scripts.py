@@ -40,9 +40,11 @@ def test_script_exit_codes(capsys, script, argv, code):
 
 def test_cross_validate_sweeps_from_n1(capsys):
     assert exit_code("cross_validate", ["--max-n", "1"]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert re.search(r"^product\(1,0\)  degree formula catalog oracle$", out, re.M)
     assert out.endswith("all checks passed\n")
+    # the run's peak RSS ends stderr; stdout still ends with the verdict
+    assert re.search(r"\npeak RSS \d+\.\d MB\n$", err)
 
 
 @pytest.mark.parametrize(
