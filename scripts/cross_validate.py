@@ -3,7 +3,7 @@
 
 Runs `braidinv verify` on every product split and on the extension for
 each n in range, then checks the oracle's rank identity, in one process,
-and ends with the run's peak RSS on stderr.
+and ends with the oracle's cache sizes and the run's peak RSS on stderr.
 The oracle is the expensive leg; --max-n stops at its ceiling,
 `cli.ORACLE_LIMIT`, or `cli.ORACLE_LONG_LIMIT` with --long.
 
@@ -18,7 +18,7 @@ import resource
 import sys
 import time
 
-from braidinv import cli
+from braidinv import character_oracle, cli
 from braidinv.character_oracle import total_rank_check
 from braidinv.cli import ORACLE_LIMIT, ORACLE_LONG_LIMIT
 
@@ -50,6 +50,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     print("all checks %s" % ("passed" if ok else "FAILED"))
+    sizes = [
+        "%s %d" % (name, getattr(character_oracle, name).cache_info().currsize)
+        for name in ("_classes", "_block_picks", "_block_isotropy")
+    ]
+    print("oracle cache entries: %s" % ", ".join(sizes), file=sys.stderr)
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print("peak RSS %.1f MB" % peak, file=sys.stderr)

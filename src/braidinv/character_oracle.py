@@ -8,20 +8,26 @@ unity, and an inner product is decided on generators of the isotropy.  A
 double coset is its marking word, built block by block from the rotation
 classes of 0/1 words, the words of each length that the linear scan
 necklace_multiplicity finds to be their own least rotation, in lex
-order; min_rotation runs once per cached pick or block, never per coset.
-Each block's picks of rotation classes carry, computed once, which side
-of its complement's pick they fall on, so the extension's coset walk
-decides its complement test block by block.  The centralizer and its
-character are products over the blocks of equal parts, so the isotropy
-is decided once per distinct block, on the one-block partition, cached
-under the block's letters, and each coset multiplies its blocks'
-answers: one slice and one cache lookup per block.
+order.  One table per length holds the classes and, aligned with them,
+the index of each class's complement class, found with one min_rotation
+per class; picks, complement tests and isotropy generators read it, so
+the words the oracle builds need no other min_rotation.  Each block's
+picks of rotation classes carry, computed once, which side of its
+complement's pick they fall on, so the extension's coset walk decides
+its complement test block by block, and are grouped by weight, so the
+last block is read at the one weight that completes q.  The centralizer
+and its character are products over the blocks of equal parts, so the
+isotropy is decided once per distinct block, on the one-block partition,
+cached under the block's letters for product and extension alike, and
+each coset multiplies its blocks' answers: one slice and one cache
+lookup per block.
 Nothing here consults the admissibility predicate or the counting
 formulas, so agreement between the two paths is a real check.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -164,7 +170,9 @@ def _isotropy_generators(
     segments = [tuple(word[s:s + v]) for s, v in zip(starts, lam.parts)]
     classes = {}  # (least rotation, v / p) -> part indices
     for i, segment in enumerate(segments):
-        classes.setdefault(min_rotation(segment), []).append(i)
+        symmetry = necklace_multiplicity(segment)
+        key = (segment, symmetry) if symmetry else min_rotation(segment)
+        classes.setdefault(key, []).append(i)
     generators = []
     order = 1
     for (least, symmetry), members in classes.items():
@@ -182,8 +190,11 @@ def _isotropy_generators(
             generators.append((tuple(block_map), tuple(exponents)))
     if up_to_complement:
         block_map, exponents = [0] * count, [0] * count
-        for (least, _), members in classes.items():
-            partners = classes.get(min_rotation(1 - b for b in least), ())
+        for (least, symmetry), members in classes.items():
+            words, flips = _classes(len(least))
+            # complementing keeps the period, so the partner's symmetry
+            partner = words[flips[bisect.bisect_left(words, least)]]
+            partners = classes.get((partner, symmetry), ())
             if len(partners) != len(members):
                 break
             for i, j in zip(members, partners):
@@ -227,28 +238,43 @@ def _character_exponent(lam: Partition, block_map, exponents, L: int) -> int:
     return (root + (sign_parity % 2) * (L // 2)) % L
 
 
-def _complemented(block: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:
-    """A block's pick for the complemented word: the least rotations of its
-    complemented segments, ascending."""
-    return tuple(sorted(min_rotation(1 - b for b in segment)[0] for segment in block))
+@lru_cache(maxsize=None)
+def _classes(v: int):
+    """The rotation classes of length v, the 0/1 words the scan finds to
+    be their own least rotation, in lex order, and aligned with them the
+    index of each class's complement class."""
+    words = tuple(
+        w for w in itertools.product((0, 1), repeat=v) if necklace_multiplicity(w)
+    )
+    flips = tuple(
+        bisect.bisect_left(words, min_rotation(1 - b for b in w)[0]) for w in words
+    )
+    return words, flips
 
 
 @lru_cache(maxsize=None)
 def _block_picks(v: int, m: int):
     """The multisets of m rotation classes of length v, in lex order, each
-    as (its letters, its weight, side), and the set of their weights.
+    as (its letters, its weight, side), and the same picks grouped by
+    weight: entry w holds the picks of weight w, in lex order.
 
     side is -1, 0 or 1 as the pick is below, equal to or above its
-    complemented pick; segments line up, so nested tuples compare as
-    their words do."""
-    words = itertools.product((0, 1), repeat=v)
-    classes = [w for w in words if necklace_multiplicity(w)]
+    complemented pick, the ascending complement classes of its classes;
+    the classes ascend as their words do, so comparing class indices
+    compares the picks' words."""
+    words, flips = _classes(v)
     picks = []
-    for pick in itertools.combinations_with_replacement(classes, m):
-        letters = tuple(b for segment in pick for b in segment)
-        flipped = _complemented(pick)
-        picks.append((letters, sum(letters), (pick > flipped) - (pick < flipped)))
-    return tuple(picks), frozenset(w for _, w, _ in picks)
+    by_weight = [[] for _ in range(v * m + 1)]
+    for pick in itertools.combinations_with_replacement(range(len(words)), m):
+        if m == 1:
+            letters = words[pick[0]]  # the table's own word, not a copy
+        else:
+            letters = tuple(b for i in pick for b in words[i])
+        flipped = tuple(sorted(flips[i] for i in pick))
+        entry = (letters, sum(letters), (pick > flipped) - (pick < flipped))
+        picks.append(entry)
+        by_weight[entry[1]].append(entry)
+    return tuple(picks), tuple(map(tuple, by_weight))
 
 
 def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ...]:
@@ -262,30 +288,35 @@ def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ..
     equal parts; its lex-least word, the one given here, lists each
     block's least rotations in ascending order.  The blocks are walked
     depth first, each block's picks in order, keeping a pick only when
-    the blocks after it can still make up the weight q.  The extension
-    keeps a word when it is at most its complement's least word, compared
-    block by block: while the blocks so far equal their complemented
-    picks, a pick above its own prunes its subtree and one below it
-    accepts every completion."""
+    the blocks after it can still make up the weight q: a block (v, m)
+    takes every weight from 0 to v m, so they can when what is left of q
+    is at least 0 and at most their letter count.  The last block is read
+    from its picks of the one weight that completes q, in order.
+    The extension keeps a word when it is at most its complement's least
+    word, compared block by block: while the blocks so far equal their
+    complemented picks, a pick above its own prunes its subtree and one
+    below it accepts every completion."""
     if lam.n != group.n:
         raise ValueError("partition total must match the group degree")
     blocks = [_block_picks(v, m) for v, m in lam.blocks]
-    # reach[i]: the weights at most q that blocks i, i + 1, ... can sum to
-    reach = [{0}]
-    for _, weights in reversed(blocks):
-        reach.append({a + b for a in reach[-1] for b in weights if a + b <= group.q})
-    reach.reverse()
+    last = len(blocks) - 1
+    # rest[i]: the letter count of the blocks after block i, which can
+    # weigh anything from 0 to rest[i], as each block (v, m) takes every
+    # weight from 0 to v m
+    rest = [group.n - s for s in itertools.accumulate(v * m for v, m in lam.blocks)]
     reps = []
 
     # ascending classes and segments of fixed length: words come in lex order
     def walk(i, word, w, tied):
-        if i == len(blocks):
-            reps.append(word)
+        if i == last:
+            for letters, _, side in blocks[i][1][group.q - w]:
+                if not (tied and side > 0):
+                    reps.append(word + letters)
             return
         for letters, bw, side in blocks[i][0]:
             if tied and side > 0:
                 continue
-            if group.q - w - bw in reach[i + 1]:
+            if 0 <= group.q - w - bw <= rest[i]:
                 walk(i + 1, word + letters, w + bw, tied and side == 0)
 
     walk(0, (), 0, group.variant == "extension")
@@ -293,34 +324,38 @@ def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ..
 
 
 @lru_cache(maxsize=None)
-def _block_isotropy(v: int, letters: Tuple[int, ...], up_to_complement: bool):
+def _block_isotropy(v: int, letters: Tuple[int, ...]):
     """The isotropy of one block of equal parts of value v, whose letters,
-    word[start:end], cover its parts in order, decided on generators over
-    the one-block partition (v^m).
+    word[start:end], cover its parts in order, decided on generators up to
+    complement over the one-block partition (v^m); one entry serves the
+    product groups and the extension.
 
     A block whose segments are not least rotations in ascending order
     reads the entry of the one that is, found with min_rotation, so
     generators are built once per distinct block; the words double_cosets
-    gives hit the cache directly.
+    gives are canonical, which the scan and the class table confirm, and
+    hit the cache directly.
 
     Returns whether the character is trivial on the stabilizer of the
-    block's word, the stabilizer's order, and, up to complement, the
-    character exponent, over root_order((v^m)) = lcm(v, 2), of an element
-    carrying the word onto its complement; None when there is none."""
-    segments = tuple(
-        sorted(min_rotation(letters[s:s + v])[0] for s in range(0, len(letters), v))
-    )
-    canonical = tuple(itertools.chain.from_iterable(segments))
-    if canonical != letters:
-        return _block_isotropy(v, canonical, up_to_complement)
+    block's word, the stabilizer's order, and the character exponent,
+    over root_order((v^m)) = lcm(v, 2), of an element carrying the word
+    onto its complement; None when there is none.  Product groups read
+    the first two, which the complementing element, coming last among the
+    generators, does not enter."""
+    segments = [letters[s:s + v] for s in range(0, len(letters), v)]
+    if not all(map(necklace_multiplicity, segments)) or segments != sorted(segments):
+        canonical = sorted(min_rotation(segment)[0] for segment in segments)
+        return _block_isotropy(v, tuple(itertools.chain.from_iterable(canonical)))
     lam = Partition((v,) * len(segments))
-    generators, order = _isotropy_generators(lam, canonical, up_to_complement)
+    generators, order = _isotropy_generators(lam, letters, True)
     L = root_order(lam)
     exponents = [
         _character_exponent(lam, block_map, shifts, L)
         for block_map, shifts in generators
     ]
-    if up_to_complement and _complemented(segments) == segments:
+    words, flips = _classes(v)
+    pick = [bisect.bisect_left(words, segment) for segment in segments]
+    if sorted(flips[i] for i in pick) == pick:
         # the complement lies in the word's orbit, so its element came last
         return not any(exponents[:-1]), order // 2, exponents[-1]
     return not any(exponents), order, None
@@ -340,15 +375,13 @@ def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
     sums to the group order over a group it is trivial on, and to 0
     otherwise.
     Returns (whether the sum is the isotropy order, isotropy order)."""
-    up_to_complement = group.variant == "extension"
-    L = root_order(lam) if up_to_complement else None
-    trivial, order, flip = True, 1, 0
+    flip = 0 if group.variant == "extension" else None
+    L = root_order(lam) if flip is not None else None
+    trivial, order = True, 1
     start = 0
     for v, m in lam.blocks:
         end = start + v * m
-        block_trivial, block_order, block_flip = _block_isotropy(
-            v, word[start:end], up_to_complement
-        )
+        block_trivial, block_order, block_flip = _block_isotropy(v, word[start:end])
         start = end
         trivial = trivial and block_trivial
         order *= block_order

@@ -14,7 +14,7 @@ from braidinv.character_oracle import (
     _from_cycles,
     _block_isotropy,
     _block_picks,
-    _complemented,
+    _classes,
     _isotropy_generators,
     _isotropy_sum,
     _sign,
@@ -252,22 +252,27 @@ def test_warm_block_cache_decides_each_block_once(monkeypatch):
     calls = []
 
     def counted(lam, word, up_to_complement):
-        calls.append((lam, word, up_to_complement))
+        calls.append((lam, word))
         return _isotropy_generators(lam, word, up_to_complement)
 
     monkeypatch.setattr(character_oracle, "_isotropy_generators", counted)
-    for group in _all_groups(n):
+    groups = _all_groups(n)
+    assert groups[-1].variant == "extension"
+    for group in groups:
         oracle_dimension(n, group)
     assert calls
     keys = []
-    for lam, word, up_to_complement in calls:
+    for lam, word in calls:
         ((v, m),) = lam.blocks  # one block of equal parts
         segments = tuple(word[i:i + v] for i in range(0, v * m, v))
-        keys.append((v, segments, up_to_complement))
+        keys.append((v, segments))
     assert len(keys) == len(set(keys))
-    # a warm cache decides nothing again
+    # the extension, run last, finds every block the splits share built
     del calls[:]
-    for group in _all_groups(n):
+    oracle_dimension(n, groups[-1])
+    assert calls == []
+    # a warm cache decides nothing again
+    for group in groups:
         oracle_dimension(n, group)
     assert calls == []
 
@@ -284,24 +289,46 @@ def test_canonical_words_skip_the_rotation_table(monkeypatch):
     assert [oracle_dimension(n, group) for group in _all_groups(n)] == first
 
 
-def test_warm_picks_complement_each_pick_once(monkeypatch):
-    group = GroupSpec.extension(4)
-    lams = all_partitions(group.n)
-    blocks = {block for lam in lams for block in lam.blocks}
+def _clear_oracle_caches():
+    for value in vars(character_oracle).values():
+        if getattr(value, "__module__", None) == character_oracle.__name__:
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_cold_oracle_forms_one_least_rotation_per_class(monkeypatch):
+    # from cold caches, every group with n <= 9 takes each rotation class's
+    # complement once, and never a least rotation per pick, block or coset
     calls = []
 
-    def counted(pick):
-        calls.append(pick)
-        return _complemented(pick)
+    def counted(w):
+        calls.append(w)
+        return min_rotation(w)
 
-    monkeypatch.setattr(character_oracle, "_complemented", counted)
-    _block_picks.cache_clear()
-    picks = sum(len(_block_picks(v, m)[0]) for v, m in blocks)
-    assert len(calls) == picks
-    # the walk reads each pick's side of its complement from the cache
-    del calls[:]
-    assert sum(len(double_cosets(group, lam)) for lam in lams) > 0
-    assert calls == []
+    _clear_oracle_caches()
+    monkeypatch.setattr(character_oracle, "min_rotation", counted)
+    try:
+        for n in range(1, 10):
+            for group in _all_groups(n):
+                oracle_dimension(n, group)
+    finally:
+        _clear_oracle_caches()
+    class_count = sum(len(_rotation_classes(v)) for v in range(1, 10))
+    assert class_count == 153
+    assert len(calls) <= class_count
+
+
+@pytest.mark.parametrize("v,m", [
+    (v, m) for v in range(1, 13) for m in range(1, 13) if v * m <= 12
+])
+def test_picks_by_weight_split_the_flat_list(v, m):
+    # entry w of the index holds the picks of weight w
+    picks, by_weight = _block_picks(v, m)
+    joined = [pick for group in by_weight for pick in group]
+    assert sorted(joined) == sorted(picks)
+    assert len(joined) == len(picks) == len(set(picks))
+    for w, group in enumerate(by_weight):
+        assert list(group) == [pick for pick in picks if pick[1] == w]
 
 
 def _stirling_by_walk(n):
@@ -422,6 +449,15 @@ def test_rotation_table_is_min_rotation(v):
     assert [letters for letters, _, _ in _block_picks(v, 1)[0]] == list(
         _rotation_classes(v)
     )
+
+
+@pytest.mark.parametrize("v", range(1, 13))
+def test_class_table_pairs_each_class_with_its_complement(v):
+    words, flips = _classes(v)
+    assert words == tuple(_rotation_classes(v))
+    for word, flip in zip(words, flips):
+        assert words[flip] == min_rotation(1 - b for b in word)[0]
+        assert flips[flip] == words.index(word)
 
 
 def test_warm_tables_compute_no_rotation(monkeypatch):

@@ -45,6 +45,13 @@ def test_cross_validate_sweeps_from_n1(capsys):
     assert out.endswith("all checks passed\n")
     # the run's peak RSS ends stderr; stdout still ends with the verdict
     assert re.search(r"\npeak RSS \d+\.\d MB\n$", err)
+    # beside it, the oracle's cache sizes
+    assert re.search(
+        r"^oracle cache entries: _classes \d+, _block_picks \d+, "
+        r"_block_isotropy \d+$",
+        err,
+        re.M,
+    )
 
 
 @pytest.mark.parametrize(
