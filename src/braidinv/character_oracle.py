@@ -20,7 +20,9 @@ and its character are products over the blocks of equal parts, so the
 isotropy is decided once per distinct block, on the one-block partition,
 cached under the block's letters for product and extension alike, and
 each coset multiplies its blocks' answers: one slice and one cache
-lookup per block.
+lookup per block.  The extension's element complementing a block's word
+is found with the block's isotropy generators, and its character value,
+a sign, is multiplied across the blocks.
 Nothing here consults the admissibility predicate or the counting
 formulas, so agreement between the two paths is a real check.
 """
@@ -150,20 +152,19 @@ def _rotation_onto(segment: Tuple[int, ...], target: Tuple[int, ...]) -> int:
     raise InternalConsistencyError("%s is not a rotation of %s" % (target, segment))
 
 
-def _isotropy_generators(
-    lam: Partition, word: Tuple[int, ...], up_to_complement: bool
-):
-    """Generators, as (block_map, exponents) data, of the centralizer
-    elements z that keep a 0/1 word on the points 1..n (the letter at z(x)
-    is the letter at x), or with up_to_complement keep it or complement it;
-    and the order of that group, read from its structure.
+def _isotropy_generators(lam: Partition, word: Tuple[int, ...]):
+    """Generators, as (block_map, exponents) data, of the stabilizer of a
+    0/1 word on the points 1..n, the centralizer elements z with the letter
+    at z(x) the letter at x; the stabilizer's order, read from its
+    structure; and the data of one element complementing the word, or
+    None when there is none.
 
     Parts fall into classes: same value v, same segment up to rotation.  A
     class of k parts whose segment has least period p contributes
     C_(v/p) wr S_k, generated by a rotation by p of its first part and by
-    swaps of adjacent parts, each carried onto the other's letters.  Up to
-    complement, one element carrying every class onto its complement class
-    doubles the group when it exists; it is the last generator.
+    swaps of adjacent parts, each carried onto the other's letters.  An
+    element complementing the word carries every class onto its
+    complement class, so it exists exactly when those have equal sizes.
     """
     count = lam.part_count
     starts = itertools.accumulate(lam.parts, initial=0)
@@ -188,24 +189,20 @@ def _isotropy_generators(
             block_map[a], exponents[a] = b, e
             block_map[b], exponents[b] = a, -e % v
             generators.append((tuple(block_map), tuple(exponents)))
-    if up_to_complement:
-        block_map, exponents = [0] * count, [0] * count
-        for (least, symmetry), members in classes.items():
-            words, flips = _classes(len(least))
-            # complementing keeps the period, so the partner's symmetry
-            partner = words[flips[bisect.bisect_left(words, least)]]
-            partners = classes.get((partner, symmetry), ())
-            if len(partners) != len(members):
-                break
-            for i, j in zip(members, partners):
-                block_map[i] = j
-                exponents[i] = _rotation_onto(
-                    segments[j], tuple(1 - b for b in segments[i])
-                )
-        else:
-            generators.append((tuple(block_map), tuple(exponents)))
-            order *= 2
-    return generators, order
+    block_map, exponents = [0] * count, [0] * count
+    for (least, symmetry), members in classes.items():
+        words, flips = _classes(len(least))
+        # complementing keeps the period, so the partner's symmetry
+        partner = words[flips[bisect.bisect_left(words, least)]]
+        partners = classes.get((partner, symmetry), ())
+        if len(partners) != len(members):
+            return generators, order, None
+        for i, j in zip(members, partners):
+            block_map[i] = j
+            exponents[i] = _rotation_onto(
+                segments[j], tuple(1 - b for b in segments[i])
+            )
+    return generators, order, (tuple(block_map), tuple(exponents))
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +214,9 @@ def root_order(lam: Partition) -> int:
     return L if L % 2 == 0 else 2 * L
 
 
-def _character_exponent(lam: Partition, block_map, exponents, L: int) -> int:
-    """Exponent of the character value on the element with this data.
+def _character_exponent(lam: Partition, block_map, exponents) -> int:
+    """Exponent, over L = root_order(lam), of the character value on the
+    element with this data.
 
     Rotation by e on a part of size p contributes e times the primitive
     p-th root, and e(p-1) to the sign; the block permutation contributes
@@ -226,6 +224,7 @@ def _character_exponent(lam: Partition, block_map, exponents, L: int) -> int:
     parts held fixed, as parts only go to parts of their own value.  Signs
     embed at exponent L/2.
     """
+    L = root_order(lam)
     root = 0
     sign_parity = 0
     even_map = []
@@ -333,32 +332,32 @@ def _block_isotropy(v: int, letters: Tuple[int, ...]):
     A block whose segments are not least rotations in ascending order
     reads the entry of the one that is, found with min_rotation, so
     generators are built once per distinct block; the words double_cosets
-    gives are canonical, which the scan and the class table confirm, and
-    hit the cache directly.
+    gives are canonical, which the scan and a sort confirm, and hit the
+    cache directly.
 
     Returns whether the character is trivial on the stabilizer of the
-    block's word, the stabilizer's order, and the character exponent,
-    over root_order((v^m)) = lcm(v, 2), of an element carrying the word
-    onto its complement; None when there is none.  Product groups read
-    the first two, which the complementing element, coming last among the
-    generators, does not enter."""
+    block's word, the stabilizer's order, and the sign, 1 or -1, the
+    character takes on an element complementing the word; None when there
+    is none.  Product groups read the first two.  Such an element squares
+    into the stabilizer, so where the character is trivial there its value
+    is a sign, and anything else raises; on a block it is not trivial on,
+    the sign never matters."""
     segments = [letters[s:s + v] for s in range(0, len(letters), v)]
     if not all(map(necklace_multiplicity, segments)) or segments != sorted(segments):
         canonical = sorted(min_rotation(segment)[0] for segment in segments)
         return _block_isotropy(v, tuple(itertools.chain.from_iterable(canonical)))
     lam = Partition((v,) * len(segments))
-    generators, order = _isotropy_generators(lam, letters, True)
-    L = root_order(lam)
-    exponents = [
-        _character_exponent(lam, block_map, shifts, L)
-        for block_map, shifts in generators
-    ]
-    words, flips = _classes(v)
-    pick = [bisect.bisect_left(words, segment) for segment in segments]
-    if sorted(flips[i] for i in pick) == pick:
-        # the complement lies in the word's orbit, so its element came last
-        return not any(exponents[:-1]), order // 2, exponents[-1]
-    return not any(exponents), order, None
+    generators, order, complement = _isotropy_generators(lam, letters)
+    trivial = not any(_character_exponent(lam, *g) for g in generators)
+    if complement is None:
+        return trivial, order, None
+    exponent = _character_exponent(lam, *complement)
+    if trivial and exponent not in (0, root_order(lam) // 2):
+        raise InternalConsistencyError(
+            "a complementing element of %s has character exponent %d over %d"
+            % (letters, exponent, root_order(lam))
+        )
+    return trivial, order, 1 if exponent == 0 else -1
 
 
 def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
@@ -370,28 +369,24 @@ def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
     (v, m) of C_v wr S_m and the character is the product of its
     restrictions, so the stabilizer of the word is the product of the
     blocks' stabilizers, the character is trivial on it when it is on each,
-    and a complementing element exists when every block has one, its
-    exponent the sum of theirs carried from lcm(v, 2) to L.  A character
-    sums to the group order over a group it is trivial on, and to 0
-    otherwise.
+    and a complementing element exists when every block has one, its value
+    the product of their signs.  A character sums to the group order over
+    a group it is trivial on, and to 0 otherwise.
     Returns (whether the sum is the isotropy order, isotropy order)."""
-    flip = 0 if group.variant == "extension" else None
-    L = root_order(lam) if flip is not None else None
+    sign = 1 if group.variant == "extension" else None
     trivial, order = True, 1
     start = 0
     for v, m in lam.blocks:
         end = start + v * m
-        block_trivial, block_order, block_flip = _block_isotropy(v, word[start:end])
+        block_trivial, block_order, block_sign = _block_isotropy(v, word[start:end])
         start = end
         trivial = trivial and block_trivial
         order *= block_order
-        if block_flip is None:
-            flip = None
-        elif flip is not None:
-            flip += block_flip * (L // math.lcm(v, 2))
-    if flip is not None:
+        if sign is not None:
+            sign = None if block_sign is None else sign * block_sign
+    if sign is not None:
         # the complementing element doubles the group and must have value 1
-        trivial = trivial and flip % L == 0
+        trivial = trivial and sign == 1
         order *= 2
     return trivial, order
 

@@ -22,6 +22,7 @@ from typing import Tuple
 from .core_combinatorics import (
     Partition,
     PoincareTable,
+    all_partitions,
     binomial,
     packed_series,
 )
@@ -34,11 +35,7 @@ from .cycle_invariants import (
     selfdual_count_closed_form,
 )
 from .errors import InternalConsistencyError
-from .product_catalog import (
-    GeneratorLabel,
-    partitions_in_label_order,
-    product_dimension,
-)
+from .product_catalog import GeneratorLabel, product_dimension
 
 
 @lru_cache(maxsize=None)
@@ -74,12 +71,12 @@ def _fixed_blocks(v: int, m: int):
 @lru_cache(maxsize=None)
 def _ep_members(n: int):
     """All (label, pair counts) of swap-fixed generators, one pair count per
-    block, in sort_key order: partitions_in_label_order, each taking the
-    product of its blocks' fixed tuples."""
+    block, in sort_key order: the partitions reversed(all_partitions(n)),
+    each taking the product of its blocks' fixed tuples."""
     if n < 2 or n % 2:
         raise ValueError("need an even n >= 2")
     out = []
-    for lam in partitions_in_label_order(n):
+    for lam in reversed(all_partitions(n)):
         per_block = [_fixed_blocks(v, m) for v, m in lam.blocks]
         for combo in itertools.product(*per_block):
             cycles = tuple(chi for block, _ in combo for chi in block)

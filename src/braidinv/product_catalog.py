@@ -20,8 +20,8 @@ from typing import Dict, List, Tuple
 from .core_combinatorics import (
     Partition,
     PoincareTable,
+    all_partitions,
     binomial,
-    enumerate_partitions,
     packed_series,
 )
 from .cycle_invariants import (
@@ -160,24 +160,18 @@ def _partition_labels(lam: Partition, q: int) -> List[GeneratorLabel]:
     return labels
 
 
-def partitions_in_label_order(n: int):
-    """The partitions of n in the order GeneratorLabel.sort_key puts their
-    labels: degree ascending (most parts first), then parts ascending."""
-    for j in range(n, 0, -1):
-        yield from reversed(enumerate_partitions(n, j))
-
-
 @lru_cache(maxsize=None)
 def enumerate_generators(n: int, q: int) -> Tuple[GeneratorLabel, ...]:
     """All generator labels of total weight q over partitions of n, in
-    sort_key order: partitions_in_label_order, then the cycles' block
-    keys."""
+    sort_key order: the partitions reversed(all_partitions(n)), degree
+    ascending (most parts first) then parts ascending, then the cycles'
+    block keys."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= q <= n:
         raise ValueError("need 0 <= q <= n")
     out = []
-    for lam in partitions_in_label_order(n):
+    for lam in reversed(all_partitions(n)):
         out.extend(_partition_labels(lam, q))
     return tuple(out)
 

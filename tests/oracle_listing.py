@@ -7,7 +7,8 @@ the tests can check both the generator verdict and the order, and assert
 on every coset that the reduced sum is 0 or the isotropy order.  The
 exact cyclotomic-integer arithmetic that reduces such a sum, and the
 character evaluated on a centralizer element given as a permutation,
-live here too: the oracle itself only ever compares exponents with 0.
+live here too: the oracle itself only ever reads an exponent as 0 or,
+on a complementing element, as a sign.
 The ground truth for the oracle's coset words lives here as well: orbits
 of the group acting by conjugation on a conjugacy class of the symmetric
 group, which never read a marking word, and the breadth-first search over
@@ -15,8 +16,10 @@ all C(n, q) marking words that the oracle's per-block construction
 replaced, which must give the same words in the same order.  So must
 the unpruned per-block walk, which builds every pick of rotation classes
 and then drops the wrong weights.  The oracle decides the isotropy block
-by block; the whole-partition decision it replaced, on generators of the
-stabilizer of the full word, is kept here to check it coset by coset.
+by block and multiplies the signs of the blocks' complementing elements;
+the whole-partition decision, on generators of the stabilizer of the full
+word with the complementing element among them, all on one exponent
+lattice, is kept here to check it coset by coset.
 """
 
 import itertools
@@ -226,16 +229,18 @@ def whole_isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
 
     Conjugated by a coset with this marking word, the isotropy is the
     stabilizer of the word in the centralizer (for the extension: of the
-    word up to complement).  A character sums to the group order over a
-    group it is trivial on, and to 0 otherwise; it is trivial exactly when
-    it is 1 on every generator.
+    word up to complement, which the complementing element, when there is
+    one, joins as a generator, doubling the order).  A character sums to
+    the group order over a group it is trivial on, and to 0 otherwise; it
+    is trivial exactly when it is 1 on every generator, each evaluated on
+    the whole partition's exponent lattice.
     Returns (whether the sum is the isotropy order, isotropy order)."""
-    generators, order = _isotropy_generators(
-        lam, word, group.variant == "extension"
-    )
-    L = root_order(lam)
+    generators, order, complement = _isotropy_generators(lam, word)
+    if group.variant == "extension" and complement is not None:
+        generators = generators + [complement]
+        order *= 2
     trivial = all(
-        _character_exponent(lam, block_map, exponents, L) == 0
+        _character_exponent(lam, block_map, exponents) == 0
         for block_map, exponents in generators
     )
     return trivial, order
@@ -394,10 +399,7 @@ def zeta_value(lam: Partition, z: Tuple[int, ...]) -> CyclotomicSum:
     data = _decompose(lam, z)
     if data is None:
         raise ValueError("%s does not centralize the cycle product" % (z,))
-    L = root_order(lam)
-    block_map, exponents = data
-    exponent = _character_exponent(lam, block_map, exponents, L)
-    return CyclotomicSum.monomial(L, exponent)
+    return CyclotomicSum.monomial(root_order(lam), _character_exponent(lam, *data))
 
 
 
@@ -448,11 +450,10 @@ def listed_isotropy_sum(word, lam: Partition, group: GroupSpec):
     word up to complement).
     Returns (counts per exponent, isotropy order)."""
     flips = (False, True) if group.variant == "extension" else (False,)
-    L = root_order(lam)
-    counts = [0] * L
+    counts = [0] * root_order(lam)
     for flip in flips:
         for block_map, exponents in stabilizer(lam, word, flip):
-            counts[_character_exponent(lam, block_map, exponents, L)] += 1
+            counts[_character_exponent(lam, block_map, exponents)] += 1
     return counts, sum(counts)
 
 

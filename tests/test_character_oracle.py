@@ -14,6 +14,7 @@ from braidinv.character_oracle import (
     _from_cycles,
     _block_isotropy,
     _block_picks,
+    _character_exponent,
     _classes,
     _isotropy_generators,
     _isotropy_sum,
@@ -29,6 +30,7 @@ from braidinv.character_oracle import (
 from braidinv.core_combinatorics import (
     Partition, all_partitions, min_rotation, necklace_multiplicity
 )
+from braidinv.errors import InternalConsistencyError
 from braidinv.extension_catalog import ext_dimension
 from braidinv.product_catalog import product_dimension
 from oracle_listing import (
@@ -182,6 +184,9 @@ def test_stabilizer_matches_filtered_centralizer(n):
 def test_isotropy_generators_generate_the_listed_stabilizer(n):
     for lam in all_partitions(n):
         for word in itertools.product((0, 1), repeat=n):
+            generators, order, complement = _isotropy_generators(lam, word)
+            # the complementing element exists exactly when one is listed
+            assert (complement is None) == (not any(stabilizer(lam, word, True)))
             for up_to_complement in (False, True):
                 flips = (False, True) if up_to_complement else (False,)
                 listed = {
@@ -189,10 +194,13 @@ def test_isotropy_generators_generate_the_listed_stabilizer(n):
                     for flip in flips
                     for data in stabilizer(lam, word, flip)
                 }
-                generators, order = _isotropy_generators(lam, word, up_to_complement)
-                closure = _generated([_assemble(lam, *g) for g in generators], n)
+                flipped = up_to_complement and complement is not None
+                extra = [complement] if flipped else []
+                closure = _generated(
+                    [_assemble(lam, *g) for g in generators + extra], n
+                )
                 assert closure == listed, (lam.parts, word, up_to_complement)
-                assert order == len(listed)
+                assert order * (2 if extra else 1) == len(listed)
 
 
 def _groups(n):
@@ -251,9 +259,9 @@ def test_warm_block_cache_decides_each_block_once(monkeypatch):
     _block_isotropy.cache_clear()
     calls = []
 
-    def counted(lam, word, up_to_complement):
+    def counted(lam, word):
         calls.append((lam, word))
-        return _isotropy_generators(lam, word, up_to_complement)
+        return _isotropy_generators(lam, word)
 
     monkeypatch.setattr(character_oracle, "_isotropy_generators", counted)
     groups = _all_groups(n)
@@ -294,6 +302,27 @@ def _clear_oracle_caches():
         if getattr(value, "__module__", None) == character_oracle.__name__:
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+def test_complement_value_off_the_signs_raises(monkeypatch, capsys):
+    # (0011) has a trivial stabilizer, so its complementing element, the
+    # rotation by 2 with real exponent 2 = L/2, must take a sign; an
+    # exponent of 1 breaks the character axioms and is refused, not read
+    # as a value other than 1
+    def skewed(lam, block_map, exponents):
+        if (lam.parts, block_map, exponents) == ((4,), (0,), (2,)):
+            return 1
+        return _character_exponent(lam, block_map, exponents)
+
+    _clear_oracle_caches()
+    monkeypatch.setattr(character_oracle, "_character_exponent", skewed)
+    try:
+        with pytest.raises(InternalConsistencyError):
+            _block_isotropy(4, (0, 0, 1, 1))
+        assert cli.main(["verify", "--n", "4", "--group", "ext"]) == 3
+        assert "internal consistency failure" in capsys.readouterr().err
+    finally:
+        _clear_oracle_caches()
 
 
 def test_cold_oracle_forms_one_least_rotation_per_class(monkeypatch):
