@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Full cross-validation sweep: formula vs catalog vs brute-force oracle.
 
-Runs `braidinv verify` on every product split and on the extension for
-each n in range, then checks the oracle's rank identity, in one process,
-and ends with the oracle's cache sizes and the run's peak RSS on stderr.
-The oracle is the expensive leg; --max-n stops at its ceiling,
-`cli.ORACLE_LIMIT`, or `cli.ORACLE_LONG_LIMIT` with --long.
+For each n up to --max-n, runs verify's per-group check, `cli.verify_group`,
+on every group in `GroupSpec.every(n)` (the product splits, then the
+extension at even n), then the oracle's rank identity, in one process.
+Verify's tables go to stdout and end with the verdict; each leg's wall
+time, the oracle's cache sizes and the run's peak RSS go to stderr.  An
+internal consistency failure fails its n and the sweep goes on.
 
     python3 scripts/cross_validate.py --max-n 8
-    python3 scripts/cross_validate.py --max-n 10 --long
+    python3 scripts/cross_validate.py --max-n 18   # about 15 s, 110 MB
 """
 
 from __future__ import annotations
@@ -18,19 +19,21 @@ import resource
 import sys
 import time
 
-from braidinv import character_oracle, cli
-from braidinv.character_oracle import total_rank_check
-from braidinv.cli import ORACLE_LIMIT, ORACLE_LONG_LIMIT
+from braidinv import character_oracle
+from braidinv.character_oracle import GroupSpec, total_rank_check
+from braidinv.cli import verify_group
+from braidinv.errors import InternalConsistencyError
+
+# to n = 18 the sweep takes about 15 s and 110 MB (2-vCPU host); n = 19 doubles it
+MAX_N = 18
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=8)
-    parser.add_argument("--long", action="store_true", dest="long_running")
     args = parser.parse_args(argv)
-    limit = ORACLE_LONG_LIMIT if args.long_running else ORACLE_LIMIT
-    if not 1 <= args.max_n <= limit:
-        parser.error("--max-n must be in 1..%d" % limit)
+    if not 1 <= args.max_n <= MAX_N:
+        parser.error("--max-n must be in 1..%d" % MAX_N)
     return args
 
 
@@ -38,11 +41,15 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     ok = True
     for n in range(1, args.max_n + 1):
-        for group in ["prod"] if n % 2 else ["prod", "ext"]:
-            request = ["verify", "--n", str(n), "--group", group]
-            ok &= cli.main(request + ["--long"] * args.long_running) == 0
-        t0 = time.monotonic()
-        rank_ok = total_rank_check(n)
+        try:
+            for group in GroupSpec.every(n):
+                ok &= verify_group(group)
+            t0 = time.monotonic()
+            rank_ok = total_rank_check(n)
+        except InternalConsistencyError as exc:
+            print("n=%d internal consistency failure: %s" % (n, exc), file=sys.stderr)
+            ok = False
+            continue
         ok &= rank_ok
         print(
             "n=%d rank-identity %s %.3fs"

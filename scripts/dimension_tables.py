@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Tabulate graded invariant dimensions over a range of n.
 
-Product tables list every split 0 <= q <= n/2; even n adds the extension
-row.  Output is a flat CSV on stdout so downstream plotting stays trivial.
+Each n lists the groups of `GroupSpec.every(n)`, the list the
+cross-validation sweep checks: every product split 0 <= q <= n/2, then the
+extension at even n.  Output is a flat CSV on stdout so downstream
+plotting stays trivial.
 
     python3 scripts/dimension_tables.py --max-n 12
     python3 scripts/dimension_tables.py --max-n 20 --ext-only
@@ -13,8 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from braidinv import ext_dimension, product_dimension
-from braidinv.cli import FORMULA_LIMIT
+from braidinv import GroupSpec
+from braidinv.cli import FORMULA_LIMIT, group_table
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -31,13 +33,12 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     print("group,n,q,degree,dim")
     for n in range(1, args.max_n + 1):
-        if not args.ext_only:
-            for q in range(n // 2 + 1):
-                for i, d in product_dimension(n, q).entries:
-                    print("prod,%d,%d,%d,%d" % (n, q, i, d))
-        if n % 2 == 0:
-            for i, d in ext_dimension(n)[1].entries:
-                print("ext,%d,%d,%d,%d" % (n, n // 2, i, d))
+        for group in GroupSpec.every(n):
+            if args.ext_only and group.variant == "product":
+                continue
+            name = "ext" if group.variant == "extension" else "prod"
+            for i, d in group_table(group, "formula").entries:
+                print("%s,%d,%d,%d,%d" % (name, n, group.q, i, d))
         print("progress n=%d done" % n, file=sys.stderr)
     return 0
 

@@ -98,6 +98,13 @@ class GroupSpec:
     def extension(cls, q: int) -> "GroupSpec":
         return cls("extension", 2 * q, q)
 
+    @classmethod
+    def every(cls, n: int) -> Tuple["GroupSpec", ...]:
+        """The groups tabulated at n: the product splits q = 0..n/2 in
+        ascending q, then the extension when n is even."""
+        splits = tuple(cls.product(n, q) for q in range(n // 2 + 1))
+        return splits + ((cls.extension(n // 2),) if n % 2 == 0 else ())
+
     @property
     def order(self) -> int:
         base = math.factorial(self.n - self.q) * math.factorial(self.q)
@@ -444,11 +451,8 @@ def total_rank_check(n: int) -> bool:
     per degree with the permutation cycle counts.
     """
     expected = _stirling_degrees(n)
-    groups = [GroupSpec.product(n, q) for q in range(n // 2 + 1)]
-    if n % 2 == 0:
-        groups.append(GroupSpec.extension(n // 2))
     ok = True
-    for group in groups:
+    for group in GroupSpec.every(n):
         got = Counter()
         order = group.order
         for lam in all_partitions(n):

@@ -85,11 +85,6 @@ class InvariantCycle:
         return "(" + ",".join(map(str, self.gaps)) + ")"
 
 
-def cycle_sort_key(chi: InvariantCycle):
-    """Listing order: by weight, the empty word below everything."""
-    return (chi.weight, chi.gaps or ())
-
-
 def cycle_block_key(chi: InvariantCycle):
     """Canonical order inside a block: weight descending, then word."""
     return (-chi.weight, chi.gaps or ())
@@ -256,7 +251,7 @@ def enumerate_selfdual(d: int) -> Tuple[InvariantCycle, ...]:
             out.add(InvariantCycle.from_gaps(2 * d, word))
     if len(out) != words:
         raise InternalConsistencyError("two Lyndon words gave one self-dual word")
-    return tuple(sorted(out, key=cycle_sort_key))
+    return tuple(sorted(out, key=cycle_block_key))
 
 
 def selfdual_count_closed_form(d: int) -> int:

@@ -102,6 +102,17 @@ def test_group_spec_orders_and_membership():
         GroupSpec("extension", 5, 2)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_group_spec_every_lists_the_splits_then_the_extension(n):
+    groups = GroupSpec.every(n)
+    splits = [g for g in groups if g.variant == "product"]
+    assert [(g.n, g.q) for g in splits] == [(n, q) for q in range(n // 2 + 1)]
+    if n % 2:
+        assert groups == tuple(splits)
+    else:
+        assert groups == (*splits, GroupSpec.extension(n // 2))
+
+
 def _in_group(group, images):
     """Whether the image tuple keeps the first n - q points together, or,
     in the extension, sends them onto the last n - q."""
@@ -203,18 +214,9 @@ def test_isotropy_generators_generate_the_listed_stabilizer(n):
                 assert order * (2 if extra else 1) == len(listed)
 
 
-def _groups(n):
-    """Every product split (product(n, 0) is the full group) and the
-    extension at even n."""
-    groups = [GroupSpec.product(n, q) for q in range(n // 2 + 1)]
-    if n % 2 == 0:
-        groups.append(GroupSpec.extension(n // 2))
-    return groups
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_generator_verdict_and_order_match_listing(n):
-    for group in _groups(n):
+    for group in GroupSpec.every(n):
         for lam in all_partitions(n):
             for word in double_cosets(group, lam):
                 # the listed sum must reduce to 0 or |H|; it raises otherwise
@@ -519,11 +521,8 @@ GENERIC_WORD_NS = range(2, 8)
 
 @pytest.mark.parametrize("n", GENERIC_WORD_NS)
 def test_double_coset_modes_agree(n):
-    groups = [GroupSpec.product(n, q) for q in range(n // 2 + 1)]
-    if n % 2 == 0:
-        groups.append(GroupSpec.extension(n // 2))
     for lam in all_partitions(n):
-        for g in groups:
+        for g in GroupSpec.every(n):
             generic = generic_double_cosets(g, lam)
             words = double_cosets(g, lam)
             assert len(generic) == len(words), (n, lam.parts, g.describe())

@@ -11,7 +11,7 @@ from braidinv.cycle_invariants import (
     InvariantCycle,
     Pi_letters_exceed,
     cycle_admissible,
-    cycle_sort_key,
+    cycle_block_key,
     dual_cycle,
     enumerate_Pi,
     enumerate_selfdual,
@@ -254,7 +254,7 @@ def test_dual_cycle_involution_and_bijection(lam):
         for chi, mate in zip(Pi, duals):
             assert mate.weight == lam - d
             assert dual_cycle(mate) == chi
-        assert sorted(duals, key=cycle_sort_key) == list(enumerate_Pi(lam, lam - d))
+        assert sorted(duals, key=cycle_block_key) == list(enumerate_Pi(lam, lam - d))
 
 
 def test_admissibility_rules():
@@ -333,7 +333,7 @@ def _Pi_by_compositions(lam, d):
         chi = InvariantCycle(lam, min_rotation(comp)[0])
         if cycle_admissible(chi):
             seen.add(chi)
-    return tuple(sorted(seen, key=cycle_sort_key))
+    return tuple(sorted(seen, key=cycle_block_key))
 
 
 @pytest.mark.parametrize("lam", range(1, 15))
@@ -431,7 +431,7 @@ def _selfdual_by_seeds(d):
         for x in canon
     }
     assert len(out) == len(canon)
-    return tuple(sorted(out, key=cycle_sort_key))
+    return tuple(sorted(out, key=cycle_block_key))
 
 
 @pytest.mark.parametrize("d", range(1, 17))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from braidinv import character_oracle, cli
+from braidinv.character_oracle import GroupSpec
 from braidinv.core_combinatorics import PoincareTable
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -28,9 +29,10 @@ def exit_code(script, argv):
         ("dimension_tables", ["--max-n", "6"], 0),
         ("cross_validate", ["--max-n", "4"], 0),
         ("cross_validate", ["--workers", "0"], 2),
-        ("cross_validate", ["--max-n", "9"], 2),
+        ("cross_validate", ["--max-n", "19"], 2),
         ("dimension_tables", ["--max-n", "93"], 2),
-        ("cross_validate", ["--max-n", "10", "--long"], 0),
+        ("cross_validate", ["--max-n", "12"], 0),
+        ("cross_validate", ["--long"], 2),
     ],
 )
 def test_script_exit_codes(capsys, script, argv, code):
@@ -68,3 +70,16 @@ def test_cross_validate_fails_on_a_mismatch(capsys, monkeypatch, module, name, w
     captured = capsys.readouterr()
     assert "MISMATCH" in captured.out + captured.err
     assert captured.out.endswith("all checks FAILED\n")
+
+
+def test_cross_validate_fails_cleanly_on_an_internal_error(capsys, monkeypatch):
+    # a prime group order, which an isotropy order above 1 does not divide
+    monkeypatch.setattr(GroupSpec, "order", property(lambda group: 10**9 + 7))
+    assert exit_code("cross_validate", ["--max-n", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert re.search(
+        r"^n=2 internal consistency failure: isotropy order \d+ does not divide",
+        err,
+        re.M,
+    )
+    assert out.endswith("all checks FAILED\n")
