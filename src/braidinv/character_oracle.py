@@ -23,6 +23,10 @@ each coset multiplies its blocks' answers: one slice and one cache
 lookup per block.  The extension's element complementing a block's word
 is found with the block's isotropy generators, and its character value,
 a sign, is multiplied across the blocks.
+The same walk checks orbit-stabilizer, partition by partition: the
+cosets of lam are the group's orbits on its conjugacy class, so the
+indices |G| / |isotropy| of the cosets' isotropy orders sum to the class
+size n! / z_lam, and a shortfall or excess raises.
 Nothing here consults the admissibility predicate or the counting
 formulas, so agreement between the two paths is a real check.
 """
@@ -400,10 +404,10 @@ def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
 
 def isotropy_inner_product(
     word: Tuple[int, ...], lam: Partition, group: GroupSpec
-) -> int:
-    """Multiplicity of the trivial character in the twisted restriction of
-    the coset with this marking word: 1 when the centralizer character is
-    trivial on the isotropy, else 0."""
+) -> Tuple[int, int]:
+    """(multiplicity of the trivial character in the twisted restriction of
+    the coset with this marking word, isotropy order): the multiplicity is
+    1 when the centralizer character is trivial on the isotropy, else 0."""
     word = tuple(word)
     if lam.n != group.n:
         raise ValueError("partition total must match the group degree")
@@ -414,61 +418,41 @@ def isotropy_inner_product(
             "a marking word needs length %d and weight %d, got %s"
             % (lam.n, group.q, word)
         )
-    return int(_isotropy_sum(word, lam, group)[0])
+    trivial, order = _isotropy_sum(word, lam, group)
+    return int(trivial), order
 
 
 def oracle_dimension(n: int, group: GroupSpec) -> PoincareTable:
     """Graded invariant dimension of the group, summed over cosets degree
-    by degree, one partition after another in this process."""
+    by degree, one partition after another in this process.
+
+    The same walk checks orbit-stabilizer: the cosets of a partition lam
+    are the group's orbits on its conjugacy class, so their indices
+    |G| / |isotropy| sum to the class size n! / z_lam, with z_lam the
+    product of v^m m! over the blocks (v, m)."""
     if group.n != n:
         raise ValueError("group degree must equal n")
+    order, n_factorial = group.order, math.factorial(n)
     counts = Counter()
     for lam in all_partitions(n):
         # one invariant per coset whose isotropy the character is trivial on
-        counts[lam.degree] += sum(
-            isotropy_inner_product(word, lam, group)
-            for word in double_cosets(group, lam)
+        invariants = covered = 0
+        for word in double_cosets(group, lam):
+            trivial, h = isotropy_inner_product(word, lam, group)
+            if order % h:
+                raise InternalConsistencyError(
+                    "isotropy order %d does not divide the group order" % h
+                )
+            invariants += trivial
+            covered += order // h
+        class_size = n_factorial // math.prod(
+            v ** m * math.factorial(m) for v, m in lam.blocks
         )
+        if covered != class_size:
+            raise InternalConsistencyError(
+                "the orbits of %s on the class %s cover %d of its %d elements"
+                % (group.describe(), lam, covered, class_size)
+            )
+        counts[lam.degree] += invariants
         log.debug("oracle %s: partition %s done", group.describe(), lam.parts)
     return PoincareTable.from_dict(counts)
-
-
-def _stirling_degrees(n: int) -> Counter:
-    """Degree table of the full cohomology: permutations counted by n minus
-    their cycle count, the coefficients of the product of (1 + k t) over
-    k < n."""
-    coeffs = [1]
-    for k in range(1, n):
-        coeffs = [a + k * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return Counter(dict(enumerate(coeffs)))
-
-
-def total_rank_check(n: int) -> bool:
-    """Indices of the isotropy subgroups must recover the full cohomology.
-
-    For every product split and the extension, the sum over partitions and
-    cosets of the group order divided by the isotropy order is compared
-    per degree with the permutation cycle counts.
-    """
-    expected = _stirling_degrees(n)
-    ok = True
-    for group in GroupSpec.every(n):
-        got = Counter()
-        order = group.order
-        for lam in all_partitions(n):
-            for word in double_cosets(group, lam):
-                h = _isotropy_sum(word, lam, group)[1]
-                if order % h:
-                    raise InternalConsistencyError(
-                        "isotropy order %d does not divide the group order" % h
-                    )
-                got[lam.degree] += order // h
-        if got != expected:
-            ok = False
-            log.warning(
-                "rank mismatch for %s: got %s expected %s",
-                group.describe(),
-                dict(sorted(got.items())),
-                dict(sorted(expected.items())),
-            )
-    return ok

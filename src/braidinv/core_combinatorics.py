@@ -38,7 +38,7 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.parts)
 

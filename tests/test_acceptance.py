@@ -11,7 +11,6 @@ from braidinv.character_oracle import (
     double_cosets,
     isotropy_inner_product,
     oracle_dimension,
-    total_rank_check,
 )
 from braidinv.core_combinatorics import Partition, all_partitions
 from braidinv.cycle_invariants import (
@@ -156,8 +155,13 @@ def test_criterion_8_structural_anchors():
                 ok = ok and product_dimension(n, q)[0] == 1
             if n % 2 == 0:
                 ok = ok and ext_dimension(n)[1][0] == 1
-            ok = ok and total_rank_check(n)
+            # each group's cosets must cover every class (orbit-stabilizer)
+            for group in GroupSpec.every(n):
+                oracle_dimension(n, group)
             ok = ok and product_dimension(n, 0).as_dict() == {0: 1, 1: 1}
+    except InternalConsistencyError:
+        ok = False
+        raise
     finally:
         _finish(8, "structural-anchors", ok)
 
@@ -179,14 +183,14 @@ def test_criterion_9_character_axioms():
                 )
         # every reduction across the full n <= 8 sweep must land in {0, |H|};
         # the listed sum raises InternalConsistencyError otherwise, and the
-        # oracle's verdict on generators must agree with it
+        # oracle's verdict and isotropy order on generators must agree with it
         checked = 0
         for n in range(2, 9):
             for group in GroupSpec.every(n):
                 for lam in all_partitions(n):
                     for word in double_cosets(group, lam):
-                        verdict, _ = listed_inner_product(word, lam, group)
-                        ok = ok and verdict == isotropy_inner_product(word, lam, group)
+                        listed = listed_inner_product(word, lam, group)
+                        ok = ok and listed == isotropy_inner_product(word, lam, group)
                         checked += 1
         ok = ok and checked > 0
     except InternalConsistencyError:

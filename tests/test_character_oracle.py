@@ -19,13 +19,11 @@ from braidinv.character_oracle import (
     _isotropy_generators,
     _isotropy_sum,
     _sign,
-    _stirling_degrees,
     build_centralizer,
     double_cosets,
     isotropy_inner_product,
     oracle_dimension,
     root_order,
-    total_rank_check,
 )
 from braidinv.core_combinatorics import (
     Partition, all_partitions, min_rotation, necklace_multiplicity
@@ -85,11 +83,11 @@ def test_letter_check():
     lam, group = Partition((3,)), GroupSpec.product(5, 1)
     with pytest.raises(ValueError, match="partition total must match the group degree"):
         isotropy_inner_product((1, 0, 0), lam, group)
-    # and accepts a bool, which equals its integer
+    # and accepts a bool, which equals its integer: same verdict, same order
     lam, group = Partition((3,)), GroupSpec.product(3, 1)
     assert isotropy_inner_product((0, True, 0), lam, group) == isotropy_inner_product(
         (0, 1, 0), lam, group
-    )
+    ) == (1, 1)
 
 
 def test_group_spec_orders_and_membership():
@@ -222,7 +220,7 @@ def test_generator_verdict_and_order_match_listing(n):
                 # the listed sum must reduce to 0 or |H|; it raises otherwise
                 verdict, order = listed_inner_product(word, lam, group)
                 assert _isotropy_sum(word, lam, group) == (bool(verdict), order)
-                assert isotropy_inner_product(word, lam, group) == verdict
+                assert isotropy_inner_product(word, lam, group) == (verdict, order)
 
 
 def _all_groups(n):
@@ -327,6 +325,31 @@ def test_complement_value_off_the_signs_raises(monkeypatch, capsys):
         _clear_oracle_caches()
 
 
+def test_a_dropped_coset_fails_orbit_stabilizer(monkeypatch):
+    # without its first coset, each class is covered short: (4) has one
+    # coset of weight 1, so none of its 4!/4 elements is covered
+    cosets = character_oracle.double_cosets
+    monkeypatch.setattr(
+        character_oracle, "double_cosets", lambda group, lam: cosets(group, lam)[1:]
+    )
+    with pytest.raises(InternalConsistencyError, match="cover 0 of its 6 elements"):
+        oracle_dimension(4, GroupSpec.product(4, 1))
+
+
+def test_a_wrong_isotropy_order_fails_verify(monkeypatch, capsys):
+    # doubled orders on blocks of value 1 still divide |product(3,1)| = 6
+    # on the class (3,1), but cover 4 of its 8 elements
+    def doubled(v, letters):
+        trivial, order, sign = _block_isotropy(v, letters)
+        return trivial, order * (2 if v == 1 else 1), sign
+
+    monkeypatch.setattr(character_oracle, "_block_isotropy", doubled)
+    assert cli.main(["verify", "--n", "4", "--group", "prod", "--q", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "internal consistency failure: the orbits of" in err
+    assert "product(3,1) on the class (3,1) cover 4 of its 8 elements" in err
+
+
 def test_cold_oracle_forms_one_least_rotation_per_class(monkeypatch):
     # from cold caches, every group with n <= 9 takes each rotation class's
     # complement once, and never a least rotation per pick, block or coset
@@ -360,27 +383,6 @@ def test_picks_by_weight_split_the_flat_list(v, m):
     assert len(joined) == len(picks) == len(set(picks))
     for w, group in enumerate(by_weight):
         assert list(group) == [pick for pick in picks if pick[1] == w]
-
-
-def _stirling_by_walk(n):
-    """Permutations of 1..n counted by n minus their cycle count."""
-    counts = {}
-    for images in itertools.permutations(range(n)):
-        seen = set()
-        cycles = 0
-        for x in range(n):
-            if x not in seen:
-                cycles += 1
-                while x not in seen:
-                    seen.add(x)
-                    x = images[x]
-        counts[n - cycles] = counts.get(n - cycles, 0) + 1
-    return counts
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_stirling_degrees_match_permutation_walk(n):
-    assert dict(_stirling_degrees(n)) == _stirling_by_walk(n)
 
 
 def test_root_order():
@@ -544,15 +546,11 @@ def test_double_coset_modes_agree_n8_spot():
 
 
 def test_isotropy_examples():
-    assert (
-        isotropy_inner_product((0, 1), Partition((2,)), GroupSpec.extension(1))
-        == 1
-    )
+    lam, group = Partition((2,)), GroupSpec.extension(1)
+    assert isotropy_inner_product((0, 1), lam, group)[0] == 1
     # the alternating 1010 marking on a 4-cycle fails the multiplicity rule
-    assert (
-        isotropy_inner_product((1, 0, 1, 0), Partition((4,)), GroupSpec.product(4, 2))
-        == 0
-    )
+    lam, group = Partition((4,)), GroupSpec.product(4, 2)
+    assert isotropy_inner_product((1, 0, 1, 0), lam, group)[0] == 0
 
 
 @pytest.mark.parametrize("n,q", [(n, q) for n in range(2, 7) for q in range(n // 2 + 1)])
@@ -561,12 +559,13 @@ def test_predicate_matches_oracle(n, q):
     for lam in all_partitions(n):
         for word in double_cosets(group, lam):
             verdict = 0 if label_from_word(word, lam) is None else 1
-            assert verdict == isotropy_inner_product(word, lam, group)
+            assert verdict == isotropy_inner_product(word, lam, group)[0]
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_sigma_shift_invariance(n):
-    # the reversal after a coset representative complements its marking word
+    # the reversal after a coset representative complements its marking
+    # word, which keeps the verdict and the isotropy order
     group = GroupSpec.extension(n // 2)
     for lam in all_partitions(n):
         for word in double_cosets(group, lam):
@@ -612,11 +611,6 @@ def test_oracle_capability_gate(capsys):
     assert "capability" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_total_rank_check(n):
-    assert total_rank_check(n)
-
-
 def test_oracle_past_the_long_limit_at_n12():
     # the CLI gate stops at n = 10; the oracle itself runs on to n = 12
     for q in range(7):
@@ -624,7 +618,6 @@ def test_oracle_past_the_long_limit_at_n12():
         assert oracle.as_dict() == product_dimension(12, q).as_dict(), q
     oracle = oracle_dimension(12, GroupSpec.extension(6))
     assert oracle.as_dict() == ext_dimension(12)[1].as_dict()
-    assert total_rank_check(12)
 
 
 def test_oracle_past_the_long_limit_at_n14():
@@ -633,7 +626,6 @@ def test_oracle_past_the_long_limit_at_n14():
         assert oracle.as_dict() == product_dimension(14, q).as_dict(), q
     oracle = oracle_dimension(14, GroupSpec.extension(7))
     assert oracle.as_dict() == ext_dimension(14)[1].as_dict()
-    assert total_rank_check(14)
 
 
 def test_oracle_past_the_long_limit_at_n16():
@@ -643,7 +635,6 @@ def test_oracle_past_the_long_limit_at_n16():
     for q, oracle in enumerate(products):
         assert oracle.as_dict() == product_dimension(16, q).as_dict(), q
     assert extension.as_dict() == ext_dimension(16)[1].as_dict()
-    assert total_rank_check(16)
 
 
 MEMORY_PROBE = """

@@ -1,6 +1,5 @@
 import importlib.util
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,19 +55,30 @@ def test_cross_validate_sweeps_from_n1(capsys):
     )
 
 
+_cosets = character_oracle.double_cosets
+
+
 @pytest.mark.parametrize(
-    "module,name,wrong",
+    "module,name,wrong,stream,message",
     [
-        (cli, "oracle_dimension", lambda n, group: PoincareTable(())),
-        (character_oracle, "_stirling_degrees", lambda n: Counter({0: 2})),
+        (cli, "oracle_dimension", lambda n, group: PoincareTable(()), "out", "MISMATCH"),
+        (
+            character_oracle,
+            "double_cosets",
+            lambda group, lam: _cosets(group, lam)[1:],
+            "err",
+            "\nn=1 internal consistency failure: the orbits of product(1,0)",
+        ),
     ],
-    ids=["verify", "rank-identity"],
+    ids=["verify", "dropped-coset"],
 )
-def test_cross_validate_fails_on_a_mismatch(capsys, monkeypatch, module, name, wrong):
+def test_cross_validate_fails_on_a_mismatch(
+    capsys, monkeypatch, module, name, wrong, stream, message
+):
     monkeypatch.setattr(module, name, wrong)
     assert exit_code("cross_validate", ["--max-n", "2"]) == 1
     captured = capsys.readouterr()
-    assert "MISMATCH" in captured.out + captured.err
+    assert message in getattr(captured, stream)
     assert captured.out.endswith("all checks FAILED\n")
 
 
