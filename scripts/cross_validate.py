@@ -10,7 +10,7 @@ the run's peak RSS go to stderr.  An internal consistency failure fails
 its n and the sweep goes on.
 
     python3 scripts/cross_validate.py --max-n 8
-    python3 scripts/cross_validate.py --max-n 18   # about 10 s, 105 MB
+    python3 scripts/cross_validate.py --max-n 18   # about 8 s, 106 MB
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from braidinv.character_oracle import GroupSpec
 from braidinv.cli import verify_group
 from braidinv.errors import InternalConsistencyError
 
-# to n = 18 the sweep takes 8-10 s and 105 MB (2-vCPU host); n = 19 doubles it
+# to n = 18 the sweep takes 6.5-9.5 s and 106 MB (2-vCPU host); n = 19 doubles it
 MAX_N = 18
 
 

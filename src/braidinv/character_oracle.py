@@ -6,12 +6,12 @@ subgroup, and the Mackey inner products with the trivial character, in
 exact integer arithmetic: character values are exponents of roots of
 unity, and an inner product is decided on generators of the isotropy.  A
 double coset is its marking word, built block by block from the rotation
-classes of 0/1 words, the words of each length that the linear scan
-necklace_multiplicity finds to be their own least rotation, in lex
-order.  One table per length holds the classes and, aligned with them,
-the index of each class's complement class, found with one min_rotation
-per class; picks, complement tests and isotropy generators read it, so
-the words the oracle builds need no other min_rotation.  Each block's
+classes of 0/1 words, each its least rotation, in lex order, built from
+the gap words the package's one necklace walk, gap_necklaces, lists.
+One table per length holds the classes and, aligned with them, the index
+of each class's complement class, found with one min_rotation per class;
+picks, complement tests and isotropy generators read it, so the words
+the oracle builds need no other min_rotation.  Each block's
 picks of rotation classes carry, computed once, which side of its
 complement's pick they fall on, so the extension's coset walk decides
 its complement test block by block, and are grouped by weight, so the
@@ -43,7 +43,8 @@ from functools import lru_cache
 from typing import Tuple
 
 from .core_combinatorics import (
-    Partition, PoincareTable, all_partitions, min_rotation, necklace_multiplicity
+    Partition, PoincareTable, all_partitions, gap_necklaces, min_rotation,
+    necklace_multiplicity,
 )
 from .errors import InternalConsistencyError
 
@@ -250,12 +251,18 @@ def _character_exponent(lam: Partition, block_map, exponents) -> int:
 
 @lru_cache(maxsize=None)
 def _classes(v: int):
-    """The rotation classes of length v, the 0/1 words the scan finds to
-    be their own least rotation, in lex order, and aligned with them the
-    index of each class's complement class."""
-    words = tuple(
-        w for w in itertools.product((0, 1), repeat=v) if necklace_multiplicity(w)
-    )
+    """The rotation classes of length v, each as its least rotation, in lex
+    order, and aligned with them the index of each class's complement class.
+
+    The least rotation of a word with d >= 1 zeros starts with a 0, so it
+    is 0 1^g1 ... 0 1^gd, g the least rotation of its cyclic runs of ones,
+    and two such words compare as their runs do: one class per necklace of
+    d gaps summing to v - d, and all ones."""
+    words = [(1,) * v]
+    for d in range(1, v + 1):
+        for gaps, _ in gap_necklaces(d, v - d):
+            words.append(tuple(b for g in gaps for b in (0,) + (1,) * g))
+    words = tuple(sorted(words))
     flips = tuple(
         bisect.bisect_left(words, min_rotation(1 - b for b in w)[0]) for w in words
     )

@@ -211,6 +211,46 @@ def necklace_multiplicity(w: Sequence[int]) -> int:
     return 0 if len(w) % p else len(w) // p
 
 
+def gap_necklaces(d: int, total: int):
+    """The necklaces of d >= 1 gaps summing to total, ascending, each with
+    its least period p as (gaps, p).
+
+    The fixed-density walk of Ruskey and Sawada (SIAM J. Comput. 1999) over
+    gap words, on the Fredricksen-Kessler-Maiorana prenecklace recursion: a
+    prenecklace a[1..t-1] of least period p extends by a[t] = a[t-p],
+    keeping p, or by a larger letter, making the period t; a prenecklace of
+    length d is a necklace iff p divides d.  A necklace starts with its
+    least letter, so letter t is at most what a[1..t-1] leave of total,
+    less a[1] for each letter after it; the last letter takes what is left.
+    """
+    a = [0] * (d + 1)
+    left = [total] * (d + 1)  # left[t]: what a[1..t-1] leave of the total
+    period = [1] * (d + 1)  # period[t]: least period of a[1..t]
+    # the recursion in loop form, so a long word cannot exhaust the stack:
+    # t is the position to fill and a[t] + 1 the next letter to try there,
+    # the lowest, a[t - period[t - 1]], when t has just been reached
+    t, a[1] = 1, -1
+    while t:
+        floor = a[t - period[t - 1]]
+        if t == d:
+            c = left[d]
+            p = period[d - 1] if c == floor else d
+            if c >= floor and d % p == 0:
+                a[d] = c
+                yield tuple(a[1:]), p
+            t -= 1
+            continue
+        c = a[t] + 1
+        if c > (left[t] - (d - t) * a[1] if t > 1 else total // d):
+            t -= 1
+            continue
+        a[t] = c
+        left[t + 1] = left[t] - c
+        period[t] = period[t - 1] if c == floor else t
+        t += 1
+        a[t] = a[t - period[t - 1]] - 1
+
+
 def mobius(n: int) -> int:
     """The Moebius function: 0 if a square divides n, else (-1)^(prime count)."""
     if n < 1:

@@ -7,11 +7,12 @@ duality, the admissibility predicate, the sets Pi(lam, d) of admissible
 weight-d words, and the self-dual words at half weight, each listing with
 its closed-form count.  cycle_admissible states the admissibility rule for
 listing and necklace_count states it for counting.  Both listings walk the
-one fixed-density necklace loop, _gap_necklaces: the self-dual words at
+package's one fixed-density necklace loop, core_combinatorics.gap_necklaces,
+which the oracle's rotation classes also come from; the self-dual words at
 weight d are in bijection with the binary Lyndon words of length d and odd
 weight, through the cyclic difference word.  Each word built is checked,
-and its rotation multiplicity read, by necklace_multiplicity, the linear
-least-rotation scan the oracle also finds its rotation classes with.
+and its rotation multiplicity read, by necklace_multiplicity, a linear
+least-rotation scan.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from .core_combinatorics import (
-    Word, binomial, min_rotation, mobius, necklace_multiplicity
+    Word, binomial, gap_necklaces, min_rotation, mobius, necklace_multiplicity
 )
 from .errors import InternalConsistencyError
 
@@ -150,53 +151,14 @@ def necklace_count(v: int, d: int) -> int:
     return _aperiodic_count(v, d) + squares
 
 
-def _gap_necklaces(d: int, total: int):
-    """The necklaces of d >= 1 gaps summing to total, ascending, each with
-    its least period p as (gaps, p).
-
-    The fixed-density walk of Ruskey and Sawada (SIAM J. Comput. 1999) over
-    gap words, on the Fredricksen-Kessler-Maiorana prenecklace recursion: a
-    prenecklace a[1..t-1] of least period p extends by a[t] = a[t-p],
-    keeping p, or by a larger letter, making the period t; a prenecklace of
-    length d is a necklace iff p divides d.  A necklace starts with its
-    least letter, so letter t is at most what a[1..t-1] leave of total,
-    less a[1] for each letter after it; the last letter takes what is left.
-    """
-    a = [0] * (d + 1)
-    left = [total] * (d + 1)  # left[t]: what a[1..t-1] leave of the total
-    period = [1] * (d + 1)  # period[t]: least period of a[1..t]
-    # the recursion in loop form, so a long word cannot exhaust the stack:
-    # t is the position to fill and a[t] + 1 the next letter to try there,
-    # the lowest, a[t - period[t - 1]], when t has just been reached
-    t, a[1] = 1, -1
-    while t:
-        floor = a[t - period[t - 1]]
-        if t == d:
-            c = left[d]
-            p = period[d - 1] if c == floor else d
-            if c >= floor and d % p == 0:
-                a[d] = c
-                yield tuple(a[1:]), p
-            t -= 1
-            continue
-        c = a[t] + 1
-        if c > (left[t] - (d - t) * a[1] if t > 1 else total // d):
-            t -= 1
-            continue
-        a[t] = c
-        left[t + 1] = left[t] - c
-        period[t] = period[t - 1] if c == floor else t
-        t += 1
-        a[t] = a[t - period[t - 1]] - 1
-
-
 @lru_cache(maxsize=None)
 def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
     """All admissible weight-d words on a cycle of length lam_i, ascending.
 
     Builds a cycle from each necklace among gap words of length d with
-    entries summing to lam_i - d (_gap_necklaces) and keeps those that
-    cycle_admissible, run by the constructor, admits.
+    entries summing to lam_i - d, as core_combinatorics.gap_necklaces
+    lists them, and keeps those that cycle_admissible, run by the
+    constructor, admits.
     """
     if lam_i < 1:
         raise ValueError("cycle length must be positive")
@@ -209,7 +171,7 @@ def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
         # the one word is all zeros, of period 1, which the walk would
         # reach only after lam_i steps and lists of lam_i entries
         return (InvariantCycle(lam_i, (0,) * d),) if lam_i <= 2 else ()
-    cycles = (InvariantCycle(lam_i, word) for word, _ in _gap_necklaces(d, lam_i - d))
+    cycles = (InvariantCycle(lam_i, word) for word, _ in gap_necklaces(d, lam_i - d))
     return tuple(chi for chi in cycles if chi.admissible)
 
 
@@ -239,7 +201,7 @@ def enumerate_selfdual(d: int) -> Tuple[InvariantCycle, ...]:
     out = set()
     words = 0
     for k in range(1, d + 1, 2):
-        for gaps, p in _gap_necklaces(k, d - k):
+        for gaps, p in gap_necklaces(k, d - k):
             if p != k:
                 continue
             words += 1

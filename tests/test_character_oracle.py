@@ -484,13 +484,57 @@ def test_rotation_table_is_min_rotation(v):
     )
 
 
-@pytest.mark.parametrize("v", range(1, 13))
+@pytest.mark.parametrize("v", range(1, 17))
 def test_class_table_pairs_each_class_with_its_complement(v):
+    # the table built from the necklace walk is the 2^v scan's
     words, flips = _classes(v)
     assert words == tuple(_rotation_classes(v))
+    index = {word: i for i, word in enumerate(words)}
     for word, flip in zip(words, flips):
         assert words[flip] == min_rotation(1 - b for b in word)[0]
-        assert flips[flip] == words.index(word)
+        assert flips[flip] == index[word]
+
+
+def test_cold_oracle_scans_only_least_rotations(monkeypatch):
+    # the class tables come from the necklace walk, so from cold caches the
+    # linear scan sees only canonical segments, never all 2^v words
+    calls = []
+
+    def recorded(w):
+        calls.append(tuple(w))
+        return necklace_multiplicity(w)
+
+    _clear_oracle_caches()
+    monkeypatch.setattr(character_oracle, "necklace_multiplicity", recorded)
+    try:
+        for n in range(1, 10):
+            for group in _all_groups(n):
+                oracle_dimension(n, group)
+    finally:
+        _clear_oracle_caches()
+    assert calls
+    assert all(min_rotation(w)[0] == w for w in calls)
+
+
+def test_a_dropped_necklace_fails_orbit_stabilizer(monkeypatch, capsys):
+    # without the gap necklace (1, 1), the class 0101 of length 4 is
+    # missing, so the cosets of (4) at weight 2 cover too few elements
+    walk = character_oracle.gap_necklaces
+
+    def dropping(d, total):
+        return (entry for entry in walk(d, total) if entry[0] != (1, 1))
+
+    _clear_oracle_caches()
+    monkeypatch.setattr(character_oracle, "gap_necklaces", dropping)
+    try:
+        assert (0, 1, 0, 1) not in _classes(4)[0]
+        with pytest.raises(InternalConsistencyError, match="on the class \\(4\\)"):
+            oracle_dimension(4, GroupSpec.product(4, 2))
+        _clear_oracle_caches()
+        assert cli.main(["verify", "--n", "4", "--q", "2"]) == 3
+        assert "internal consistency failure: the orbits of" in capsys.readouterr().err
+    finally:
+        _clear_oracle_caches()
 
 
 def test_warm_tables_compute_no_rotation(monkeypatch):

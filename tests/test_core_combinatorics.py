@@ -10,6 +10,7 @@ from braidinv.core_combinatorics import (
     all_partitions,
     binomial,
     enumerate_partitions,
+    gap_necklaces,
     min_rotation,
     mobius,
     packed_series,
@@ -119,6 +120,42 @@ def test_min_rotation_multiplicity_is_period_count(w):
     # multiplicity = length / smallest rotation period
     period = len(w) // mult
     assert best[period:] + best[:period] == best
+
+
+def _weak_compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _gap_necklaces_by_compositions(d, total):
+    """Brute-force walk: the weak compositions of total into d parts that
+    are their own least rotation, ascending, each with its least period,
+    d over its rotation multiplicity."""
+    out = []
+    for comp in _weak_compositions(total, d):
+        least, mult = min_rotation(comp)
+        if comp == least:
+            out.append((comp, d // mult))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gap_necklaces_match_composition_listing(d):
+    for total in range(9):
+        walked = list(gap_necklaces(d, total))
+        assert walked == _gap_necklaces_by_compositions(d, total)
+
+
+def test_gap_necklaces_of_one_gap_take_the_whole_total():
+    assert list(gap_necklaces(1, 10**12)) == [((10**12,), 1)]
 
 
 def test_mobius_pinned():

@@ -20,6 +20,7 @@ from braidinv.cycle_invariants import (
     selfdual_letters_exceed,
 )
 from braidinv.errors import InternalConsistencyError
+from test_core_combinatorics import _weak_compositions
 
 
 def _gap_word(positions: Sequence[int], lam: int) -> Tuple[int, ...]:
@@ -309,19 +310,6 @@ def test_enumerate_Pi_matches_necklace_count(lam, d):
     assert admissible == set(enumerate_Pi(lam, d))
 
 
-def _weak_compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _Pi_by_compositions(lam, d):
     """Brute-force Pi(lam, d): canonicalize every weak composition of
     lam - d into d parts and keep the admissible ones."""
@@ -340,29 +328,6 @@ def _Pi_by_compositions(lam, d):
 def test_enumerate_Pi_matches_composition_listing(lam):
     for d in range(lam + 1):
         assert enumerate_Pi(lam, d) == _Pi_by_compositions(lam, d)
-
-
-def _gap_necklaces_by_compositions(d, total):
-    """Brute-force walk: the weak compositions of total into d parts that
-    are their own least rotation, ascending, each with its least period,
-    d over its rotation multiplicity."""
-    out = []
-    for comp in _weak_compositions(total, d):
-        least, mult = min_rotation(comp)
-        if comp == least:
-            out.append((comp, d // mult))
-    return sorted(out)
-
-
-@pytest.mark.parametrize("d", range(1, 9))
-def test_gap_necklaces_match_composition_listing(d):
-    for total in range(9):
-        walked = list(cycle_invariants._gap_necklaces(d, total))
-        assert walked == _gap_necklaces_by_compositions(d, total)
-
-
-def test_gap_necklaces_of_one_gap_take_the_whole_total():
-    assert list(cycle_invariants._gap_necklaces(1, 10**12)) == [((10**12,), 1)]
 
 
 @pytest.mark.parametrize(
