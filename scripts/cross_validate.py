@@ -4,13 +4,13 @@
 For each n up to --max-n, runs verify's per-group check, `cli.verify_group`,
 on every group in `GroupSpec.every(n)` (the product splits, then the
 extension at even n), in one process.  The oracle leg also checks
-orbit-stabilizer on every partition.  Verify's tables go to stdout and
-end with the verdict; each leg's wall time, the oracle's cache sizes and
-the run's peak RSS go to stderr.  An internal consistency failure fails
-its n and the sweep goes on.
+orbit-stabilizer on every block (v, m) of equal parts it reads.  Verify's
+tables go to stdout and end with the verdict; each leg's wall time, the
+oracle's cache sizes and the run's peak RSS go to stderr.  An internal
+consistency failure fails its n and the sweep goes on.
 
     python3 scripts/cross_validate.py --max-n 8
-    python3 scripts/cross_validate.py --max-n 18   # about 8 s, 106 MB
+    python3 scripts/cross_validate.py --max-n 19   # about 6 s, 162 MB
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from braidinv.character_oracle import GroupSpec
 from braidinv.cli import verify_group
 from braidinv.errors import InternalConsistencyError
 
-# to n = 18 the sweep takes 6.5-9.5 s and 106 MB (2-vCPU host); n = 19 doubles it
-MAX_N = 18
+# to n = 19 the sweep takes 5.6-5.7 s and 162 MB (2-vCPU host); to n = 20 it
+# takes 13-15 s and 324 MB, 9.5 s of it in the catalog leg
+MAX_N = 19
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
     print("all checks %s" % ("passed" if ok else "FAILED"))
     sizes = [
         "%s %d" % (name, getattr(character_oracle, name).cache_info().currsize)
-        for name in ("_classes", "_block_picks", "_block_isotropy")
+        for name in ("_classes", "_block_polynomials")
     ]
     print("oracle cache entries: %s" % ", ".join(sizes), file=sys.stderr)
     # ru_maxrss is in KiB on Linux

@@ -1,34 +1,45 @@
 """Brute-force verification path, independent of the catalog formulas.
 
-Builds the centralizer of the canonical cycle product of a partition, its
-distinguished 1-dimensional character, the double cosets against a chosen
-subgroup, and the Mackey inner products with the trivial character, in
-exact integer arithmetic: character values are exponents of roots of
-unity, and an inner product is decided on generators of the isotropy.  A
-double coset is its marking word, built block by block from the rotation
-classes of 0/1 words, each its least rotation, in lex order, built from
-the gap words the package's one necklace walk, gap_necklaces, lists.
-One table per length holds the classes and, aligned with them, the index
-of each class's complement class, found with one min_rotation per class;
-picks, complement tests and isotropy generators read it, so the words
-the oracle builds need no other min_rotation.  Each block's
-picks of rotation classes carry, computed once, which side of its
-complement's pick they fall on, so the extension's coset walk decides
-its complement test block by block, and are grouped by weight, so the
-last block is read at the one weight that completes q.  The centralizer
-and its character are products over the blocks of equal parts, so the
-isotropy is decided once per distinct block, on the one-block partition,
-cached under the block's letters for product and extension alike, and
-each coset multiplies its blocks' answers: one slice and one cache
-lookup per block.  The extension's element complementing a block's word
-is found with the block's isotropy generators, and its character value,
-a sign, is multiplied across the blocks.
-The same walk checks orbit-stabilizer, partition by partition: the
-cosets of lam are the group's orbits on its conjugacy class, so the
-indices |G| / |isotropy| of the cosets' isotropy orders sum to the class
-size n! / z_lam, and a shortfall or excess raises.
-Nothing here consults the admissibility predicate or the counting
-formulas, so agreement between the two paths is a real check.
+By Mackey's formula, a group H of S_n has one invariant on the conjugacy
+class lam of the cycle product for each (H, centralizer) double coset
+whose twisted isotropy the centralizer's distinguished 1-dimensional
+character is trivial on.  A double coset is the orbit of its marking
+word, the 0/1 word of weight q marking the points it sends into the top
+block, under the centralizer (with the complement thrown in for the
+extension), and its isotropy is the word's stabilizer there.  Everything
+is exact integer arithmetic: character values are exponents of roots of
+unity, and a character is decided trivial or not on generators.
+
+The centralizer is the product over the blocks (v, m) of equal parts of
+C_v wr S_m, and the character the product of its restrictions, so all
+that Mackey's formula reads off a coset factors over the blocks: an
+orbit is one orbit per block, its stabilizer the product of theirs, the
+character trivial on it when it is on each, and a complementing element
+exists when each block has one, its value the product of their signs.
+Only the weight couples the blocks.  So each block gives, once, two
+polynomials in the weight w:
+
+- P[w] counts its orbits of weight w the character is trivial on;
+- T[w] sums the complement's sign over its self-complementary orbits of
+  weight w the character is trivial on.
+
+A product group has [x^q] of the product of the blocks' P as its
+invariants on lam.  The extension pairs the orbits that are not
+self-complementary, and keeps a self-complementary one when its sign is
+1, so it has half of [x^q] of the product of the P plus that of the T.
+
+A block's orbits are its multisets of m rotation classes of length v,
+each class its least rotation, listed from the gap words of the
+package's one necklace walk, gap_necklaces, with the index of each
+class's complement class.  The stabilizer of an orbit's word is built
+on generators, its order read from its structure.  Complementing a word
+keeps its stabilizer, so only the orbits of weight at most vm / 2 are
+decided, and P's upper half is its lower half reversed.  Each block
+checks orbit-stabilizer at each of those weights: its orbits there are
+the orbits of C_v wr S_m on the C(vm, w) words of weight w, so their
+indices v^m m! / |stabilizer| sum to that count, and a shortfall or
+excess raises.  Nothing here consults the admissibility predicate or the
+counting formulas, so agreement between the two paths is a real check.
 """
 
 from __future__ import annotations
@@ -66,15 +77,6 @@ def _sign(images: Tuple[int, ...]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def _from_cycles(n: int, *cycles: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Images of the product of disjoint cycles on 1..n."""
-    out = list(range(1, n + 1))
-    for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            out[a - 1] = b
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -119,41 +121,6 @@ class GroupSpec:
         if self.variant == "extension":
             return "extension(q=%d)" % self.q
         return "product(%d,%d)" % (self.n - self.q, self.q)
-
-
-@dataclass(frozen=True)
-class CentralizerPresentation:
-    """Generators and bookkeeping for the centralizer of a cycle product."""
-
-    lam: Partition
-    generators: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for v, m in self.lam.blocks:
-            out *= math.factorial(m) * v ** m
-        return out
-
-
-@lru_cache(maxsize=None)
-def build_centralizer(lam: Partition) -> CentralizerPresentation:
-    """Consecutive cycles and adjacent rigid block swaps generating it."""
-    n = lam.n
-    generators = []
-    for i in range(1, lam.part_count + 1):
-        start = lam.block_start(i)
-        generators.append(
-            _from_cycles(n, tuple(range(start + 1, start + lam.parts[i - 1] + 1)))
-        )
-    for i in range(1, lam.part_count):
-        if lam.parts[i - 1] != lam.parts[i]:
-            continue
-        v = lam.parts[i - 1]
-        start = lam.block_start(i)
-        swaps = [(start + t + 1, start + v + t + 1) for t in range(v)]
-        generators.append(_from_cycles(n, *swaps))
-    return CentralizerPresentation(lam, tuple(generators))
 
 
 def _rotation_onto(segment: Tuple[int, ...], target: Tuple[int, ...]) -> int:
@@ -269,102 +236,31 @@ def _classes(v: int):
     return words, flips
 
 
-@lru_cache(maxsize=None)
 def _block_picks(v: int, m: int):
-    """The multisets of m rotation classes of length v, in lex order, each
-    as (its letters, its weight, side), and the same picks grouped by
-    weight: entry w holds the picks of weight w, in lex order.
-
-    side is -1, 0 or 1 as the pick is below, equal to or above its
-    complemented pick, the ascending complement classes of its classes;
-    the classes ascend as their words do, so comparing class indices
-    compares the picks' words."""
+    """The multisets of m rotation classes of length v of weight at most
+    vm / 2, in lex order, each as (its letters, its weight, whether it is
+    self-complementary): whether the ascending complement classes of its
+    classes are its own."""
     words, flips = _classes(v)
-    picks = []
-    by_weight = [[] for _ in range(v * m + 1)]
+    weights = [sum(word) for word in words]
     for pick in itertools.combinations_with_replacement(range(len(words)), m):
-        if m == 1:
-            letters = words[pick[0]]  # the table's own word, not a copy
-        else:
+        weight = sum(weights[i] for i in pick)
+        if 2 * weight <= v * m:
             letters = tuple(b for i in pick for b in words[i])
-        flipped = tuple(sorted(flips[i] for i in pick))
-        entry = (letters, sum(letters), (pick > flipped) - (pick < flipped))
-        picks.append(entry)
-        by_weight[entry[1]].append(entry)
-    return tuple(picks), tuple(map(tuple, by_weight))
+            yield letters, weight, pick == tuple(sorted(flips[i] for i in pick))
 
 
-def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ...]:
-    """One marking word per (group, centralizer) double coset, sorted.
-
-    A coset's marking word is the 0/1 word on the points 1..n that marks
-    the points it sends into the top block.  The double cosets are the
-    orbits of weight-q words under the centralizer, which rotates each part
-    and permutes equal parts, with the complement thrown in for the
-    extension.  An orbit is a multiset of rotation classes per block of
-    equal parts; its lex-least word, the one given here, lists each
-    block's least rotations in ascending order.  The blocks are walked
-    depth first, each block's picks in order, keeping a pick only when
-    the blocks after it can still make up the weight q: a block (v, m)
-    takes every weight from 0 to v m, so they can when what is left of q
-    is at least 0 and at most their letter count.  The last block is read
-    from its picks of the one weight that completes q, in order.
-    The extension keeps a word when it is at most its complement's least
-    word, compared block by block: while the blocks so far equal their
-    complemented picks, a pick above its own prunes its subtree and one
-    below it accepts every completion."""
-    if lam.n != group.n:
-        raise ValueError("partition total must match the group degree")
-    blocks = [_block_picks(v, m) for v, m in lam.blocks]
-    last = len(blocks) - 1
-    # rest[i]: the letter count of the blocks after block i, which can
-    # weigh anything from 0 to rest[i], as each block (v, m) takes every
-    # weight from 0 to v m
-    rest = [group.n - s for s in itertools.accumulate(v * m for v, m in lam.blocks)]
-    reps = []
-
-    # ascending classes and segments of fixed length: words come in lex order
-    def walk(i, word, w, tied):
-        if i == last:
-            for letters, _, side in blocks[i][1][group.q - w]:
-                if not (tied and side > 0):
-                    reps.append(word + letters)
-            return
-        for letters, bw, side in blocks[i][0]:
-            if tied and side > 0:
-                continue
-            if 0 <= group.q - w - bw <= rest[i]:
-                walk(i + 1, word + letters, w + bw, tied and side == 0)
-
-    walk(0, (), 0, group.variant == "extension")
-    return tuple(reps)
-
-
-@lru_cache(maxsize=None)
-def _block_isotropy(v: int, letters: Tuple[int, ...]):
-    """The isotropy of one block of equal parts of value v, whose letters,
-    word[start:end], cover its parts in order, decided on generators up to
-    complement over the one-block partition (v^m); one entry serves the
-    product groups and the extension.
-
-    A block whose segments are not least rotations in ascending order
-    reads the entry of the one that is, found with min_rotation, so
-    generators are built once per distinct block; the words double_cosets
-    gives are canonical, which the scan and a sort confirm, and hit the
-    cache directly.
+def _block_isotropy(lam: Partition, letters: Tuple[int, ...]):
+    """The isotropy of one block of equal parts, the one-block partition
+    lam = (v^m), whose letters cover its parts in order, decided on
+    generators.
 
     Returns whether the character is trivial on the stabilizer of the
     block's word, the stabilizer's order, and the sign, 1 or -1, the
     character takes on an element complementing the word; None when there
-    is none.  Product groups read the first two.  Such an element squares
-    into the stabilizer, so where the character is trivial there its value
-    is a sign, and anything else raises; on a block it is not trivial on,
-    the sign never matters."""
-    segments = [letters[s:s + v] for s in range(0, len(letters), v)]
-    if not all(map(necklace_multiplicity, segments)) or segments != sorted(segments):
-        canonical = sorted(min_rotation(segment)[0] for segment in segments)
-        return _block_isotropy(v, tuple(itertools.chain.from_iterable(canonical)))
-    lam = Partition((v,) * len(segments))
+    is none.  Such an element squares into the stabilizer, so where the
+    character is trivial there its value is a sign, and anything else
+    raises; on a block it is not trivial on, the sign never matters."""
     generators, order, complement = _isotropy_generators(lam, letters)
     trivial = not any(_character_exponent(lam, *g) for g in generators)
     if complement is None:
@@ -378,88 +274,76 @@ def _block_isotropy(v: int, letters: Tuple[int, ...]):
     return trivial, order, 1 if exponent == 0 else -1
 
 
-def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
-    """The character sum over the twisted isotropy, decided block by block.
+@lru_cache(maxsize=None)
+def _block_polynomials(v: int, m: int):
+    """P and T of the block (v, m), coefficients by weight 0..vm, from one
+    pass over its picks, the orbits of weight at most vm / 2, with
+    orbit-stabilizer checked at each of those weights.
 
-    Conjugated by a coset with this marking word, the isotropy is the
-    stabilizer of the word in the centralizer (for the extension: of the
-    word up to complement).  The centralizer is the product over its blocks
-    (v, m) of C_v wr S_m and the character is the product of its
-    restrictions, so the stabilizer of the word is the product of the
-    blocks' stabilizers, the character is trivial on it when it is on each,
-    and a complementing element exists when every block has one, its value
-    the product of their signs.  A character sums to the group order over
-    a group it is trivial on, and to 0 otherwise.
-    Returns (whether the sum is the isotropy order, isotropy order)."""
-    sign = 1 if group.variant == "extension" else None
-    trivial, order = True, 1
-    start = 0
-    for v, m in lam.blocks:
-        end = start + v * m
-        block_trivial, block_order, block_sign = _block_isotropy(v, word[start:end])
-        start = end
-        trivial = trivial and block_trivial
-        order *= block_order
-        if sign is not None:
-            sign = None if block_sign is None else sign * block_sign
-    if sign is not None:
-        # the complementing element doubles the group and must have value 1
-        trivial = trivial and sign == 1
-        order *= 2
-    return trivial, order
+    Complementing a word keeps its stabilizer and carries the orbits of
+    weight w onto those of weight vm - w, so P is symmetric and its upper
+    half is the lower half reversed; T lives at weight vm / 2, where the
+    self-complementary orbits are.  A pick is self-complementary exactly
+    when its word has a complementing element, and each stabilizer order
+    divides the block's order v^m m!; either failing raises."""
+    lam, size, half = Partition((v,) * m), v ** m * math.factorial(m), v * m // 2
+    P, T, covered = ([0] * (half + 1) for _ in range(3))
+    for letters, weight, self_complementary in _block_picks(v, m):
+        trivial, order, sign = _block_isotropy(lam, letters)
+        if size % order:
+            raise InternalConsistencyError(
+                "isotropy order %d does not divide the block order %d" % (order, size)
+            )
+        if self_complementary != (sign is not None):
+            raise InternalConsistencyError(
+                "the pick %s is %sself-complementary, but its word has %s "
+                "complementing element" % (
+                    letters, "" if self_complementary else "not ",
+                    "no" if sign is None else "a",
+                )
+            )
+        covered[weight] += size // order
+        if trivial:
+            P[weight] += 1
+            if sign is not None:
+                T[weight] += sign
+    for w, c in enumerate(covered):
+        if c != math.comb(v * m, w):
+            raise InternalConsistencyError(
+                "the orbits of the block (%d, %d) cover %d of the %d words of weight %d"
+                % (v, m, c, math.comb(v * m, w), w)
+            )
+    return tuple(P + P[v * m - half - 1::-1]), tuple(T)
 
 
-def isotropy_inner_product(
-    word: Tuple[int, ...], lam: Partition, group: GroupSpec
-) -> Tuple[int, int]:
-    """(multiplicity of the trivial character in the twisted restriction of
-    the coset with this marking word, isotropy order): the multiplicity is
-    1 when the centralizer character is trivial on the isotropy, else 0."""
-    word = tuple(word)
-    if lam.n != group.n:
-        raise ValueError("partition total must match the group degree")
-    if word.count(0) + word.count(1) != len(word):
-        raise ValueError("%s is not a 0/1 word" % (word,))
-    if len(word) != lam.n or sum(word) != group.q:
-        raise ValueError(
-            "a marking word needs length %d and weight %d, got %s"
-            % (lam.n, group.q, word)
-        )
-    trivial, order = _isotropy_sum(word, lam, group)
-    return int(trivial), order
+def _coefficient(polynomials, q: int) -> int:
+    """[x^q] of the product of the polynomials, each its coefficients."""
+    product = [1] + [0] * q
+    for poly in polynomials:
+        product = [
+            sum(c * product[d - w] for w, c in enumerate(poly[:d + 1]))
+            for d in range(q + 1)
+        ]
+    return product[q]
 
 
 def oracle_dimension(n: int, group: GroupSpec) -> PoincareTable:
-    """Graded invariant dimension of the group, summed over cosets degree
-    by degree, one partition after another in this process.
-
-    The same walk checks orbit-stabilizer: the cosets of a partition lam
-    are the group's orbits on its conjugacy class, so their indices
-    |G| / |isotropy| sum to the class size n! / z_lam, with z_lam the
-    product of v^m m! over the blocks (v, m)."""
+    """Graded invariant dimension of the group, one partition lam after
+    another, each from the products of its blocks' P and T."""
     if group.n != n:
         raise ValueError("group degree must equal n")
-    order, n_factorial = group.order, math.factorial(n)
     counts = Counter()
     for lam in all_partitions(n):
-        # one invariant per coset whose isotropy the character is trivial on
-        invariants = covered = 0
-        for word in double_cosets(group, lam):
-            trivial, h = isotropy_inner_product(word, lam, group)
-            if order % h:
+        blocks = [_block_polynomials(v, m) for v, m in lam.blocks]
+        invariants = _coefficient([P for P, _ in blocks], group.q)
+        if group.variant == "extension":
+            twice = invariants + _coefficient([T for _, T in blocks], group.q)
+            if twice % 2:
                 raise InternalConsistencyError(
-                    "isotropy order %d does not divide the group order" % h
+                    "%s on the class %s: its orbits and signs sum to %d, an odd "
+                    "count" % (group.describe(), lam, twice)
                 )
-            invariants += trivial
-            covered += order // h
-        class_size = n_factorial // math.prod(
-            v ** m * math.factorial(m) for v, m in lam.blocks
-        )
-        if covered != class_size:
-            raise InternalConsistencyError(
-                "the orbits of %s on the class %s cover %d of its %d elements"
-                % (group.describe(), lam, covered, class_size)
-            )
+            invariants = twice // 2
         counts[lam.degree] += invariants
         log.debug("oracle %s: partition %s done", group.describe(), lam.parts)
     return PoincareTable.from_dict(counts)

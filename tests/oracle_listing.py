@@ -1,4 +1,4 @@
-"""The oracle's isotropy by listing, kept as the tests' reference.
+"""The oracle's cosets and isotropy by listing, kept as the tests' reference.
 
 The oracle decides each character sum on generators of the isotropy and
 reads the isotropy order from its structure.  This module lists the
@@ -8,21 +8,30 @@ on every coset that the reduced sum is 0 or the isotropy order.  The
 exact cyclotomic-integer arithmetic that reduces such a sum, and the
 character evaluated on a centralizer element given as a permutation,
 live here too: the oracle itself only ever reads an exponent as 0 or,
-on a complementing element, as a sign.
-The ground truth for the oracle's coset words lives here as well: orbits
+on a complementing element, as a sign.  So does the centralizer's
+presentation by cycles and block swaps, which the coset search acts by.
+The oracle counts each partition's invariants as a coefficient of a
+product of per-block polynomials; the per-coset walk it replaced is kept
+here: double_cosets, the depth-first walk over the blocks' picks pruned
+by weight and, for the extension, by the side of each pick's complement,
+gives one marking word per double coset, and isotropy_inner_product
+decides each one block by block.  The tests check, partition by
+partition, that the walk's invariant count is the block product's.
+The ground truth for the walk's coset words lives here as well: orbits
 of the group acting by conjugation on a conjugacy class of the symmetric
 group, which never read a marking word, and the breadth-first search over
-all C(n, q) marking words that the oracle's per-block construction
-replaced, which must give the same words in the same order.  So must
-the unpruned per-block walk, which builds every pick of rotation classes
-and then drops the wrong weights.  The oracle decides the isotropy block
-by block and multiplies the signs of the blocks' complementing elements;
-the whole-partition decision, on generators of the stabilizer of the full
+all C(n, q) marking words that the per-block construction replaced,
+which must give the same words in the same order.  So must the unpruned
+per-block walk, which builds every pick of rotation classes and then
+drops the wrong weights.  The oracle decides the isotropy block by block
+and multiplies the signs of the blocks' complementing elements; the
+whole-partition decision, on generators of the stabilizer of the full
 word with the complementing element among them, all on one exponent
 lattice, is kept here to check it coset by coset.
 """
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,9 +39,10 @@ from typing import Optional, Tuple
 
 from braidinv.character_oracle import (
     GroupSpec,
+    _block_isotropy,
     _character_exponent,
+    _classes,
     _isotropy_generators,
-    build_centralizer,
     root_order,
 )
 from braidinv.core_combinatorics import Partition, min_rotation
@@ -50,6 +60,50 @@ def _checked(images, n: int) -> Tuple[int, ...]:
     if sorted(images) != list(range(1, n + 1)):
         raise ValueError("%s is not a permutation of 1..%d" % (images, n))
     return images
+
+
+def _from_cycles(n: int, *cycles: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Images of the product of disjoint cycles on 1..n."""
+    out = list(range(1, n + 1))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            out[a - 1] = b
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class CentralizerPresentation:
+    """Generators and bookkeeping for the centralizer of a cycle product."""
+
+    lam: Partition
+    generators: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        out = 1
+        for v, m in self.lam.blocks:
+            out *= math.factorial(m) * v ** m
+        return out
+
+
+@lru_cache(maxsize=None)
+def build_centralizer(lam: Partition) -> CentralizerPresentation:
+    """Consecutive cycles and adjacent rigid block swaps generating it."""
+    n = lam.n
+    generators = []
+    for i in range(1, lam.part_count + 1):
+        start = lam.block_start(i)
+        generators.append(
+            _from_cycles(n, tuple(range(start + 1, start + lam.parts[i - 1] + 1)))
+        )
+    for i in range(1, lam.part_count):
+        if lam.parts[i - 1] != lam.parts[i]:
+            continue
+        v = lam.parts[i - 1]
+        start = lam.block_start(i)
+        swaps = [(start + t + 1, start + v + t + 1) for t in range(v)]
+        generators.append(_from_cycles(n, *swaps))
+    return CentralizerPresentation(lam, tuple(generators))
 
 
 def group_generators(group: GroupSpec) -> Tuple[Tuple[int, ...], ...]:
@@ -222,6 +276,131 @@ def filtered_double_cosets(group: GroupSpec, lam: Partition):
                 continue
         reps.append(word)
     return tuple(reps)
+
+
+@lru_cache(maxsize=None)
+def _walk_picks(v: int, m: int):
+    """The walk's picks of a block: the multisets of m rotation classes of
+    length v, in lex order, each as (its letters, its weight, side), and
+    the same picks grouped by weight: entry w holds the picks of weight w,
+    in lex order.
+
+    side is -1, 0 or 1 as the pick is below, equal to or above its
+    complemented pick, the ascending complement classes of its classes;
+    the classes ascend as their words do, so comparing class indices
+    compares the picks' words."""
+    words, flips = _classes(v)
+    picks = []
+    by_weight = [[] for _ in range(v * m + 1)]
+    for pick in itertools.combinations_with_replacement(range(len(words)), m):
+        if m == 1:
+            letters = words[pick[0]]  # the table's own word, not a copy
+        else:
+            letters = tuple(b for i in pick for b in words[i])
+        flipped = tuple(sorted(flips[i] for i in pick))
+        entry = (letters, sum(letters), (pick > flipped) - (pick < flipped))
+        picks.append(entry)
+        by_weight[entry[1]].append(entry)
+    return tuple(picks), tuple(map(tuple, by_weight))
+
+
+def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ...]:
+    """One marking word per (group, centralizer) double coset, sorted.
+
+    A coset's marking word is the 0/1 word on the points 1..n that marks
+    the points it sends into the top block.  The double cosets are the
+    orbits of weight-q words under the centralizer, which rotates each part
+    and permutes equal parts, with the complement thrown in for the
+    extension.  An orbit is a multiset of rotation classes per block of
+    equal parts; its lex-least word, the one given here, lists each
+    block's least rotations in ascending order.  The blocks are walked
+    depth first, each block's picks in order, keeping a pick only when
+    the blocks after it can still make up the weight q: a block (v, m)
+    takes every weight from 0 to v m, so they can when what is left of q
+    is at least 0 and at most their letter count.  The last block is read
+    from its picks of the one weight that completes q, in order.
+    The extension keeps a word when it is at most its complement's least
+    word, compared block by block: while the blocks so far equal their
+    complemented picks, a pick above its own prunes its subtree and one
+    below it accepts every completion."""
+    if lam.n != group.n:
+        raise ValueError("partition total must match the group degree")
+    blocks = [_walk_picks(v, m) for v, m in lam.blocks]
+    last = len(blocks) - 1
+    # rest[i]: the letter count of the blocks after block i, which can
+    # weigh anything from 0 to rest[i], as each block (v, m) takes every
+    # weight from 0 to v m
+    rest = [group.n - s for s in itertools.accumulate(v * m for v, m in lam.blocks)]
+    reps = []
+
+    # ascending classes and segments of fixed length: words come in lex order
+    def walk(i, word, w, tied):
+        if i == last:
+            for letters, _, side in blocks[i][1][group.q - w]:
+                if not (tied and side > 0):
+                    reps.append(word + letters)
+            return
+        for letters, bw, side in blocks[i][0]:
+            if tied and side > 0:
+                continue
+            if 0 <= group.q - w - bw <= rest[i]:
+                walk(i + 1, word + letters, w + bw, tied and side == 0)
+
+    walk(0, (), 0, group.variant == "extension")
+    return tuple(reps)
+
+
+def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
+    """The character sum over the twisted isotropy, decided block by block.
+
+    Conjugated by a coset with this marking word, the isotropy is the
+    stabilizer of the word in the centralizer (for the extension: of the
+    word up to complement).  The centralizer is the product over its blocks
+    (v, m) of C_v wr S_m and the character is the product of its
+    restrictions, so the stabilizer of the word is the product of the
+    blocks' stabilizers, the character is trivial on it when it is on each,
+    and a complementing element exists when every block has one, its value
+    the product of their signs.  A character sums to the group order over
+    a group it is trivial on, and to 0 otherwise.
+    Returns (whether the sum is the isotropy order, isotropy order)."""
+    sign = 1 if group.variant == "extension" else None
+    trivial, order = True, 1
+    start = 0
+    for v, m in lam.blocks:
+        end = start + v * m
+        block_trivial, block_order, block_sign = _block_isotropy(
+            Partition((v,) * m), word[start:end]
+        )
+        start = end
+        trivial = trivial and block_trivial
+        order *= block_order
+        if sign is not None:
+            sign = None if block_sign is None else sign * block_sign
+    if sign is not None:
+        # the complementing element doubles the group and must have value 1
+        trivial = trivial and sign == 1
+        order *= 2
+    return trivial, order
+
+
+def isotropy_inner_product(
+    word: Tuple[int, ...], lam: Partition, group: GroupSpec
+) -> Tuple[int, int]:
+    """(multiplicity of the trivial character in the twisted restriction of
+    the coset with this marking word, isotropy order): the multiplicity is
+    1 when the centralizer character is trivial on the isotropy, else 0."""
+    word = tuple(word)
+    if lam.n != group.n:
+        raise ValueError("partition total must match the group degree")
+    if word.count(0) + word.count(1) != len(word):
+        raise ValueError("%s is not a 0/1 word" % (word,))
+    if len(word) != lam.n or sum(word) != group.q:
+        raise ValueError(
+            "a marking word needs length %d and weight %d, got %s"
+            % (lam.n, group.q, word)
+        )
+    trivial, order = _isotropy_sum(word, lam, group)
+    return int(trivial), order
 
 
 def whole_isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):

@@ -6,12 +6,7 @@ pyproject, so the ACCEPTANCE lines appear in the output).
 
 import time
 
-from braidinv.character_oracle import (
-    GroupSpec,
-    double_cosets,
-    isotropy_inner_product,
-    oracle_dimension,
-)
+from braidinv.character_oracle import GroupSpec, oracle_dimension
 from braidinv.core_combinatorics import Partition, all_partitions
 from braidinv.cycle_invariants import (
     cycle_block_key,
@@ -32,6 +27,8 @@ from braidinv.product_catalog import enumerate_generators, product_dimension
 from oracle_listing import (
     _assemble,
     _comp,
+    double_cosets,
+    isotropy_inner_product,
     listed_inner_product,
     stabilizer,
     zeta_value,
@@ -155,7 +152,8 @@ def test_criterion_8_structural_anchors():
                 ok = ok and product_dimension(n, q)[0] == 1
             if n % 2 == 0:
                 ok = ok and ext_dimension(n)[1][0] == 1
-            # each group's cosets must cover every class (orbit-stabilizer)
+            # each block's orbits must cover its words of every weight
+            # (orbit-stabilizer), so each group's cosets cover every class
             for group in GroupSpec.every(n):
                 oracle_dimension(n, group)
             ok = ok and product_dimension(n, 0).as_dict() == {0: 1, 1: 1}

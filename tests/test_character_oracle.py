@@ -11,17 +11,14 @@ import pytest
 from braidinv import character_oracle, cli
 from braidinv.character_oracle import (
     GroupSpec,
-    _from_cycles,
     _block_isotropy,
     _block_picks,
+    _block_polynomials,
     _character_exponent,
     _classes,
+    _coefficient,
     _isotropy_generators,
-    _isotropy_sum,
     _sign,
-    build_centralizer,
-    double_cosets,
-    isotropy_inner_product,
     oracle_dimension,
     root_order,
 )
@@ -36,10 +33,16 @@ from oracle_listing import (
     _assemble,
     _comp,
     _cyclotomic,
+    _from_cycles,
+    _isotropy_sum,
     _rotation_classes,
+    _walk_picks,
+    build_centralizer,
+    double_cosets,
     filtered_double_cosets,
     generic_double_cosets,
     group_generators,
+    isotropy_inner_product,
     listed_inner_product,
     searched_double_cosets,
     stabilizer,
@@ -242,9 +245,30 @@ def test_block_isotropy_matches_the_whole_partition(n):
                 ), (lam.parts, word, group.describe())
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_block_product_counts_the_walks_invariants(n):
+    # partition by partition, the coset walk's invariants are [x^q] of the
+    # product of the blocks' P, and for the extension half of that plus
+    # [x^q] of the product of their T
+    for group in _all_groups(n):
+        for lam in all_partitions(n):
+            walked = sum(
+                isotropy_inner_product(word, lam, group)[0]
+                for word in double_cosets(group, lam)
+            )
+            blocks = [_block_polynomials(v, m) for v, m in lam.blocks]
+            counted = _coefficient([P for P, _ in blocks], group.q)
+            if group.variant == "extension":
+                twice = counted + _coefficient([T for _, T in blocks], group.q)
+                assert twice % 2 == 0
+                counted = twice // 2
+            assert walked == counted, (lam.parts, group.describe())
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_isotropy_of_every_word_matches_the_whole_partition(n):
-    # words that are not their orbit's least are canonicalized block by block
+    # words that are not their orbit's least are decided as they stand, block
+    # by block
     for group in _all_groups(n):
         for lam in all_partitions(n):
             for word in itertools.product((0, 1), repeat=n):
@@ -256,7 +280,7 @@ def test_isotropy_of_every_word_matches_the_whole_partition(n):
 
 def test_warm_block_cache_decides_each_block_once(monkeypatch):
     n = 8
-    _block_isotropy.cache_clear()
+    _clear_oracle_caches()
     calls = []
 
     def counted(lam, word):
@@ -286,13 +310,15 @@ def test_warm_block_cache_decides_each_block_once(monkeypatch):
 
 
 def test_canonical_words_skip_the_rotation_table(monkeypatch):
-    # the words double_cosets gives key the block cache as they stand
+    # the picks' segments are least rotations, so once the class tables
+    # are built, deciding every block again forms no least rotation
     n = 8
     first = [oracle_dimension(n, group) for group in _all_groups(n)]
 
     def refused(w):
         raise AssertionError("least rotation of %s formed" % (w,))
 
+    _block_polynomials.cache_clear()
     monkeypatch.setattr(character_oracle, "min_rotation", refused)
     assert [oracle_dimension(n, group) for group in _all_groups(n)] == first
 
@@ -318,36 +344,81 @@ def test_complement_value_off_the_signs_raises(monkeypatch, capsys):
     monkeypatch.setattr(character_oracle, "_character_exponent", skewed)
     try:
         with pytest.raises(InternalConsistencyError):
-            _block_isotropy(4, (0, 0, 1, 1))
+            _block_isotropy(Partition((4,)), (0, 0, 1, 1))
         assert cli.main(["verify", "--n", "4", "--group", "ext"]) == 3
         assert "internal consistency failure" in capsys.readouterr().err
     finally:
         _clear_oracle_caches()
 
 
-def test_a_dropped_coset_fails_orbit_stabilizer(monkeypatch):
-    # without its first coset, each class is covered short: (4) has one
-    # coset of weight 1, so none of its 4!/4 elements is covered
-    cosets = character_oracle.double_cosets
+@pytest.fixture
+def cold_oracle():
+    """Empty the oracle's caches before and after, so that a patched
+    helper is read and what it builds is not kept."""
+    _clear_oracle_caches()
+    yield
+    _clear_oracle_caches()
+
+
+def test_a_dropped_coset_fails_orbit_stabilizer(monkeypatch, cold_oracle):
+    # without its first pick, the all-zero word, every block is covered
+    # short at weight 0: none of its one word of weight 0 is covered
+    picks = character_oracle._block_picks
     monkeypatch.setattr(
-        character_oracle, "double_cosets", lambda group, lam: cosets(group, lam)[1:]
+        character_oracle,
+        "_block_picks",
+        lambda v, m: itertools.islice(picks(v, m), 1, None),
     )
-    with pytest.raises(InternalConsistencyError, match="cover 0 of its 6 elements"):
+    with pytest.raises(
+        InternalConsistencyError, match="cover 0 of the 1 words of weight 0"
+    ):
         oracle_dimension(4, GroupSpec.product(4, 1))
 
 
-def test_a_wrong_isotropy_order_fails_verify(monkeypatch, capsys):
-    # doubled orders on blocks of value 1 still divide |product(3,1)| = 6
-    # on the class (3,1), but cover 4 of its 8 elements
-    def doubled(v, letters):
-        trivial, order, sign = _block_isotropy(v, letters)
-        return trivial, order * (2 if v == 1 else 1), sign
+def test_a_wrong_isotropy_order_fails_verify(monkeypatch, capsys, cold_oracle):
+    # a doubled order on the word 01 still divides |C_2 wr S_1| = 2, but its
+    # orbit then covers 1 of the 2 words of weight 1 of the block (2, 1)
+    def doubled(lam, letters):
+        trivial, order, sign = _block_isotropy(lam, letters)
+        if (lam.parts, letters) == ((2,), (0, 1)):
+            order *= 2
+        return trivial, order, sign
 
     monkeypatch.setattr(character_oracle, "_block_isotropy", doubled)
     assert cli.main(["verify", "--n", "4", "--group", "prod", "--q", "1"]) == 3
     err = capsys.readouterr().err
     assert "internal consistency failure: the orbits of" in err
-    assert "product(3,1) on the class (3,1) cover 4 of its 8 elements" in err
+    assert "the block (2, 1) cover 1 of the 2 words of weight 1" in err
+
+
+def test_a_complement_off_the_self_complementary_picks_fails_verify(
+    monkeypatch, capsys, cold_oracle
+):
+    # a pick is self-complementary exactly when its word has a complementing
+    # element; a block (2, 1) that finds none for its self-complementary 01
+    # is refused
+    def lost(lam, letters):
+        trivial, order, sign = _block_isotropy(lam, letters)
+        if (lam.parts, letters) == ((2,), (0, 1)):
+            sign = None
+        return trivial, order, sign
+
+    monkeypatch.setattr(character_oracle, "_block_isotropy", lost)
+    assert cli.main(["verify", "--n", "4", "--group", "ext"]) == 3
+    err = capsys.readouterr().err
+    assert "internal consistency failure: the pick (0, 1) is self-complementary" in err
+
+
+def test_an_odd_extension_count_raises(monkeypatch, cold_oracle):
+    # 001011 and 001101 are each other's complements, so their verdicts
+    # agree; flipping one leaves the extension's pairs an odd sum on (6)
+    def flipped(lam, letters):
+        trivial, order, sign = _block_isotropy(lam, letters)
+        return trivial != (letters == (0, 0, 1, 0, 1, 1)), order, sign
+
+    monkeypatch.setattr(character_oracle, "_block_isotropy", flipped)
+    with pytest.raises(InternalConsistencyError, match="an odd count"):
+        oracle_dimension(6, GroupSpec.extension(3))
 
 
 def test_cold_oracle_forms_one_least_rotation_per_class(monkeypatch):
@@ -376,13 +447,18 @@ def test_cold_oracle_forms_one_least_rotation_per_class(monkeypatch):
     (v, m) for v in range(1, 13) for m in range(1, 13) if v * m <= 12
 ])
 def test_picks_by_weight_split_the_flat_list(v, m):
-    # entry w of the index holds the picks of weight w
-    picks, by_weight = _block_picks(v, m)
+    # entry w of the walk's index holds the picks of weight w
+    picks, by_weight = _walk_picks(v, m)
     joined = [pick for group in by_weight for pick in group]
     assert sorted(joined) == sorted(picks)
     assert len(joined) == len(picks) == len(set(picks))
     for w, group in enumerate(by_weight):
         assert list(group) == [pick for pick in picks if pick[1] == w]
+    # the oracle's picks are the walk's of weight at most vm / 2,
+    # self-complementary on side 0
+    assert list(_block_picks(v, m)) == [
+        (letters, w, side == 0) for letters, w, side in picks if 2 * w <= v * m
+    ]
 
 
 def test_root_order():
@@ -478,10 +554,11 @@ def test_rotation_table_is_min_rotation(v):
     for word in itertools.product((0, 1), repeat=v):
         least, count = min_rotation(word)
         assert necklace_multiplicity(word) == (count if word == least else 0)
-    # and the one-part picks are the rotation classes, in order
-    assert [letters for letters, _, _ in _block_picks(v, 1)[0]] == list(
-        _rotation_classes(v)
-    )
+    # and the one-part picks are the rotation classes of weight at most
+    # v / 2, in order
+    assert [letters for letters, _, _ in _block_picks(v, 1)] == [
+        word for word in _rotation_classes(v) if 2 * sum(word) <= v
+    ]
 
 
 @pytest.mark.parametrize("v", range(1, 17))
@@ -528,7 +605,7 @@ def test_a_dropped_necklace_fails_orbit_stabilizer(monkeypatch, capsys):
     monkeypatch.setattr(character_oracle, "gap_necklaces", dropping)
     try:
         assert (0, 1, 0, 1) not in _classes(4)[0]
-        with pytest.raises(InternalConsistencyError, match="on the class \\(4\\)"):
+        with pytest.raises(InternalConsistencyError, match="the block \\(4, 1\\)"):
             oracle_dimension(4, GroupSpec.product(4, 2))
         _clear_oracle_caches()
         assert cli.main(["verify", "--n", "4", "--q", "2"]) == 3

@@ -13,8 +13,8 @@ import braidinv
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "braidinv"
-# read only by the benchmark's tracer and the tests; see ROADMAP items 5 and 8
-UNCALLED = {"build_centralizer"}
+# definitions the library keeps without a caller under src/ or scripts/
+UNCALLED = set()
 
 
 def _referenced(node):

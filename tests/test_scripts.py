@@ -1,11 +1,11 @@
 import importlib.util
+import itertools
 import re
 from pathlib import Path
 
 import pytest
 
 from braidinv import character_oracle, cli
-from braidinv.character_oracle import GroupSpec
 from braidinv.core_combinatorics import PoincareTable
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -28,7 +28,7 @@ def exit_code(script, argv):
         ("dimension_tables", ["--max-n", "6"], 0),
         ("cross_validate", ["--max-n", "4"], 0),
         ("cross_validate", ["--workers", "0"], 2),
-        ("cross_validate", ["--max-n", "19"], 2),
+        ("cross_validate", ["--max-n", "20"], 2),
         ("dimension_tables", ["--max-n", "93"], 2),
         ("cross_validate", ["--max-n", "12"], 0),
         ("cross_validate", ["--long"], 2),
@@ -48,14 +48,22 @@ def test_cross_validate_sweeps_from_n1(capsys):
     assert re.search(r"\npeak RSS \d+\.\d MB\n$", err)
     # beside it, the oracle's cache sizes
     assert re.search(
-        r"^oracle cache entries: _classes \d+, _block_picks \d+, "
-        r"_block_isotropy \d+$",
+        r"^oracle cache entries: _classes \d+, _block_polynomials \d+$",
         err,
         re.M,
     )
 
 
-_cosets = character_oracle.double_cosets
+_picks = character_oracle._block_picks
+
+
+@pytest.fixture
+def cold_oracle():
+    """Empty the oracle's block cache before and after, so that a patched
+    helper is read and what it builds is not kept."""
+    character_oracle._block_polynomials.cache_clear()
+    yield
+    character_oracle._block_polynomials.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -64,16 +72,17 @@ _cosets = character_oracle.double_cosets
         (cli, "oracle_dimension", lambda n, group: PoincareTable(()), "out", "MISMATCH"),
         (
             character_oracle,
-            "double_cosets",
-            lambda group, lam: _cosets(group, lam)[1:],
+            "_block_picks",
+            lambda v, m: itertools.islice(_picks(v, m), 1, None),
             "err",
-            "\nn=1 internal consistency failure: the orbits of product(1,0)",
+            "\nn=1 internal consistency failure: the orbits of the block (1, 1)"
+            " cover 0 of the 1 words of weight 0",
         ),
     ],
     ids=["verify", "dropped-coset"],
 )
 def test_cross_validate_fails_on_a_mismatch(
-    capsys, monkeypatch, module, name, wrong, stream, message
+    capsys, monkeypatch, cold_oracle, module, name, wrong, stream, message
 ):
     monkeypatch.setattr(module, name, wrong)
     assert exit_code("cross_validate", ["--max-n", "2"]) == 1
@@ -82,13 +91,23 @@ def test_cross_validate_fails_on_a_mismatch(
     assert captured.out.endswith("all checks FAILED\n")
 
 
-def test_cross_validate_fails_cleanly_on_an_internal_error(capsys, monkeypatch):
-    # a prime group order, which an isotropy order above 1 does not divide
-    monkeypatch.setattr(GroupSpec, "order", property(lambda group: 10**9 + 7))
+def test_cross_validate_fails_cleanly_on_an_internal_error(
+    capsys, monkeypatch, cold_oracle
+):
+    # a prime isotropy order on blocks of value 2, which their order 2^m m!
+    # does not divide
+    block_isotropy = character_oracle._block_isotropy
+
+    def prime(lam, letters):
+        trivial, order, sign = block_isotropy(lam, letters)
+        return trivial, 10**9 + 7 if lam.parts[0] == 2 else order, sign
+
+    monkeypatch.setattr(character_oracle, "_block_isotropy", prime)
     assert exit_code("cross_validate", ["--max-n", "2"]) == 1
     out, err = capsys.readouterr()
     assert re.search(
-        r"^n=2 internal consistency failure: isotropy order \d+ does not divide",
+        r"^n=2 internal consistency failure: isotropy order \d+ does not divide "
+        r"the block order \d+$",
         err,
         re.M,
     )
