@@ -46,20 +46,17 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import logging
 import math
+import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
 from .core_combinatorics import (
-    Partition, PoincareTable, all_partitions, gap_necklaces, min_rotation,
-    necklace_multiplicity,
+    Frozen, Partition, PoincareTable, all_partitions, gap_necklaces,
+    min_rotation, necklace_multiplicity,
 )
 from .errors import InternalConsistencyError
-
-log = logging.getLogger(__name__)
 
 
 def _sign(images: Tuple[int, ...]) -> int:
@@ -79,23 +76,23 @@ def _sign(images: Tuple[int, ...]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Frozen):
     """One of the subgroups the oracle can invariantize against."""
 
-    variant: str
-    n: int
-    q: int
+    _fields = ("variant", "n", "q")
 
-    def __post_init__(self):
-        if self.variant not in ("product", "extension"):
+    def __init__(self, variant: str, n: int, q: int):
+        if variant not in ("product", "extension"):
             raise ValueError("unknown group variant")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("need n >= 1")
-        if self.variant == "product" and not 0 <= self.q <= self.n:
+        if variant == "product" and not 0 <= q <= n:
             raise ValueError("need 0 <= q <= n")
-        if self.variant == "extension" and self.n != 2 * self.q:
+        if variant == "extension" and n != 2 * q:
             raise ValueError("the extension needs n = 2q")
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def product(cls, n: int, q: int) -> "GroupSpec":
@@ -332,6 +329,10 @@ def oracle_dimension(n: int, group: GroupSpec) -> PoincareTable:
     another, each from the products of its blocks' P and T."""
     if group.n != n:
         raise ValueError("group degree must equal n")
+    # a record is made only when logging is loaded: the CLI loads it for
+    # --verbose, and without it no handler exists that could show one
+    logging = sys.modules.get("logging")
+    log = logging.getLogger(__name__) if logging else None
     counts = Counter()
     for lam in all_partitions(n):
         blocks = [_block_polynomials(v, m) for v, m in lam.blocks]
@@ -345,5 +346,6 @@ def oracle_dimension(n: int, group: GroupSpec) -> PoincareTable:
                 )
             invariants = twice // 2
         counts[lam.degree] += invariants
-        log.debug("oracle %s: partition %s done", group.describe(), lam.parts)
+        if log:
+            log.debug("oracle %s: partition %s done", group.describe(), lam.parts)
     return PoincareTable.from_dict(counts)

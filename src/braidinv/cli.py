@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 import time
 from functools import lru_cache
@@ -411,14 +410,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    logging.basicConfig(
-        stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
-    # basicConfig does nothing once the root logger has a handler, so a
-    # second call in one process sets its level here
-    logging.getLogger("braidinv").setLevel(
-        logging.DEBUG if args.verbose else logging.WARNING
-    )
+    # logging is imported only for --verbose, or when it is loaded already
+    # (a host application's, or an earlier --verbose call's), whose level
+    # this call must reset; without it the oracle makes no records
+    if args.verbose or "logging" in sys.modules:
+        import logging
+
+        logging.basicConfig(
+            stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
+        )
+        # basicConfig does nothing once the root logger has a handler, so a
+        # second call in one process sets its level here
+        logging.getLogger("braidinv").setLevel(
+            logging.DEBUG if args.verbose else logging.WARNING
+        )
     try:
         return args.func(args)
     except ValueError as exc:

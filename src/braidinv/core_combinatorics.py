@@ -8,15 +8,52 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Word = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Frozen:
+    """An immutable value, compared, hashed and shown by the fields that
+    _fields names, which are also its constructor's arguments.
+
+    A subclass's __init__ validates its arguments and sets each field once
+    with object.__setattr__; any later assignment raises AttributeError.
+    This is what a frozen dataclass gives, without importing dataclasses,
+    which loads inspect, ast and dis, on every start of the CLI.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt, and revalidated, by __init__
+        return type(self), self._key()
+
+
+class Partition(Frozen):
     """A weakly decreasing tuple of positive integers.
 
     >>> p = Partition((3, 2, 2, 1))
@@ -26,17 +63,18 @@ class Partition:
     ((3, 1), (2, 2), (1, 1))
     """
 
-    parts: Tuple[int, ...]
+    # no __slots__: the cached properties live in the instance __dict__
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Tuple[int, ...]):
+        parts = tuple(parts)
         if not parts:
             raise ValueError("partition needs at least one part")
         if any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
 
     @cached_property
     def n(self) -> int:
@@ -73,14 +111,13 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class PoincareTable:
+class PoincareTable(Frozen):
     """Degree-indexed dimensions; absent degrees are zero."""
 
-    entries: Tuple[Tuple[int, int], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        cleaned = tuple(sorted((d, v) for d, v in self.entries if v))
+    def __init__(self, entries: Tuple[Tuple[int, int], ...]):
+        cleaned = tuple(sorted((d, v) for d, v in entries if v))
         if any(d < 0 or v < 0 for d, v in cleaned):
             raise ValueError("degrees and dimensions must be non-negative")
         if len({d for d, _ in cleaned}) != len(cleaned):

@@ -18,18 +18,17 @@ least-rotation scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from .core_combinatorics import (
-    Word, binomial, gap_necklaces, min_rotation, mobius, necklace_multiplicity
+    Frozen, Word, binomial, gap_necklaces, min_rotation, mobius,
+    necklace_multiplicity,
 )
 from .errors import InternalConsistencyError
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantCycle:
+class InvariantCycle(Frozen):
     """A canonical cyclic gap word on a cycle of a given length.
 
     gaps is None for the empty marking.  A non-empty word with d entries
@@ -39,32 +38,32 @@ class InvariantCycle:
     it, and whether cycle_admissible holds.
 
     The constructor checks the minimal rotation form and reads the
-    multiplicity in one linear scan, necklace_multiplicity.
+    multiplicity in one linear scan, necklace_multiplicity.  Cycles are
+    equal, hashed and shown by length and gaps alone; weight, the
+    multiplicity and admissible follow from them.
     """
 
-    length: int
-    gaps: Optional[Word]
-    weight: int = field(init=False, repr=False, compare=False)
-    _multiplicity: int = field(init=False, repr=False, compare=False)
-    admissible: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("length", "gaps", "weight", "_multiplicity", "admissible")
+    _fields = ("length", "gaps")
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __init__(self, length: int, gaps: Optional[Word]):
+        if length < 1:
             raise ValueError("cycle length must be positive")
         d, multiplicity = 0, 1
-        if self.gaps is not None:
-            gaps = tuple(self.gaps)
-            object.__setattr__(self, "gaps", gaps)
+        if gaps is not None:
+            gaps = tuple(gaps)
             d = len(gaps)
-            if not 1 <= d <= self.length:
+            if not 1 <= d <= length:
                 raise ValueError("gap word length out of range")
             if min(gaps) < 0:
                 raise ValueError("gaps must be non-negative")
-            if sum(gaps) != self.length - d:
+            if sum(gaps) != length - d:
                 raise ValueError("gap word must sum to length - weight")
             multiplicity = necklace_multiplicity(gaps)
             if not multiplicity:
                 raise ValueError("gap word must be in minimal rotation form")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "gaps", gaps)
         object.__setattr__(self, "weight", d)
         object.__setattr__(self, "_multiplicity", multiplicity)
         object.__setattr__(self, "admissible", cycle_admissible(self))

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .core_combinatorics import (
+    Frozen,
     Partition,
     PoincareTable,
     all_partitions,
@@ -32,17 +32,15 @@ from .cycle_invariants import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorLabel:
+class GeneratorLabel(Frozen):
     """A partition with one admissible gap word per part, block-canonical."""
 
-    partition: Partition
-    cycles: Tuple[InvariantCycle, ...]
+    __slots__ = ("partition", "cycles")
+    _fields = ("partition", "cycles")
 
-    def __post_init__(self):
-        cycles = tuple(self.cycles)
-        object.__setattr__(self, "cycles", cycles)
-        parts = self.partition.parts
+    def __init__(self, partition: Partition, cycles: Tuple[InvariantCycle, ...]):
+        cycles = tuple(cycles)
+        parts = partition.parts
         if len(cycles) != len(parts):
             raise ValueError("one cycle per part required")
         last_part = last_key = None
@@ -58,6 +56,8 @@ class GeneratorLabel:
                 if p % 2 == 0 and last_key == key:
                     raise ValueError("repeated pair on equal even parts")
             last_part, last_key = p, key
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "cycles", cycles)
 
     @property
     def degree(self) -> int:

@@ -23,6 +23,15 @@ from braidinv.extension_catalog import enumerate_EP
 from braidinv.product_catalog import enumerate_generators
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
+
+
+def fresh_python(*args):
+    """A new interpreter that imports braidinv from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
 
 
 def run(capsys, *argv):
@@ -277,6 +286,34 @@ def test_verbose_is_set_on_every_call(capsys, caplog, first_verbose):
             assert len(done) == (5 if verbose else 0)
     finally:
         logging.getLogger("braidinv").setLevel(logging.NOTSET)
+
+
+def test_verbose_in_a_fresh_process():
+    # logging is loaded only for --verbose there, unlike under pytest
+    argv = ["-m", "braidinv", "verify", "--n", "4", "--group", "prod", "--q", "1"]
+    quiet, verbose = fresh_python(*argv), fresh_python(*argv, "--verbose")
+    assert quiet.returncode == verbose.returncode == 0
+    assert quiet.stdout == verbose.stdout
+    assert [l for l in verbose.stderr.splitlines() if l.startswith("DEBUG")] == [
+        "DEBUG braidinv.character_oracle: oracle product(3,1): partition %s done"
+        % (parts,)
+        for parts in ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    ]
+    assert "DEBUG" not in quiet.stderr
+
+
+def test_start_loads_no_dataclasses_inspect_or_logging():
+    # each costs milliseconds on every start of the CLI
+    proc = fresh_python(
+        "-c",
+        "import sys; before = set(sys.modules)\n"
+        "import braidinv, braidinv.cli\n"
+        "print(*sorted(set(sys.modules) - before))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "braidinv.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "logging"})
 
 
 def test_necklace_pi(capsys):
