@@ -173,6 +173,76 @@ def test_json_output_and_round_trip(capsys):
     assert rendered == out2.strip("\n")
 
 
+def _json_doc(rows, n, q, group, method, notes):
+    """The document render_json writes, for json.dumps as the reference."""
+    doc = {
+        "n": n,
+        "q": q,
+        "group": group,
+        "graded": [{"degree": i, "dim": d} for i, d in rows],
+        "total": sum(d for _, d in rows),
+        "provenance": {"method": method},
+    }
+    if notes:
+        doc["annotation"] = " ".join(notes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "n, q, rows",
+    [
+        (6, 3, []),
+        (1, 0, [(0, 1)]),
+        (12, 5, [(i, 3**i + i) for i in range(12)]),
+        (2**40, 2**33, [(0, 2**31), (7, 2**63 + 1), (2**32, 10**30)]),
+    ],
+    ids=["empty", "one-row", "many-rows", "beyond-2^31"],
+)
+@pytest.mark.parametrize("group", ["prod", "ext"])
+@pytest.mark.parametrize("method", ["formula", "catalog"])
+@pytest.mark.parametrize(
+    "notes",
+    [(), ("# genus 2 (n = 6): %s" % cli.SPIN_NOTE,), ("a \"quoted\"", "tab\there")],
+    ids=["no-note", "spin-note", "two-notes"],
+)
+def test_render_json_is_json_dumps_indent_2(n, q, rows, group, method, notes):
+    doc = _json_doc(rows, n, q, group, method, notes)
+    out = cli.render_json(rows, n, q, group, method, notes)
+    assert out == json.dumps(doc, indent=2)
+    assert json.loads(out) == doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--n", "6", "--group", "ext", "--degree", "99"],
+        ["dim", "--n", "8", "--q", "3", "--method", "catalog"],
+        ["spin", "--genus", "2"],
+    ],
+)
+def test_json_answers_are_json_dumps_indent_2(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # the listing is far longer than a pipe holds, so the CLI is still
+    # writing when the reader goes away
+    with subprocess.Popen(
+        [sys.executable, "-m", "braidinv", "necklace", "pi", "--lambda", "21", "--d", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    ) as proc:
+        assert proc.stdout.readline() == "(0,0,0,0,0,0,0,0,0,11)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err
+
+
 def test_csv_output(capsys):
     code, out, _ = run(capsys, "dim", "--n", "4", "--group", "ext", "--format", "csv")
     assert code == 0
@@ -622,7 +692,8 @@ ANY_INT = st.one_of(st.integers(-3, 24), st.integers(-HUGE, HUGE))
 
 @st.composite
 def cli_argv(draw):
-    """A command with drawn integer options.
+    """A command with drawn integer options, and a drawn --format, last,
+    where the command takes one.
 
     Accepted formula sizes stop at n = 40, to keep tier-1 short: they are
     bounded by cli.FORMULA_LIMIT but take seconds near the bound.
@@ -643,6 +714,9 @@ def cli_argv(draw):
     def maybe(name, values):
         return opt(name, values) if draw(st.booleans()) else []
 
+    def format_option(*formats):
+        return maybe("--format", st.sampled_from(formats))
+
     group = ["--group", draw(st.sampled_from(["prod", "ext"]))]
     command = draw(
         st.sampled_from(["dim", "catalog", "verify", "ep", "spin", "pi", "selfdual"])
@@ -650,19 +724,22 @@ def cli_argv(draw):
     if command == "dim":
         n = _ints(40, cli.FORMULA_LIMIT + 1)
         return ["dim", *opt("--n", n), *maybe("--q", ANY_INT), *group,
-                *maybe("--degree", ANY_INT)]
+                *maybe("--degree", ANY_INT), *format_option("table", "json", "csv")]
     if command == "catalog":
         return ["dim", *opt("--n", _ints(30, 46)), *maybe("--q", ANY_INT), *group,
-                "--method", "catalog", *maybe("--degree", ANY_INT)]
+                "--method", "catalog", *maybe("--degree", ANY_INT),
+                *format_option("table", "json", "csv")]
     if command == "verify":
         long_running = ["--long"] if draw(st.booleans()) else []
         return ["verify", *opt("--n", ANY_INT), *maybe("--q", ANY_INT), *group,
                 *maybe("--workers", st.integers(-3, 3)), *long_running]
     if command == "ep":
-        return ["ep", *opt("--n", _ints(18, 19))]
+        return ["ep", *opt("--n", _ints(18, 19)),
+                *format_option("table", "json")]
     if command == "spin":
         genus = _ints(19, cli.FORMULA_LIMIT // 2)
-        return ["spin", *opt("--genus", genus), *maybe("--degree", ANY_INT)]
+        return ["spin", *opt("--genus", genus), *maybe("--degree", ANY_INT),
+                *format_option("table", "json", "csv")]
     if command == "pi":
         lam = _ints(40, cli.NECKLACE_LISTING_LIMIT + 2)
         return ["necklace", "pi", *opt("--lambda", lam), *opt("--d", ANY_INT)]
@@ -676,3 +753,6 @@ def test_fuzzed_integer_options_exit_0_2_or_4(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 4), (argv, err.getvalue()[-2000:])
+    if code == 0 and argv[-2:] == ["--format", "json"]:
+        # every JSON answer is what json's own indented encoder gives
+        assert json.dumps(json.loads(out.getvalue()), indent=2) + "\n" == out.getvalue()
