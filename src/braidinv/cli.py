@@ -47,8 +47,9 @@ NECKLACE_LISTING_LIMIT = 10**6
 FORMULA_LIMIT = 92
 
 # the most work a catalog listing (dim --method catalog, ep) may take:
-# partitions walked, necklace words pooled and labels listed, each counted
-# in closed form; a larger one exits 4 before it starts
+# partitions walked, necklace words pooled (a bound: the product group's
+# pools are floored) and labels listed, each counted in closed form; a
+# larger one exits 4 before it starts
 CATALOG_LISTING_LIMIT = 10**5
 
 # the largest n verify runs the oracle at, and with --long; a larger one
@@ -140,8 +141,8 @@ def render_csv_rows(rows) -> str:
 
 
 def _refuse_catalog(n: int, top: int, labels, what: str):
-    """Exit 4 before a catalog listing of partitions of n, pooling the
-    necklace words of weight at most top, whose work exceeds
+    """Exit 4 before a catalog listing of partitions of n, pooling at most
+    the necklace words of weight at most top, whose work exceeds
     CATALOG_LISTING_LIMIT; labels() counts the labels it lists.
 
     The terms are added in turn and the first to pass the limit refuses:
@@ -291,7 +292,12 @@ def cmd_pi(args: argparse.Namespace) -> int:
         "Pi(%d, %d)" % (args.lam, args.d),
     )
     cycles = enumerate_Pi(args.lam, args.d)
-    print("\n".join([*map(str, cycles), "%d cycles" % len(cycles)]))
+    # str(chi) for each cycle, through one format: every word listed has
+    # the same number of entries (none for the empty marking)
+    width = len(cycles[0].gaps or ()) if cycles else 0
+    fmt = "(" + ",".join(["%d"] * width) + ")"
+    lines = [fmt % (chi.gaps or ()) for chi in cycles]
+    print("\n".join([*lines, "%d cycles" % len(cycles)]))
     return 0
 
 

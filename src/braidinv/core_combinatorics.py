@@ -258,8 +258,24 @@ def gap_necklaces(d: int, total: int):
     keeping p, or by a larger letter, making the period t; a prenecklace of
     length d is a necklace iff p divides d.  A necklace starts with its
     least letter, so letter t is at most what a[1..t-1] leave of total,
-    less a[1] for each letter after it; the last letter takes what is left.
+    less a[1] for each letter after it.
+
+    The last letter takes what is left, so the walk stops at t = d - 1 and
+    tests each letter c there with its forced successor z = left[d] - c in
+    place.  For c = a[t - p], keeping p, the word is kept when
+    z >= a[d - p], with period p if equal (and p divides d) and d if
+    larger.  A larger c makes the period d - 1, so z's floor is a[1]:
+    every c below left[d - 1] - a[1] gives a necklace of period d, and
+    that last c gives z = a[1], a period d - 1 that does not divide
+    d >= 3.  One and two gaps are listed directly.
     """
+    if d == 1:
+        yield (total,), 1
+        return
+    if d == 2:
+        for c in range(total // 2 + 1):
+            yield (c, total - c), 1 if 2 * c == total else 2
+        return
     a = [0] * (d + 1)
     left = [total] * (d + 1)  # left[t]: what a[1..t-1] leave of the total
     period = [1] * (d + 1)  # period[t]: least period of a[1..t]
@@ -269,12 +285,16 @@ def gap_necklaces(d: int, total: int):
     t, a[1] = 1, -1
     while t:
         floor = a[t - period[t - 1]]
-        if t == d:
-            c = left[d]
-            p = period[d - 1] if c == floor else d
-            if c >= floor and d % p == 0:
-                a[d] = c
-                yield tuple(a[1:]), p
+        if t == d - 1:
+            rest, p, prefix = left[t], period[t - 1], tuple(a[1:t])
+            a[t] = floor  # read back as a[d - p] when p = 1
+            z, z_floor = rest - floor, a[d - p]
+            if z > z_floor:
+                yield prefix + (floor, z), d
+            elif z == z_floor and d % p == 0:
+                yield prefix + (floor, z), p
+            for c in range(floor + 1, rest - a[1]):
+                yield prefix + (c, rest - c), d
             t -= 1
             continue
         c = a[t] + 1

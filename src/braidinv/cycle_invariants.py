@@ -194,6 +194,10 @@ def enumerate_selfdual(d: int) -> Tuple[InvariantCycle, ...]:
     around, delta = 1 0^g1 ... 1 0^gk gives w = 1^(g1+1) 0^(g2+1)
     1^(g3+1) ..., k being odd, whose run of a + 1 ones and the b + 1 zeros
     after it are the gaps 0^a, b + 1 of w.
+
+    Every word has length 2d and weight d, so the least rotations are
+    compared and sorted as plain tuples, which is their cycles' equality
+    and cycle_block_key order, and each cycle is built once, in order.
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -209,10 +213,10 @@ def enumerate_selfdual(d: int) -> Tuple[InvariantCycle, ...]:
             for a, b in zip(runs[::2], runs[1::2]):
                 word.extend([0] * a)
                 word.append(b + 1)
-            out.add(InvariantCycle.from_gaps(2 * d, word))
+            out.add(min_rotation(word)[0])
     if len(out) != words:
         raise InternalConsistencyError("two Lyndon words gave one self-dual word")
-    return tuple(sorted(out, key=cycle_block_key))
+    return tuple([InvariantCycle(2 * d, gaps) for gaps in sorted(out)])
 
 
 def selfdual_count_closed_form(d: int) -> int:

@@ -103,9 +103,9 @@ BlockAssignments = namedtuple("BlockAssignments", "combos by_weight")
 
 
 @lru_cache(maxsize=None)
-def _block_assignments(v: int, m: int, cap: int) -> BlockAssignments:
+def _block_assignments(v: int, m: int, cap: int, floor: int) -> BlockAssignments:
     """Canonical cycle tuples for a block of m parts of value v whose words
-    each have weight at most cap.
+    each have weight floor..cap; words outside that range are never listed.
 
     Pairs (weight, word) repeat freely on odd v but must be distinct on
     even v.  combos holds (tuple, block weight) pairs ascending in
@@ -114,7 +114,7 @@ def _block_assignments(v: int, m: int, cap: int) -> BlockAssignments:
     the same order.
     """
     pool = []
-    for d in range(cap, -1, -1):
+    for d in range(cap, floor - 1, -1):
         pool.extend(enumerate_Pi(v, d))
     if v % 2 == 0:
         tuples = itertools.combinations(pool, m)
@@ -132,8 +132,16 @@ def _block_assignments(v: int, m: int, cap: int) -> BlockAssignments:
 def _partition_labels(lam: Partition, q: int) -> List[GeneratorLabel]:
     """The labels of weight q on lam, in sort_key order: depth first over
     the blocks, each block's tuples in their order, keeping a tuple only
-    when the blocks after it can still make up the weight."""
-    blocks = [_block_assignments(v, m, min(v, q)) for v, m in lam.blocks]
+    when the blocks after it can still make up the weight.
+
+    A word on a part of value v weighs at most min(v, q), so one on a part
+    of block i weighs at least q less what the other parts can carry, and
+    each block pools only words of weight in that range."""
+    carried = sum(m * min(v, q) for v, m in lam.blocks)
+    blocks = [
+        _block_assignments(v, m, min(v, q), max(0, q - carried + min(v, q)))
+        for v, m in lam.blocks
+    ]
     # reach[i]: the weights at most q that blocks i, i + 1, ... can sum to
     reach = [{0}]
     for block in reversed(blocks):

@@ -392,6 +392,27 @@ def test_necklace_pi(capsys):
     assert out.strip().splitlines() == ["(0,0,3)", "(0,1,2)", "(0,2,1)", "3 cycles"]
 
 
+@pytest.mark.parametrize("lam", range(1, 13))
+def test_necklace_pi_lines_are_the_cycles_str(capsys, lam):
+    for d in range(lam + 1):
+        cycles = enumerate_Pi(lam, d)
+        expected = [*map(str, cycles), "%d cycles" % len(cycles)]
+        code, out, _ = run(capsys, "necklace", "pi", "--lambda", str(lam), "--d", str(d))
+        assert (code, out) == (0, "\n".join(expected) + "\n")
+
+
+def test_necklace_pi_lines_of_no_gap_and_of_one_gap(capsys):
+    # two gaps and more: test_necklace_pi, and (0,0) on a 2-cycle below
+    assert run(capsys, "necklace", "pi", "--lambda", "2", "--d", "0")[:2] == (
+        0,
+        "()\n1 cycles\n",
+    )
+    assert run(capsys, "necklace", "pi", "--lambda", "7", "--d", "1")[:2] == (
+        0,
+        "(6)\n1 cycles\n",
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

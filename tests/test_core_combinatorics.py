@@ -147,11 +147,32 @@ def _gap_necklaces_by_compositions(d, total):
     return sorted(out)
 
 
-@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("d", range(1, 11))
 def test_gap_necklaces_match_composition_listing(d):
-    for total in range(9):
+    for total in range(11):
         walked = list(gap_necklaces(d, total))
         assert walked == _gap_necklaces_by_compositions(d, total)
+
+
+def test_gap_necklaces_of_two_gaps():
+    # (c, total - c) for c up to total / 2, of period 1 only at the middle
+    assert list(gap_necklaces(2, 5)) == [((0, 5), 2), ((1, 4), 2), ((2, 3), 2)]
+    assert list(gap_necklaces(2, 4)) == [((0, 4), 2), ((1, 3), 2), ((2, 2), 1)]
+    assert list(gap_necklaces(2, 0)) == [((0, 0), 1)]
+
+
+def test_gap_necklaces_last_letter_at_its_floor():
+    # the last letter equals the letter one period back: kept with that
+    # period when it divides the length, as (0,1,0,1) and (1,1,1), and
+    # dropped when it does not, as the prenecklace (0,0,1,0,0)
+    assert list(gap_necklaces(4, 2)) == [
+        ((0, 0, 0, 2), 4), ((0, 0, 1, 1), 4), ((0, 1, 0, 1), 2),
+    ]
+    assert list(gap_necklaces(3, 3)) == [
+        ((0, 0, 3), 3), ((0, 1, 2), 3), ((0, 2, 1), 3), ((1, 1, 1), 1),
+    ]
+    assert list(gap_necklaces(5, 1)) == [((0, 0, 0, 0, 1), 5)]
+    assert list(gap_necklaces(6, 0)) == [((0,) * 6, 1)]
 
 
 def test_gap_necklaces_of_one_gap_take_the_whole_total():

@@ -5,7 +5,7 @@ from typing import Sequence, Tuple
 import pytest
 from hypothesis import given, strategies as st
 
-from braidinv import core_combinatorics, cycle_invariants, product_catalog
+from braidinv import cli, core_combinatorics, cycle_invariants, product_catalog
 from braidinv.core_combinatorics import Partition, binomial, min_rotation
 from braidinv.cycle_invariants import (
     InvariantCycle,
@@ -437,3 +437,27 @@ def test_weight_zero_and_full_cycles_dualize():
         full = dual_cycle(InvariantCycle.empty(lam))
         assert full.weight == lam
         assert full.gaps == (0,) * lam
+
+
+def test_a_repeated_lyndon_word_fails_the_selfdual_listing(monkeypatch, capsys):
+    # the walk yields its first Lyndon word twice: two Lyndon words then
+    # give one self-dual word, which the listing must refuse
+    walk = cycle_invariants.gap_necklaces
+
+    def repeating(d, total):
+        repeated = False
+        for gaps, p in walk(d, total):
+            yield gaps, p
+            if p == d and not repeated:
+                repeated = True
+                yield gaps, p
+
+    monkeypatch.setattr(cycle_invariants, "gap_necklaces", repeating)
+    enumerate_selfdual.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="two Lyndon words"):
+            enumerate_selfdual(6)
+        assert cli.main(["necklace", "selfdual", "--d", "6"]) == 3
+        assert "two Lyndon words gave one self-dual word" in capsys.readouterr().err
+    finally:
+        enumerate_selfdual.cache_clear()

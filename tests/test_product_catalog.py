@@ -224,7 +224,7 @@ def test_capped_pools_are_the_uncapped_pools_below_the_cap(v):
     for m in range(1, 4):
         full = _uncapped_assignments(v, m)
         for cap in range(v + 1):
-            capped = _block_assignments(v, m, cap)
+            capped = _block_assignments(v, m, cap, 0)
             kept = tuple(
                 (combo, w) for combo, w in full if all(c.weight <= cap for c in combo)
             )
@@ -233,6 +233,48 @@ def test_capped_pools_are_the_uncapped_pools_below_the_cap(v):
             for combo, w in kept:
                 by_weight.setdefault(w, []).append(combo)
             assert capped.by_weight == by_weight
+
+
+@pytest.mark.parametrize("v", range(1, 10))
+def test_floored_pools_are_the_uncapped_pools_between_floor_and_cap(v):
+    for m in range(1, 4):
+        full = _uncapped_assignments(v, m)
+        for cap in range(v + 1):
+            for floor in range(cap + 1):
+                pool = _block_assignments(v, m, cap, floor)
+                kept = tuple(
+                    (combo, w)
+                    for combo, w in full
+                    if all(floor <= c.weight <= cap for c in combo)
+                )
+                assert pool.combos == kept
+                by_weight = {}
+                for combo, w in kept:
+                    by_weight.setdefault(w, []).append(combo)
+                assert pool.by_weight == by_weight
+
+
+def test_catalog_pools_no_word_lighter_than_its_floor(monkeypatch):
+    # on the partition (16) the one word carries all of q = 8, so Pi(16, d)
+    # is asked for d = 8 alone, and the 18,876 labels are all still listed
+    requested = []
+
+    def recording(v, d):
+        requested.append((v, d))
+        return enumerate_Pi(v, d)
+
+    monkeypatch.setattr(product_catalog, "enumerate_Pi", recording)
+    _block_assignments.cache_clear()
+    enumerate_generators.cache_clear()
+    try:
+        labels = enumerate_generators(16, 8)
+    finally:
+        _block_assignments.cache_clear()
+        enumerate_generators.cache_clear()
+    assert len(labels) == product_dimension(16, 8).total == 18876
+    assert {d for v, d in requested if v == 16} == {8}
+    # and the word on a part 15 of (15, 1) carries at least 7
+    assert {d for v, d in requested if v == 15} == {7, 8}
 
 
 def test_catalog_pools_no_word_heavier_than_the_weight(monkeypatch):
