@@ -10,7 +10,7 @@ oracle's cache sizes and the run's peak RSS go to stderr.  An internal
 consistency failure fails its n and the sweep goes on.
 
     python3 scripts/cross_validate.py --max-n 8
-    python3 scripts/cross_validate.py --max-n 19   # about 6 s, 162 MB
+    python3 scripts/cross_validate.py --max-n 20   # about 8 s, 98 MB
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from braidinv.character_oracle import GroupSpec
 from braidinv.cli import verify_group
 from braidinv.errors import InternalConsistencyError
 
-# to n = 19 the sweep takes 5.6-5.7 s and 162 MB (2-vCPU host); to n = 20 it
-# takes 13-15 s and 324 MB, 9.5 s of it in the catalog leg
-MAX_N = 19
+# to n = 19 the sweep takes 4.0 s and 56 MB (2-vCPU host); to n = 20 it takes
+# 7.6-7.7 s and 98 MB, 4.9-5.0 s of it in the catalog leg
+MAX_N = 20
 
 
 def parse_args(argv=None) -> argparse.Namespace:

@@ -19,7 +19,7 @@ from .character_oracle import GroupSpec, oracle_dimension
 from .core_combinatorics import PoincareTable, partition_count
 from .cycle_invariants import (
     Pi_letters_exceed,
-    enumerate_Pi,
+    admissible_cycles,
     enumerate_selfdual,
     necklace_count,
     selfdual_count_closed_form,
@@ -291,13 +291,17 @@ def cmd_pi(args: argparse.Namespace) -> int:
         Pi_letters_exceed(args.lam, args.d, NECKLACE_LISTING_LIMIT),
         "Pi(%d, %d)" % (args.lam, args.d),
     )
-    cycles = enumerate_Pi(args.lam, args.d)
-    # str(chi) for each cycle, through one format: every word listed has
-    # the same number of entries (none for the empty marking)
-    width = len(cycles[0].gaps or ()) if cycles else 0
-    fmt = "(" + ",".join(["%d"] * width) + ")"
-    lines = [fmt % (chi.gaps or ()) for chi in cycles]
-    print("\n".join([*lines, "%d cycles" % len(cycles)]))
+    # each line is written as its cycle is built, and nothing keeps it
+    write = sys.stdout.write
+    fmt = None
+    count = 0
+    for count, chi in enumerate(admissible_cycles(args.lam, args.d), 1):
+        if fmt is None:
+            # str(chi) for each cycle, through one format: every word listed
+            # has as many entries as the first (none for the empty marking)
+            fmt = "(" + ",".join(["%d"] * len(chi.gaps or ())) + ")\n"
+        write(fmt % (chi.gaps or ()))
+    print("%d cycles" % count)
     return 0
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .core_combinatorics import (
     Frozen, Word, binomial, gap_necklaces, min_rotation, mobius,
@@ -35,15 +36,15 @@ class InvariantCycle(Frozen):
     records the zeros strictly between consecutive marked positions read
     cyclically, so its entries sum to length - d.  Stored in minimal
     rotation form, with its weight, the number of rotations that attain
-    it, and whether cycle_admissible holds.
+    it, whether cycle_admissible holds, and its cycle_block_key.
 
     The constructor checks the minimal rotation form and reads the
     multiplicity in one linear scan, necklace_multiplicity.  Cycles are
     equal, hashed and shown by length and gaps alone; weight, the
-    multiplicity and admissible follow from them.
+    multiplicity, admissible and block_key follow from them.
     """
 
-    __slots__ = ("length", "gaps", "weight", "_multiplicity", "admissible")
+    __slots__ = ("length", "gaps", "weight", "_multiplicity", "admissible", "block_key")
     _fields = ("length", "gaps")
 
     def __init__(self, length: int, gaps: Optional[Word]):
@@ -67,6 +68,7 @@ class InvariantCycle(Frozen):
         object.__setattr__(self, "weight", d)
         object.__setattr__(self, "_multiplicity", multiplicity)
         object.__setattr__(self, "admissible", cycle_admissible(self))
+        object.__setattr__(self, "block_key", (-d, gaps or ()))
 
     @classmethod
     def empty(cls, length: int) -> "InvariantCycle":
@@ -85,9 +87,9 @@ class InvariantCycle(Frozen):
         return "(" + ",".join(map(str, self.gaps)) + ")"
 
 
-def cycle_block_key(chi: InvariantCycle):
-    """Canonical order inside a block: weight descending, then word."""
-    return (-chi.weight, chi.gaps or ())
+# canonical order inside a block: weight descending, then word; each cycle
+# stores its key once, when built
+cycle_block_key = attrgetter("block_key")
 
 
 def dual_cycle(chi: InvariantCycle) -> InvariantCycle:
@@ -150,14 +152,15 @@ def necklace_count(v: int, d: int) -> int:
     return _aperiodic_count(v, d) + squares
 
 
-@lru_cache(maxsize=None)
-def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
-    """All admissible weight-d words on a cycle of length lam_i, ascending.
+def admissible_cycles(lam_i: int, d: int) -> Iterator[InvariantCycle]:
+    """The admissible weight-d words on a cycle of length lam_i, ascending,
+    built one at a time and kept by nothing.
 
     Builds a cycle from each necklace among gap words of length d with
     entries summing to lam_i - d, as core_combinatorics.gap_necklaces
-    lists them, and keeps those that cycle_admissible, run by the
-    constructor, admits.
+    lists them, and yields those that cycle_admissible, run by the
+    constructor, admits.  The arguments are checked on the call, before
+    any cycle is built.
     """
     if lam_i < 1:
         raise ValueError("cycle length must be positive")
@@ -165,13 +168,20 @@ def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
         raise ValueError("need 0 <= d <= lam_i")
     if d == 0:
         empty = InvariantCycle.empty(lam_i)
-        return (empty,) if empty.admissible else ()
+        return iter((empty,) if empty.admissible else ())
     if d == lam_i:
         # the one word is all zeros, of period 1, which the walk would
         # reach only after lam_i steps and lists of lam_i entries
-        return (InvariantCycle(lam_i, (0,) * d),) if lam_i <= 2 else ()
+        return iter((InvariantCycle(lam_i, (0,) * d),) if lam_i <= 2 else ())
     cycles = (InvariantCycle(lam_i, word) for word, _ in gap_necklaces(d, lam_i - d))
-    return tuple(chi for chi in cycles if chi.admissible)
+    return (chi for chi in cycles if chi.admissible)
+
+
+@lru_cache(maxsize=None)
+def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
+    """All admissible weight-d words on a cycle of length lam_i, ascending:
+    admissible_cycles(lam_i, d), kept for the catalog's block pools."""
+    return tuple(admissible_cycles(lam_i, d))
 
 
 @lru_cache(maxsize=None)

@@ -55,7 +55,7 @@ def _fixed_blocks(v: int, m: int):
         for h in range(v, (v - 1) // 2, -1):
             for chi in enumerate_Pi(v, h):
                 mate = dual_cycle(chi)
-                if cycle_block_key(chi) < cycle_block_key(mate):
+                if chi.block_key < mate.block_key:
                     pairs.append((chi, mate))
     pick = itertools.combinations_with_replacement if v % 2 else itertools.combinations
     out = []
@@ -64,7 +64,7 @@ def _fixed_blocks(v: int, m: int):
             for alone in itertools.combinations(selfdual, m - 2 * k):
                 cycles = sorted(sum(chosen + alone, ()), key=cycle_block_key)
                 out.append((tuple(cycles), k))
-    out.sort(key=lambda pair: [cycle_block_key(chi) for chi in pair[0]])
+    out.sort(key=lambda pair: [chi.block_key for chi in pair[0]])
     return tuple(out)
 
 

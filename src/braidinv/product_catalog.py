@@ -24,12 +24,7 @@ from .core_combinatorics import (
     binomial,
     packed_series,
 )
-from .cycle_invariants import (
-    InvariantCycle,
-    cycle_block_key,
-    enumerate_Pi,
-    necklace_count,
-)
+from .cycle_invariants import InvariantCycle, enumerate_Pi, necklace_count
 
 
 class GeneratorLabel(Frozen):
@@ -49,7 +44,7 @@ class GeneratorLabel(Frozen):
                 raise ValueError("cycle length must equal its part")
             if not chi.admissible:
                 raise ValueError("inadmissible cycle %s on part %d" % (chi, p))
-            key = cycle_block_key(chi)
+            key = chi.block_key
             if p == last_part:
                 if last_key > key:
                     raise ValueError("cycles out of canonical order inside a block")
@@ -71,7 +66,7 @@ class GeneratorLabel(Frozen):
         return (
             self.degree,
             self.partition.parts,
-            tuple(cycle_block_key(c) for c in self.cycles),
+            tuple([c.block_key for c in self.cycles]),
         )
 
     def __str__(self):
@@ -99,7 +94,7 @@ def _label_series(n: int) -> Dict[Tuple[int, int], int]:
     return {divmod(i, n + 1): c for i, c in enumerate(coeffs) if c}
 
 
-BlockAssignments = namedtuple("BlockAssignments", "combos by_weight")
+BlockAssignments = namedtuple("BlockAssignments", "combos weights by_weight")
 
 
 @lru_cache(maxsize=None)
@@ -108,10 +103,10 @@ def _block_assignments(v: int, m: int, cap: int, floor: int) -> BlockAssignments
     each have weight floor..cap; words outside that range are never listed.
 
     Pairs (weight, word) repeat freely on odd v but must be distinct on
-    even v.  combos holds (tuple, block weight) pairs ascending in
-    cycle_block_key order, as combinations keep the order of a pool that
-    is ascending in it; by_weight maps each block weight to its tuples, in
-    the same order.
+    even v.  combos holds the tuples ascending in cycle_block_key order,
+    as combinations keep the order of a pool that is ascending in it, and
+    weights their block weights, index by index; by_weight maps each block
+    weight to its tuples, in the same order.
     """
     pool = []
     for d in range(cap, floor - 1, -1):
@@ -121,12 +116,14 @@ def _block_assignments(v: int, m: int, cap: int, floor: int) -> BlockAssignments
     else:
         tuples = itertools.combinations_with_replacement(pool, m)
     combos = []
+    weights = []
     by_weight = {}
     for combo in tuples:
         w = sum(c.weight for c in combo)
-        combos.append((combo, w))
+        combos.append(combo)
+        weights.append(w)
         by_weight.setdefault(w, []).append(combo)
-    return BlockAssignments(tuple(combos), by_weight)
+    return BlockAssignments(tuple(combos), tuple(weights), by_weight)
 
 
 def _partition_labels(lam: Partition, q: int) -> List[GeneratorLabel]:
@@ -160,7 +157,7 @@ def _partition_labels(lam: Partition, q: int) -> List[GeneratorLabel]:
                 labels.append(GeneratorLabel(lam, cycles + combo))
             return
         after = reach[i + 1]
-        for combo, bw in blocks[i].combos:
+        for combo, bw in zip(blocks[i].combos, blocks[i].weights):
             if q - w - bw in after:
                 walk(i + 1, cycles + combo, w + bw)
 
@@ -168,12 +165,12 @@ def _partition_labels(lam: Partition, q: int) -> List[GeneratorLabel]:
     return labels
 
 
-@lru_cache(maxsize=None)
 def enumerate_generators(n: int, q: int) -> Tuple[GeneratorLabel, ...]:
     """All generator labels of total weight q over partitions of n, in
     sort_key order: the partitions reversed(all_partitions(n)), degree
     ascending (most parts first) then parts ascending, then the cycles'
-    block keys."""
+    block keys.  Listed anew on each call; product_dimension counts the
+    labels without keeping them."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= q <= n:
@@ -184,20 +181,30 @@ def enumerate_generators(n: int, q: int) -> Tuple[GeneratorLabel, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _catalog_dimension(n: int, q: int) -> PoincareTable:
+    """The labels of weight q over partitions of n counted by degree, each
+    partition's list dropped once counted: every label on lam has degree
+    lam.degree."""
+    counts = {}
+    for lam in all_partitions(n):
+        counts[lam.degree] = counts.get(lam.degree, 0) + len(_partition_labels(lam, q))
+    return PoincareTable.from_dict(counts)
+
+
 def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:
     """Graded dimension of the weight-q invariant catalog.
 
     method "formula" reads a coefficient of the label series;
-    method "catalog" counts the explicitly enumerated labels.
+    method "catalog" counts the explicitly enumerated labels, partition
+    by partition, keeping none.
     """
-    if method == "catalog":
-        return PoincareTable.from_degrees(
-            g.degree for g in enumerate_generators(n, q)
-        )
-    if method != "formula":
+    if method not in ("formula", "catalog"):
         raise ValueError("method must be 'formula' or 'catalog'")
     if n < 1 or not 0 <= q <= n:
         raise ValueError("need n >= 1 and 0 <= q <= n")
+    if method == "catalog":
+        return _catalog_dimension(n, q)
     return PoincareTable.from_dict(
         {n - j: c for (w, j), c in _label_series(n).items() if w == q}
     )

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from datetime import timedelta
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from braidinv import character_oracle, cli, extension_catalog, product_catalog
 from braidinv.cli import main, render_table
 from braidinv.core_combinatorics import all_partitions
-from braidinv.cycle_invariants import enumerate_Pi
+from braidinv.cycle_invariants import admissible_cycles, enumerate_Pi
 from braidinv.extension_catalog import enumerate_EP
 from braidinv.product_catalog import enumerate_generators
 
@@ -401,6 +402,70 @@ def test_necklace_pi_lines_are_the_cycles_str(capsys, lam):
         assert (code, out) == (0, "\n".join(expected) + "\n")
 
 
+def _joined_listing(lam, d):
+    """necklace pi's stdout as it was when the listing was held: the cycles
+    of enumerate_Pi through one format sized from the first, joined, then
+    their count."""
+    cycles = enumerate_Pi(lam, d)
+    width = len(cycles[0].gaps or ()) if cycles else 0
+    fmt = "(" + ",".join(["%d"] * width) + ")"
+    lines = [fmt % (chi.gaps or ()) for chi in cycles]
+    return "\n".join([*lines, "%d cycles" % len(cycles)]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "lam,d",
+    [(1, 0), (2, 0), (1, 1), (2, 2), (3, 0), (5, 5), (10, 4), (14, 6), (21, 10)],
+)
+def test_streamed_necklace_pi_is_the_joined_listing(capsys, lam, d):
+    # d = 0, d = lam on parts 1 and 2, no cycle at all, square words on
+    # lam = 2 mod 4, and the benchmark's (21, 10)
+    enumerate_Pi.cache_clear()
+    code, out, _ = run(capsys, "necklace", "pi", "--lambda", str(lam), "--d", str(d))
+    # the listing kept no cycle
+    assert enumerate_Pi.cache_info().currsize == 0
+    assert (code, out) == (0, _joined_listing(lam, d))
+    if lam % 4 == 2 and d % 2 == 0 and 0 < d < lam:
+        assert 2 in {chi.rotation_multiplicity() for chi in enumerate_Pi(lam, d)}
+
+
+def test_necklace_pi_writes_each_line_as_its_cycle_is_built(monkeypatch):
+    built = []
+
+    def counted(lam, d):
+        for chi in admissible_cycles(lam, d):
+            built.append(chi)
+            yield chi
+
+    written = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            written.append(len(built))
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "admissible_cycles", counted)
+    with contextlib.redirect_stdout(Recording()) as out:
+        assert main(["necklace", "pi", "--lambda", "14", "--d", "6"]) == 0
+    assert len(built) == 217
+    # line i goes out once cycle i is built and before cycle i + 1 is
+    assert written[: len(built)] == list(range(1, len(built) + 1))
+    assert out.getvalue() == _joined_listing(14, 6)
+
+
+def test_necklace_pi_memory_does_not_grow_with_the_listing():
+    # Pi(21, 10) holds 16,796 cycles, about 5 MB when they were kept
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(["necklace", "pi", "--lambda", "6", "--d", "3"])
+        tracemalloc.start()
+        try:
+            assert main(["necklace", "pi", "--lambda", "21", "--d", "10"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_necklace_pi_lines_of_no_gap_and_of_one_gap(capsys):
     # two gaps and more: test_necklace_pi, and (0,0) on a 2-cycle below
     assert run(capsys, "necklace", "pi", "--lambda", "2", "--d", "0")[:2] == (
@@ -428,7 +493,7 @@ def test_oversized_necklace_listing_exits_4_before_listing(capsys, monkeypatch, 
     def refuse(*args):
         raise AssertionError("an oversized request reached the listing")
 
-    monkeypatch.setattr(cli, "enumerate_Pi", refuse)
+    monkeypatch.setattr(cli, "admissible_cycles", refuse)
     monkeypatch.setattr(cli, "enumerate_selfdual", refuse)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -610,7 +675,7 @@ def _refuse_listing(monkeypatch):
     def refuse(*args):
         raise AssertionError("an oversized request listed labels")
 
-    monkeypatch.setattr(product_catalog, "enumerate_generators", refuse)
+    monkeypatch.setattr(product_catalog, "_partition_labels", refuse)
     monkeypatch.setattr(extension_catalog, "_ep_members", refuse)
     monkeypatch.setattr(cli, "_ep_members", refuse)
 

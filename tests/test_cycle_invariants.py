@@ -10,6 +10,7 @@ from braidinv.core_combinatorics import Partition, binomial, min_rotation
 from braidinv.cycle_invariants import (
     InvariantCycle,
     Pi_letters_exceed,
+    admissible_cycles,
     cycle_admissible,
     cycle_block_key,
     dual_cycle,
@@ -124,6 +125,29 @@ def test_stored_multiplicity_is_the_rotation_count(lam):
             assert chi.rotation_multiplicity() == expected
 
 
+@pytest.mark.parametrize("lam", range(1, 13))
+def test_every_cycle_stores_its_block_key(lam):
+    # with the self-dual words on a 2 lam-cycle
+    cycles = [InvariantCycle.empty(lam), *enumerate_selfdual(lam)]
+    for d in range(lam + 1):
+        cycles.extend(enumerate_Pi(lam, d))
+    for chi in cycles:
+        assert chi.block_key == (-chi.weight, chi.gaps or ())
+        assert cycle_block_key(chi) is chi.block_key
+        # the key is read off the cycle and is not part of its identity
+        assert chi == InvariantCycle(chi.length, chi.gaps)
+        dual = dual_cycle(chi)
+        assert dual.block_key == (chi.weight - chi.length, dual.gaps or ())
+
+
+def test_admissible_cycles_checks_its_arguments_on_the_call():
+    for lam, d in ((0, 0), (3, -1), (3, 4)):
+        with pytest.raises(ValueError):
+            admissible_cycles(lam, d)
+    for lam, d in ((1, 0), (2, 2), (3, 0), (5, 5), (10, 4)):
+        assert tuple(admissible_cycles(lam, d)) == enumerate_Pi(lam, d)
+
+
 @pytest.mark.parametrize("lam", range(1, 9))
 def test_every_necklace_stores_its_multiplicity(lam):
     # admissible or not: periodic words attain their least rotation d/p times
@@ -185,7 +209,6 @@ def test_listing_computes_no_rotation(monkeypatch):
     monkeypatch.setattr(core_combinatorics, "min_rotation", counted)
     enumerate_Pi.cache_clear()
     product_catalog._block_assignments.cache_clear()
-    product_catalog.enumerate_generators.cache_clear()
     assert len(enumerate_Pi(21, 10)) == 16796
     assert product_catalog.enumerate_generators(12, 6)
     assert calls == []

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 from typing import Tuple
 
 import pytest
@@ -113,6 +117,49 @@ def test_product_dimension_rejects_bad_arguments():
             product_dimension(n, q)
     with pytest.raises(ValueError):
         product_dimension(4, 1, method="guess")
+    for n, q in ((0, 0), (4, -1), (4, 5)):
+        with pytest.raises(ValueError):
+            product_dimension(n, q, method="catalog")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_catalog_count_is_the_listing_by_degree(n):
+    # the count drops each partition's labels once counted; the listing
+    # keeps them all, in order
+    for q in range(n + 1):
+        listed = enumerate_generators(n, q)
+        assert product_dimension(n, q, method="catalog") == PoincareTable.from_degrees(
+            g.degree for g in listed
+        )
+        assert listed == enumerate_generators(n, q)
+
+
+CATALOG_MEMORY_PROBE = """
+import tracemalloc
+from braidinv.extension_catalog import ext_dimension
+from braidinv.product_catalog import product_dimension
+n = 16
+tracemalloc.start()
+for q in range(n // 2 + 1):
+    product_dimension(n, q, method="catalog")
+ext_dimension(n, method="catalog")
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_catalog_memory_at_n16():
+    # a fresh interpreter, so that no other test's caches count; the block
+    # pools stay and no label outlives its partition (10.3 MB when every
+    # listed label was kept)
+    src = str(Path(product_catalog.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", CATALOG_MEMORY_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 6 * 2**20
 
 
 @pytest.mark.parametrize("n", range(1, 25))
@@ -228,7 +275,7 @@ def test_capped_pools_are_the_uncapped_pools_below_the_cap(v):
             kept = tuple(
                 (combo, w) for combo, w in full if all(c.weight <= cap for c in combo)
             )
-            assert capped.combos == kept
+            assert tuple(zip(capped.combos, capped.weights)) == kept
             by_weight = {}
             for combo, w in kept:
                 by_weight.setdefault(w, []).append(combo)
@@ -247,7 +294,7 @@ def test_floored_pools_are_the_uncapped_pools_between_floor_and_cap(v):
                     for combo, w in full
                     if all(floor <= c.weight <= cap for c in combo)
                 )
-                assert pool.combos == kept
+                assert tuple(zip(pool.combos, pool.weights)) == kept
                 by_weight = {}
                 for combo, w in kept:
                     by_weight.setdefault(w, []).append(combo)
@@ -265,12 +312,10 @@ def test_catalog_pools_no_word_lighter_than_its_floor(monkeypatch):
 
     monkeypatch.setattr(product_catalog, "enumerate_Pi", recording)
     _block_assignments.cache_clear()
-    enumerate_generators.cache_clear()
     try:
         labels = enumerate_generators(16, 8)
     finally:
         _block_assignments.cache_clear()
-        enumerate_generators.cache_clear()
     assert len(labels) == product_dimension(16, 8).total == 18876
     assert {d for v, d in requested if v == 16} == {8}
     # and the word on a part 15 of (15, 1) carries at least 7
@@ -287,7 +332,6 @@ def test_catalog_pools_no_word_heavier_than_the_weight(monkeypatch):
 
     monkeypatch.setattr(product_catalog, "enumerate_Pi", recording)
     _block_assignments.cache_clear()
-    enumerate_generators.cache_clear()
     labels = enumerate_generators(24, 3)
     assert len(labels) == product_dimension(24, 3).total == 3586
     assert requested and max(d for _, d in requested) == 3
