@@ -19,7 +19,7 @@ from .character_oracle import GroupSpec, oracle_dimension
 from .core_combinatorics import PoincareTable, partition_count
 from .cycle_invariants import (
     Pi_letters_exceed,
-    admissible_cycles,
+    admissible_words,
     enumerate_selfdual,
     necklace_count,
     selfdual_count_closed_form,
@@ -291,16 +291,16 @@ def cmd_pi(args: argparse.Namespace) -> int:
         Pi_letters_exceed(args.lam, args.d, NECKLACE_LISTING_LIMIT),
         "Pi(%d, %d)" % (args.lam, args.d),
     )
-    # each line is written as its cycle is built, and nothing keeps it
+    # each line is written as its word is checked, and nothing keeps it
     write = sys.stdout.write
     fmt = None
     count = 0
-    for count, chi in enumerate(admissible_cycles(args.lam, args.d), 1):
+    for count, gaps in enumerate(admissible_words(args.lam, args.d), 1):
         if fmt is None:
-            # str(chi) for each cycle, through one format: every word listed
+            # InvariantCycle's str, through one format: every word listed
             # has as many entries as the first (none for the empty marking)
-            fmt = "(" + ",".join(["%d"] * len(chi.gaps or ())) + ")\n"
-        write(fmt % (chi.gaps or ()))
+            fmt = "(" + ",".join(["%d"] * len(gaps or ())) + ")\n"
+        write(fmt % (gaps or ()))
     print("%d cycles" % count)
     return 0
 

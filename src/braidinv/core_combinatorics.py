@@ -7,7 +7,6 @@ anywhere in this package.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -101,12 +100,6 @@ class Partition(Frozen):
                 out.append([v, 1])
         return tuple((v, m) for v, m in out)
 
-    def block_start(self, i: int) -> int:
-        """0-based offset of the i-th part's interval (i is 1-based)."""
-        if not 1 <= i <= self.part_count:
-            raise ValueError("part index out of range")
-        return sum(self.parts[: i - 1])
-
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
@@ -128,10 +121,6 @@ class PoincareTable(Frozen):
     def from_dict(cls, mapping: Dict[int, int]) -> "PoincareTable":
         return cls(tuple(mapping.items()))
 
-    @classmethod
-    def from_degrees(cls, degrees) -> "PoincareTable":
-        return cls.from_dict(Counter(degrees))
-
     def __getitem__(self, degree: int) -> int:
         for d, v in self.entries:
             if d == degree:
@@ -141,10 +130,6 @@ class PoincareTable(Frozen):
     @property
     def total(self) -> int:
         return sum(v for _, v in self.entries)
-
-    @property
-    def max_degree(self) -> int:
-        return max((d for d, _ in self.entries), default=0)
 
     def as_dict(self) -> Dict[int, int]:
         return dict(self.entries)

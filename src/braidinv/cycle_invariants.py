@@ -5,14 +5,15 @@ what survives conjugation by the centralizer is the cyclic word of zero-gaps
 between marked positions.  This module builds those gap words, the complement
 duality, the admissibility predicate, the sets Pi(lam, d) of admissible
 weight-d words, and the self-dual words at half weight, each listing with
-its closed-form count.  cycle_admissible states the admissibility rule for
-listing and necklace_count states it for counting.  Both listings walk the
-package's one fixed-density necklace loop, core_combinatorics.gap_necklaces,
-which the oracle's rotation classes also come from; the self-dual words at
-weight d are in bijection with the binary Lyndon words of length d and odd
-weight, through the cyclic difference word.  Each word built is checked,
-and its rotation multiplicity read, by necklace_multiplicity, a linear
-least-rotation scan.
+its closed-form count.  check_gap_word states what a gap word is and
+cycle_admissible the admissibility rule, which InvariantCycle's
+constructor runs and admissible_words runs on plain tuples; necklace_count
+states the rule for counting.  Both listings walk the package's one
+fixed-density necklace loop, core_combinatorics.gap_necklaces, which the
+oracle's rotation classes also come from; the self-dual words at weight d
+are in bijection with the binary Lyndon words of length d and odd weight,
+through the cyclic difference word.  Each listed word is checked, and its
+rotation multiplicity read, by necklace_multiplicity, a linear scan.
 """
 
 from __future__ import annotations
@@ -26,7 +27,44 @@ from .core_combinatorics import (
     Frozen, Word, binomial, gap_necklaces, min_rotation, mobius,
     necklace_multiplicity,
 )
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, listing_fault
+
+
+def check_gap_word(length: int, gaps: Optional[Word]) -> int:
+    """The rotation multiplicity of a gap word on a cycle of this length:
+    1 for None, the empty marking; ValueError unless a non-empty word has
+    1 to length entries, none negative, summing to length less their
+    number, and is its own least rotation (necklace_multiplicity)."""
+    if length < 1:
+        raise ValueError("cycle length must be positive")
+    if gaps is None:
+        return 1
+    d = len(gaps)
+    if not 1 <= d <= length:
+        raise ValueError("gap word length out of range")
+    if min(gaps) < 0:
+        raise ValueError("gaps must be non-negative")
+    if sum(gaps) != length - d:
+        raise ValueError("gap word must sum to length - weight")
+    multiplicity = necklace_multiplicity(gaps)
+    if not multiplicity:
+        raise ValueError("gap word must be in minimal rotation form")
+    return multiplicity
+
+
+def cycle_admissible(length: int, weight: int, multiplicity: int) -> bool:
+    """Whether a word of this weight and rotation multiplicity on a cycle
+    of this length can carry a nonzero invariant.  Parts of length 1 and 2
+    are unconstrained; on a longer one the weight is strictly between 0 and
+    the length, and the multiplicity is 1, or at most 2 when the length is
+    2 mod 4."""
+    if length <= 2:
+        return True
+    if not 1 <= weight <= length - 1:
+        return False
+    if length % 4 == 2:
+        return multiplicity <= 2
+    return multiplicity == 1
 
 
 class InvariantCycle(Frozen):
@@ -36,38 +74,24 @@ class InvariantCycle(Frozen):
     records the zeros strictly between consecutive marked positions read
     cyclically, so its entries sum to length - d.  Stored in minimal
     rotation form, with its weight, the number of rotations that attain
-    it, whether cycle_admissible holds, and its cycle_block_key.
-
-    The constructor checks the minimal rotation form and reads the
-    multiplicity in one linear scan, necklace_multiplicity.  Cycles are
-    equal, hashed and shown by length and gaps alone; weight, the
-    multiplicity, admissible and block_key follow from them.
+    it, whether cycle_admissible holds, and its cycle_block_key, all of
+    which the constructor sets after check_gap_word.  Cycles are equal,
+    hashed and shown by length and gaps alone.
     """
 
-    __slots__ = ("length", "gaps", "weight", "_multiplicity", "admissible", "block_key")
+    __slots__ = ("length", "gaps", "weight", "multiplicity", "admissible", "block_key")
     _fields = ("length", "gaps")
 
     def __init__(self, length: int, gaps: Optional[Word]):
-        if length < 1:
-            raise ValueError("cycle length must be positive")
-        d, multiplicity = 0, 1
         if gaps is not None:
             gaps = tuple(gaps)
-            d = len(gaps)
-            if not 1 <= d <= length:
-                raise ValueError("gap word length out of range")
-            if min(gaps) < 0:
-                raise ValueError("gaps must be non-negative")
-            if sum(gaps) != length - d:
-                raise ValueError("gap word must sum to length - weight")
-            multiplicity = necklace_multiplicity(gaps)
-            if not multiplicity:
-                raise ValueError("gap word must be in minimal rotation form")
+        multiplicity = check_gap_word(length, gaps)
+        d = len(gaps) if gaps else 0
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "gaps", gaps)
         object.__setattr__(self, "weight", d)
-        object.__setattr__(self, "_multiplicity", multiplicity)
-        object.__setattr__(self, "admissible", cycle_admissible(self))
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "admissible", cycle_admissible(length, d, multiplicity))
         object.__setattr__(self, "block_key", (-d, gaps or ()))
 
     @classmethod
@@ -77,9 +101,6 @@ class InvariantCycle(Frozen):
     @classmethod
     def from_gaps(cls, length: int, gaps: Sequence[int]) -> "InvariantCycle":
         return cls(length, min_rotation(gaps)[0])
-
-    def rotation_multiplicity(self) -> int:
-        return self._multiplicity
 
     def __str__(self):
         if self.gaps is None:
@@ -111,26 +132,6 @@ def dual_cycle(chi: InvariantCycle) -> InvariantCycle:
     return InvariantCycle.from_gaps(chi.length, gaps)
 
 
-def cycle_admissible(chi: InvariantCycle) -> bool:
-    """Whether the cycle can carry a nonzero invariant.
-
-    Parts of length 1 and 2 are unconstrained.  For length >= 3 the weight
-    must be strictly between 0 and the length, and the rotation multiplicity
-    of the gap word is forced: exactly 1 unless the length is 2 mod 4, in
-    which case up to 2.
-    """
-    lam = chi.length
-    if lam <= 2:
-        return True
-    d = chi.weight
-    if not 1 <= d <= lam - 1:
-        return False
-    mult = chi.rotation_multiplicity()
-    if lam % 4 == 2:
-        return mult <= 2
-    return mult == 1
-
-
 def _aperiodic_count(v: int, d: int) -> int:
     # Moreau: primitive binary necklaces of length v with d ones
     g = math.gcd(v, d)
@@ -152,36 +153,42 @@ def necklace_count(v: int, d: int) -> int:
     return _aperiodic_count(v, d) + squares
 
 
-def admissible_cycles(lam_i: int, d: int) -> Iterator[InvariantCycle]:
-    """The admissible weight-d words on a cycle of length lam_i, ascending,
-    built one at a time and kept by nothing.
-
-    Builds a cycle from each necklace among gap words of length d with
-    entries summing to lam_i - d, as core_combinatorics.gap_necklaces
-    lists them, and yields those that cycle_admissible, run by the
-    constructor, admits.  The arguments are checked on the call, before
-    any cycle is built.
-    """
+def _walk(lam_i: int, d: int, check):
+    """(gaps, check(lam_i, gaps)) for Pi(lam_i, d)'s candidate words,
+    ascending, None being the empty marking; a word that check refuses is
+    the walk's fault.  The arguments are checked on the call."""
     if lam_i < 1:
         raise ValueError("cycle length must be positive")
     if not 0 <= d <= lam_i:
         raise ValueError("need 0 <= d <= lam_i")
-    if d == 0:
-        empty = InvariantCycle.empty(lam_i)
-        return iter((empty,) if empty.admissible else ())
-    if d == lam_i:
-        # the one word is all zeros, of period 1, which the walk would
-        # reach only after lam_i steps and lists of lam_i entries
-        return iter((InvariantCycle(lam_i, (0,) * d),) if lam_i <= 2 else ())
-    cycles = (InvariantCycle(lam_i, word) for word, _ in gap_necklaces(d, lam_i - d))
-    return (chi for chi in cycles if chi.admissible)
+    # d = lam_i > 2 leaves all zeros, inadmissible, lam_i steps into the walk
+    words = () if d == lam_i > 2 else gap_necklaces(d, lam_i - d) if d else [(None, 1)]
+
+    def checked():
+        for gaps, _ in words:
+            try:
+                value = check(lam_i, gaps)
+            except ValueError as exc:
+                raise listing_fault("Pi(%d, %d)" % (lam_i, d), gaps, exc) from None
+            yield gaps, value
+
+    return checked()
+
+
+def admissible_words(lam_i: int, d: int) -> Iterator[Optional[Word]]:
+    """The gap words of Pi(lam_i, d), ascending, as plain tuples (None is
+    the empty marking), one at a time: each walked word passes the
+    constructor's check_gap_word and is yielded if cycle_admissible admits
+    it, and no cycle is built.  The arguments are checked on the call."""
+    walk = _walk(lam_i, d, check_gap_word)
+    return (gaps for gaps, m in walk if cycle_admissible(lam_i, d, m))
 
 
 @lru_cache(maxsize=None)
 def enumerate_Pi(lam_i: int, d: int) -> Tuple[InvariantCycle, ...]:
-    """All admissible weight-d words on a cycle of length lam_i, ascending:
-    admissible_cycles(lam_i, d), kept for the catalog's block pools."""
-    return tuple(admissible_cycles(lam_i, d))
+    """The cycles of admissible_words(lam_i, d), each built once, and checked
+    by its constructor, from the same walk; kept for the block pools."""
+    return tuple(chi for _, chi in _walk(lam_i, d, InvariantCycle) if chi.admissible)
 
 
 @lru_cache(maxsize=None)

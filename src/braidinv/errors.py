@@ -11,5 +11,10 @@ class InternalConsistencyError(Exception):
     """
 
 
+def listing_fault(listing: str, item, exc: ValueError) -> InternalConsistencyError:
+    """The error for an item the program listed that fails its own check."""
+    return InternalConsistencyError("%s listed %s: %s" % (listing, item, exc))
+
+
 class CapabilityError(Exception):
     """The request is valid but exceeds the supported problem size."""

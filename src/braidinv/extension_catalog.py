@@ -71,7 +71,7 @@ def _fixed_blocks(v: int, m: int):
 @lru_cache(maxsize=None)
 def _ep_members(n: int):
     """All (label, pair counts) of swap-fixed generators, one pair count per
-    block, in sort_key order: the partitions reversed(all_partitions(n)),
+    block, in catalog order: the partitions reversed(all_partitions(n)),
     each taking the product of its blocks' fixed tuples."""
     if n < 2 or n % 2:
         raise ValueError("need an even n >= 2")

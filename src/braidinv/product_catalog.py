@@ -25,49 +25,47 @@ from .core_combinatorics import (
     packed_series,
 )
 from .cycle_invariants import InvariantCycle, enumerate_Pi, necklace_count
+from .errors import listing_fault
+
+
+def check_label(partition: Partition, cycles: Tuple[InvariantCycle, ...]):
+    """cycles, checked to make a label on partition, else ValueError: one
+    per part, each admissible, of its part's length, and ascending in
+    cycle_block_key inside each run of equal parts, no repeat on even parts."""
+    parts = partition.parts
+    if len(cycles) != len(parts):
+        raise ValueError("one cycle per part required")
+    last_part = last_key = None
+    for p, chi in zip(parts, cycles):
+        if chi.length != p:
+            raise ValueError("cycle length must equal its part")
+        if not chi.admissible:
+            raise ValueError("inadmissible cycle %s on part %d" % (chi, p))
+        key = chi.block_key
+        if p == last_part:
+            if last_key > key:
+                raise ValueError("cycles out of canonical order inside a block")
+            if p % 2 == 0 and last_key == key:
+                raise ValueError("repeated pair on equal even parts")
+        last_part, last_key = p, key
+    return cycles
 
 
 class GeneratorLabel(Frozen):
-    """A partition with one admissible gap word per part, block-canonical."""
+    """A partition with one admissible gap word per part, block-canonical,
+    as check_label checks, which the catalog count runs on plain tuples."""
 
     __slots__ = ("partition", "cycles")
     _fields = ("partition", "cycles")
 
     def __init__(self, partition: Partition, cycles: Tuple[InvariantCycle, ...]):
-        cycles = tuple(cycles)
-        parts = partition.parts
-        if len(cycles) != len(parts):
-            raise ValueError("one cycle per part required")
-        last_part = last_key = None
-        for p, chi in zip(parts, cycles):
-            if chi.length != p:
-                raise ValueError("cycle length must equal its part")
-            if not chi.admissible:
-                raise ValueError("inadmissible cycle %s on part %d" % (chi, p))
-            key = chi.block_key
-            if p == last_part:
-                if last_key > key:
-                    raise ValueError("cycles out of canonical order inside a block")
-                if p % 2 == 0 and last_key == key:
-                    raise ValueError("repeated pair on equal even parts")
-            last_part, last_key = p, key
+        cycles = check_label(partition, tuple(cycles))
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "cycles", cycles)
 
     @property
     def degree(self) -> int:
         return self.partition.degree
-
-    @property
-    def weight(self) -> int:
-        return sum(c.weight for c in self.cycles)
-
-    def sort_key(self):
-        return (
-            self.degree,
-            self.partition.parts,
-            tuple([c.block_key for c in self.cycles]),
-        )
 
     def __str__(self):
         return "%s %s" % (self.partition, "".join(str(c) for c in self.cycles))
@@ -126,10 +124,12 @@ def _block_assignments(v: int, m: int, cap: int, floor: int) -> BlockAssignments
     return BlockAssignments(tuple(combos), tuple(weights), by_weight)
 
 
-def _partition_labels(lam: Partition, q: int) -> List[GeneratorLabel]:
-    """The labels of weight q on lam, in sort_key order: depth first over
-    the blocks, each block's tuples in their order, keeping a tuple only
-    when the blocks after it can still make up the weight.
+def _partition_labels(lam: Partition, q: int, make) -> List:
+    """make(lam, cycles), make being GeneratorLabel or check_label, for
+    the cycles of each label of weight q on lam, in catalog order: depth
+    first over the blocks, each block's tuples in their order, keeping a
+    tuple only when the blocks after it can still make up the weight.  A
+    tuple that fails its check is the walk's fault.
 
     A word on a part of value v weighs at most min(v, q), so one on a part
     of block i weighs at least q less what the other parts can carry, and
@@ -154,7 +154,11 @@ def _partition_labels(lam: Partition, q: int) -> List[GeneratorLabel]:
     def walk(i, cycles, w):
         if i == last:
             for combo in blocks[i].by_weight.get(q - w, ()):
-                labels.append(GeneratorLabel(lam, cycles + combo))
+                try:
+                    labels.append(make(lam, cycles + combo))
+                except ValueError as exc:
+                    label = "%s %s" % (lam, "".join(map(str, cycles + combo)))
+                    raise listing_fault("the catalog", label, exc) from None
             return
         after = reach[i + 1]
         for combo, bw in zip(blocks[i].combos, blocks[i].weights):
@@ -167,28 +171,27 @@ def _partition_labels(lam: Partition, q: int) -> List[GeneratorLabel]:
 
 def enumerate_generators(n: int, q: int) -> Tuple[GeneratorLabel, ...]:
     """All generator labels of total weight q over partitions of n, in
-    sort_key order: the partitions reversed(all_partitions(n)), degree
+    catalog order: the partitions reversed(all_partitions(n)), degree
     ascending (most parts first) then parts ascending, then the cycles'
     block keys.  Listed anew on each call; product_dimension counts the
-    labels without keeping them."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not 0 <= q <= n:
-        raise ValueError("need 0 <= q <= n")
+    labels without building them."""
+    if n < 1 or not 0 <= q <= n:
+        raise ValueError("need n >= 1 and 0 <= q <= n")
     out = []
     for lam in reversed(all_partitions(n)):
-        out.extend(_partition_labels(lam, q))
+        out.extend(_partition_labels(lam, q, GeneratorLabel))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _catalog_dimension(n: int, q: int) -> PoincareTable:
     """The labels of weight q over partitions of n counted by degree, each
-    partition's list dropped once counted: every label on lam has degree
-    lam.degree."""
+    partition's cycle tuples checked by check_label, counted and dropped,
+    and no label built: every label on lam has degree lam.degree."""
     counts = {}
     for lam in all_partitions(n):
-        counts[lam.degree] = counts.get(lam.degree, 0) + len(_partition_labels(lam, q))
+        count = len(_partition_labels(lam, q, check_label))
+        counts[lam.degree] = counts.get(lam.degree, 0) + count
     return PoincareTable.from_dict(counts)
 
 
@@ -197,7 +200,7 @@ def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:
 
     method "formula" reads a coefficient of the label series;
     method "catalog" counts the explicitly enumerated labels, partition
-    by partition, keeping none.
+    by partition, building none.
     """
     if method not in ("formula", "catalog"):
         raise ValueError("method must be 'formula' or 'catalog'")

@@ -86,13 +86,20 @@ class CentralizerPresentation:
         return out
 
 
+def block_start(lam: Partition, i: int) -> int:
+    """0-based offset of the i-th part's interval of lam (i is 1-based)."""
+    if not 1 <= i <= lam.part_count:
+        raise ValueError("part index out of range")
+    return sum(lam.parts[: i - 1])
+
+
 @lru_cache(maxsize=None)
 def build_centralizer(lam: Partition) -> CentralizerPresentation:
     """Consecutive cycles and adjacent rigid block swaps generating it."""
     n = lam.n
     generators = []
     for i in range(1, lam.part_count + 1):
-        start = lam.block_start(i)
+        start = block_start(lam, i)
         generators.append(
             _from_cycles(n, tuple(range(start + 1, start + lam.parts[i - 1] + 1)))
         )
@@ -100,7 +107,7 @@ def build_centralizer(lam: Partition) -> CentralizerPresentation:
         if lam.parts[i - 1] != lam.parts[i]:
             continue
         v = lam.parts[i - 1]
-        start = lam.block_start(i)
+        start = block_start(lam, i)
         swaps = [(start + t + 1, start + v + t + 1) for t in range(v)]
         generators.append(_from_cycles(n, *swaps))
     return CentralizerPresentation(lam, tuple(generators))
@@ -428,7 +435,7 @@ def whole_isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
 def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:
     """Images of the element sending part i rigidly onto part block_map[i]
     after rotating part i by its exponent."""
-    starts = [lam.block_start(i + 1) for i in range(lam.part_count)]
+    starts = [block_start(lam, i + 1) for i in range(lam.part_count)]
     out = [0] * lam.n
     for i in range(lam.part_count):
         v = lam.parts[i]
@@ -441,7 +448,7 @@ def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:
 
 def _decompose(lam: Partition, images: Tuple[int, ...]):
     """Unique (block_map, exponents) of a centralizer element, else None."""
-    starts = [lam.block_start(i + 1) for i in range(lam.part_count)]
+    starts = [block_start(lam, i + 1) for i in range(lam.part_count)]
     block_of = {}
     for i in range(lam.part_count):
         for t in range(lam.parts[i]):
@@ -591,7 +598,7 @@ def stabilizer(lam: Partition, word, flip: bool = False):
     Backtracks part by part: part i may go to an unused part j of its value
     with rotation e only if that carries part i's letters onto part j's.
     """
-    starts = [lam.block_start(i + 1) for i in range(lam.part_count)]
+    starts = [block_start(lam, i + 1) for i in range(lam.part_count)]
     segments = [tuple(word[s:s + v]) for s, v in zip(starts, lam.parts)]
     options = []
     for i, v in enumerate(lam.parts):

@@ -16,12 +16,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidinv import character_oracle, cli, extension_catalog, product_catalog
+from braidinv import character_oracle, cli, cycle_invariants, extension_catalog, product_catalog
 from braidinv.cli import main, render_table
 from braidinv.core_combinatorics import all_partitions
-from braidinv.cycle_invariants import admissible_cycles, enumerate_Pi
+from braidinv.cycle_invariants import InvariantCycle, admissible_words, enumerate_Pi
+from braidinv.errors import InternalConsistencyError
 from braidinv.extension_catalog import enumerate_EP
-from braidinv.product_catalog import enumerate_generators
+from braidinv.product_catalog import GeneratorLabel, enumerate_generators
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src"
@@ -426,31 +427,80 @@ def test_streamed_necklace_pi_is_the_joined_listing(capsys, lam, d):
     assert enumerate_Pi.cache_info().currsize == 0
     assert (code, out) == (0, _joined_listing(lam, d))
     if lam % 4 == 2 and d % 2 == 0 and 0 < d < lam:
-        assert 2 in {chi.rotation_multiplicity() for chi in enumerate_Pi(lam, d)}
+        assert 2 in {chi.multiplicity for chi in enumerate_Pi(lam, d)}
 
 
-def test_necklace_pi_writes_each_line_as_its_cycle_is_built(monkeypatch):
-    built = []
+def test_necklace_pi_writes_each_line_as_its_word_is_checked(monkeypatch):
+    listed = []
 
     def counted(lam, d):
-        for chi in admissible_cycles(lam, d):
-            built.append(chi)
-            yield chi
+        for gaps in admissible_words(lam, d):
+            listed.append(gaps)
+            yield gaps
 
     written = []
 
     class Recording(io.StringIO):
         def write(self, text):
-            written.append(len(built))
+            written.append(len(listed))
             return super().write(text)
 
-    monkeypatch.setattr(cli, "admissible_cycles", counted)
+    monkeypatch.setattr(cli, "admissible_words", counted)
     with contextlib.redirect_stdout(Recording()) as out:
         assert main(["necklace", "pi", "--lambda", "14", "--d", "6"]) == 0
-    assert len(built) == 217
-    # line i goes out once cycle i is built and before cycle i + 1 is
-    assert written[: len(built)] == list(range(1, len(built) + 1))
+    assert len(listed) == 217
+    # line i goes out once word i is listed and before word i + 1 is
+    assert written[: len(listed)] == list(range(1, len(listed) + 1))
     assert out.getvalue() == _joined_listing(14, 6)
+
+
+def _refuse_to_build(monkeypatch, cls):
+    def refuse(self, *args):
+        raise AssertionError("built a %s" % cls.__name__)
+
+    monkeypatch.setattr(cls, "__init__", refuse)
+
+
+def test_necklace_pi_builds_no_cycle_and_checks_each_word_once(capsys, monkeypatch):
+    walk, check = cycle_invariants.gap_necklaces, cycle_invariants.check_gap_word
+    walked, checked = [], []
+
+    def counted_walk(d, total):
+        for gaps, p in walk(d, total):
+            walked.append(gaps)
+            yield gaps, p
+
+    def counted_check(length, gaps):
+        checked.append(gaps)
+        return check(length, gaps)
+
+    monkeypatch.setattr(cycle_invariants, "gap_necklaces", counted_walk)
+    monkeypatch.setattr(cycle_invariants, "check_gap_word", counted_check)
+    expected = _joined_listing(21, 10)
+    _refuse_to_build(monkeypatch, InvariantCycle)
+    code, out, _ = run(capsys, "necklace", "pi", "--lambda", "21", "--d", "10")
+    assert (code, out) == (0, expected)
+    assert len(walked) == 16796
+    assert checked == walked
+
+
+def test_catalog_count_builds_no_label_and_checks_each_label_once(capsys, monkeypatch):
+    check = product_catalog.check_label
+    checked = []
+
+    def counted(partition, cycles):
+        checked.append(cycles)
+        return check(partition, cycles)
+
+    monkeypatch.setattr(product_catalog, "check_label", counted)
+    _refuse_to_build(monkeypatch, GeneratorLabel)
+    product_catalog._catalog_dimension.cache_clear()
+    try:
+        code, out, _ = run(capsys, "dim", "--n", "16", "--q", "8", "--method", "catalog")
+    finally:
+        product_catalog._catalog_dimension.cache_clear()
+    assert code == 0 and out.endswith("total 18876\n")
+    assert len(checked) == 18876
 
 
 def test_necklace_pi_memory_does_not_grow_with_the_listing():
@@ -493,7 +543,7 @@ def test_oversized_necklace_listing_exits_4_before_listing(capsys, monkeypatch, 
     def refuse(*args):
         raise AssertionError("an oversized request reached the listing")
 
-    monkeypatch.setattr(cli, "admissible_cycles", refuse)
+    monkeypatch.setattr(cli, "admissible_words", refuse)
     monkeypatch.setattr(cli, "enumerate_selfdual", refuse)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -645,6 +695,73 @@ def test_oversized_formula_request_exits_4_before_any_series(capsys, monkeypatch
     assert time.perf_counter() - start < 5
     assert (code, out) == (4, "")
     assert "the formula route takes n up to %d" % cli.FORMULA_LIMIT in err
+
+
+def _turn_first_word(monkeypatch):
+    """Make the necklace walk yield its first word, for each call, turned
+    by one place, which is then not its least rotation."""
+    walk = cycle_invariants.gap_necklaces
+
+    def turned(d, total):
+        for i, (gaps, p) in enumerate(walk(d, total)):
+            yield (gaps[1:] + gaps[:1] if i == 0 else gaps), p
+
+    monkeypatch.setattr(cycle_invariants, "gap_necklaces", turned)
+
+
+def test_a_corrupted_walk_fails_necklace_pi_with_exit_3(capsys, monkeypatch):
+    _turn_first_word(monkeypatch)
+    code, out, err = run(capsys, "necklace", "pi", "--lambda", "7", "--d", "3")
+    assert (code, out) == (3, "")
+    assert "internal consistency failure: Pi(7, 3) listed (0, 4, 0)" in err
+    assert "minimal rotation form" in err
+    # a direct call with such a word is still the caller's error
+    with pytest.raises(ValueError, match="minimal rotation form"):
+        InvariantCycle(7, (0, 4, 0))
+
+
+def test_a_corrupted_walk_fails_the_catalog_with_exit_3(capsys, monkeypatch):
+    _turn_first_word(monkeypatch)
+    caches = (
+        enumerate_Pi,
+        product_catalog._block_assignments,
+        product_catalog._catalog_dimension,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code, out, err = run(capsys, "dim", "--n", "7", "--q", "3", "--method", "catalog")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert (code, out) == (3, "")
+    assert re.search(r"internal consistency failure: Pi\(\d+, \d+\) listed", err)
+
+
+def test_out_of_order_pool_tuples_fail_the_catalog_with_exit_3(capsys, monkeypatch):
+    real = product_catalog._block_assignments
+
+    def reversed_tuples(*key):
+        pool = real(*key)
+        return pool._replace(
+            combos=tuple(combo[::-1] for combo in pool.combos),
+            by_weight={
+                w: [combo[::-1] for combo in combos]
+                for w, combos in pool.by_weight.items()
+            },
+        )
+
+    monkeypatch.setattr(product_catalog, "_block_assignments", reversed_tuples)
+    product_catalog._catalog_dimension.cache_clear()
+    try:
+        code, out, err = run(capsys, "dim", "--n", "6", "--q", "3", "--method", "catalog")
+        with pytest.raises(InternalConsistencyError, match="out of canonical order"):
+            enumerate_generators(6, 3)
+    finally:
+        product_catalog._catalog_dimension.cache_clear()
+    assert (code, out) == (3, "")
+    assert "internal consistency failure: the catalog listed (" in err
+    assert "cycles out of canonical order inside a block" in err
 
 
 def test_dim_ext_exits_3_on_an_odd_trace(capsys, monkeypatch):

@@ -28,9 +28,6 @@ def test_partition_basics():
     assert lam.degree == 3
     assert lam.blocks == ((3, 1), (2, 1), (1, 2))
     assert str(lam) == "(3,2,1,1)"
-    assert lam.block_start(1) == 0
-    assert lam.block_start(2) == 3
-    assert lam.block_start(4) == 6
 
 
 def test_partition_rejects_bad_parts():

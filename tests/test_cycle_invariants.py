@@ -10,7 +10,7 @@ from braidinv.core_combinatorics import Partition, binomial, min_rotation
 from braidinv.cycle_invariants import (
     InvariantCycle,
     Pi_letters_exceed,
-    admissible_cycles,
+    admissible_words,
     cycle_admissible,
     cycle_block_key,
     dual_cycle,
@@ -21,6 +21,7 @@ from braidinv.cycle_invariants import (
     selfdual_letters_exceed,
 )
 from braidinv.errors import InternalConsistencyError
+from oracle_listing import block_start
 from test_core_combinatorics import _weak_compositions
 
 
@@ -34,6 +35,11 @@ def _gap_word(positions: Sequence[int], lam: int) -> Tuple[int, ...]:
     gaps = [positions[t + 1] - positions[t] - 1 for t in range(d - 1)]
     gaps.append(lam - positions[-1] + positions[0] - 1)
     return tuple(gaps)
+
+
+def _admits(chi: InvariantCycle) -> bool:
+    """The admissibility rule on a cycle's length, weight and multiplicity."""
+    return cycle_admissible(chi.length, chi.weight, chi.multiplicity)
 
 
 def cycle_from_bits(lam: int, bits: Sequence[int]) -> InvariantCycle:
@@ -53,7 +59,7 @@ def block_support(word: Sequence[int], lam: Partition, i: int) -> Tuple[int, ...
         raise ValueError("a marking word has letters 0 and 1 only")
     if len(word) != lam.n:
         raise ValueError("marking length must match the partition total")
-    start = lam.block_start(i)
+    start = block_start(lam, i)
     lam_i = lam.parts[i - 1]
     return tuple(p for p in range(start + 1, start + lam_i + 1) if word[p - 1])
 
@@ -64,7 +70,7 @@ def invariant_cycle(word: Sequence[int], lam: Partition, i: int) -> InvariantCyc
     lam_i = lam.parts[i - 1]
     if not support:
         return InvariantCycle.empty(lam_i)
-    start = lam.block_start(i)
+    start = block_start(lam, i)
     relative = [p - start for p in support]
     return InvariantCycle.from_gaps(lam_i, _gap_word(relative, lam_i))
 
@@ -122,7 +128,7 @@ def test_stored_multiplicity_is_the_rotation_count(lam):
     for d in range(lam + 1):
         for chi in enumerate_Pi(lam, d):
             expected = 1 if chi.gaps is None else min_rotation(chi.gaps)[1]
-            assert chi.rotation_multiplicity() == expected
+            assert chi.multiplicity == expected
 
 
 @pytest.mark.parametrize("lam", range(1, 13))
@@ -140,12 +146,19 @@ def test_every_cycle_stores_its_block_key(lam):
         assert dual.block_key == (chi.weight - chi.length, dual.gaps or ())
 
 
-def test_admissible_cycles_checks_its_arguments_on_the_call():
+def test_admissible_words_checks_its_arguments_on_the_call():
     for lam, d in ((0, 0), (3, -1), (3, 4)):
         with pytest.raises(ValueError):
-            admissible_cycles(lam, d)
-    for lam, d in ((1, 0), (2, 2), (3, 0), (5, 5), (10, 4)):
-        assert tuple(admissible_cycles(lam, d)) == enumerate_Pi(lam, d)
+            admissible_words(lam, d)
+
+
+@pytest.mark.parametrize("lam", range(1, 15))
+def test_admissible_words_are_the_cycles_gaps(lam):
+    # the words pass the constructor's checks on plain tuples, so they are
+    # the gaps of the cycles enumerate_Pi builds, in the same order
+    for d in range(lam + 1):
+        words = tuple(admissible_words(lam, d))
+        assert words == tuple(chi.gaps for chi in enumerate_Pi(lam, d))
 
 
 @pytest.mark.parametrize("lam", range(1, 9))
@@ -154,7 +167,7 @@ def test_every_necklace_stores_its_multiplicity(lam):
     for d in range(1, lam + 1):
         for comp in set(_weak_compositions(lam - d, d)):
             least, count = min_rotation(comp)
-            assert InvariantCycle(lam, least).rotation_multiplicity() == count
+            assert InvariantCycle(lam, least).multiplicity == count
 
 
 def test_from_gaps_rotates_once(monkeypatch):
@@ -172,8 +185,8 @@ def test_from_gaps_rotates_once(monkeypatch):
             before = len(calls)
             chi = cycle_from_bits(lam, bits)
             assert len(calls) == before + 1
-            assert chi.admissible == cycle_admissible(chi)
-            assert chi.rotation_multiplicity() == min_rotation(chi.gaps)[1]
+            assert chi.admissible == _admits(chi)
+            assert chi.multiplicity == min_rotation(chi.gaps)[1]
     # the constructor alone checks the rotation by its linear scan
     before = len(calls)
     InvariantCycle(6, (0, 1, 2))
@@ -194,7 +207,7 @@ def test_rotation_scan_agrees_with_min_rotation():
                     with pytest.raises(ValueError, match="minimal rotation"):
                         InvariantCycle(total + d, w)
                     continue
-                assert InvariantCycle(total + d, w).rotation_multiplicity() == count
+                assert InvariantCycle(total + d, w).multiplicity == count
     assert seen == 12869
 
 
@@ -223,7 +236,7 @@ def test_rotation_check_memory_is_linear():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chi.rotation_multiplicity() == 1
+    assert chi.multiplicity == 1
     assert peak < 5 * 2**20
 
 
@@ -282,17 +295,20 @@ def test_dual_cycle_involution_and_bijection(lam):
 
 
 def test_admissibility_rules():
-    assert cycle_admissible(InvariantCycle.empty(1))
-    assert cycle_admissible(InvariantCycle.empty(2))
-    assert not cycle_admissible(InvariantCycle.empty(3))
-    assert cycle_admissible(InvariantCycle(2, (1,)))
+    assert _admits(InvariantCycle.empty(1))
+    assert _admits(InvariantCycle.empty(2))
+    assert not _admits(InvariantCycle.empty(3))
+    assert _admits(InvariantCycle(2, (1,)))
     # (1,1) on a 4-cycle repeats with period 2; 4 is 0 mod 4 so it is out
-    assert not cycle_admissible(InvariantCycle(4, (1, 1)))
+    assert not _admits(InvariantCycle(4, (1, 1)))
     # the same doubling on a 6-cycle: 6 is 2 mod 4, multiplicity 2 allowed
-    assert cycle_admissible(InvariantCycle(6, (2, 2)))
+    assert _admits(InvariantCycle(6, (2, 2)))
     # but a tripled word is out everywhere
-    assert not cycle_admissible(InvariantCycle(6, (1, 1, 1)))
-    assert cycle_admissible(InvariantCycle(6, (0, 0, 3)))
+    assert not _admits(InvariantCycle(6, (1, 1, 1)))
+    assert _admits(InvariantCycle(6, (0, 0, 3)))
+    # the rule reads only the length, weight and multiplicity
+    assert cycle_admissible(10, 4, 2) and not cycle_admissible(12, 4, 2)
+    assert cycle_admissible(2, 2, 1) and not cycle_admissible(3, 3, 1)
 
 
 @pytest.mark.parametrize("lam", range(3, 13))
@@ -300,7 +316,7 @@ def test_enumerate_Pi_multiplicity_filter(lam):
     for d in range(lam + 1):
         for chi in enumerate_Pi(lam, d):
             assert 1 <= chi.weight <= lam - 1
-            mult = chi.rotation_multiplicity()
+            mult = chi.multiplicity
             if lam % 4 == 2:
                 assert mult <= 2
             else:
@@ -328,7 +344,7 @@ def test_enumerate_Pi_matches_necklace_count(lam, d):
     admissible = {
         c
         for c in (cycle_from_bits(lam, w) for w in classes)
-        if cycle_admissible(c)
+        if _admits(c)
     }
     assert admissible == set(enumerate_Pi(lam, d))
 
@@ -338,11 +354,11 @@ def _Pi_by_compositions(lam, d):
     lam - d into d parts and keep the admissible ones."""
     if d == 0:
         empty = InvariantCycle.empty(lam)
-        return (empty,) if cycle_admissible(empty) else ()
+        return (empty,) if _admits(empty) else ()
     seen = set()
     for comp in _weak_compositions(lam - d, d):
         chi = InvariantCycle(lam, min_rotation(comp)[0])
-        if cycle_admissible(chi):
+        if _admits(chi):
             seen.add(chi)
     return tuple(sorted(seen, key=cycle_block_key))
 

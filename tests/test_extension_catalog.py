@@ -110,7 +110,7 @@ def test_counts_closed_form_vs_enumeration(n):
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12, 14))
 def test_EP_is_the_fixed_point_set(n):
-    # the same labels in the same order: the listing keeps sort_key order
+    # the same labels in the same order: the listing keeps catalog order
     fixed = [g for g in enumerate_generators(n, n // 2) if sigma_dual_label(g) == g]
     assert list(enumerate_EP(n)) == fixed
     assert set(enumerate_KP(n)) <= set(fixed)

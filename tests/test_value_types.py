@@ -35,7 +35,7 @@ CASES = {
     "InvariantCycle": (
         lambda: InvariantCycle(6, [0, 1, 2]),
         InvariantCycle(6, (0, 2, 1)),
-        ("length", "gaps", "weight", "_multiplicity", "admissible"),
+        ("length", "gaps", "weight", "multiplicity", "admissible"),
     ),
     "GeneratorLabel": (
         _label,
@@ -79,7 +79,7 @@ def test_no_field_can_be_assigned(name):
 def test_invariant_cycle_compares_on_length_and_gaps_only():
     a, b = InvariantCycle(6, (0, 1, 2)), InvariantCycle(6, (0, 1, 2))
     # the derived fields take no part in equality, hashing or the repr
-    for attribute, value in (("weight", 5), ("admissible", False), ("_multiplicity", 2)):
+    for attribute, value in (("weight", 5), ("admissible", False), ("multiplicity", 2)):
         object.__setattr__(b, attribute, value)
     assert a == b and hash(a) == hash(b)
     assert repr(b) == "InvariantCycle(length=6, gaps=(0, 1, 2))"
