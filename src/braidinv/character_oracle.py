@@ -109,11 +109,6 @@ class GroupSpec(Frozen):
         splits = tuple(cls.product(n, q) for q in range(n // 2 + 1))
         return splits + ((cls.extension(n // 2),) if n % 2 == 0 else ())
 
-    @property
-    def order(self) -> int:
-        base = math.factorial(self.n - self.q) * math.factorial(self.q)
-        return 2 * base if self.variant == "extension" else base
-
     def describe(self) -> str:
         if self.variant == "extension":
             return "extension(q=%d)" % self.q

@@ -233,7 +233,13 @@ def enumerate_selfdual(d: int) -> Tuple[InvariantCycle, ...]:
             out.add(min_rotation(word)[0])
     if len(out) != words:
         raise InternalConsistencyError("two Lyndon words gave one self-dual word")
-    return tuple([InvariantCycle(2 * d, gaps) for gaps in sorted(out)])
+    cycles = []
+    for gaps in sorted(out):
+        try:
+            cycles.append(InvariantCycle(2 * d, gaps))
+        except ValueError as exc:
+            raise listing_fault("selfdual(%d)" % d, gaps, exc) from None
+    return tuple(cycles)
 
 
 def selfdual_count_closed_form(d: int) -> int:

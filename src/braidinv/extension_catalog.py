@@ -34,7 +34,7 @@ from .cycle_invariants import (
     necklace_count,
     selfdual_count_closed_form,
 )
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, listing_fault
 from .product_catalog import GeneratorLabel, product_dimension
 
 
@@ -81,7 +81,12 @@ def _ep_members(n: int):
         for combo in itertools.product(*per_block):
             cycles = tuple(chi for block, _ in combo for chi in block)
             pair_counts = tuple(k for _, k in combo)
-            out.append((GeneratorLabel(lam, cycles), pair_counts))
+            try:
+                label = GeneratorLabel(lam, cycles)
+            except ValueError as exc:
+                item = "%s %s" % (lam, "".join(map(str, cycles)))
+                raise listing_fault("EP(%d)" % n, item, exc) from None
+            out.append((label, pair_counts))
     return tuple(out)
 
 

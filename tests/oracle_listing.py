@@ -1,65 +1,42 @@
-"""The oracle's cosets and isotropy by listing, kept as the tests' reference.
+"""The oracle's blocks and double cosets by listing, kept as the tests'
+reference.
 
-The oracle decides each character sum on generators of the isotropy and
-reads the isotropy order from its structure.  This module lists the
-isotropy element by element instead and sums the character over it, so
-the tests can check both the generator verdict and the order, and assert
-on every coset that the reduced sum is 0 or the isotropy order.  The
-exact cyclotomic-integer arithmetic that reduces such a sum, and the
-character evaluated on a centralizer element given as a permutation,
-live here too: the oracle itself only ever reads an exponent as 0 or,
-on a complementing element, as a sign.  So does the centralizer's
-presentation by cycles and block swaps, which the coset search acts by.
-The oracle counts each partition's invariants as a coefficient of a
-product of per-block polynomials; the per-coset walk it replaced is kept
-here: double_cosets, the depth-first walk over the blocks' picks pruned
-by weight and, for the extension, by the side of each pick's complement,
-gives one marking word per double coset, and isotropy_inner_product
-decides each one block by block.  The tests check, partition by
-partition, that the walk's invariant count is the block product's.
-The ground truth for the walk's coset words lives here as well: orbits
-of the group acting by conjugation on a conjugacy class of the symmetric
-group, which never read a marking word, and the breadth-first search over
-all C(n, q) marking words that the per-block construction replaced,
-which must give the same words in the same order.  So must the unpruned
-per-block walk, which builds every pick of rotation classes and then
-drops the wrong weights.  The oracle decides the isotropy block by block
-and multiplies the signs of the blocks' complementing elements; the
-whole-partition decision, on generators of the stabilizer of the full
-word with the complementing element among them, all on one exponent
-lattice, is kept here to check it coset by coset.
+The oracle multiplies two polynomials per block (v, m) of equal parts, P
+and T, and decides each orbit of a block on generators of its stabilizer,
+reading the stabilizer's order from its structure.  listed_block lists a
+block instead: every 0/1 word of length vm, grouped into orbits by search
+on the centralizer's generators, each orbit's stabilizer listed element by
+element and the character summed over it, so the tests can compare P and
+T weight by weight and assert on every orbit that the reduced sum is 0 or
+the stabilizer's order.  The exact cyclotomic-integer arithmetic that
+reduces such a sum, the character evaluated on a centralizer element given
+as a permutation, and the centralizer's presentation by cycles and block
+swaps live here too: the oracle itself only ever reads an exponent as 0
+or, on a complementing element, as a sign.
+
+The whole-partition anchor reads no block: generic_double_cosets lists a
+group's double cosets on a partition as orbits of the group acting by
+conjugation on a conjugacy class of the symmetric group, and
+listed_dimension decides each one with listed_inner_product.  Its graded
+count checks the oracle's product over the blocks itself.
 """
 
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from braidinv.character_oracle import (
-    GroupSpec,
-    _block_isotropy,
-    _character_exponent,
-    _classes,
-    _isotropy_generators,
-    root_order,
-)
-from braidinv.core_combinatorics import Partition, min_rotation
+from braidinv.character_oracle import GroupSpec, _character_exponent, root_order
+from braidinv.core_combinatorics import Partition, PoincareTable, all_partitions
 from braidinv.errors import InternalConsistencyError
 
 
 def _comp(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     """Images of the composition a after b, both 1-based image tuples."""
     return tuple(a[x - 1] for x in b)
-
-
-def _checked(images, n: int) -> Tuple[int, ...]:
-    """The images as a tuple, once they are known to be a bijection of 1..n."""
-    images = tuple(images)
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError("%s is not a permutation of 1..%d" % (images, n))
-    return images
 
 
 def _from_cycles(n: int, *cycles: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -195,243 +172,6 @@ def generic_double_cosets(group: GroupSpec, lam: Partition):
     return tuple(sorted(reps))
 
 
-def searched_double_cosets(group: GroupSpec, lam: Partition):
-    """One marking word per (group, centralizer) double coset, sorted, found
-    by searching the orbits of the centralizer's generators.
-
-    A coset's marking word is the 0/1 word on the points 1..n that marks
-    the points it sends into the top block.  The double cosets are the
-    orbits of weight-q words under the centralizer's position action, with
-    the complement thrown in for the extension; each is given by its
-    lex-least word."""
-    if lam.n != group.n:
-        raise ValueError("partition total must match the group degree")
-    n, q = group.n, group.q
-    identity = tuple(range(1, n + 1))
-    # fixing every point moves no word; at n = 1 that is every generator,
-    # so itemgetter never sees a single index and returns a scalar
-    moves = [
-        operator.itemgetter(*(x - 1 for x in g))
-        for g in build_centralizer(lam).generators
-        if g != identity
-    ]
-    # marked sets in lex order give their words in descending lex order
-    words = []
-    for marked in itertools.combinations(range(n), q):
-        word = [0] * n
-        for x in marked:
-            word[x] = 1
-        words.append(tuple(word))
-    seen = set()
-    reps = []
-    for seed in reversed(words):
-        if seed in seen:
-            continue
-        # the first word of an orbit met in lex order is its least
-        reps.append(seed)
-        seen.add(seed)
-        frontier = [seed]
-        while frontier:
-            w = frontier.pop()
-            nexts = [move(w) for move in moves]
-            if group.variant == "extension":
-                nexts.append(tuple(1 - b for b in w))
-            for w2 in nexts:
-                if w2 not in seen:
-                    seen.add(w2)
-                    frontier.append(w2)
-    return tuple(reps)
-
-
-@lru_cache(maxsize=None)
-def _rotation_classes(v: int) -> Tuple[Tuple[int, ...], ...]:
-    """The least rotations of all 2^v words of 0s and 1s, ascending."""
-    words = itertools.product((0, 1), repeat=v)
-    return tuple(sorted({min_rotation(w)[0] for w in words}))
-
-
-def filtered_double_cosets(group: GroupSpec, lam: Partition):
-    """One marking word per (group, centralizer) double coset, sorted, from
-    every pick of rotation classes, the wrong weights dropped.
-
-    A coset's marking word is the 0/1 word on the points 1..n that marks
-    the points it sends into the top block.  The double cosets are the
-    orbits of weight-q words under the centralizer, which rotates each part
-    and permutes equal parts, with the complement thrown in for the
-    extension.  An orbit is a multiset of rotation classes per block of
-    equal parts; its lex-least word, the one given here, lists each
-    block's least rotations in ascending order."""
-    if lam.n != group.n:
-        raise ValueError("partition total must match the group degree")
-    choices = [
-        itertools.combinations_with_replacement(_rotation_classes(v), m)
-        for v, m in lam.blocks
-    ]
-    reps = []
-    # ascending classes and segments of fixed length: words come in lex order
-    for pick in itertools.product(*choices):
-        word = tuple(b for block in pick for segment in block for b in segment)
-        if sum(word) != group.q:
-            continue
-        if group.variant == "extension":
-            # segments line up, so nested tuples compare as their words do
-            complement = tuple(
-                tuple(sorted(min_rotation(1 - b for b in s)[0] for s in block))
-                for block in pick
-            )
-            if complement < pick:
-                continue
-        reps.append(word)
-    return tuple(reps)
-
-
-@lru_cache(maxsize=None)
-def _walk_picks(v: int, m: int):
-    """The walk's picks of a block: the multisets of m rotation classes of
-    length v, in lex order, each as (its letters, its weight, side), and
-    the same picks grouped by weight: entry w holds the picks of weight w,
-    in lex order.
-
-    side is -1, 0 or 1 as the pick is below, equal to or above its
-    complemented pick, the ascending complement classes of its classes;
-    the classes ascend as their words do, so comparing class indices
-    compares the picks' words."""
-    words, flips = _classes(v)
-    picks = []
-    by_weight = [[] for _ in range(v * m + 1)]
-    for pick in itertools.combinations_with_replacement(range(len(words)), m):
-        if m == 1:
-            letters = words[pick[0]]  # the table's own word, not a copy
-        else:
-            letters = tuple(b for i in pick for b in words[i])
-        flipped = tuple(sorted(flips[i] for i in pick))
-        entry = (letters, sum(letters), (pick > flipped) - (pick < flipped))
-        picks.append(entry)
-        by_weight[entry[1]].append(entry)
-    return tuple(picks), tuple(map(tuple, by_weight))
-
-
-def double_cosets(group: GroupSpec, lam: Partition) -> Tuple[Tuple[int, ...], ...]:
-    """One marking word per (group, centralizer) double coset, sorted.
-
-    A coset's marking word is the 0/1 word on the points 1..n that marks
-    the points it sends into the top block.  The double cosets are the
-    orbits of weight-q words under the centralizer, which rotates each part
-    and permutes equal parts, with the complement thrown in for the
-    extension.  An orbit is a multiset of rotation classes per block of
-    equal parts; its lex-least word, the one given here, lists each
-    block's least rotations in ascending order.  The blocks are walked
-    depth first, each block's picks in order, keeping a pick only when
-    the blocks after it can still make up the weight q: a block (v, m)
-    takes every weight from 0 to v m, so they can when what is left of q
-    is at least 0 and at most their letter count.  The last block is read
-    from its picks of the one weight that completes q, in order.
-    The extension keeps a word when it is at most its complement's least
-    word, compared block by block: while the blocks so far equal their
-    complemented picks, a pick above its own prunes its subtree and one
-    below it accepts every completion."""
-    if lam.n != group.n:
-        raise ValueError("partition total must match the group degree")
-    blocks = [_walk_picks(v, m) for v, m in lam.blocks]
-    last = len(blocks) - 1
-    # rest[i]: the letter count of the blocks after block i, which can
-    # weigh anything from 0 to rest[i], as each block (v, m) takes every
-    # weight from 0 to v m
-    rest = [group.n - s for s in itertools.accumulate(v * m for v, m in lam.blocks)]
-    reps = []
-
-    # ascending classes and segments of fixed length: words come in lex order
-    def walk(i, word, w, tied):
-        if i == last:
-            for letters, _, side in blocks[i][1][group.q - w]:
-                if not (tied and side > 0):
-                    reps.append(word + letters)
-            return
-        for letters, bw, side in blocks[i][0]:
-            if tied and side > 0:
-                continue
-            if 0 <= group.q - w - bw <= rest[i]:
-                walk(i + 1, word + letters, w + bw, tied and side == 0)
-
-    walk(0, (), 0, group.variant == "extension")
-    return tuple(reps)
-
-
-def _isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
-    """The character sum over the twisted isotropy, decided block by block.
-
-    Conjugated by a coset with this marking word, the isotropy is the
-    stabilizer of the word in the centralizer (for the extension: of the
-    word up to complement).  The centralizer is the product over its blocks
-    (v, m) of C_v wr S_m and the character is the product of its
-    restrictions, so the stabilizer of the word is the product of the
-    blocks' stabilizers, the character is trivial on it when it is on each,
-    and a complementing element exists when every block has one, its value
-    the product of their signs.  A character sums to the group order over
-    a group it is trivial on, and to 0 otherwise.
-    Returns (whether the sum is the isotropy order, isotropy order)."""
-    sign = 1 if group.variant == "extension" else None
-    trivial, order = True, 1
-    start = 0
-    for v, m in lam.blocks:
-        end = start + v * m
-        block_trivial, block_order, block_sign = _block_isotropy(
-            Partition((v,) * m), word[start:end]
-        )
-        start = end
-        trivial = trivial and block_trivial
-        order *= block_order
-        if sign is not None:
-            sign = None if block_sign is None else sign * block_sign
-    if sign is not None:
-        # the complementing element doubles the group and must have value 1
-        trivial = trivial and sign == 1
-        order *= 2
-    return trivial, order
-
-
-def isotropy_inner_product(
-    word: Tuple[int, ...], lam: Partition, group: GroupSpec
-) -> Tuple[int, int]:
-    """(multiplicity of the trivial character in the twisted restriction of
-    the coset with this marking word, isotropy order): the multiplicity is
-    1 when the centralizer character is trivial on the isotropy, else 0."""
-    word = tuple(word)
-    if lam.n != group.n:
-        raise ValueError("partition total must match the group degree")
-    if word.count(0) + word.count(1) != len(word):
-        raise ValueError("%s is not a 0/1 word" % (word,))
-    if len(word) != lam.n or sum(word) != group.q:
-        raise ValueError(
-            "a marking word needs length %d and weight %d, got %s"
-            % (lam.n, group.q, word)
-        )
-    trivial, order = _isotropy_sum(word, lam, group)
-    return int(trivial), order
-
-
-def whole_isotropy_sum(word: Tuple[int, ...], lam: Partition, group: GroupSpec):
-    """The character sum over the twisted isotropy, decided on generators.
-
-    Conjugated by a coset with this marking word, the isotropy is the
-    stabilizer of the word in the centralizer (for the extension: of the
-    word up to complement, which the complementing element, when there is
-    one, joins as a generator, doubling the order).  A character sums to
-    the group order over a group it is trivial on, and to 0 otherwise; it
-    is trivial exactly when it is 1 on every generator, each evaluated on
-    the whole partition's exponent lattice.
-    Returns (whether the sum is the isotropy order, isotropy order)."""
-    generators, order, complement = _isotropy_generators(lam, word)
-    if group.variant == "extension" and complement is not None:
-        generators = generators + [complement]
-        order *= 2
-    trivial = all(
-        _character_exponent(lam, block_map, exponents) == 0
-        for block_map, exponents in generators
-    )
-    return trivial, order
-
-
 def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:
     """Images of the element sending part i rigidly onto part block_map[i]
     after rotating part i by its exponent."""
@@ -530,10 +270,6 @@ class CyclotomicSum:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def zero(cls, order: int) -> "CyclotomicSum":
-        return cls(order, (0,) * order)
-
-    @classmethod
     def monomial(cls, order: int, exponent: int, coefficient: int = 1):
         coeffs = [0] * order
         coeffs[exponent % order] = coefficient
@@ -581,13 +317,13 @@ class CyclotomicSum:
 
 def zeta_value(lam: Partition, z: Tuple[int, ...]) -> CyclotomicSum:
     """The distinguished character of the centralizer, evaluated exactly."""
-    z = _checked(z, lam.n)
+    z = tuple(z)
+    if sorted(z) != list(range(1, lam.n + 1)):
+        raise ValueError("%s is not a permutation of 1..%d" % (z, lam.n))
     data = _decompose(lam, z)
     if data is None:
         raise ValueError("%s does not centralize the cycle product" % (z,))
     return CyclotomicSum.monomial(root_order(lam), _character_exponent(lam, *data))
-
-
 
 
 def stabilizer(lam: Partition, word, flip: bool = False):
@@ -628,32 +364,104 @@ def stabilizer(lam: Partition, word, flip: bool = False):
     return place(0)
 
 
-def listed_isotropy_sum(word, lam: Partition, group: GroupSpec):
-    """Coefficient counts of the character sum over the twisted isotropy.
 
-    Conjugated by a coset with this marking word, the isotropy is the
-    stabilizer of the word in the centralizer (for the extension: of the
-    word up to complement).
-    Returns (counts per exponent, isotropy order)."""
-    flips = (False, True) if group.variant == "extension" else (False,)
+
+def _character_sum(lam: Partition, elements):
+    """The character summed over the listed elements, each given as its
+    (block_map, exponents) data, as a plain integer (None when the sum is
+    not one), and how many elements there are."""
     counts = [0] * root_order(lam)
-    for flip in flips:
-        for block_map, exponents in stabilizer(lam, word, flip):
-            counts[_character_exponent(lam, block_map, exponents)] += 1
-    return counts, sum(counts)
+    for block_map, exponents in elements:
+        counts[_character_exponent(lam, block_map, exponents)] += 1
+    return CyclotomicSum(root_order(lam), tuple(counts)).integer_value(), sum(counts)
+
+
+def listed_block(v: int, m: int):
+    """P and T of the block (v, m), coefficients by weight 0..vm, listed.
+
+    Every 0/1 word of length vm lies in one orbit of the generators of the
+    centralizer of lam = (v^m), found by search.  On each orbit, the
+    character summed over the listed stabilizer of its first word must
+    reduce to 0 or the stabilizer's order, and the orbit's size times that
+    order must be the block's order v^m m!.  An orbit the character is
+    trivial on counts 1 in P at its weight.  When it also holds the
+    complement of its word, the elements complementing the word form a
+    coset of the stabilizer; the character summed over them must be plus
+    or minus the stabilizer's order, and that sign counts in T.  Anything
+    else raises."""
+    lam = Partition((v,) * m)
+    n, size = v * m, v ** m * math.factorial(m)
+    identity = tuple(range(1, n + 1))
+    # fixing every point moves no word; at n = 1 that is every generator,
+    # so itemgetter never sees a single index and returns a scalar
+    moves = [
+        operator.itemgetter(*(x - 1 for x in g))
+        for g in build_centralizer(lam).generators
+        if g != identity
+    ]
+    P, T = [0] * (n + 1), [0] * (n + 1)
+    seen = set()
+    for word in itertools.product((0, 1), repeat=n):
+        if word in seen:
+            continue
+        orbit, frontier = {word}, [word]
+        while frontier:
+            w = frontier.pop()
+            for move in moves:
+                w2 = move(w)
+                if w2 not in orbit:
+                    orbit.add(w2)
+                    frontier.append(w2)
+        seen |= orbit
+        value, order = _character_sum(lam, stabilizer(lam, word))
+        if value not in (0, order) or len(orbit) * order != size:
+            raise InternalConsistencyError(
+                "the orbit of %s in the block (%d, %d) has %d words, a "
+                "stabilizer of order %d and a character sum of %r"
+                % (word, v, m, len(orbit), order, value)
+            )
+        if not value:
+            continue
+        P[sum(word)] += 1
+        if tuple(1 - b for b in word) in orbit:
+            signed, count = _character_sum(lam, stabilizer(lam, word, flip=True))
+            if count != order or signed not in (order, -order):
+                raise InternalConsistencyError(
+                    "the %d elements complementing %s sum the character to %r"
+                    % (count, word, signed)
+                )
+            T[sum(word)] += signed // order
+    return tuple(P), tuple(T)
 
 
 def listed_inner_product(word, lam: Partition, group: GroupSpec):
-    """(multiplicity of the trivial character, isotropy order) from the
-    listed sum, which must reduce to 0 or the isotropy order; anything else
-    would violate the character axioms and raises."""
-    counts, total = listed_isotropy_sum(word, lam, group)
-    value = CyclotomicSum(root_order(lam), tuple(counts)).integer_value()
-    if value == 0:
-        return 0, total
-    if value == total:
-        return 1, total
-    raise InternalConsistencyError(
-        "character sum for %s on %s reduced to %r, expected 0 or %d"
-        % (lam, word, value, total)
+    """(multiplicity of the trivial character in the twisted restriction of
+    the coset with this marking word, isotropy order).
+
+    Conjugated by the coset, the isotropy is the stabilizer of the word in
+    the centralizer (for the extension: of the word up to complement).  The
+    character summed over it must reduce to 0 or the isotropy order;
+    anything else would violate the character axioms and raises."""
+    flips = (False, True) if group.variant == "extension" else (False,)
+    value, order = _character_sum(
+        lam, (data for flip in flips for data in stabilizer(lam, word, flip))
     )
+    if value not in (0, order):
+        raise InternalConsistencyError(
+            "character sum for %s on %s reduced to %r, expected 0 or %d"
+            % (lam, word, value, order)
+        )
+    return int(value == order), order
+
+
+def listed_dimension(n: int, group: GroupSpec) -> PoincareTable:
+    """Graded invariant dimension of the group, from every double coset of
+    every partition lam, as generic_double_cosets gives it, decided by
+    listed_inner_product on the word marking the points the coset's
+    permutation sends into the top block."""
+    counts = Counter()
+    for lam in all_partitions(n):
+        for rep in generic_double_cosets(group, lam):
+            word = tuple(int(p > n - group.q) for p in rep)
+            counts[lam.degree] += listed_inner_product(word, lam, group)[0]
+    return PoincareTable.from_dict(counts)

@@ -6,8 +6,8 @@ pyproject, so the ACCEPTANCE lines appear in the output).
 
 import time
 
-from braidinv.character_oracle import GroupSpec, oracle_dimension
-from braidinv.core_combinatorics import Partition, all_partitions
+from braidinv.character_oracle import GroupSpec, _block_polynomials, oracle_dimension
+from braidinv.core_combinatorics import all_partitions
 from braidinv.cycle_invariants import (
     cycle_block_key,
     dual_cycle,
@@ -27,12 +27,12 @@ from braidinv.product_catalog import enumerate_generators, product_dimension
 from oracle_listing import (
     _assemble,
     _comp,
-    double_cosets,
-    isotropy_inner_product,
-    listed_inner_product,
+    listed_block,
+    listed_dimension,
     stabilizer,
     zeta_value,
 )
+from test_character_oracle import LISTED_BLOCKS, _padded
 from test_extension_catalog import sigma_dual_label
 
 
@@ -179,18 +179,18 @@ def test_criterion_9_character_axioms():
                     for z1 in elements
                     for z2 in elements
                 )
-        # every reduction across the full n <= 8 sweep must land in {0, |H|};
-        # the listed sum raises InternalConsistencyError otherwise, and the
-        # oracle's verdict and isotropy order on generators must agree with it
-        checked = 0
-        for n in range(2, 9):
+        # every block with vm <= 10 whose stabilizers list in at most 8!
+        # elements: each orbit's listed sum must land in {0, |stabilizer|},
+        # or listed_block raises, and the listed P and T are the oracle's
+        for v, m in LISTED_BLOCKS:
+            P, T = _block_polynomials(v, m)
+            ok = ok and listed_block(v, m) == (P, _padded(T, v * m))
+        ok = ok and len(LISTED_BLOCKS) == 25
+        # the whole partition's listed double cosets give the oracle's table
+        # for every group with n <= 7, which checks the product over blocks
+        for n in range(1, 8):
             for group in GroupSpec.every(n):
-                for lam in all_partitions(n):
-                    for word in double_cosets(group, lam):
-                        listed = listed_inner_product(word, lam, group)
-                        ok = ok and listed == isotropy_inner_product(word, lam, group)
-                        checked += 1
-        ok = ok and checked > 0
+                ok = ok and listed_dimension(n, group) == oracle_dimension(n, group)
     except InternalConsistencyError:
         ok = False
         raise

@@ -1,14 +1,15 @@
 import ast
 import itertools
+import math
 import os
-import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from braidinv import character_oracle, cli
+from braidinv import character_oracle, cli, extension_catalog, product_catalog
 from braidinv.character_oracle import (
     GroupSpec,
     _block_isotropy,
@@ -16,7 +17,6 @@ from braidinv.character_oracle import (
     _block_polynomials,
     _character_exponent,
     _classes,
-    _coefficient,
     _isotropy_generators,
     _sign,
     oracle_dimension,
@@ -26,7 +26,7 @@ from braidinv.core_combinatorics import (
     Partition, all_partitions, min_rotation, necklace_multiplicity
 )
 from braidinv.errors import InternalConsistencyError
-from braidinv.extension_catalog import ext_dimension
+from braidinv.extension_catalog import epsilon_sign, ext_dimension
 from braidinv.product_catalog import product_dimension
 from oracle_listing import (
     CyclotomicSum,
@@ -34,22 +34,15 @@ from oracle_listing import (
     _comp,
     _cyclotomic,
     _from_cycles,
-    _isotropy_sum,
-    _rotation_classes,
-    _walk_picks,
     build_centralizer,
-    double_cosets,
-    filtered_double_cosets,
-    generic_double_cosets,
     group_generators,
-    isotropy_inner_product,
+    listed_block,
+    listed_dimension,
     listed_inner_product,
-    searched_double_cosets,
     stabilizer,
-    whole_isotropy_sum,
     zeta_value,
 )
-from test_product_catalog import label_from_word
+
 
 def test_perm_basics():
     s = (2, 3, 1)
@@ -65,40 +58,18 @@ def test_perm_basics():
     # so is one of the wrong degree
     with pytest.raises(ValueError):
         zeta_value(Partition((2, 1)), (2, 1))
-    # a coset word must be 0/1, of length n and of weight q
-    lam, group = Partition((2, 1)), GroupSpec.product(3, 1)
-    with pytest.raises(ValueError):
-        isotropy_inner_product((0, 2, 0), lam, group)
-    with pytest.raises(ValueError):
-        isotropy_inner_product((0, 1), lam, group)
-    with pytest.raises(ValueError):
-        isotropy_inner_product((1, 1, 0), lam, group)
 
 
-def test_letter_check():
-    # a letter other than 0 and 1 is refused, hashable or not
-    lam, group = Partition((2, 1)), GroupSpec.product(3, 1)
-    for word in ((0, 2, 0), (0, [1], 0)):
-        message = re.escape("%s is not a 0/1 word" % (word,))
-        with pytest.raises(ValueError, match=message):
-            isotropy_inner_product(word, lam, group)
-    # a group of another degree is refused, as double_cosets refuses it
-    lam, group = Partition((3,)), GroupSpec.product(5, 1)
-    with pytest.raises(ValueError, match="partition total must match the group degree"):
-        isotropy_inner_product((1, 0, 0), lam, group)
-    # and accepts a bool, which equals its integer: same verdict, same order
-    lam, group = Partition((3,)), GroupSpec.product(3, 1)
-    assert isotropy_inner_product((0, True, 0), lam, group) == isotropy_inner_product(
-        (0, 1, 0), lam, group
-    ) == (1, 1)
+def _group_order(group):
+    """|S_(n-q) x S_q|, doubled for the extension."""
+    base = math.factorial(group.n - group.q) * math.factorial(group.q)
+    return 2 * base if group.variant == "extension" else base
 
 
 def test_group_spec_orders_and_membership():
-    g = GroupSpec.product(5, 2)
-    assert g.order == 12
-    e = GroupSpec.extension(2)
-    assert e.order == 2 * 2 * 2
-    assert GroupSpec.product(3, 0).order == 6
+    assert _group_order(GroupSpec.product(5, 2)) == 12
+    assert _group_order(GroupSpec.extension(2)) == 2 * 2 * 2
+    assert _group_order(GroupSpec.product(3, 0)) == 6
     with pytest.raises(ValueError):
         GroupSpec("extension", 5, 2)
 
@@ -136,7 +107,7 @@ def test_group_generators_generate():
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)
-        assert len(seen) == g.order
+        assert len(seen) == _group_order(g)
         assert all(_in_group(g, s) for s in seen)
     assert _in_group(GroupSpec.product(5, 2), (2, 3, 1, 5, 4))
     assert not _in_group(GroupSpec.product(5, 2), (4, 2, 3, 1, 5))
@@ -217,13 +188,68 @@ def test_isotropy_generators_generate_the_listed_stabilizer(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_generator_verdict_and_order_match_listing(n):
+    # every pick of every block (v, m) with vm = n, decided on generators,
+    # has the verdict and order of its listed stabilizer, and at half weight
+    # the complementing element and sign of its listed isotropy up to
+    # complement; the listed sum must reduce to 0 or the order, or it raises
+    for v in (v for v in range(1, n + 1) if n % v == 0):
+        lam = Partition((v,) * (n // v))
+        for letters, weight, _ in _block_picks(v, n // v):
+            trivial, order, sign = _block_isotropy(lam, letters)
+            product = GroupSpec.product(n, weight)
+            assert listed_inner_product(letters, lam, product) == (trivial, order)
+            if 2 * weight == n:
+                flipped = sign is not None
+                assert listed_inner_product(
+                    letters, lam, GroupSpec.extension(weight)
+                ) == (trivial and sign != -1, order * (1 + flipped)), letters
+
+
+# the blocks with vm <= 10 whose every stabilizer lists in at most 8!
+# elements: all 25 but (1, 9) and (1, 10), whose weight-0 stabilizers are
+# S_9 and S_10
+LISTED_BLOCKS = [
+    (v, m)
+    for v in range(1, 11)
+    for m in range(1, 11)
+    if v * m <= 10 and v ** m * math.factorial(m) <= math.factorial(8)
+]
+
+
+def _padded(poly, n):
+    """The coefficients of poly by weight 0..n."""
+    return tuple(poly) + (0,) * (n + 1 - len(poly))
+
+
+@pytest.mark.parametrize("v,m", LISTED_BLOCKS)
+def test_listed_block_is_the_oracle_block(v, m):
+    # P over every weight, its mirrored upper half included, and T
+    P, T = _block_polynomials(v, m)
+    assert listed_block(v, m) == (P, _padded(T, v * m))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_whole_partition_cosets_anchor_the_block_product(n):
+    # the whole partition's double cosets, listed as conjugation orbits and
+    # never read off a block, give the oracle's table for every group
     for group in GroupSpec.every(n):
-        for lam in all_partitions(n):
-            for word in double_cosets(group, lam):
-                # the listed sum must reduce to 0 or |H|; it raises otherwise
-                verdict, order = listed_inner_product(word, lam, group)
-                assert _isotropy_sum(word, lam, group) == (bool(verdict), order)
-                assert isotropy_inner_product(word, lam, group) == (verdict, order)
+        assert listed_dimension(n, group) == oracle_dimension(n, group), group
+
+
+@pytest.mark.parametrize("v,m", [
+    (v, m) for v in range(1, 13) for m in range(1, 13) if v * m <= 12
+])
+def test_catalog_blocks_are_the_oracle_blocks(v, m):
+    # the catalog's tuples of the block, counted by weight, are the oracle's
+    # P, and its swap-fixed tuples, summed by weight with their signs, its T
+    P, T = _block_polynomials(v, m)
+    pool = product_catalog._block_assignments(v, m, v, 0)
+    assert tuple(len(pool.by_weight.get(w, ())) for w in range(v * m + 1)) == P
+    signed = Counter()
+    for cycles, k in extension_catalog._fixed_blocks(v, m):
+        weight = sum(chi.weight for chi in cycles)
+        signed[weight] += epsilon_sign(Partition((v,) * m), (k,))
+    assert tuple(signed[w] for w in range(v * m + 1)) == _padded(T, v * m)
 
 
 def _all_groups(n):
@@ -232,50 +258,6 @@ def _all_groups(n):
     if n % 2 == 0:
         groups.append(GroupSpec.extension(n // 2))
     return groups
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_block_isotropy_matches_the_whole_partition(n):
-    # blocks decided apart give the verdict and order of the full word
-    for group in _all_groups(n):
-        for lam in all_partitions(n):
-            for word in double_cosets(group, lam):
-                assert _isotropy_sum(word, lam, group) == whole_isotropy_sum(
-                    word, lam, group
-                ), (lam.parts, word, group.describe())
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_block_product_counts_the_walks_invariants(n):
-    # partition by partition, the coset walk's invariants are [x^q] of the
-    # product of the blocks' P, and for the extension half of that plus
-    # [x^q] of the product of their T
-    for group in _all_groups(n):
-        for lam in all_partitions(n):
-            walked = sum(
-                isotropy_inner_product(word, lam, group)[0]
-                for word in double_cosets(group, lam)
-            )
-            blocks = [_block_polynomials(v, m) for v, m in lam.blocks]
-            counted = _coefficient([P for P, _ in blocks], group.q)
-            if group.variant == "extension":
-                twice = counted + _coefficient([T for _, T in blocks], group.q)
-                assert twice % 2 == 0
-                counted = twice // 2
-            assert walked == counted, (lam.parts, group.describe())
-
-
-@pytest.mark.parametrize("n", range(1, 10))
-def test_isotropy_of_every_word_matches_the_whole_partition(n):
-    # words that are not their orbit's least are decided as they stand, block
-    # by block
-    for group in _all_groups(n):
-        for lam in all_partitions(n):
-            for word in itertools.product((0, 1), repeat=n):
-                if sum(word) == group.q:
-                    assert _isotropy_sum(word, lam, group) == whole_isotropy_sum(
-                        word, lam, group
-                    ), (lam.parts, word, group.describe())
 
 
 def test_warm_block_cache_decides_each_block_once(monkeypatch):
@@ -321,6 +303,31 @@ def test_canonical_words_skip_the_rotation_table(monkeypatch):
     _block_polynomials.cache_clear()
     monkeypatch.setattr(character_oracle, "min_rotation", refused)
     assert [oracle_dimension(n, group) for group in _all_groups(n)] == first
+
+
+def test_warm_tables_compute_no_rotation(monkeypatch):
+    # once the class tables are warm, deciding every pick of every block
+    # with vm = n again, without the block cache, forms no least rotation
+    n = 8
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return min_rotation(w)
+
+    def walk():
+        picks = 0
+        for v in (v for v in range(1, n + 1) if n % v == 0):
+            lam = Partition((v,) * (n // v))
+            for letters, _, _ in _block_picks(v, n // v):
+                picks += 1
+                _block_isotropy(lam, letters)
+        return picks
+
+    assert walk() > 0
+    monkeypatch.setattr(character_oracle, "min_rotation", counted)
+    assert walk() > 0
+    assert calls == []
 
 
 def _clear_oracle_caches():
@@ -424,6 +431,8 @@ def test_an_odd_extension_count_raises(monkeypatch, cold_oracle):
 def test_cold_oracle_forms_one_least_rotation_per_class(monkeypatch):
     # from cold caches, every group with n <= 9 takes each rotation class's
     # complement once, and never a least rotation per pick, block or coset
+    class_count = sum(len(_classes(v)[0]) for v in range(1, 10))
+    assert class_count == 153
     calls = []
 
     def counted(w):
@@ -438,27 +447,7 @@ def test_cold_oracle_forms_one_least_rotation_per_class(monkeypatch):
                 oracle_dimension(n, group)
     finally:
         _clear_oracle_caches()
-    class_count = sum(len(_rotation_classes(v)) for v in range(1, 10))
-    assert class_count == 153
     assert len(calls) <= class_count
-
-
-@pytest.mark.parametrize("v,m", [
-    (v, m) for v in range(1, 13) for m in range(1, 13) if v * m <= 12
-])
-def test_picks_by_weight_split_the_flat_list(v, m):
-    # entry w of the walk's index holds the picks of weight w
-    picks, by_weight = _walk_picks(v, m)
-    joined = [pick for group in by_weight for pick in group]
-    assert sorted(joined) == sorted(picks)
-    assert len(joined) == len(picks) == len(set(picks))
-    for w, group in enumerate(by_weight):
-        assert list(group) == [pick for pick in picks if pick[1] == w]
-    # the oracle's picks are the walk's of weight at most vm / 2,
-    # self-complementary on side 0
-    assert list(_block_picks(v, m)) == [
-        (letters, w, side == 0) for letters, w, side in picks if 2 * w <= v * m
-    ]
 
 
 def test_root_order():
@@ -513,39 +502,10 @@ def test_zeta_multiplicative_exhaustive(n):
                 assert values[_comp(z1, z2)] == values[z1] * values[z2]
 
 
-def test_double_cosets_examples():
-    assert len(double_cosets(GroupSpec.extension(1), Partition((2,)))) == 1
-    assert len(double_cosets(GroupSpec.product(4, 2), Partition((4,)))) == 2
-    # identity-centralizer case: the full symmetric group acts transitively
-    assert len(double_cosets(GroupSpec.product(4, 2), Partition((1, 1, 1, 1)))) == 1
-
-
-def test_double_cosets_match_the_search():
-    # the same words in the same order, for every group with n <= 10
-    for n in range(1, 11):
-        groups = [GroupSpec.product(n, q) for q in range(n + 1)]
-        if n % 2 == 0:
-            groups.append(GroupSpec.extension(n // 2))
-        for lam in all_partitions(n):
-            for g in groups:
-                assert double_cosets(g, lam) == searched_double_cosets(g, lam), (
-                    lam.parts,
-                    g.describe(),
-                )
-
-
-def test_double_cosets_match_the_filtered_picks():
-    # the weight-pruned walk gives the words of the unpruned one, in order
-    for n in range(1, 13):
-        groups = [GroupSpec.product(n, q) for q in range(n + 1)]
-        if n % 2 == 0:
-            groups.append(GroupSpec.extension(n // 2))
-        for lam in all_partitions(n):
-            for g in groups:
-                assert double_cosets(g, lam) == filtered_double_cosets(g, lam), (
-                    lam.parts,
-                    g.describe(),
-                )
+def _scanned_classes(v):
+    """The least rotations of all 2^v words of 0s and 1s, ascending."""
+    words = itertools.product((0, 1), repeat=v)
+    return sorted({min_rotation(w)[0] for w in words})
 
 
 @pytest.mark.parametrize("v", range(1, 13))
@@ -557,7 +517,7 @@ def test_rotation_table_is_min_rotation(v):
     # and the one-part picks are the rotation classes of weight at most
     # v / 2, in order
     assert [letters for letters, _, _ in _block_picks(v, 1)] == [
-        word for word in _rotation_classes(v) if 2 * sum(word) <= v
+        word for word in _scanned_classes(v) if 2 * sum(word) <= v
     ]
 
 
@@ -565,7 +525,7 @@ def test_rotation_table_is_min_rotation(v):
 def test_class_table_pairs_each_class_with_its_complement(v):
     # the table built from the necklace walk is the 2^v scan's
     words, flips = _classes(v)
-    assert words == tuple(_rotation_classes(v))
+    assert list(words) == _scanned_classes(v)
     index = {word: i for i, word in enumerate(words)}
     for word, flip in zip(words, flips):
         assert words[flip] == min_rotation(1 - b for b in word)[0]
@@ -614,86 +574,16 @@ def test_a_dropped_necklace_fails_orbit_stabilizer(monkeypatch, capsys):
         _clear_oracle_caches()
 
 
-def test_warm_tables_compute_no_rotation(monkeypatch):
-    n = 8
-    groups = [GroupSpec.product(n, q) for q in range(n + 1)]
-    groups.append(GroupSpec.extension(n // 2))
-    calls = []
-
-    def counted(w):
-        calls.append(w)
-        return min_rotation(w)
-
-    def walk():
-        cosets = 0
-        for g in groups:
-            for lam in all_partitions(n):
-                for word in double_cosets(g, lam):
-                    cosets += 1
-                    _isotropy_sum(word, lam, g)
-        return cosets
-
-    assert walk() > 0
-    monkeypatch.setattr(character_oracle, "min_rotation", counted)
-    assert walk() > 0
-    assert calls == []
-
-
-GENERIC_WORD_NS = range(2, 8)
-
-
-@pytest.mark.parametrize("n", GENERIC_WORD_NS)
-def test_double_coset_modes_agree(n):
-    for lam in all_partitions(n):
-        for g in GroupSpec.every(n):
-            generic = generic_double_cosets(g, lam)
-            words = double_cosets(g, lam)
-            assert len(generic) == len(words), (n, lam.parts, g.describe())
-
-
-def test_double_coset_modes_agree_n8_full():
-    groups = [GroupSpec.product(8, q) for q in range(5)]
-    groups.append(GroupSpec.extension(4))
-    for lam in all_partitions(8):
-        for g in groups:
-            assert len(generic_double_cosets(g, lam)) == len(double_cosets(g, lam))
-
-
-def test_double_coset_modes_agree_n8_spot():
-    # the extension and one product split; the full sweep covers every group
-    for g in (GroupSpec.extension(4), GroupSpec.product(8, 3)):
-        for lam in all_partitions(8):
-            assert len(generic_double_cosets(g, lam)) == len(double_cosets(g, lam))
-
-
 def test_isotropy_examples():
-    lam, group = Partition((2,)), GroupSpec.extension(1)
-    assert isotropy_inner_product((0, 1), lam, group)[0] == 1
-    # the alternating 1010 marking on a 4-cycle fails the multiplicity rule
-    lam, group = Partition((4,)), GroupSpec.product(4, 2)
-    assert isotropy_inner_product((1, 0, 1, 0), lam, group)[0] == 0
-
-
-@pytest.mark.parametrize("n,q", [(n, q) for n in range(2, 7) for q in range(n // 2 + 1)])
-def test_predicate_matches_oracle(n, q):
-    group = GroupSpec.product(n, q)
-    for lam in all_partitions(n):
-        for word in double_cosets(group, lam):
-            verdict = 0 if label_from_word(word, lam) is None else 1
-            assert verdict == isotropy_inner_product(word, lam, group)[0]
-
-
-@pytest.mark.parametrize("n", (4, 6, 8))
-def test_sigma_shift_invariance(n):
-    # the reversal after a coset representative complements its marking
-    # word, which keeps the verdict and the isotropy order
-    group = GroupSpec.extension(n // 2)
-    for lam in all_partitions(n):
-        for word in double_cosets(group, lam):
-            complement = tuple(1 - b for b in word)
-            assert isotropy_inner_product(word, lam, group) == isotropy_inner_product(
-                complement, lam, group
-            )
+    # 01 on a 2-cycle has a trivial stabilizer, and the rotation that
+    # complements it takes the value 1, so it counts in T too
+    assert _block_isotropy(Partition((2,)), (0, 1)) == (True, 1, 1)
+    assert listed_block(2, 1) == ((1, 1, 1), (0, 1, 0))
+    # the alternating 0101 on a 4-cycle fails the multiplicity rule; 0011
+    # passes, its complementing rotation by 2 taking the value -1
+    assert _block_isotropy(Partition((4,)), (0, 1, 0, 1))[:2] == (False, 2)
+    assert _block_isotropy(Partition((4,)), (0, 0, 1, 1)) == (True, 1, -1)
+    assert listed_block(4, 1) == ((0, 1, 1, 1, 0), (0, 0, -1, 0, 0))
 
 
 ORACLE_PRODUCT_NS = range(2, 9)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidinv import character_oracle, cli, cycle_invariants, extension_catalog, product_catalog
 from braidinv.cli import main, render_table
-from braidinv.core_combinatorics import all_partitions
+from braidinv.core_combinatorics import all_partitions, min_rotation
 from braidinv.cycle_invariants import InvariantCycle, admissible_words, enumerate_Pi
 from braidinv.errors import InternalConsistencyError
 from braidinv.extension_catalog import enumerate_EP
@@ -762,6 +762,42 @@ def test_out_of_order_pool_tuples_fail_the_catalog_with_exit_3(capsys, monkeypat
     assert (code, out) == (3, "")
     assert "internal consistency failure: the catalog listed (" in err
     assert "cycles out of canonical order inside a block" in err
+
+
+def test_out_of_order_fixed_tuples_fail_ep_with_exit_3(capsys, monkeypatch):
+    real = extension_catalog._fixed_blocks
+
+    def reversed_tuples(v, m):
+        return tuple((cycles[::-1], k) for cycles, k in real(v, m))
+
+    monkeypatch.setattr(extension_catalog, "_fixed_blocks", reversed_tuples)
+    extension_catalog._ep_members.cache_clear()
+    try:
+        code, out, err = run(capsys, "ep", "--n", "8")
+    finally:
+        extension_catalog._ep_members.cache_clear()
+    assert (code, out) == (3, "")
+    assert "internal consistency failure: EP(8) listed (" in err
+    assert "cycles out of canonical order inside a block" in err
+
+
+def test_a_turned_selfdual_word_fails_necklace_selfdual_with_exit_3(
+    capsys, monkeypatch
+):
+    # each self-dual word is kept turned by one place off its least rotation
+    def turned(word):
+        least, count = min_rotation(word)
+        return least[1:] + least[:1], count
+
+    monkeypatch.setattr(cycle_invariants, "min_rotation", turned)
+    cycle_invariants.enumerate_selfdual.cache_clear()
+    try:
+        code, out, err = run(capsys, "necklace", "selfdual", "--d", "6")
+    finally:
+        cycle_invariants.enumerate_selfdual.cache_clear()
+    assert (code, out) == (3, "")
+    assert "internal consistency failure: selfdual(6) listed (" in err
+    assert "minimal rotation form" in err
 
 
 def test_dim_ext_exits_3_on_an_odd_trace(capsys, monkeypatch):

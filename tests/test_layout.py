@@ -1,13 +1,17 @@
 """Every module-level function and class of the package, and every method
-and property of its classes, has a caller.
+and property of its classes, has a caller; so does every definition of
+the tests' reference module.
 
 A module-level name counts as used when some top-level statement under
 ``src/`` or ``scripts/`` other than its own definition refers to it (as a
 name, an attribute or an imported name), or when the package exports it in
 ``__all__``.  A method or property counts as used when such a statement
-other than its class refers to it, or a statement of its class other than
-itself does; special methods are called by the language.  Docstrings and
-comments do not count.
+other than its class reads it as an attribute, or a statement of its class
+other than itself does; a bare name of the same spelling, such as a local
+variable, does not count.  Special methods are called by the language.
+A top-level definition of ``tests/oracle_listing.py`` counts as used when a
+``tests/test_*.py`` module refers to it, or a used definition there does.
+Docstrings and comments do not count.
 """
 
 import ast
@@ -36,6 +40,11 @@ def _referenced(node):
     return out
 
 
+def _attributes(node):
+    """The attribute names a statement reads or writes."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def test_every_package_definition_is_used():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     statements = [
@@ -44,6 +53,7 @@ def test_every_package_definition_is_used():
         for node in ast.parse(path.read_text()).body
     ]
     references = {id(node): _referenced(node) for _, node in statements}
+    attributes = {id(node): _attributes(node) for _, node in statements}
     exported = set(braidinv.__all__)
     unused = []
     for path, node in statements:
@@ -54,10 +64,33 @@ def test_every_package_definition_is_used():
             unused.append("%s.%s" % (path.stem, node.name))
         if not isinstance(node, ast.ClassDef):
             continue
+        read = [attributes[id(other)] for _, other in statements if other is not node]
         for method in node.body:
             if not isinstance(method, FUNCTIONS) or method.name.startswith("__"):
                 continue
-            siblings = [_referenced(other) for other in node.body if other is not method]
-            if not any(method.name in refs for refs in elsewhere + siblings):
+            siblings = [_attributes(other) for other in node.body if other is not method]
+            if not any(method.name in refs for refs in read + siblings):
                 unused.append("%s.%s.%s" % (path.stem, node.name, method.name))
     assert sorted(unused) == sorted(UNCALLED)
+
+
+def test_every_reference_definition_serves_a_test():
+    tests = ROOT / "tests"
+    definitions = {
+        node.name: node
+        for node in ast.parse((tests / "oracle_listing.py").read_text()).body
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,))
+    }
+    frontier = [
+        name
+        for path in sorted(tests.glob("test_*.py"))
+        for node in ast.parse(path.read_text()).body
+        for name in _referenced(node) & definitions.keys()
+    ]
+    used = set()
+    while frontier:
+        name = frontier.pop()
+        if name not in used:
+            used.add(name)
+            frontier.extend(_referenced(definitions[name]) & definitions.keys())
+    assert sorted(definitions.keys() - used) == []
