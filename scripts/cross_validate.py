@@ -10,7 +10,7 @@ oracle's cache sizes and the run's peak RSS go to stderr.  An internal
 consistency failure fails its n and the sweep goes on.
 
     python3 scripts/cross_validate.py --max-n 8
-    python3 scripts/cross_validate.py --max-n 20   # about 8 s, 98 MB
+    python3 scripts/cross_validate.py --max-n 20   # about 6 s, 67 MB
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from braidinv.character_oracle import GroupSpec
 from braidinv.cli import verify_group
 from braidinv.errors import InternalConsistencyError
 
-# to n = 19 the sweep takes 4.0 s and 56 MB (2-vCPU host); to n = 20 it takes
-# 7.6-7.7 s and 98 MB, 4.9-5.0 s of it in the catalog leg
+# to n = 19 the sweep takes 2.9 s and 40 MB (2-vCPU host); to n = 20 it takes
+# 5.9 s and 67 MB, 5.3 s of it in the catalog leg and 1.0 s in the oracle's,
+# so the catalog leg bounds it
 MAX_N = 20
 
 

@@ -29,15 +29,26 @@ self-complementary, and keeps a self-complementary one when its sign is
 1, so it has half of [x^q] of the product of the P plus that of the T.
 
 A block's orbits are its multisets of m rotation classes of length v,
-each class its least rotation, listed from the gap words of the
-package's one necklace walk, gap_necklaces, with the index of each
-class's complement class.  The stabilizer of an orbit's word is built
-on generators, its order read from its structure.  Complementing a word
-keeps its stabilizer, so only the orbits of weight at most vm / 2 are
-decided, and P's upper half is its lower half reversed.  Each block
-checks orbit-stabilizer at each of those weights: its orbits there are
-the orbits of C_v wr S_m on the C(vm, w) words of weight w, so their
-indices v^m m! / |stabilizer| sum to that count, and a shortfall or
+each class the least rotation 0 1^g1 ... 0 1^gd of a necklace g of d
+gaps from the package's one necklace walk, gap_necklaces.  Complementing
+a word keeps its stabilizer, so only the orbits of weight at most vm / 2
+are decided, and P's upper half is its lower half reversed.
+
+A one-part block (v, 1) is decided class by class as the walk yields
+it, for d >= v / 2 zeros, and nothing is kept per class: the word
+repeats d / p times, p the gap period the walk yields, so its stabilizer
+is generated by the rotation by its period v p / d, and the character is
+decided on that rotation.  Only a class of weight v / 2 can be
+self-complementary; it is when its complement occurs in the word twice
+around, which also gives the complementing rotation and so the sign.
+A block of m >= 2 parts reads a table per length v <= n / 2 of the
+classes in lex order, each with its complement class, and lists its
+picks, the multisets of m classes; the stabilizer of a pick's word is
+built on generators, its order read from its structure.
+
+Each block checks orbit-stabilizer at each weight it decides: its orbits
+there are the orbits of C_v wr S_m on the C(vm, w) words of weight w, so
+their indices v^m m! / |stabilizer| sum to that count, and a shortfall or
 excess raises.  Nothing here consults the admissibility predicate or the
 counting formulas, so agreement between the two paths is a real check.
 """
@@ -48,6 +59,7 @@ import bisect
 import itertools
 import math
 import sys
+import time
 from collections import Counter
 from functools import lru_cache
 from typing import Tuple
@@ -249,43 +261,84 @@ def _block_isotropy(lam: Partition, letters: Tuple[int, ...]):
 
     Returns whether the character is trivial on the stabilizer of the
     block's word, the stabilizer's order, and the sign, 1 or -1, the
-    character takes on an element complementing the word; None when there
-    is none.  Such an element squares into the stabilizer, so where the
-    character is trivial there its value is a sign, and anything else
-    raises; on a block it is not trivial on, the sign never matters."""
+    character takes on an element complementing the word, as
+    _complement_sign reads it; None when there is none."""
     generators, order, complement = _isotropy_generators(lam, letters)
     trivial = not any(_character_exponent(lam, *g) for g in generators)
     if complement is None:
         return trivial, order, None
     exponent = _character_exponent(lam, *complement)
+    return trivial, order, _complement_sign(lam, letters, trivial, exponent)
+
+
+def _complement_sign(lam: Partition, letters, trivial: bool, exponent: int) -> int:
+    """The sign, 1 or -1, that the character exponent of an element
+    carrying the word with these letters onto its complement stands for.
+    Such an element squares into the word's stabilizer, so where the
+    character is trivial there its value is a sign, and anything else
+    raises; where it is not trivial, the sign never matters."""
     if trivial and exponent not in (0, root_order(lam) // 2):
         raise InternalConsistencyError(
             "a complementing element of %s has character exponent %d over %d"
-            % (letters, exponent, root_order(lam))
+            % (tuple(letters), exponent, root_order(lam))
         )
-    return trivial, order, 1 if exponent == 0 else -1
+    return 1 if exponent == 0 else -1
 
 
 @lru_cache(maxsize=None)
-def _block_polynomials(v: int, m: int):
-    """P and T of the block (v, m), coefficients by weight 0..vm, from one
-    pass over its picks, the orbits of weight at most vm / 2, with
-    orbit-stabilizer checked at each of those weights.
+def _rotation_exponent(v: int, e: int) -> int:
+    """The character exponent of the rotation by e on the one-part block
+    (v); the classes of a block share the few rotations that generate
+    their stabilizers."""
+    return _character_exponent(Partition((v,)), (0,), (e,))
 
-    Complementing a word keeps its stabilizer and carries the orbits of
-    weight w onto those of weight vm - w, so P is symmetric and its upper
-    half is the lower half reversed; T lives at weight vm / 2, where the
-    self-complementary orbits are.  A pick is self-complementary exactly
-    when its word has a complementing element, and each stabilizer order
-    divides the block's order v^m m!; either failing raises."""
-    lam, size, half = Partition((v,) * m), v ** m * math.factorial(m), v * m // 2
-    P, T, covered = ([0] * (half + 1) for _ in range(3))
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _class_isotropy(v: int, gaps: Tuple[int, ...], p: int):
+    """The isotropy of the one-part block (v) on the rotation class of
+    0 1^g1 ... 0 1^gd, g a necklace of d gaps of least period p, as
+    _block_isotropy gives it: whether the character is trivial on the
+    stabilizer, its order, and the sign on a complementing element, None
+    when there is none.
+
+    The word repeats d / p times, so its stabilizer is generated by the
+    rotation by its period v p / d and has order d / p.  Complementing
+    keeps the weight, so only a class of weight v / 2 can be carried onto
+    its complement, and it is when the complement occurs in the word twice
+    around; where it first does is the complementing rotation."""
+    d = len(gaps)
+    order = d // p
+    trivial = not _rotation_exponent(v, v // order)
+    if 2 * d != v:
+        return trivial, order, None
+    word = b"".join([b"\0" + b"\1" * g for g in gaps])
+    e = (word + word).find(word.translate(_FLIP))
+    if e < 0:
+        return trivial, order, None
+    sign = _complement_sign(Partition((v,)), word, trivial, _rotation_exponent(v, e))
+    return trivial, order, sign
+
+
+def _walked_orbits(v: int):
+    """The orbits of the block (v, 1) of weight at most v / 2, its rotation
+    classes, each as its weight and its isotropy, decided as the necklace
+    walk yields it: one class per necklace of d >= v / 2 gaps summing to
+    the weight v - d."""
+    for d in range(v, (v - 1) // 2, -1):
+        for gaps, p in gap_necklaces(d, v - d):
+            yield v - d, _class_isotropy(v, gaps, p)
+
+
+def _picked_orbits(v: int, m: int):
+    """The orbits of the block (v, m) of weight at most vm / 2, its picks,
+    each as its weight and its isotropy decided on generators.  A pick is
+    self-complementary exactly when its word has a complementing element;
+    a pick where the two disagree raises."""
+    lam = Partition((v,) * m)
     for letters, weight, self_complementary in _block_picks(v, m):
         trivial, order, sign = _block_isotropy(lam, letters)
-        if size % order:
-            raise InternalConsistencyError(
-                "isotropy order %d does not divide the block order %d" % (order, size)
-            )
         if self_complementary != (sign is not None):
             raise InternalConsistencyError(
                 "the pick %s is %sself-complementary, but its word has %s "
@@ -293,6 +346,29 @@ def _block_polynomials(v: int, m: int):
                     letters, "" if self_complementary else "not ",
                     "no" if sign is None else "a",
                 )
+            )
+        yield weight, (trivial, order, sign)
+
+
+def _orbit_polynomials(v: int, m: int, orbits):
+    """P and T of the block (v, m), coefficients by weight 0..vm, from its
+    orbits of weight at most vm / 2, each as its weight and its isotropy,
+    with orbit-stabilizer checked at each of those weights; and how many
+    orbits there were.
+
+    Complementing a word keeps its stabilizer and carries the orbits of
+    weight w onto those of weight vm - w, so P is symmetric and its upper
+    half is the lower half reversed; T lives at weight vm / 2, where the
+    self-complementary orbits are.  Each stabilizer order divides the
+    block's order v^m m!, and the orbits of weight w cover its C(vm, w)
+    words of that weight; either failing raises."""
+    size, half = v ** m * math.factorial(m), v * m // 2
+    P, T, covered = ([0] * (half + 1) for _ in range(3))
+    count = 0
+    for count, (weight, (trivial, order, sign)) in enumerate(orbits, 1):
+        if size % order:
+            raise InternalConsistencyError(
+                "isotropy order %d does not divide the block order %d" % (order, size)
             )
         covered[weight] += size // order
         if trivial:
@@ -305,7 +381,29 @@ def _block_polynomials(v: int, m: int):
                 "the orbits of the block (%d, %d) cover %d of the %d words of weight %d"
                 % (v, m, c, math.comb(v * m, w), w)
             )
-    return tuple(P + P[v * m - half - 1::-1]), tuple(T)
+    return tuple(P + P[v * m - half - 1::-1]), tuple(T), count
+
+
+@lru_cache(maxsize=None)
+def _block_polynomials(v: int, m: int):
+    """P and T of the block (v, m): a one-part block's from its rotation
+    classes as the necklace walk yields them, any other's from its picks.
+
+    With logging loaded, one debug record per block gives its path, how
+    many orbits it decided and its seconds."""
+    logging = sys.modules.get("logging")
+    start = time.perf_counter() if logging else 0.0
+    if m == 1:
+        path, orbits = "walk", _walked_orbits(v)
+    else:
+        path, orbits = "picks", _picked_orbits(v, m)
+    P, T, count = _orbit_polynomials(v, m, orbits)
+    if logging:
+        logging.getLogger(__name__).debug(
+            "oracle block (%d, %d): %s path, %d %s in %.3f s", v, m, path, count,
+            "classes" if m == 1 else "picks", time.perf_counter() - start,
+        )
+    return P, T
 
 
 def _coefficient(polynomials, q: int) -> int:

@@ -19,6 +19,11 @@ group's double cosets on a partition as orbits of the group acting by
 conjugation on a conjugacy class of the symmetric group, and
 listed_dimension decides each one with listed_inner_product.  Its graded
 count checks the oracle's product over the blocks itself.
+
+The references are pure, and several tests read the same ones, so
+listed_block, listed_dimension and zeta_failures, the check that the
+character is multiplicative on every centralizer at n, are each computed
+once per session.
 """
 
 import itertools
@@ -364,6 +369,22 @@ def stabilizer(lam: Partition, word, flip: bool = False):
     return place(0)
 
 
+@lru_cache(maxsize=None)
+def zeta_failures(n: int):
+    """The products on which zeta_value is not multiplicative, as
+    (lam, z1, z2) over every pair of elements of the centralizer of every
+    partition lam of n; empty when each is a character."""
+    out = []
+    for lam in all_partitions(n):
+        elements = [_assemble(lam, *data) for data in stabilizer(lam, (0,) * n)]
+        values = {z: zeta_value(lam, z) for z in elements}
+        out.extend(
+            (lam, z1, z2)
+            for z1 in elements
+            for z2 in elements
+            if values[_comp(z1, z2)] != values[z1] * values[z2]
+        )
+    return tuple(out)
 
 
 def _character_sum(lam: Partition, elements):
@@ -376,6 +397,7 @@ def _character_sum(lam: Partition, elements):
     return CyclotomicSum(root_order(lam), tuple(counts)).integer_value(), sum(counts)
 
 
+@lru_cache(maxsize=None)
 def listed_block(v: int, m: int):
     """P and T of the block (v, m), coefficients by weight 0..vm, listed.
 
@@ -454,6 +476,7 @@ def listed_inner_product(word, lam: Partition, group: GroupSpec):
     return int(value == order), order
 
 
+@lru_cache(maxsize=None)
 def listed_dimension(n: int, group: GroupSpec) -> PoincareTable:
     """Graded invariant dimension of the group, from every double coset of
     every partition lam, as generic_double_cosets gives it, decided by

@@ -7,7 +7,6 @@ pyproject, so the ACCEPTANCE lines appear in the output).
 import time
 
 from braidinv.character_oracle import GroupSpec, _block_polynomials, oracle_dimension
-from braidinv.core_combinatorics import all_partitions
 from braidinv.cycle_invariants import (
     cycle_block_key,
     dual_cycle,
@@ -24,14 +23,7 @@ from braidinv.extension_catalog import (
     ext_dimension,
 )
 from braidinv.product_catalog import enumerate_generators, product_dimension
-from oracle_listing import (
-    _assemble,
-    _comp,
-    listed_block,
-    listed_dimension,
-    stabilizer,
-    zeta_value,
-)
+from oracle_listing import listed_block, listed_dimension, zeta_failures
 from test_character_oracle import LISTED_BLOCKS, _padded
 from test_extension_catalog import sigma_dual_label
 
@@ -167,18 +159,8 @@ def test_criterion_8_structural_anchors():
 def test_criterion_9_character_axioms():
     ok = False
     try:
-        ok = True
-        for n in range(1, 7):
-            for lam in all_partitions(n):
-                elements = [
-                    _assemble(lam, *data) for data in stabilizer(lam, (0,) * n)
-                ]
-                values = {z: zeta_value(lam, z) for z in elements}
-                ok = ok and all(
-                    values[_comp(z1, z2)] == values[z1] * values[z2]
-                    for z1 in elements
-                    for z2 in elements
-                )
+        # the character is multiplicative on every centralizer with n <= 6
+        ok = all(zeta_failures(n) == () for n in range(1, 7))
         # every block with vm <= 10 whose stabilizers list in at most 8!
         # elements: each orbit's listed sum must land in {0, |stabilizer|},
         # or listed_block raises, and the listed P and T are the oracle's

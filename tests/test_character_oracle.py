@@ -16,9 +16,13 @@ from braidinv.character_oracle import (
     _block_picks,
     _block_polynomials,
     _character_exponent,
+    _class_isotropy,
     _classes,
     _isotropy_generators,
+    _orbit_polynomials,
+    _picked_orbits,
     _sign,
+    _walked_orbits,
     oracle_dimension,
     root_order,
 )
@@ -40,6 +44,7 @@ from oracle_listing import (
     listed_dimension,
     listed_inner_product,
     stabilizer,
+    zeta_failures,
     zeta_value,
 )
 
@@ -228,6 +233,46 @@ def test_listed_block_is_the_oracle_block(v, m):
     assert listed_block(v, m) == (P, _padded(T, v * m))
 
 
+@pytest.mark.parametrize("v", range(1, 17))
+def test_walked_block_is_the_picked_block(v):
+    # the one-part block decided class by class on the necklace walk has
+    # the P and T of its picks decided on generators, from as many orbits
+    P, T, classes = _orbit_polynomials(v, 1, _picked_orbits(v, 1))
+    assert _block_polynomials(v, 1) == (P, T)
+    assert sum(1 for _ in _walked_orbits(v)) == classes
+
+
+@pytest.mark.parametrize("v", (5, 6, 7, 8))
+def test_a_class_dropped_from_the_walk_fails_orbit_stabilizer(
+    monkeypatch, cold_oracle, v
+):
+    # whichever class of weight w <= v / 2 the walk loses, its weight is
+    # covered short by its period, the size of its orbit
+    walk = character_oracle.gap_necklaces
+    classes = [
+        (v - d, gaps, p)
+        for d in range(v, (v - 1) // 2, -1)
+        for gaps, p in walk(d, v - d)
+    ]
+    assert len(classes) == sum(1 for word in _scanned_classes(v) if 2 * sum(word) <= v)
+    for w, gaps, p in classes:
+        monkeypatch.setattr(
+            character_oracle,
+            "gap_necklaces",
+            lambda d, total, dropped=gaps: (
+                e for e in walk(d, total) if e[0] != dropped
+            ),
+        )
+        words = math.comb(v, w)
+        period = v * p // len(gaps)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"the orbits of the block \(%d, 1\) cover %d of the %d words "
+            r"of weight %d$" % (v, words - period, words, w),
+        ):
+            _block_polynomials(v, 1)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_whole_partition_cosets_anchor_the_block_product(n):
     # the whole partition's double cosets, listed as conjugation orbits and
@@ -263,24 +308,26 @@ def _all_groups(n):
 def test_warm_block_cache_decides_each_block_once(monkeypatch):
     n = 8
     _clear_oracle_caches()
-    calls = []
+    calls = []  # a pick as its value and segments, a class as its gaps
 
     def counted(lam, word):
-        calls.append((lam, word))
+        ((v, m),) = lam.blocks  # one block of equal parts
+        calls.append((v, tuple(word[i:i + v] for i in range(0, v * m, v))))
         return _isotropy_generators(lam, word)
 
+    def classed(v, gaps, p):
+        calls.append((v, gaps))
+        return _class_isotropy(v, gaps, p)
+
     monkeypatch.setattr(character_oracle, "_isotropy_generators", counted)
+    monkeypatch.setattr(character_oracle, "_class_isotropy", classed)
     groups = _all_groups(n)
     assert groups[-1].variant == "extension"
     for group in groups:
         oracle_dimension(n, group)
-    assert calls
-    keys = []
-    for lam, word in calls:
-        ((v, m),) = lam.blocks  # one block of equal parts
-        segments = tuple(word[i:i + v] for i in range(0, v * m, v))
-        keys.append((v, segments))
-    assert len(keys) == len(set(keys))
+    # both paths decided something, and nothing twice
+    assert {type(key[1][0]) for key in calls} == {tuple, int}
+    assert len(calls) == len(set(calls))
     # the extension, run last, finds every block the splits share built
     del calls[:]
     oracle_dimension(n, groups[-1])
@@ -383,15 +430,16 @@ def test_a_dropped_coset_fails_orbit_stabilizer(monkeypatch, cold_oracle):
 
 
 def test_a_wrong_isotropy_order_fails_verify(monkeypatch, capsys, cold_oracle):
-    # a doubled order on the word 01 still divides |C_2 wr S_1| = 2, but its
-    # orbit then covers 1 of the 2 words of weight 1 of the block (2, 1)
-    def doubled(lam, letters):
-        trivial, order, sign = _block_isotropy(lam, letters)
-        if (lam.parts, letters) == ((2,), (0, 1)):
+    # the block (2, 1) is decided on the necklace walk: a doubled order on
+    # its class 01, the gap necklace (1,), still divides |C_2| = 2, but its
+    # orbit then covers 1 of the 2 words of weight 1
+    def doubled(v, gaps, p):
+        trivial, order, sign = _class_isotropy(v, gaps, p)
+        if (v, gaps) == (2, (1,)):
             order *= 2
         return trivial, order, sign
 
-    monkeypatch.setattr(character_oracle, "_block_isotropy", doubled)
+    monkeypatch.setattr(character_oracle, "_class_isotropy", doubled)
     assert cli.main(["verify", "--n", "4", "--group", "prod", "--q", "1"]) == 3
     err = capsys.readouterr().err
     assert "internal consistency failure: the orbits of" in err
@@ -402,11 +450,11 @@ def test_a_complement_off_the_self_complementary_picks_fails_verify(
     monkeypatch, capsys, cold_oracle
 ):
     # a pick is self-complementary exactly when its word has a complementing
-    # element; a block (2, 1) that finds none for its self-complementary 01
-    # is refused
+    # element; a block (1, 2) that finds none for its self-complementary
+    # pick of the classes 0 and 1 is refused
     def lost(lam, letters):
         trivial, order, sign = _block_isotropy(lam, letters)
-        if (lam.parts, letters) == ((2,), (0, 1)):
+        if (lam.parts, letters) == ((1, 1), (0, 1)):
             sign = None
         return trivial, order, sign
 
@@ -417,22 +465,25 @@ def test_a_complement_off_the_self_complementary_picks_fails_verify(
 
 
 def test_an_odd_extension_count_raises(monkeypatch, cold_oracle):
-    # 001011 and 001101 are each other's complements, so their verdicts
-    # agree; flipping one leaves the extension's pairs an odd sum on (6)
-    def flipped(lam, letters):
-        trivial, order, sign = _block_isotropy(lam, letters)
-        return trivial != (letters == (0, 0, 1, 0, 1, 1)), order, sign
+    # 001011 and 001101, the gap necklaces (0, 1, 2) and (0, 2, 1), are each
+    # other's complements, so their verdicts agree; flipping one as the walk
+    # decides the block (6, 1) leaves the extension's pairs an odd sum on (6)
+    def flipped(v, gaps, p):
+        trivial, order, sign = _class_isotropy(v, gaps, p)
+        return trivial != ((v, gaps) == (6, (0, 1, 2))), order, sign
 
-    monkeypatch.setattr(character_oracle, "_block_isotropy", flipped)
+    monkeypatch.setattr(character_oracle, "_class_isotropy", flipped)
     with pytest.raises(InternalConsistencyError, match="an odd count"):
         oracle_dimension(6, GroupSpec.extension(3))
 
 
 def test_cold_oracle_forms_one_least_rotation_per_class(monkeypatch):
-    # from cold caches, every group with n <= 9 takes each rotation class's
-    # complement once, and never a least rotation per pick, block or coset
-    class_count = sum(len(_classes(v)[0]) for v in range(1, 10))
-    assert class_count == 153
+    # from cold caches, every group with n <= 9 takes the complement of each
+    # rotation class of length at most n / 2 once, the lengths its blocks of
+    # two or more parts read, and never a least rotation per pick, class,
+    # block or coset
+    class_count = sum(len(_classes(v)[0]) for v in range(1, 5))
+    assert class_count == 15
     calls = []
 
     def counted(w):
@@ -494,12 +545,7 @@ def test_zeta_values_pinned():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_zeta_multiplicative_exhaustive(n):
-    for lam in all_partitions(n):
-        elements = _centralizer(lam)
-        values = {z: zeta_value(lam, z) for z in elements}
-        for z1 in elements:
-            for z2 in elements:
-                assert values[_comp(z1, z2)] == values[z1] * values[z2]
+    assert zeta_failures(n) == ()
 
 
 def _scanned_classes(v):
@@ -648,19 +694,27 @@ def test_oracle_past_the_long_limit_at_n16():
     assert extension.as_dict() == ext_dimension(16)[1].as_dict()
 
 
+def test_oracle_matches_the_formula_for_every_group_at_n20():
+    for group in GroupSpec.every(20):
+        if group.variant == "extension":
+            formula = ext_dimension(20)[1]
+        else:
+            formula = product_dimension(20, group.q)
+        assert oracle_dimension(20, group) == formula, group
+
+
 MEMORY_PROBE = """
 import tracemalloc
 from braidinv.character_oracle import GroupSpec, oracle_dimension
-n = 14
+n = 20
 tracemalloc.start()
-for q in range(n // 2 + 1):
-    oracle_dimension(n, GroupSpec.product(n, q))
-oracle_dimension(n, GroupSpec.extension(n // 2))
+for group in GroupSpec.every(n):
+    oracle_dimension(n, group)
 print(tracemalloc.get_traced_memory()[1])
 """
 
 
-def test_oracle_memory_at_n14():
+def test_oracle_memory_at_n20():
     # a fresh interpreter, so that no other test's caches count
     src = str(Path(character_oracle.__file__).resolve().parents[1])
     proc = subprocess.run(

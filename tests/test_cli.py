@@ -366,11 +366,28 @@ def test_verbose_in_a_fresh_process():
     quiet, verbose = fresh_python(*argv), fresh_python(*argv, "--verbose")
     assert quiet.returncode == verbose.returncode == 0
     assert quiet.stdout == verbose.stdout
-    assert [l for l in verbose.stderr.splitlines() if l.startswith("DEBUG")] == [
-        "DEBUG braidinv.character_oracle: oracle product(3,1): partition %s done"
-        % (parts,)
-        for parts in ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    # one record per block as it is first decided, its path, the classes or
+    # picks it decided and its seconds, before its partition's record
+    blocks = [
+        ((4,), [(4, 1, 4)]),
+        ((3, 1), [(3, 1, 2), (1, 1, 1)]),
+        ((2, 2), [(2, 2, 4)]),
+        ((2, 1, 1), [(2, 1, 2), (1, 2, 2)]),
+        ((1, 1, 1, 1), [(1, 4, 3)]),
     ]
+    expected = []
+    for parts, decided in blocks:
+        for v, m, count in decided:
+            path, what = ("walk", "classes") if m == 1 else ("picks", "picks")
+            expected.append(
+                r"oracle block \(%d, %d\): %s path, %d %s in \d+\.\d{3} s"
+                % (v, m, path, count, what)
+            )
+        expected.append(re.escape("oracle product(3,1): partition %s done" % (parts,)))
+    records = [l for l in verbose.stderr.splitlines() if l.startswith("DEBUG")]
+    assert len(records) == len(expected)
+    for line, pattern in zip(records, expected):
+        assert re.fullmatch("DEBUG braidinv.character_oracle: " + pattern, line), line
     assert "DEBUG" not in quiet.stderr
 
 

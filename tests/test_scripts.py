@@ -54,7 +54,7 @@ def test_cross_validate_sweeps_from_n1(capsys):
     )
 
 
-_picks = character_oracle._block_picks
+_walked = character_oracle._walked_orbits
 
 
 @pytest.fixture
@@ -72,8 +72,8 @@ def cold_oracle():
         (cli, "oracle_dimension", lambda n, group: PoincareTable(()), "out", "MISMATCH"),
         (
             character_oracle,
-            "_block_picks",
-            lambda v, m: itertools.islice(_picks(v, m), 1, None),
+            "_walked_orbits",
+            lambda v: itertools.islice(_walked(v), 1, None),
             "err",
             "\nn=1 internal consistency failure: the orbits of the block (1, 1)"
             " cover 0 of the 1 words of weight 0",
@@ -94,15 +94,15 @@ def test_cross_validate_fails_on_a_mismatch(
 def test_cross_validate_fails_cleanly_on_an_internal_error(
     capsys, monkeypatch, cold_oracle
 ):
-    # a prime isotropy order on blocks of value 2, which their order 2^m m!
-    # does not divide
-    block_isotropy = character_oracle._block_isotropy
+    # a prime isotropy order on the classes of the block (2, 1), which its
+    # order 2 does not divide
+    class_isotropy = character_oracle._class_isotropy
 
-    def prime(lam, letters):
-        trivial, order, sign = block_isotropy(lam, letters)
-        return trivial, 10**9 + 7 if lam.parts[0] == 2 else order, sign
+    def prime(v, gaps, p):
+        trivial, order, sign = class_isotropy(v, gaps, p)
+        return trivial, 10**9 + 7 if v == 2 else order, sign
 
-    monkeypatch.setattr(character_oracle, "_block_isotropy", prime)
+    monkeypatch.setattr(character_oracle, "_class_isotropy", prime)
     assert exit_code("cross_validate", ["--max-n", "2"]) == 1
     out, err = capsys.readouterr()
     assert re.search(
