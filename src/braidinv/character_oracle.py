@@ -41,10 +41,13 @@ is generated by the rotation by its period v p / d, and the character is
 decided on that rotation.  Only a class of weight v / 2 can be
 self-complementary; it is when its complement occurs in the word twice
 around, which also gives the complementing rotation and so the sign.
-A block of m >= 2 parts reads a table per length v <= n / 2 of the
-classes in lex order, each with its complement class, and lists its
-picks, the multisets of m classes; the stabilizer of a pick's word is
-built on generators, its order read from its structure.
+A block of m >= 2 parts, so v <= n / 2, reads a table per length v of
+its classes in walk order, each with its weight, its stabilizer order
+d / p and its complement class with the rotation onto it, found in one
+dict of every rotation of every class.  Its picks, the multisets of m
+classes as tuples of class indices, are decided on generators built from
+those indices, the order read from their structure, and a complementing
+element read off the table is checked on the letters.
 
 Each block checks orbit-stabilizer at each weight it decides: its orbits
 there are the orbits of C_v wr S_m on the C(vm, w) words of weight w, so
@@ -55,7 +58,6 @@ counting formulas, so agreement between the two paths is a real check.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import sys
@@ -66,7 +68,6 @@ from typing import Tuple
 
 from .core_combinatorics import (
     Frozen, Partition, PoincareTable, all_partitions, gap_necklaces,
-    min_rotation, necklace_multiplicity,
 )
 from .errors import InternalConsistencyError
 
@@ -127,67 +128,6 @@ class GroupSpec(Frozen):
         return "product(%d,%d)" % (self.n - self.q, self.q)
 
 
-def _rotation_onto(segment: Tuple[int, ...], target: Tuple[int, ...]) -> int:
-    """The least e with segment[(t + e) % v] == target[t] for every t."""
-    for e in range(len(segment)):
-        if segment[e:] + segment[:e] == target:
-            return e
-    raise InternalConsistencyError("%s is not a rotation of %s" % (target, segment))
-
-
-def _isotropy_generators(lam: Partition, word: Tuple[int, ...]):
-    """Generators, as (block_map, exponents) data, of the stabilizer of a
-    0/1 word on the points 1..n, the centralizer elements z with the letter
-    at z(x) the letter at x; the stabilizer's order, read from its
-    structure; and the data of one element complementing the word, or
-    None when there is none.
-
-    Parts fall into classes: same value v, same segment up to rotation.  A
-    class of k parts whose segment has least period p contributes
-    C_(v/p) wr S_k, generated by a rotation by p of its first part and by
-    swaps of adjacent parts, each carried onto the other's letters.  An
-    element complementing the word carries every class onto its
-    complement class, so it exists exactly when those have equal sizes.
-    """
-    count = lam.part_count
-    starts = itertools.accumulate(lam.parts, initial=0)
-    segments = [tuple(word[s:s + v]) for s, v in zip(starts, lam.parts)]
-    classes = {}  # (least rotation, v / p) -> part indices
-    for i, segment in enumerate(segments):
-        symmetry = necklace_multiplicity(segment)
-        key = (segment, symmetry) if symmetry else min_rotation(segment)
-        classes.setdefault(key, []).append(i)
-    generators = []
-    order = 1
-    for (least, symmetry), members in classes.items():
-        v = len(least)
-        order *= symmetry ** len(members) * math.factorial(len(members))
-        if symmetry > 1:
-            exponents = [0] * count
-            exponents[members[0]] = v // symmetry
-            generators.append((tuple(range(count)), tuple(exponents)))
-        for a, b in zip(members, members[1:]):
-            block_map, exponents = list(range(count)), [0] * count
-            e = _rotation_onto(segments[b], segments[a])
-            block_map[a], exponents[a] = b, e
-            block_map[b], exponents[b] = a, -e % v
-            generators.append((tuple(block_map), tuple(exponents)))
-    block_map, exponents = [0] * count, [0] * count
-    for (least, symmetry), members in classes.items():
-        words, flips = _classes(len(least))
-        # complementing keeps the period, so the partner's symmetry
-        partner = words[flips[bisect.bisect_left(words, least)]]
-        partners = classes.get((partner, symmetry), ())
-        if len(partners) != len(members):
-            return generators, order, None
-        for i, j in zip(members, partners):
-            block_map[i] = j
-            exponents[i] = _rotation_onto(
-                segments[j], tuple(1 - b for b in segments[i])
-            )
-    return generators, order, (tuple(block_map), tuple(exponents))
-
-
 @lru_cache(maxsize=None)
 def root_order(lam: Partition) -> int:
     """Exponent lattice: the lcm of the parts, doubled when odd."""
@@ -220,55 +160,105 @@ def _character_exponent(lam: Partition, block_map, exponents) -> int:
     return (root + (sign_parity % 2) * (L // 2)) % L
 
 
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _class_word(v: int, gaps: Tuple[int, ...]) -> bytes:
+    """The word 0 1^g1 ... 0 1^gd of length v of a necklace g of d gaps, as
+    bytes; v ones for no gaps."""
+    return b"".join([b"\0" + b"\1" * g for g in gaps]) or b"\1" * v
+
+
 @lru_cache(maxsize=None)
 def _classes(v: int):
-    """The rotation classes of length v, each as its least rotation, in lex
-    order, and aligned with them the index of each class's complement class.
+    """The rotation classes of length v in walk order, lightest first: one
+    per necklace of d gaps summing to v - d from the walk, for d = v down to
+    1, then all ones.  Each is (word, weight, order, complement, rotation):
+    its _class_word, its weight v - d, its stabilizer order d / p, p the gap
+    period the walk yields (v for all ones), and the index of its complement
+    class with the least e that rotates that class's word onto the
+    complement of its own, found in one dict of every rotation of every
+    class.  A complement found in no class raises."""
+    walked = [
+        (_class_word(v, gaps), v - d, d // p)
+        for d in range(v, 0, -1)
+        for gaps, p in gap_necklaces(d, v - d)
+    ]
+    walked.append((_class_word(v, ()), v, v))
+    rotations = {}
+    for c, (word, _, _) in enumerate(walked):
+        for e in range(v):
+            rotations.setdefault(word[e:] + word[:e], (c, e))
+    table = []
+    for word, weight, order in walked:
+        flipped = word.translate(_FLIP)
+        if flipped not in rotations:
+            raise InternalConsistencyError(
+                "the complement %s of a class of length %d is in no class"
+                % (tuple(flipped), v)
+            )
+        table.append((word, weight, order) + rotations[flipped])
+    return tuple(table)
 
-    The least rotation of a word with d >= 1 zeros starts with a 0, so it
-    is 0 1^g1 ... 0 1^gd, g the least rotation of its cyclic runs of ones,
-    and two such words compare as their runs do: one class per necklace of
-    d gaps summing to v - d, and all ones."""
-    words = [(1,) * v]
-    for d in range(1, v + 1):
-        for gaps, _ in gap_necklaces(d, v - d):
-            words.append(tuple(b for g in gaps for b in (0,) + (1,) * g))
-    words = tuple(sorted(words))
-    flips = tuple(
-        bisect.bisect_left(words, min_rotation(1 - b for b in w)[0]) for w in words
+
+def _pick_generators(v: int, pick: Tuple[int, ...]):
+    """Generators, as (block_map, exponents) data, of the stabilizer in
+    C_v wr S_m of the word of a pick, m class indices ascending; its order;
+    and the data of one element complementing the word, None when none does.
+
+    Equal parts hold equal letters, so a class of k parts and stabilizer
+    order s gives C_s wr S_k, generated by the rotation by v / s of its
+    first part and swaps of adjacent parts by 0.  A complementing element
+    carries each class's parts in turn onto its complement class's by the
+    class's rotation, so one exists when those classes are the pick's own."""
+    classes = _classes(v)
+    m = len(pick)
+    generators = []
+    for i, c in enumerate(pick):
+        s = classes[c][2]
+        if i and pick[i - 1] == c:
+            swap = list(range(m))
+            swap[i - 1:i + 1] = i, i - 1
+            generators.append((tuple(swap), (0,) * m))
+        elif s > 1:
+            exponents = [0] * m
+            exponents[i] = v // s
+            generators.append((tuple(range(m)), tuple(exponents)))
+    order = math.prod(
+        classes[c][2] ** k * math.factorial(k) for c, k in Counter(pick).items()
     )
-    return words, flips
+    flips = [classes[c][3] for c in pick]
+    if sorted(flips) != list(pick):
+        return generators, order, None
+    block_map = tuple(
+        pick.index(f) + i - pick.index(c) for i, (c, f) in enumerate(zip(pick, flips))
+    )
+    return generators, order, (block_map, tuple(classes[c][4] for c in pick))
 
 
-def _block_picks(v: int, m: int):
-    """The multisets of m rotation classes of length v of weight at most
-    vm / 2, in lex order, each as (its letters, its weight, whether it is
-    self-complementary): whether the ascending complement classes of its
-    classes are its own."""
-    words, flips = _classes(v)
-    weights = [sum(word) for word in words]
-    for pick in itertools.combinations_with_replacement(range(len(words)), m):
-        weight = sum(weights[i] for i in pick)
-        if 2 * weight <= v * m:
-            letters = tuple(b for i in pick for b in words[i])
-            yield letters, weight, pick == tuple(sorted(flips[i] for i in pick))
-
-
-def _block_isotropy(lam: Partition, letters: Tuple[int, ...]):
-    """The isotropy of one block of equal parts, the one-block partition
-    lam = (v^m), whose letters cover its parts in order, decided on
-    generators.
-
-    Returns whether the character is trivial on the stabilizer of the
-    block's word, the stabilizer's order, and the sign, 1 or -1, the
-    character takes on an element complementing the word, as
-    _complement_sign reads it; None when there is none."""
-    generators, order, complement = _isotropy_generators(lam, letters)
+def _pick_isotropy(lam: Partition, pick: Tuple[int, ...]):
+    """The isotropy of the block lam = (v^m) on a pick, as _class_isotropy
+    gives it, decided on _pick_generators.  The complementing element is
+    read off the class table, so it is checked on the letters: one that
+    does not carry each part's letters onto the complement of its image
+    part's raises."""
+    v = lam.parts[0]
+    generators, order, complement = _pick_generators(v, pick)
     trivial = not any(_character_exponent(lam, *g) for g in generators)
     if complement is None:
         return trivial, order, None
+    words = [_classes(v)[c][0] for c in pick]
+    if any(
+        words[j][e:] + words[j][:e] != word.translate(_FLIP)
+        for word, j, e in zip(words, *complement)
+    ):
+        raise InternalConsistencyError(
+            "the complementing element of the pick (%s) of the block (%d, %d) "
+            "does not carry its letters onto their complement"
+            % (", ".join("".join(map(str, word)) for word in words), v, len(pick))
+        )
     exponent = _character_exponent(lam, *complement)
-    return trivial, order, _complement_sign(lam, letters, trivial, exponent)
+    return trivial, order, _complement_sign(lam, b"".join(words), trivial, exponent)
 
 
 def _complement_sign(lam: Partition, letters, trivial: bool, exponent: int) -> int:
@@ -293,15 +283,12 @@ def _rotation_exponent(v: int, e: int) -> int:
     return _character_exponent(Partition((v,)), (0,), (e,))
 
 
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
-
-
 def _class_isotropy(v: int, gaps: Tuple[int, ...], p: int):
     """The isotropy of the one-part block (v) on the rotation class of
-    0 1^g1 ... 0 1^gd, g a necklace of d gaps of least period p, as
-    _block_isotropy gives it: whether the character is trivial on the
-    stabilizer, its order, and the sign on a complementing element, None
-    when there is none.
+    0 1^g1 ... 0 1^gd, g a necklace of d gaps of least period p: whether
+    the character is trivial on the stabilizer, its order, and the sign,
+    1 or -1, it takes on a complementing element as _complement_sign reads
+    it, None when there is none.
 
     The word repeats d / p times, so its stabilizer is generated by the
     rotation by its period v p / d and has order d / p.  Complementing
@@ -313,7 +300,7 @@ def _class_isotropy(v: int, gaps: Tuple[int, ...], p: int):
     trivial = not _rotation_exponent(v, v // order)
     if 2 * d != v:
         return trivial, order, None
-    word = b"".join([b"\0" + b"\1" * g for g in gaps])
+    word = _class_word(v, gaps)
     e = (word + word).find(word.translate(_FLIP))
     if e < 0:
         return trivial, order, None
@@ -333,21 +320,14 @@ def _walked_orbits(v: int):
 
 def _picked_orbits(v: int, m: int):
     """The orbits of the block (v, m) of weight at most vm / 2, its picks,
-    each as its weight and its isotropy decided on generators.  A pick is
-    self-complementary exactly when its word has a complementing element;
-    a pick where the two disagree raises."""
+    the multisets of m classes as ascending tuples of class indices, the
+    all-zero word first, each as its weight and its isotropy."""
     lam = Partition((v,) * m)
-    for letters, weight, self_complementary in _block_picks(v, m):
-        trivial, order, sign = _block_isotropy(lam, letters)
-        if self_complementary != (sign is not None):
-            raise InternalConsistencyError(
-                "the pick %s is %sself-complementary, but its word has %s "
-                "complementing element" % (
-                    letters, "" if self_complementary else "not ",
-                    "no" if sign is None else "a",
-                )
-            )
-        yield weight, (trivial, order, sign)
+    classes = _classes(v)
+    for pick in itertools.combinations_with_replacement(range(len(classes)), m):
+        weight = sum(classes[c][1] for c in pick)
+        if 2 * weight <= v * m:
+            yield weight, _pick_isotropy(lam, pick)
 
 
 def _orbit_polynomials(v: int, m: int, orbits):

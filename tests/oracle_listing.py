@@ -41,7 +41,7 @@ from braidinv.errors import InternalConsistencyError
 
 def _comp(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     """Images of the composition a after b, both 1-based image tuples."""
-    return tuple(a[x - 1] for x in b)
+    return tuple([a[x - 1] for x in b])
 
 
 def _from_cycles(n: int, *cycles: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -180,7 +180,7 @@ def generic_double_cosets(group: GroupSpec, lam: Partition):
 def _assemble(lam: Partition, block_map, exponents) -> Tuple[int, ...]:
     """Images of the element sending part i rigidly onto part block_map[i]
     after rotating part i by its exponent."""
-    starts = [block_start(lam, i + 1) for i in range(lam.part_count)]
+    starts = list(itertools.accumulate(lam.parts, initial=0))
     out = [0] * lam.n
     for i in range(lam.part_count):
         v = lam.parts[i]

@@ -12,14 +12,13 @@ import pytest
 from braidinv import character_oracle, cli, extension_catalog, product_catalog
 from braidinv.character_oracle import (
     GroupSpec,
-    _block_isotropy,
-    _block_picks,
     _block_polynomials,
     _character_exponent,
     _class_isotropy,
     _classes,
-    _isotropy_generators,
     _orbit_polynomials,
+    _pick_generators,
+    _pick_isotropy,
     _picked_orbits,
     _sign,
     _walked_orbits,
@@ -168,27 +167,45 @@ def test_stabilizer_matches_filtered_centralizer(n):
                 assert set(listed) == kept, (lam.parts, word, flip)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def _picks(v, m):
+    """Every pick of the block (v, m), its m class indices ascending, with
+    its letters and its weight."""
+    classes = _classes(v)
+    for pick in itertools.combinations_with_replacement(range(len(classes)), m):
+        letters = tuple(b"".join(classes[c][0] for c in pick))
+        yield pick, letters, sum(letters)
+
+
+def _pick_of(v, *words):
+    """The pick of the classes of length v with these words, each a string
+    of 0s and 1s."""
+    index = {word: c for c, (word, *_) in enumerate(_classes(v))}
+    return tuple(sorted(index[bytes(map(int, word))] for word in words))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_isotropy_generators_generate_the_listed_stabilizer(n):
-    for lam in all_partitions(n):
-        for word in itertools.product((0, 1), repeat=n):
-            generators, order, complement = _isotropy_generators(lam, word)
-            # the complementing element exists exactly when one is listed
-            assert (complement is None) == (not any(stabilizer(lam, word, True)))
-            for up_to_complement in (False, True):
-                flips = (False, True) if up_to_complement else (False,)
-                listed = {
-                    _assemble(lam, *data)
-                    for flip in flips
-                    for data in stabilizer(lam, word, flip)
-                }
-                flipped = up_to_complement and complement is not None
-                extra = [complement] if flipped else []
+    # every pick of every block (v, m) with vm = n, at every weight
+    for v in (v for v in range(1, n + 1) if n % v == 0):
+        lam = Partition((v,) * (n // v))
+        for pick, word, _ in _picks(v, n // v):
+            generators, order, complement = _pick_generators(v, pick)
+            kept, flipped = (
+                {_assemble(lam, *data) for data in stabilizer(lam, word, flip)}
+                for flip in (False, True)
+            )
+            closure = _generated([_assemble(lam, *g) for g in generators], n)
+            assert closure == kept, (lam.parts, pick)
+            assert order == len(kept)
+            # the complementing element exists exactly when one is listed,
+            # and then with the generators it generates the stabilizer up to
+            # complement
+            assert (complement is None) == (not flipped)
+            if complement is not None:
                 closure = _generated(
-                    [_assemble(lam, *g) for g in generators + extra], n
+                    [_assemble(lam, *g) for g in generators + [complement]], n
                 )
-                assert closure == listed, (lam.parts, word, up_to_complement)
-                assert order * (2 if extra else 1) == len(listed)
+                assert closure == kept | flipped, (lam.parts, pick)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -199,8 +216,10 @@ def test_generator_verdict_and_order_match_listing(n):
     # complement; the listed sum must reduce to 0 or the order, or it raises
     for v in (v for v in range(1, n + 1) if n % v == 0):
         lam = Partition((v,) * (n // v))
-        for letters, weight, _ in _block_picks(v, n // v):
-            trivial, order, sign = _block_isotropy(lam, letters)
+        for pick, letters, weight in _picks(v, n // v):
+            if 2 * weight > n:
+                continue
+            trivial, order, sign = _pick_isotropy(lam, pick)
             product = GroupSpec.product(n, weight)
             assert listed_inner_product(letters, lam, product) == (trivial, order)
             if 2 * weight == n:
@@ -308,25 +327,24 @@ def _all_groups(n):
 def test_warm_block_cache_decides_each_block_once(monkeypatch):
     n = 8
     _clear_oracle_caches()
-    calls = []  # a pick as its value and segments, a class as its gaps
+    calls = []  # a pick as its block and class indices, a class as its gaps
 
-    def counted(lam, word):
-        ((v, m),) = lam.blocks  # one block of equal parts
-        calls.append((v, tuple(word[i:i + v] for i in range(0, v * m, v))))
-        return _isotropy_generators(lam, word)
+    def counted(lam, pick):
+        calls.append(("pick", lam.parts, pick))
+        return _pick_isotropy(lam, pick)
 
     def classed(v, gaps, p):
-        calls.append((v, gaps))
+        calls.append(("class", v, gaps))
         return _class_isotropy(v, gaps, p)
 
-    monkeypatch.setattr(character_oracle, "_isotropy_generators", counted)
+    monkeypatch.setattr(character_oracle, "_pick_isotropy", counted)
     monkeypatch.setattr(character_oracle, "_class_isotropy", classed)
     groups = _all_groups(n)
     assert groups[-1].variant == "extension"
     for group in groups:
         oracle_dimension(n, group)
     # both paths decided something, and nothing twice
-    assert {type(key[1][0]) for key in calls} == {tuple, int}
+    assert {key[0] for key in calls} == {"pick", "class"}
     assert len(calls) == len(set(calls))
     # the extension, run last, finds every block the splits share built
     del calls[:]
@@ -335,45 +353,6 @@ def test_warm_block_cache_decides_each_block_once(monkeypatch):
     # a warm cache decides nothing again
     for group in groups:
         oracle_dimension(n, group)
-    assert calls == []
-
-
-def test_canonical_words_skip_the_rotation_table(monkeypatch):
-    # the picks' segments are least rotations, so once the class tables
-    # are built, deciding every block again forms no least rotation
-    n = 8
-    first = [oracle_dimension(n, group) for group in _all_groups(n)]
-
-    def refused(w):
-        raise AssertionError("least rotation of %s formed" % (w,))
-
-    _block_polynomials.cache_clear()
-    monkeypatch.setattr(character_oracle, "min_rotation", refused)
-    assert [oracle_dimension(n, group) for group in _all_groups(n)] == first
-
-
-def test_warm_tables_compute_no_rotation(monkeypatch):
-    # once the class tables are warm, deciding every pick of every block
-    # with vm = n again, without the block cache, forms no least rotation
-    n = 8
-    calls = []
-
-    def counted(w):
-        calls.append(w)
-        return min_rotation(w)
-
-    def walk():
-        picks = 0
-        for v in (v for v in range(1, n + 1) if n % v == 0):
-            lam = Partition((v,) * (n // v))
-            for letters, _, _ in _block_picks(v, n // v):
-                picks += 1
-                _block_isotropy(lam, letters)
-        return picks
-
-    assert walk() > 0
-    monkeypatch.setattr(character_oracle, "min_rotation", counted)
-    assert walk() > 0
     assert calls == []
 
 
@@ -398,7 +377,7 @@ def test_complement_value_off_the_signs_raises(monkeypatch, capsys):
     monkeypatch.setattr(character_oracle, "_character_exponent", skewed)
     try:
         with pytest.raises(InternalConsistencyError):
-            _block_isotropy(Partition((4,)), (0, 0, 1, 1))
+            _pick_isotropy(Partition((4,)), _pick_of(4, "0011"))
         assert cli.main(["verify", "--n", "4", "--group", "ext"]) == 3
         assert "internal consistency failure" in capsys.readouterr().err
     finally:
@@ -415,13 +394,14 @@ def cold_oracle():
 
 
 def test_a_dropped_coset_fails_orbit_stabilizer(monkeypatch, cold_oracle):
-    # without its first pick, the all-zero word, every block is covered
-    # short at weight 0: none of its one word of weight 0 is covered
-    picks = character_oracle._block_picks
+    # without its first pick, the all-zero word, every block of two or
+    # more parts is covered short at weight 0: none of its one word of
+    # weight 0 is covered
+    picked = character_oracle._picked_orbits
     monkeypatch.setattr(
         character_oracle,
-        "_block_picks",
-        lambda v, m: itertools.islice(picks(v, m), 1, None),
+        "_picked_orbits",
+        lambda v, m: itertools.islice(picked(v, m), 1, None),
     )
     with pytest.raises(
         InternalConsistencyError, match="cover 0 of the 1 words of weight 0"
@@ -446,22 +426,29 @@ def test_a_wrong_isotropy_order_fails_verify(monkeypatch, capsys, cold_oracle):
     assert "the block (2, 1) cover 1 of the 2 words of weight 1" in err
 
 
-def test_a_complement_off_the_self_complementary_picks_fails_verify(
+def test_a_wrong_complementing_rotation_fails_verify(
     monkeypatch, capsys, cold_oracle
 ):
-    # a pick is self-complementary exactly when its word has a complementing
-    # element; a block (1, 2) that finds none for its self-complementary
-    # pick of the classes 0 and 1 is refused
-    def lost(lam, letters):
-        trivial, order, sign = _block_isotropy(lam, letters)
-        if (lam.parts, letters) == ((1, 1), (0, 1)):
-            sign = None
-        return trivial, order, sign
+    # the class 01 of length 2 is its own complement by the rotation 1; a
+    # table that gives it the rotation 0 assembles, for the pick of the
+    # block (2, 2) that holds 01 twice, an element keeping its letters,
+    # which the check on the letters refuses
+    classes = character_oracle._classes
+    (c,) = _pick_of(2, "01")
+    assert classes(2)[c][3:] == (c, 1)
 
-    monkeypatch.setattr(character_oracle, "_block_isotropy", lost)
+    def skewed(v):
+        return tuple(
+            entry[:4] + (0,) if entry[0] == b"\0\1" else entry for entry in classes(v)
+        )
+
+    monkeypatch.setattr(character_oracle, "_classes", skewed)
     assert cli.main(["verify", "--n", "4", "--group", "ext"]) == 3
     err = capsys.readouterr().err
-    assert "internal consistency failure: the pick (0, 1) is self-complementary" in err
+    assert (
+        "internal consistency failure: the complementing element of the pick "
+        "(01, 01) of the block (2, 2) does not carry its letters" in err
+    )
 
 
 def test_an_odd_extension_count_raises(monkeypatch, cold_oracle):
@@ -475,30 +462,6 @@ def test_an_odd_extension_count_raises(monkeypatch, cold_oracle):
     monkeypatch.setattr(character_oracle, "_class_isotropy", flipped)
     with pytest.raises(InternalConsistencyError, match="an odd count"):
         oracle_dimension(6, GroupSpec.extension(3))
-
-
-def test_cold_oracle_forms_one_least_rotation_per_class(monkeypatch):
-    # from cold caches, every group with n <= 9 takes the complement of each
-    # rotation class of length at most n / 2 once, the lengths its blocks of
-    # two or more parts read, and never a least rotation per pick, class,
-    # block or coset
-    class_count = sum(len(_classes(v)[0]) for v in range(1, 5))
-    assert class_count == 15
-    calls = []
-
-    def counted(w):
-        calls.append(w)
-        return min_rotation(w)
-
-    _clear_oracle_caches()
-    monkeypatch.setattr(character_oracle, "min_rotation", counted)
-    try:
-        for n in range(1, 10):
-            for group in _all_groups(n):
-                oracle_dimension(n, group)
-    finally:
-        _clear_oracle_caches()
-    assert len(calls) <= class_count
 
 
 def test_root_order():
@@ -560,43 +523,30 @@ def test_rotation_table_is_min_rotation(v):
     for word in itertools.product((0, 1), repeat=v):
         least, count = min_rotation(word)
         assert necklace_multiplicity(word) == (count if word == least else 0)
-    # and the one-part picks are the rotation classes of weight at most
-    # v / 2, in order
-    assert [letters for letters, _, _ in _block_picks(v, 1)] == [
-        word for word in _scanned_classes(v) if 2 * sum(word) <= v
-    ]
+    # and the class table, lightest first, holds each least rotation once,
+    # with its weight and, as its stabilizer order, how many rotations
+    # attain it
+    table = _classes(v)
+    assert sorted(tuple(word) for word, *_ in table) == _scanned_classes(v)
+    for word, weight, order, _, _ in table:
+        assert min_rotation(word) == (tuple(word), order)
+        assert weight == sum(word)
+    weights = [weight for _, weight, *_ in table]
+    assert weights == sorted(weights)
 
 
 @pytest.mark.parametrize("v", range(1, 17))
 def test_class_table_pairs_each_class_with_its_complement(v):
-    # the table built from the necklace walk is the 2^v scan's
-    words, flips = _classes(v)
-    assert list(words) == _scanned_classes(v)
-    index = {word: i for i, word in enumerate(words)}
-    for word, flip in zip(words, flips):
-        assert words[flip] == min_rotation(1 - b for b in word)[0]
-        assert flips[flip] == index[word]
-
-
-def test_cold_oracle_scans_only_least_rotations(monkeypatch):
-    # the class tables come from the necklace walk, so from cold caches the
-    # linear scan sees only canonical segments, never all 2^v words
-    calls = []
-
-    def recorded(w):
-        calls.append(tuple(w))
-        return necklace_multiplicity(w)
-
-    _clear_oracle_caches()
-    monkeypatch.setattr(character_oracle, "necklace_multiplicity", recorded)
-    try:
-        for n in range(1, 10):
-            for group in _all_groups(n):
-                oracle_dimension(n, group)
-    finally:
-        _clear_oracle_caches()
-    assert calls
-    assert all(min_rotation(w)[0] == w for w in calls)
+    # each class's complement class holds the least rotation of its
+    # complement, and its rotation is the least that carries that least
+    # rotation onto the complement
+    table = _classes(v)
+    for c, (word, _, _, flip, e) in enumerate(table):
+        complement = tuple(1 - b for b in word)
+        least = min_rotation(complement)[0]
+        assert tuple(table[flip][0]) == least
+        assert e == min(r for r in range(v) if least[r:] + least[:r] == complement)
+        assert table[flip][3] == c
 
 
 def test_a_dropped_necklace_fails_orbit_stabilizer(monkeypatch, capsys):
@@ -610,7 +560,7 @@ def test_a_dropped_necklace_fails_orbit_stabilizer(monkeypatch, capsys):
     _clear_oracle_caches()
     monkeypatch.setattr(character_oracle, "gap_necklaces", dropping)
     try:
-        assert (0, 1, 0, 1) not in _classes(4)[0]
+        assert b"\0\1\0\1" not in [word for word, *_ in _classes(4)]
         with pytest.raises(InternalConsistencyError, match="the block \\(4, 1\\)"):
             oracle_dimension(4, GroupSpec.product(4, 2))
         _clear_oracle_caches()
@@ -620,15 +570,34 @@ def test_a_dropped_necklace_fails_orbit_stabilizer(monkeypatch, capsys):
         _clear_oracle_caches()
 
 
+def test_a_class_missing_its_complement_raises(monkeypatch, cold_oracle):
+    # without the gap necklace (0, 0), the class 00 of length 2 is missing,
+    # so the class 11 finds its complement in no class of the table
+    walk = character_oracle.gap_necklaces
+    monkeypatch.setattr(
+        character_oracle,
+        "gap_necklaces",
+        lambda d, total: (entry for entry in walk(d, total) if entry[0] != (0, 0)),
+    )
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"the complement \(0, 0\) of a class of length 2 is in no class",
+    ):
+        _classes(2)
+
+
 def test_isotropy_examples():
     # 01 on a 2-cycle has a trivial stabilizer, and the rotation that
     # complements it takes the value 1, so it counts in T too
-    assert _block_isotropy(Partition((2,)), (0, 1)) == (True, 1, 1)
+    assert _pick_isotropy(Partition((2,)), _pick_of(2, "01")) == (True, 1, 1)
     assert listed_block(2, 1) == ((1, 1, 1), (0, 1, 0))
     # the alternating 0101 on a 4-cycle fails the multiplicity rule; 0011
     # passes, its complementing rotation by 2 taking the value -1
-    assert _block_isotropy(Partition((4,)), (0, 1, 0, 1))[:2] == (False, 2)
-    assert _block_isotropy(Partition((4,)), (0, 0, 1, 1)) == (True, 1, -1)
+    assert _pick_isotropy(Partition((4,)), _pick_of(4, "0101"))[:2] == (False, 2)
+    assert _pick_isotropy(Partition((4,)), _pick_of(4, "0011")) == (True, 1, -1)
+    # two parts 01 on (2, 2) are swapped by an odd element, but each rotated
+    # onto its complement by an even one
+    assert _pick_isotropy(Partition((2, 2)), _pick_of(2, "01", "01")) == (False, 2, 1)
     assert listed_block(4, 1) == ((0, 1, 1, 1, 0), (0, 0, -1, 0, 0))
 
 

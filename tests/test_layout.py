@@ -94,3 +94,43 @@ def test_every_reference_definition_serves_a_test():
             used.add(name)
             frontier.extend(_referenced(definitions[name]) & definitions.keys())
     assert sorted(definitions.keys() - used) == []
+
+
+def _package_imports(path):
+    """The modules of the package that a module imports, by their names in
+    it, "braidinv" for the package itself; relative, absolute and
+    function-level imports alike."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ("braidinv." + module).rstrip(".")
+            # from the package itself, each imported name is a module
+            dotted = [
+                module + "." + alias.name if module == "braidinv" else module
+                for alias in node.names
+            ]
+        else:
+            continue
+        out.update(
+            name.split(".")[1] if "." in name else name
+            for name in dotted
+            if name == "braidinv" or name.startswith("braidinv.")
+        )
+    return out
+
+
+def test_the_oracle_imports_only_the_shared_combinatorics_and_errors():
+    # the oracle is the independent route: of the package it reads only the
+    # partitions, the necklace walk and the error types, so no counting rule
+    # of the formula or the catalog can reach it
+    assert _package_imports(PACKAGE / "character_oracle.py") == {
+        "core_combinatorics", "errors",
+    }
+    # the scan sees the imports of a module that does read the catalogs
+    assert {"character_oracle", "product_catalog", "extension_catalog"} <= (
+        _package_imports(PACKAGE / "cli.py")
+    )
