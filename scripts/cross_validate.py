@@ -10,7 +10,7 @@ oracle's cache sizes and the run's peak RSS go to stderr.  An internal
 consistency failure fails its n and the sweep goes on.
 
     python3 scripts/cross_validate.py --max-n 8
-    python3 scripts/cross_validate.py --max-n 20   # about 6 s, 67 MB
+    python3 scripts/cross_validate.py --max-n 24   # about 8 s, 23 MB
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from braidinv.character_oracle import GroupSpec
 from braidinv.cli import verify_group
 from braidinv.errors import InternalConsistencyError
 
-# to n = 19 the sweep takes 2.9 s and 40 MB (2-vCPU host); to n = 20 it takes
-# 5.9 s and 67 MB, 5.3 s of it in the catalog leg and 1.0 s in the oracle's,
-# so the catalog leg bounds it
-MAX_N = 20
+# on a 2-vCPU host the sweep takes 1.1 s and 18 MB to n = 20, and 7.6 s and
+# 23 MB to n = 24, 3.3 s of it in the catalog leg and 3.9 s in the oracle's
+MAX_N = 24
 
 
 def parse_args(argv=None) -> argparse.Namespace:

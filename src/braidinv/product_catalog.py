@@ -4,9 +4,14 @@ A generator is labeled by a partition of n together with one admissible gap
 word per part, total weight q, arranged canonically inside each run of equal
 parts: weights weakly decreasing, ties broken by ascending word, and for
 even part values no repeated (weight, word) pair.  Dimensions are computed
-two independent ways, and the two must agree: by listing the labels, and by
-counting them as the coefficients of a generating series whose factors take
+two independent ways, and the two must agree.  The listing route lists and
+checks the words and word tuples of each block (v, m) of equal parts, and
+counts each partition's labels as the products of checked block tuples
+whose weights sum to q: every check of a label looks at one block, so a
+label passes exactly when each of its block tuples does.  The counting
+route reads the coefficients of a generating series whose factors take
 their exponents from closed-form necklace counts, so nothing is listed.
+enumerate_generators builds the labels themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +29,12 @@ from .core_combinatorics import (
     binomial,
     packed_series,
 )
-from .cycle_invariants import InvariantCycle, enumerate_Pi, necklace_count
+from .cycle_invariants import (
+    InvariantCycle,
+    admissible_words,
+    enumerate_Pi,
+    necklace_count,
+)
 from .errors import listing_fault
 
 
@@ -53,7 +63,8 @@ def check_label(partition: Partition, cycles: Tuple[InvariantCycle, ...]):
 
 class GeneratorLabel(Frozen):
     """A partition with one admissible gap word per part, block-canonical,
-    as check_label checks, which the catalog count runs on plain tuples."""
+    as check_label checks, which the catalog count runs on each tuple of a
+    block of two or more equal parts."""
 
     __slots__ = ("partition", "cycles")
     _fields = ("partition", "cycles")
@@ -95,50 +106,38 @@ def _label_series(n: int) -> Dict[Tuple[int, int], int]:
 BlockAssignments = namedtuple("BlockAssignments", "combos weights by_weight")
 
 
-@lru_cache(maxsize=None)
-def _block_assignments(v: int, m: int, cap: int, floor: int) -> BlockAssignments:
-    """Canonical cycle tuples for a block of m parts of value v whose words
-    each have weight floor..cap; words outside that range are never listed.
-
-    Pairs (weight, word) repeat freely on odd v but must be distinct on
-    even v.  combos holds the tuples ascending in cycle_block_key order,
-    as combinations keep the order of a pool that is ascending in it, and
-    weights their block weights, index by index; by_weight maps each block
-    weight to its tuples, in the same order.
-    """
-    pool = []
-    for d in range(cap, floor - 1, -1):
-        pool.extend(enumerate_Pi(v, d))
+def _block_tuples(v: int, m: int, cap: int):
+    """The canonical cycle tuples of a block of m parts of value v, each
+    word of weight at most cap, one at a time, ascending in cycle_block_key
+    order, as combinations keep the order of a pool that is ascending in
+    it.  Pairs (weight, word) repeat freely on odd v but must be distinct
+    on even v."""
+    pool = [chi for d in range(cap, -1, -1) for chi in enumerate_Pi(v, d)]
     if v % 2 == 0:
-        tuples = itertools.combinations(pool, m)
-    else:
-        tuples = itertools.combinations_with_replacement(pool, m)
-    combos = []
-    weights = []
+        return itertools.combinations(pool, m)
+    return itertools.combinations_with_replacement(pool, m)
+
+
+@lru_cache(maxsize=None)
+def _block_assignments(v: int, m: int, cap: int) -> BlockAssignments:
+    """_block_tuples(v, m, cap), kept for the listing: combos holds the
+    tuples in their order and weights their block weights, index by index;
+    by_weight maps each block weight to its tuples, in the same order."""
+    combos = tuple(_block_tuples(v, m, cap))
+    weights = tuple(sum(c.weight for c in combo) for combo in combos)
     by_weight = {}
-    for combo in tuples:
-        w = sum(c.weight for c in combo)
-        combos.append(combo)
-        weights.append(w)
+    for combo, w in zip(combos, weights):
         by_weight.setdefault(w, []).append(combo)
-    return BlockAssignments(tuple(combos), tuple(weights), by_weight)
+    return BlockAssignments(combos, weights, by_weight)
 
 
-def _partition_labels(lam: Partition, q: int, make) -> List:
-    """make(lam, cycles), make being GeneratorLabel or check_label, for
-    the cycles of each label of weight q on lam, in catalog order: depth
-    first over the blocks, each block's tuples in their order, keeping a
-    tuple only when the blocks after it can still make up the weight.  A
-    tuple that fails its check is the walk's fault.
-
-    A word on a part of value v weighs at most min(v, q), so one on a part
-    of block i weighs at least q less what the other parts can carry, and
-    each block pools only words of weight in that range."""
-    carried = sum(m * min(v, q) for v, m in lam.blocks)
-    blocks = [
-        _block_assignments(v, m, min(v, q), max(0, q - carried + min(v, q)))
-        for v, m in lam.blocks
-    ]
+def _partition_labels(lam: Partition, q: int) -> List[GeneratorLabel]:
+    """The labels of weight q on lam, in catalog order: depth first over
+    the blocks, each block's tuples in their order, keeping a tuple only
+    when the blocks after it can still make up the weight.  A word on a
+    part of value v weighs at most min(v, q).  A label that fails its
+    check is the walk's fault."""
+    blocks = [_block_assignments(v, m, min(v, q)) for v, m in lam.blocks]
     # reach[i]: the weights at most q that blocks i, i + 1, ... can sum to
     reach = [{0}]
     for block in reversed(blocks):
@@ -155,7 +154,7 @@ def _partition_labels(lam: Partition, q: int, make) -> List:
         if i == last:
             for combo in blocks[i].by_weight.get(q - w, ()):
                 try:
-                    labels.append(make(lam, cycles + combo))
+                    labels.append(GeneratorLabel(lam, cycles + combo))
                 except ValueError as exc:
                     label = "%s %s" % (lam, "".join(map(str, cycles + combo)))
                     raise listing_fault("the catalog", label, exc) from None
@@ -179,19 +178,66 @@ def enumerate_generators(n: int, q: int) -> Tuple[GeneratorLabel, ...]:
         raise ValueError("need n >= 1 and 0 <= q <= n")
     out = []
     for lam in reversed(all_partitions(n)):
-        out.extend(_partition_labels(lam, q, GeneratorLabel))
+        out.extend(_partition_labels(lam, q))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
+def _word_count(v: int, d: int) -> int:
+    """The words of Pi(v, d) counted as admissible_words lists them: each
+    walked word checked by check_gap_word and kept if cycle_admissible
+    admits it, and no cycle built."""
+    return sum(1 for _ in admissible_words(v, d))
+
+
+@lru_cache(maxsize=None)
+def _block_counts(v: int, m: int, top: int) -> Tuple[int, ...]:
+    """The checked tuples of a block of m parts of value v counted by block
+    weight 0..top, for top <= vm.
+
+    A lone part is one word, so its counts are _word_count's.  On m >= 2
+    parts each of _block_tuples' tuples of block weight at most top is
+    checked by check_label, counted and dropped; a tuple that fails is the
+    listing's fault."""
+    if m == 1:
+        return tuple(_word_count(v, d) for d in range(top + 1))
+    lam = Partition((v,) * m)
+    counts = [0] * (top + 1)
+    for combo in _block_tuples(v, m, min(v, top)):
+        w = sum([c.weight for c in combo])
+        if w <= top:
+            try:
+                check_label(lam, combo)
+            except ValueError as exc:
+                listing = "the catalog's block (%d, %d)" % (v, m)
+                raise listing_fault(listing, "".join(map(str, combo)), exc) from None
+            counts[w] += 1
+    return tuple(counts)
+
+
+def _truncated_product(a, b, top: int) -> List[int]:
+    """The coefficients of a(x) b(x) up to x^top."""
+    out = [0] * min(top + 1, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: len(out) - i]):
+                out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
 def _catalog_dimension(n: int, q: int) -> PoincareTable:
-    """The labels of weight q over partitions of n counted by degree, each
-    partition's cycle tuples checked by check_label, counted and dropped,
-    and no label built: every label on lam has degree lam.degree."""
+    """The labels of weight q over partitions of n counted by degree, and
+    none built: a label checks block by block, so those on lam are the
+    products of its blocks' checked tuples whose weights sum to q, and all
+    have degree lam.degree."""
     counts = {}
     for lam in all_partitions(n):
-        count = len(_partition_labels(lam, q, check_label))
-        counts[lam.degree] = counts.get(lam.degree, 0) + count
+        series = [1]
+        for v, m in lam.blocks:
+            series = _truncated_product(series, _block_counts(v, m, min(q, v * m)), q)
+        if len(series) > q and series[q]:
+            counts[lam.degree] = counts.get(lam.degree, 0) + series[q]
     return PoincareTable.from_dict(counts)
 
 
@@ -199,8 +245,9 @@ def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:
     """Graded dimension of the weight-q invariant catalog.
 
     method "formula" reads a coefficient of the label series;
-    method "catalog" counts the explicitly enumerated labels, partition
-    by partition, building none.
+    method "catalog" counts the listed and checked tuples of each block
+    (v, m) and multiplies them out partition by partition, building no
+    label.
     """
     if method not in ("formula", "catalog"):
         raise ValueError("method must be 'formula' or 'catalog'")

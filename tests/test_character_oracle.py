@@ -304,11 +304,11 @@ def test_whole_partition_cosets_anchor_the_block_product(n):
     (v, m) for v in range(1, 13) for m in range(1, 13) if v * m <= 12
 ])
 def test_catalog_blocks_are_the_oracle_blocks(v, m):
-    # the catalog's tuples of the block, counted by weight, are the oracle's
-    # P, and its swap-fixed tuples, summed by weight with their signs, its T
+    # the catalog's checked tuples of the block, counted by weight, are the
+    # oracle's P, and its swap-fixed tuples, summed by weight with their
+    # signs, its T
     P, T = _block_polynomials(v, m)
-    pool = product_catalog._block_assignments(v, m, v, 0)
-    assert tuple(len(pool.by_weight.get(w, ())) for w in range(v * m + 1)) == P
+    assert product_catalog._block_counts(v, m, v * m) == P
     signed = Counter()
     for cycles, k in extension_catalog._fixed_blocks(v, m):
         weight = sum(chi.weight for chi in cycles)

@@ -501,7 +501,9 @@ def test_necklace_pi_builds_no_cycle_and_checks_each_word_once(capsys, monkeypat
     assert checked == walked
 
 
-def test_catalog_count_builds_no_label_and_checks_each_label_once(capsys, monkeypatch):
+def test_catalog_count_builds_no_label_and_checks_each_block_tuple_once(
+    capsys, monkeypatch
+):
     check = product_catalog.check_label
     checked = []
 
@@ -509,15 +511,39 @@ def test_catalog_count_builds_no_label_and_checks_each_label_once(capsys, monkey
         checked.append(cycles)
         return check(partition, cycles)
 
+    counts = product_catalog._block_counts
+
+    def one_part_builds_no_cycle(v, m, top):
+        if m > 1:
+            return counts(v, m, top)
+        with monkeypatch.context() as inner:
+            _refuse_to_build(inner, InvariantCycle)
+            return counts(v, m, top)
+
     monkeypatch.setattr(product_catalog, "check_label", counted)
+    monkeypatch.setattr(product_catalog, "_block_counts", one_part_builds_no_cycle)
     _refuse_to_build(monkeypatch, GeneratorLabel)
-    product_catalog._catalog_dimension.cache_clear()
+    caches = (
+        enumerate_Pi,
+        product_catalog._word_count,
+        counts,
+        product_catalog._catalog_dimension,
+    )
+    for cache in caches:
+        cache.cache_clear()
     try:
         code, out, _ = run(capsys, "dim", "--n", "16", "--q", "8", "--method", "catalog")
+        calls = len(checked)
+        # every block (v, m) of m >= 2 parts in a partition of 16, read to
+        # weight 8 or its top weight vm; warm, so no further check runs
+        blocks = {b for lam in all_partitions(16) for b in lam.blocks if b[1] > 1}
+        many = [counts(v, m, min(8, v * m)) for v, m in blocks]
     finally:
-        product_catalog._catalog_dimension.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert code == 0 and out.endswith("total 18876\n")
-    assert len(checked) == 18876
+    # the 18,876 labels are products of 638 checked tuples and one-part words
+    assert calls == len(checked) == sum(map(sum, many)) == 638
 
 
 def test_necklace_pi_memory_does_not_grow_with_the_listing():
@@ -741,7 +767,8 @@ def test_a_corrupted_walk_fails_the_catalog_with_exit_3(capsys, monkeypatch):
     _turn_first_word(monkeypatch)
     caches = (
         enumerate_Pi,
-        product_catalog._block_assignments,
+        product_catalog._word_count,
+        product_catalog._block_counts,
         product_catalog._catalog_dimension,
     )
     for cache in caches:
@@ -756,28 +783,28 @@ def test_a_corrupted_walk_fails_the_catalog_with_exit_3(capsys, monkeypatch):
 
 
 def test_out_of_order_pool_tuples_fail_the_catalog_with_exit_3(capsys, monkeypatch):
-    real = product_catalog._block_assignments
+    real = product_catalog._block_tuples
 
-    def reversed_tuples(*key):
-        pool = real(*key)
-        return pool._replace(
-            combos=tuple(combo[::-1] for combo in pool.combos),
-            by_weight={
-                w: [combo[::-1] for combo in combos]
-                for w, combos in pool.by_weight.items()
-            },
-        )
+    def reversed_tuples(v, m, cap):
+        return (combo[::-1] for combo in real(v, m, cap))
 
-    monkeypatch.setattr(product_catalog, "_block_assignments", reversed_tuples)
-    product_catalog._catalog_dimension.cache_clear()
+    monkeypatch.setattr(product_catalog, "_block_tuples", reversed_tuples)
+    caches = (
+        product_catalog._block_assignments,
+        product_catalog._block_counts,
+        product_catalog._catalog_dimension,
+    )
+    for cache in caches:
+        cache.cache_clear()
     try:
         code, out, err = run(capsys, "dim", "--n", "6", "--q", "3", "--method", "catalog")
         with pytest.raises(InternalConsistencyError, match="out of canonical order"):
             enumerate_generators(6, 3)
     finally:
-        product_catalog._catalog_dimension.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert (code, out) == (3, "")
-    assert "internal consistency failure: the catalog listed (" in err
+    assert "internal consistency failure: the catalog's block (" in err
     assert "cycles out of canonical order inside a block" in err
 
 
@@ -843,9 +870,9 @@ def test_formula_limit_is_inclusive(capsys, monkeypatch):
 
 def _refuse_listing(monkeypatch):
     def refuse(*args):
-        raise AssertionError("an oversized request listed labels")
+        raise AssertionError("an oversized request listed labels or tuples")
 
-    monkeypatch.setattr(product_catalog, "_partition_labels", refuse)
+    monkeypatch.setattr(product_catalog, "_block_counts", refuse)
     monkeypatch.setattr(extension_catalog, "_ep_members", refuse)
     monkeypatch.setattr(cli, "_ep_members", refuse)
 

@@ -11,6 +11,8 @@ from typing import Tuple
 import pytest
 
 from braidinv import product_catalog
+from braidinv.character_oracle import GroupSpec
+from braidinv.cli import group_table
 from braidinv.core_combinatorics import Partition, PoincareTable, all_partitions
 from braidinv.cycle_invariants import InvariantCycle, cycle_block_key, enumerate_Pi
 from braidinv.product_catalog import (
@@ -122,15 +124,20 @@ def test_product_dimension_rejects_bad_arguments():
             product_dimension(n, q, method="catalog")
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_catalog_count_is_the_listing_by_degree(n):
-    # the count drops each partition's labels once counted; the listing
-    # keeps them all, in order
-    for q in range(n + 1):
+    # the count multiplies its blocks' checked tuples and builds no label;
+    # the listing builds every label, in order, and lists it anew each call
+    for q in range(n + 1) if n <= 10 else range(n // 2 + 1):
         listed = enumerate_generators(n, q)
         degrees = Counter(g.degree for g in listed)
         assert product_dimension(n, q, method="catalog") == PoincareTable.from_dict(degrees)
         assert listed == enumerate_generators(n, q)
+
+
+def test_catalog_is_the_formula_for_every_group_at_n20():
+    for group in GroupSpec.every(20):
+        assert group_table(group, "catalog") == group_table(group, "formula"), group
 
 
 CATALOG_MEMORY_PROBE = """
@@ -147,9 +154,9 @@ print(tracemalloc.get_traced_memory()[1])
 
 
 def test_catalog_memory_at_n16():
-    # a fresh interpreter, so that no other test's caches count; the block
-    # pools stay and no label outlives its partition (10.3 MB when every
-    # listed label was kept)
+    # a fresh interpreter, so that no other test's caches count; only the
+    # block counts and the pools of blocks of m >= 2 parts stay, and no
+    # label or one-part cycle is built
     src = str(Path(product_catalog.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", CATALOG_MEMORY_PROBE],
@@ -158,7 +165,7 @@ def test_catalog_memory_at_n16():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 6 * 2**20
+    assert int(proc.stdout) < 2**20
 
 
 @pytest.mark.parametrize("n", range(1, 25))
@@ -298,7 +305,7 @@ def test_capped_pools_are_the_uncapped_pools_below_the_cap(v):
     for m in range(1, 4):
         full = _uncapped_assignments(v, m)
         for cap in range(v + 1):
-            capped = _block_assignments(v, m, cap, 0)
+            capped = _block_assignments(v, m, cap)
             kept = tuple(
                 (combo, w) for combo, w in full if all(c.weight <= cap for c in combo)
             )
@@ -309,48 +316,9 @@ def test_capped_pools_are_the_uncapped_pools_below_the_cap(v):
             assert capped.by_weight == by_weight
 
 
-@pytest.mark.parametrize("v", range(1, 10))
-def test_floored_pools_are_the_uncapped_pools_between_floor_and_cap(v):
-    for m in range(1, 4):
-        full = _uncapped_assignments(v, m)
-        for cap in range(v + 1):
-            for floor in range(cap + 1):
-                pool = _block_assignments(v, m, cap, floor)
-                kept = tuple(
-                    (combo, w)
-                    for combo, w in full
-                    if all(floor <= c.weight <= cap for c in combo)
-                )
-                assert tuple(zip(pool.combos, pool.weights)) == kept
-                by_weight = {}
-                for combo, w in kept:
-                    by_weight.setdefault(w, []).append(combo)
-                assert pool.by_weight == by_weight
-
-
-def test_catalog_pools_no_word_lighter_than_its_floor(monkeypatch):
-    # on the partition (16) the one word carries all of q = 8, so Pi(16, d)
-    # is asked for d = 8 alone, and the 18,876 labels are all still listed
-    requested = []
-
-    def recording(v, d):
-        requested.append((v, d))
-        return enumerate_Pi(v, d)
-
-    monkeypatch.setattr(product_catalog, "enumerate_Pi", recording)
-    _block_assignments.cache_clear()
-    try:
-        labels = enumerate_generators(16, 8)
-    finally:
-        _block_assignments.cache_clear()
-    assert len(labels) == product_dimension(16, 8).total == 18876
-    assert {d for v, d in requested if v == 16} == {8}
-    # and the word on a part 15 of (15, 1) carries at least 7
-    assert {d for v, d in requested if v == 15} == {7, 8}
-
-
 def test_catalog_pools_no_word_heavier_than_the_weight(monkeypatch):
-    # n = 24 at q = 3 lists its 3,586 labels from words of weight at most 3
+    # n = 24 at q = 3 lists its 3,586 labels from words of weight at most 3,
+    # and counts them from such words too
     requested = []
 
     def recording(v, d):
@@ -361,4 +329,14 @@ def test_catalog_pools_no_word_heavier_than_the_weight(monkeypatch):
     _block_assignments.cache_clear()
     labels = enumerate_generators(24, 3)
     assert len(labels) == product_dimension(24, 3).total == 3586
+    assert requested and max(d for _, d in requested) == 3
+    requested.clear()
+    caches = (product_catalog._block_counts, product_catalog._catalog_dimension)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        assert product_dimension(24, 3, method="catalog").total == 3586
+    finally:
+        for cache in caches:
+            cache.cache_clear()
     assert requested and max(d for _, d in requested) == 3

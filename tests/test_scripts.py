@@ -28,7 +28,7 @@ def exit_code(script, argv):
         ("dimension_tables", ["--max-n", "6"], 0),
         ("cross_validate", ["--max-n", "4"], 0),
         ("cross_validate", ["--workers", "0"], 2),
-        ("cross_validate", ["--max-n", "21"], 2),
+        ("cross_validate", ["--max-n", "25"], 2),
         ("dimension_tables", ["--max-n", "93"], 2),
         ("cross_validate", ["--max-n", "12"], 0),
         ("cross_validate", ["--long"], 2),
