@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Full cross-validation sweep: formula vs catalog vs brute-force oracle.
 
-For each n up to --max-n, runs verify's per-group check, `cli.verify_group`,
-on every group in `GroupSpec.every(n)` (the product splits, then the
-extension at even n), in one process.  The oracle leg also checks
-orbit-stabilizer on every block (v, m) of equal parts it reads.  Verify's
-tables go to stdout and end with the verdict; each leg's wall time, the
-oracle's cache sizes and the run's peak RSS go to stderr.  An internal
-consistency failure fails its n and the sweep goes on.
+For each n up to --max-n, runs verify's check, `cli.verify_tables`, on
+every group in `GroupSpec.every(n)` (the product splits, then the
+extension at even n), in one process.  Each leg is one call per n,
+`cli.every_table`, that gives the tables of every group at n.  The oracle
+leg also checks orbit-stabilizer on every block (v, m) of equal parts it
+reads.  Verify's tables go to stdout and end with the verdict; each leg's
+wall time at each n, the oracle's cache sizes and the run's peak RSS go to
+stderr.  An internal consistency failure fails its n and the sweep goes
+on.
 
     python3 scripts/cross_validate.py --max-n 8
-    python3 scripts/cross_validate.py --max-n 24   # about 8 s, 23 MB
+    python3 scripts/cross_validate.py --max-n 24   # about 6.5 s, 25 MB
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from __future__ import annotations
 import argparse
 import resource
 import sys
+from functools import partial
 
 from braidinv import character_oracle
 from braidinv.character_oracle import GroupSpec
-from braidinv.cli import verify_group
+from braidinv.cli import every_table, verify_tables
 from braidinv.errors import InternalConsistencyError
 
-# on a 2-vCPU host the sweep takes 1.1 s and 18 MB to n = 20, and 7.6 s and
-# 23 MB to n = 24, 3.3 s of it in the catalog leg and 3.9 s in the oracle's
+# on a 2-vCPU host the sweep takes 0.7 s and 19 MB to n = 20, and 6.5 s and
+# 25 MB to n = 24, 3.4 s of it in the catalog leg and 2.9 s in the oracle's
 MAX_N = 24
 
 
@@ -43,15 +46,14 @@ def main(argv=None) -> int:
     ok = True
     for n in range(1, args.max_n + 1):
         try:
-            for group in GroupSpec.every(n):
-                ok &= verify_group(group)
+            ok &= verify_tables("n=%d" % n, GroupSpec.every(n), partial(every_table, n))
         except InternalConsistencyError as exc:
             print("n=%d internal consistency failure: %s" % (n, exc), file=sys.stderr)
             ok = False
     print("all checks %s" % ("passed" if ok else "FAILED"))
     sizes = [
         "%s %d" % (name, getattr(character_oracle, name).cache_info().currsize)
-        for name in ("_classes", "_block_polynomials")
+        for name in ("_classes", "_block_polynomials", "_partition_products")
     ]
     print("oracle cache entries: %s" % ", ".join(sizes), file=sys.stderr)
     # ru_maxrss is in KiB on Linux

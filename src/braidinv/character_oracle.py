@@ -27,6 +27,10 @@ A product group has [x^q] of the product of the blocks' P as its
 invariants on lam.  The extension pairs the orbits that are not
 self-complementary, and keeps a self-complementary one when its sign is
 1, so it has half of [x^q] of the product of the P plus that of the T.
+Only the coefficient read depends on the group, so each partition's
+products are built once per (n, top), truncated at x^top, and cached:
+tables(n) reads every group of GroupSpec.every(n) off those to
+x^(n/2), oracle_dimension one group off those to x^q.
 
 A block's orbits are its multisets of m rotation classes of length v,
 each class the least rotation 0 1^g1 ... 0 1^gd of a necklace g of d
@@ -68,6 +72,7 @@ from typing import Tuple
 
 from .core_combinatorics import (
     Frozen, Partition, PoincareTable, all_partitions, gap_necklaces,
+    truncated_product,
 )
 from .errors import InternalConsistencyError
 
@@ -386,39 +391,69 @@ def _block_polynomials(v: int, m: int):
     return P, T
 
 
-def _coefficient(polynomials, q: int) -> int:
-    """[x^q] of the product of the polynomials, each its coefficients."""
-    product = [1] + [0] * q
-    for poly in polynomials:
-        product = [
-            sum(c * product[d - w] for w, c in enumerate(poly[:d + 1]))
-            for d in range(q + 1)
-        ]
-    return product[q]
+@lru_cache(maxsize=None)
+def _partition_products(n: int, top: int):
+    """Per partition lam of n, fewest parts first: lam, the product of its
+    blocks' P to x^top, and, when 2 top = n, the product of their T to
+    x^top, else None.  Every group at n with q <= top reads its table off
+    these, so each partition's blocks are multiplied once per (n, top)."""
+    out = []
+    for lam in all_partitions(n):
+        P, T = (1,), (1,) if 2 * top == n else None
+        for v, m in lam.blocks:
+            block_P, block_T = _block_polynomials(v, m)
+            P = truncated_product(P, block_P, top)
+            if T is not None:
+                T = truncated_product(T, block_T, top)
+        out.append((lam, P, T))
+    return tuple(out)
 
 
-def oracle_dimension(n: int, group: GroupSpec) -> PoincareTable:
-    """Graded invariant dimension of the group, one partition lam after
-    another, each from the products of its blocks' P and T."""
-    if group.n != n:
-        raise ValueError("group degree must equal n")
+def _tables(n: int, top: int, groups) -> Tuple[PoincareTable, ...]:
+    """The graded invariant dimensions of the groups, each with q <= top,
+    one partition lam after another, each group's [x^q] read off lam's
+    products to x^top: a product group's from the P, the extension's half
+    that plus the T's, whose parity is checked for each lam."""
     # a record is made only when logging is loaded: the CLI loads it for
     # --verbose, and without it no handler exists that could show one
     logging = sys.modules.get("logging")
     log = logging.getLogger(__name__) if logging else None
-    counts = Counter()
-    for lam in all_partitions(n):
-        blocks = [_block_polynomials(v, m) for v, m in lam.blocks]
-        invariants = _coefficient([P for P, _ in blocks], group.q)
-        if group.variant == "extension":
-            twice = invariants + _coefficient([T for _, T in blocks], group.q)
-            if twice % 2:
-                raise InternalConsistencyError(
-                    "%s on the class %s: its orbits and signs sum to %d, an odd "
-                    "count" % (group.describe(), lam, twice)
-                )
-            invariants = twice // 2
-        counts[lam.degree] += invariants
+    name = groups[0].describe() if len(groups) == 1 else "n=%d" % n
+    counts = [Counter() for _ in groups]
+    for lam, P, T in _partition_products(n, top):
+        for count, group in zip(counts, groups):
+            q = group.q
+            invariants = P[q]
+            if group.variant == "extension":
+                twice = invariants + (T[q] if q < len(T) else 0)
+                if twice % 2:
+                    raise InternalConsistencyError(
+                        "%s on the class %s: its orbits and signs sum to %d, an "
+                        "odd count" % (group.describe(), lam, twice)
+                    )
+                invariants = twice // 2
+            count[lam.degree] += invariants
         if log:
-            log.debug("oracle %s: partition %s done", group.describe(), lam.parts)
-    return PoincareTable.from_dict(counts)
+            log.debug("oracle %s: partition %s done", name, lam.parts)
+    return tuple(PoincareTable.from_dict(count) for count in counts)
+
+
+def oracle_dimension(n: int, group: GroupSpec) -> PoincareTable:
+    """Graded invariant dimension of the group, read off the products of
+    each partition's blocks' P and T to x^q."""
+    if group.n != n:
+        raise ValueError("group degree must equal n")
+    return _tables(n, group.q, (group,))[0]
+
+
+def product_tables(n: int) -> Tuple[PoincareTable, ...]:
+    """The tables of the product splits q = 0..n/2 of GroupSpec.every(n),
+    read off one product per partition to x^(n/2); no extension table is
+    built."""
+    return _tables(n, n // 2, GroupSpec.every(n)[: n // 2 + 1])
+
+
+def tables(n: int) -> Tuple[PoincareTable, ...]:
+    """The tables of GroupSpec.every(n), in that order, read off one
+    product per partition to x^(n/2)."""
+    return _tables(n, n // 2, GroupSpec.every(n))

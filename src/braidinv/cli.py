@@ -13,9 +13,11 @@ import os
 import sys
 import time
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .character_oracle import GroupSpec, oracle_dimension
+from .character_oracle import product_tables as oracle_product_tables
+from .character_oracle import tables as oracle_tables
 from .core_combinatorics import PoincareTable, partition_count
 from .cycle_invariants import (
     Pi_letters_exceed,
@@ -32,8 +34,9 @@ from .extension_catalog import (
     count_KP_closed_form,
     epsilon_sign,
     ext_dimension,
+    tables,
 )
-from .product_catalog import product_dimension
+from .product_catalog import product_dimension, product_tables
 
 SPIN_NOTE = "upper container for H*(S(Σ_g;c))"
 
@@ -47,9 +50,9 @@ NECKLACE_LISTING_LIMIT = 10**6
 FORMULA_LIMIT = 92
 
 # the most work a catalog listing (dim --method catalog, ep) may take:
-# partitions walked, necklace words pooled (a bound: the product group's
-# pools are floored) and labels listed, each counted in closed form; a
-# larger one exits 4 before it starts
+# partitions walked, necklace words pooled or walked (a bound: of those of
+# weight at most q, only the admissible ones are) and labels listed, each
+# counted in closed form; a larger one exits 4 before it starts
 CATALOG_LISTING_LIMIT = 10**5
 
 # the largest n verify runs the oracle at, and with --long; a larger one
@@ -77,11 +80,33 @@ def _group_spec(n: int, q: int, group: str) -> GroupSpec:
     return GroupSpec.extension(q) if group == "ext" else GroupSpec.product(n, q)
 
 
+# the three routes, in verify's column order
+METHODS = ("formula", "catalog", "oracle")
+
+
 def group_table(group: GroupSpec, method: str) -> PoincareTable:
-    """The formula or catalog table of a group."""
+    """The formula, catalog or oracle table of a group."""
+    if method == "oracle":
+        return oracle_dimension(group.n, group)
     if group.variant == "extension":
         return ext_dimension(group.n, method=method)[1]
     return product_dimension(group.n, group.q, method=method)
+
+
+def every_table(n: int, method: str) -> Tuple[PoincareTable, ...]:
+    """The tables of GroupSpec.every(n) by one route, in that order, from
+    one call into it."""
+    if method == "oracle":
+        return oracle_tables(n)
+    return tables(n, method)
+
+
+def split_tables(n: int, method: str) -> Tuple[PoincareTable, ...]:
+    """The tables of the product splits q = 0..n/2 alone by one route, from
+    one call into it; no extension table is built."""
+    if method == "oracle":
+        return oracle_product_tables(n)
+    return product_tables(n, method)
 
 
 def positive_int(text: str) -> int:
@@ -223,23 +248,26 @@ def _timed(label: str, compute):
     return out
 
 
-def verify_group(group: GroupSpec) -> bool:
-    """Formula vs catalog vs oracle for one group: a degree-by-degree table
-    on stdout, each leg's wall time on stderr; True iff the three agree.
+def verify_tables(label: str, groups, compute) -> bool:
+    """Formula vs catalog vs oracle for these groups: compute(method) gives
+    a route's tables of the groups, in their order, in one call, and its
+    wall time goes to stderr under label; then a degree-by-degree table per
+    group goes to stdout.  True iff the three agree on every group.
 
-    It takes any group, so callers gate the oracle's size themselves."""
-    name = group.describe()
-    formula = _timed(name + " formula", lambda: group_table(group, "formula"))
-    catalog = _timed(name + " catalog", lambda: group_table(group, "catalog"))
-    oracle = _timed(name + " oracle", lambda: oracle_dimension(group.n, group))
-    dims = [table.as_dict() for table in (formula, catalog, oracle)]
-    print("%s  %6s %7s %7s %6s" % (name, "degree", "formula", "catalog", "oracle"))
+    It takes any groups, so callers gate the oracle's size themselves."""
+    legs = [
+        _timed("%s %s" % (label, method), lambda: compute(method)) for method in METHODS
+    ]
     ok = True
-    for i in sorted(set().union(*dims)):
-        f, c, o = (dim.get(i, 0) for dim in dims)
-        verdict = "OK" if f == c == o else "MISMATCH"
-        ok = ok and f == c == o
-        print("%s  %6d %7d %7d %6d  %s" % (" " * len(name), i, f, c, o, verdict))
+    for group, found in zip(groups, zip(*legs)):
+        name = group.describe()
+        dims = [table.as_dict() for table in found]
+        print("%s  %6s %7s %7s %6s" % (name, "degree", "formula", "catalog", "oracle"))
+        for i in sorted(set().union(*dims)):
+            f, c, o = (dim.get(i, 0) for dim in dims)
+            verdict = "OK" if f == c == o else "MISMATCH"
+            ok = ok and f == c == o
+            print("%s  %6d %7d %7d %6d  %s" % (" " * len(name), i, f, c, o, verdict))
     return ok
 
 
@@ -256,12 +284,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     The oracle's size gate comes first, so an oversized request computes
     nothing."""
-    _refuse_oracle(args.n, args.long_running)
+    n = args.n
+    _refuse_oracle(n, args.long_running)
     if args.group == "prod" and args.q is None:
-        qs = list(range(args.n // 2 + 1))
+        # the product sweep: one call per route for every split
+        splits = GroupSpec.every(n)[: n // 2 + 1]
+        ok = verify_tables("n=%d" % n, splits, lambda method: split_tables(n, method))
     else:
-        qs = [_resolved_q(args.n, args.q, args.group)]
-    ok = all([verify_group(_group_spec(args.n, q, args.group)) for q in qs])
+        group = _group_spec(n, _resolved_q(n, args.q, args.group), args.group)
+        ok = verify_tables(
+            group.describe(), (group,), lambda method: (group_table(group, method),)
+        )
     print("verification %s" % ("OK" if ok else "FAILED"))
     return 0 if ok else 1
 

@@ -201,6 +201,21 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def truncated_product(a: Sequence[int], b: Sequence[int], top: int) -> List[int]:
+    """The coefficients of a(x) b(x) up to x^top, each polynomial given by
+    its coefficients from x^0; zero terms of a are skipped.
+
+    >>> truncated_product((1, 1), (1, 2, 1), 2)
+    [1, 3, 3]
+    """
+    out = [0] * min(top + 1, len(a) + len(b) - 1)
+    for i, x in enumerate(a[: len(out)]):
+        if x:
+            for j, y in enumerate(b[: len(out) - i]):
+                out[i + j] += x * y
+    return out
+
+
 def min_rotation(w: Iterable[int]) -> Tuple[Word, int]:
     """Lexicographically minimal rotation and how many rotations attain it.
 

@@ -9,7 +9,8 @@ of the product invariants, so their dimension in each degree is half the
 sum of the product count and the swap's trace, the fixed labels summed
 with their signs.  The trace comes from that listing or, independently,
 as the coefficients of a generating series built from closed-form
-necklace counts.
+necklace counts.  tables(n, method) gives every group at n in one call,
+the extension's table built from the last of the product splits'.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .cycle_invariants import (
     selfdual_count_closed_form,
 )
 from .errors import InternalConsistencyError, listing_fault
-from .product_catalog import GeneratorLabel, product_dimension
+from .product_catalog import GeneratorLabel, product_dimension, product_tables
 
 
 @lru_cache(maxsize=None)
@@ -170,24 +171,16 @@ def count_KP_closed_form(n: int) -> int:
     return kp
 
 
-def ext_dimension(n: int, method: str = "formula"):
-    """Total and graded dimension of the extension invariants.
-
-    Half the sum of the product-invariant dimension and the swap's trace,
-    degree by degree.  Both can come from closed-form counting (method
-    "formula") or from explicit label enumeration (method "catalog").
-    """
-    if n < 2 or n % 2:
-        raise ValueError("need an even n >= 2")
-    if method not in ("formula", "catalog"):
-        raise ValueError("method must be 'formula' or 'catalog'")
-    prod = product_dimension(n, n // 2, method=method).as_dict()
+def _ext_table(n: int, product: PoincareTable, method: str) -> PoincareTable:
+    """The extension's table from the product group's at q = n/2: half the
+    sum of that and the swap's trace, degree by degree."""
     if method == "formula":
         trace = _fixed_series(n, True)
     else:
         trace = Counter()
         for label, pair_counts in _ep_members(n):
             trace[label.degree] += epsilon_sign(label.partition, pair_counts)
+    prod = product.as_dict()
     graded = {}
     for degree in prod.keys() | trace.keys():
         p, t = prod.get(degree, 0), trace[degree]
@@ -200,5 +193,29 @@ def ext_dimension(n: int, method: str = "formula"):
                 "negative dimension in degree %d" % degree
             )
         graded[degree] = (p + t) // 2
-    table = PoincareTable.from_dict(graded)
+    return PoincareTable.from_dict(graded)
+
+
+def ext_dimension(n: int, method: str = "formula"):
+    """Total and graded dimension of the extension invariants.
+
+    Half the sum of the product-invariant dimension and the swap's trace,
+    degree by degree.  Both can come from closed-form counting (method
+    "formula") or from explicit label enumeration (method "catalog").
+    """
+    if n < 2 or n % 2:
+        raise ValueError("need an even n >= 2")
+    if method not in ("formula", "catalog"):
+        raise ValueError("method must be 'formula' or 'catalog'")
+    table = _ext_table(n, product_dimension(n, n // 2, method=method), method)
     return table.total, table
+
+
+def tables(n: int, method: str = "formula") -> Tuple[PoincareTable, ...]:
+    """The tables of every group at n in one call, in the order of
+    GroupSpec.every(n): product_tables(n, method), q = 0..n/2, then at
+    even n the extension's, built from the last of them."""
+    products = product_tables(n, method)
+    if n % 2:
+        return products
+    return products + (_ext_table(n, products[-1], method),)

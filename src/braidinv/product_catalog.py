@@ -8,10 +8,15 @@ two independent ways, and the two must agree.  The listing route lists and
 checks the words and word tuples of each block (v, m) of equal parts, and
 counts each partition's labels as the products of checked block tuples
 whose weights sum to q: every check of a label looks at one block, so a
-label passes exactly when each of its block tuples does.  The counting
-route reads the coefficients of a generating series whose factors take
-their exponents from closed-form necklace counts, so nothing is listed.
-enumerate_generators builds the labels themselves.
+label passes exactly when each of its block tuples does.  The product of
+a partition's block counts, truncated at x^top, is built once per
+(n, top) and serves every q <= top: product_tables(n) reads every split
+q <= n/2 off those to x^(n/2), product_dimension one split off those to
+x^q, so a small q pools no heavier word.  The counting route reads the
+coefficients of a generating series whose factors take their exponents
+from closed-form necklace counts, so nothing is listed; product_tables
+reads every split off one series.  enumerate_generators builds the
+labels themselves.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .core_combinatorics import (
     all_partitions,
     binomial,
     packed_series,
+    truncated_product,
 )
 from .cycle_invariants import (
     InvariantCycle,
@@ -215,30 +221,28 @@ def _block_counts(v: int, m: int, top: int) -> Tuple[int, ...]:
     return tuple(counts)
 
 
-def _truncated_product(a, b, top: int) -> List[int]:
-    """The coefficients of a(x) b(x) up to x^top."""
-    out = [0] * min(top + 1, len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b[: len(out) - i]):
-                out[i + j] += x * y
-    return out
-
-
 @lru_cache(maxsize=None)
-def _catalog_dimension(n: int, q: int) -> PoincareTable:
-    """The labels of weight q over partitions of n counted by degree, and
-    none built: a label checks block by block, so those on lam are the
-    products of its blocks' checked tuples whose weights sum to q, and all
-    have degree lam.degree."""
-    counts = {}
+def _catalog_products(n: int, top: int) -> Dict[int, List[int]]:
+    """The labels over partitions of n counted by weight 0..top, summed by
+    degree, and none built: a label checks block by block, so those on lam
+    are the products of its blocks' checked tuples, counted by the product
+    of their counts to x^top, and all have degree lam.degree.  Every
+    weight q <= top reads its table off these, so each partition's blocks
+    are multiplied once per (n, top)."""
+    sums = {}
     for lam in all_partitions(n):
         series = [1]
         for v, m in lam.blocks:
-            series = _truncated_product(series, _block_counts(v, m, min(q, v * m)), q)
-        if len(series) > q and series[q]:
-            counts[lam.degree] = counts.get(lam.degree, 0) + series[q]
-    return PoincareTable.from_dict(counts)
+            series = truncated_product(series, _block_counts(v, m, min(top, v * m)), top)
+        counts = sums.setdefault(lam.degree, [0] * (top + 1))
+        for w, c in enumerate(series):
+            counts[w] += c
+    return sums
+
+
+def _weight_table(sums: Dict[int, List[int]], q: int) -> PoincareTable:
+    """The labels of weight q by degree, from _catalog_products' sums."""
+    return PoincareTable.from_dict({degree: counts[q] for degree, counts in sums.items()})
 
 
 def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:
@@ -246,15 +250,34 @@ def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:
 
     method "formula" reads a coefficient of the label series;
     method "catalog" counts the listed and checked tuples of each block
-    (v, m) and multiplies them out partition by partition, building no
-    label.
+    (v, m) and multiplies them out partition by partition to x^q, building
+    no label.
     """
     if method not in ("formula", "catalog"):
         raise ValueError("method must be 'formula' or 'catalog'")
     if n < 1 or not 0 <= q <= n:
         raise ValueError("need n >= 1 and 0 <= q <= n")
     if method == "catalog":
-        return _catalog_dimension(n, q)
+        return _weight_table(_catalog_products(n, q), q)
     return PoincareTable.from_dict(
         {n - j: c for (w, j), c in _label_series(n).items() if w == q}
     )
+
+
+def product_tables(n: int, method: str = "formula") -> Tuple[PoincareTable, ...]:
+    """The tables of product_dimension(n, q, method) for q = 0..n/2, in one
+    call: method "formula" reads the label series once, method "catalog"
+    one product per partition to x^(n/2)."""
+    if method not in ("formula", "catalog"):
+        raise ValueError("method must be 'formula' or 'catalog'")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    top = n // 2
+    if method == "catalog":
+        sums = _catalog_products(n, top)
+        return tuple(_weight_table(sums, q) for q in range(top + 1))
+    by_weight = [{} for _ in range(top + 1)]
+    for (w, j), c in _label_series(n).items():
+        if w <= top:
+            by_weight[w][n - j] = c
+    return tuple(PoincareTable.from_dict(graded) for graded in by_weight)

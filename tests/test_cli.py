@@ -297,7 +297,10 @@ def test_verify_size_gate_comes_before_any_leg(capsys, monkeypatch, argv):
     def leg(*args, **kwargs):
         raise AssertionError("an oversized request computed a table")
 
-    for name in ("product_dimension", "ext_dimension", "oracle_dimension"):
+    for name in (
+        "product_dimension", "ext_dimension", "oracle_dimension",
+        "product_tables", "tables", "oracle_product_tables", "oracle_tables",
+    ):
         monkeypatch.setattr(cli, name, leg)
     code, out, err = run(capsys, *argv)
     assert code == 4
@@ -305,18 +308,30 @@ def test_verify_size_gate_comes_before_any_leg(capsys, monkeypatch, argv):
     assert "capability" in err
 
 
-def test_verify_runs_the_oracle_once_per_group(capsys, monkeypatch):
+def test_verify_runs_the_oracle_once_per_n(capsys, monkeypatch):
     calls = []
 
-    def record(n, group):
-        calls.append(group.describe())
-        return character_oracle.oracle_dimension(n, group)
+    def record(n):
+        calls.append(n)
+        return character_oracle.product_tables(n)
 
-    monkeypatch.setattr(cli, "oracle_dimension", record)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product sweep built a table one group at a time")
+
+    def no_extension(*args, **kwargs):
+        raise AssertionError("the product sweep built an extension table")
+
+    monkeypatch.setattr(cli, "oracle_product_tables", record)
+    for name in ("oracle_dimension", "product_dimension", "ext_dimension", "oracle_tables"):
+        monkeypatch.setattr(cli, name, refuse)
+    for name in ("_fixed_series", "_ep_members"):
+        monkeypatch.setattr(extension_catalog, name, no_extension)
     code, out, _ = run(capsys, "verify", "--n", "6", "--group", "prod", "--workers", "1")
     assert code == 0
     assert "verification OK" in out
-    assert calls == ["product(6,0)", "product(5,1)", "product(4,2)", "product(3,3)"]
+    assert calls == [6]
+    names = re.findall(r"^(\S+)  degree formula catalog oracle$", out, re.M)
+    assert names == ["product(6,0)", "product(5,1)", "product(4,2)", "product(3,3)"]
 
 
 def test_verify_forks_nothing(capsys, monkeypatch):
@@ -329,16 +344,20 @@ def test_verify_forks_nothing(capsys, monkeypatch):
     assert "verification OK" in out
 
 
-def test_verify_times_each_leg_on_stderr(capsys):
+def test_verify_times_each_leg_once_per_n_on_stderr(capsys):
+    # the product sweep times each route's one call for every split
     code, out, err = run(capsys, "verify", "--n", "4", "--group", "prod", "--workers", "1")
     assert code == 0
-    for q in range(3):
-        name = "product(%d,%d)" % (4 - q, q)
-        assert re.search(r"^%s formula: \d+\.\d{3} s$" % re.escape(name), err, re.M)
-        assert re.search(r"^%s catalog: \d+\.\d{3} s$" % re.escape(name), err, re.M)
-        assert re.search(r"^%s oracle: \d+\.\d{3} s$" % re.escape(name), err, re.M)
-    assert len(re.findall(r" oracle: ", err)) == 3
+    assert re.findall(r"^(.*): \d+\.\d{3} s$", err, re.M) == [
+        "n=4 formula", "n=4 catalog", "n=4 oracle",
+    ]
     assert " s\n" not in out
+    # a single group is timed under its own name
+    code, out, err = run(capsys, "verify", "--n", "4", "--group", "prod", "--q", "1")
+    assert code == 0
+    assert re.findall(r"^(.*): \d+\.\d{3} s$", err, re.M) == [
+        "product(3,1) formula", "product(3,1) catalog", "product(3,1) oracle",
+    ]
 
 
 @pytest.mark.parametrize("first_verbose", (True, False))
@@ -367,7 +386,8 @@ def test_verbose_in_a_fresh_process():
     assert quiet.returncode == verbose.returncode == 0
     assert quiet.stdout == verbose.stdout
     # one record per block as it is first decided, its path, the classes or
-    # picks it decided and its seconds, before its partition's record
+    # picks it decided and its seconds, while the partitions' products are
+    # built; then one record per partition as the table is read off them
     blocks = [
         ((4,), [(4, 1, 4)]),
         ((3, 1), [(3, 1, 2), (1, 1, 1)]),
@@ -383,6 +403,7 @@ def test_verbose_in_a_fresh_process():
                 r"oracle block \(%d, %d\): %s path, %d %s in \d+\.\d{3} s"
                 % (v, m, path, count, what)
             )
+    for parts, _ in blocks:
         expected.append(re.escape("oracle product(3,1): partition %s done" % (parts,)))
     records = [l for l in verbose.stderr.splitlines() if l.startswith("DEBUG")]
     assert len(records) == len(expected)
@@ -527,7 +548,7 @@ def test_catalog_count_builds_no_label_and_checks_each_block_tuple_once(
         enumerate_Pi,
         product_catalog._word_count,
         counts,
-        product_catalog._catalog_dimension,
+        product_catalog._catalog_products,
     )
     for cache in caches:
         cache.cache_clear()
@@ -769,7 +790,7 @@ def test_a_corrupted_walk_fails_the_catalog_with_exit_3(capsys, monkeypatch):
         enumerate_Pi,
         product_catalog._word_count,
         product_catalog._block_counts,
-        product_catalog._catalog_dimension,
+        product_catalog._catalog_products,
     )
     for cache in caches:
         cache.cache_clear()
@@ -792,7 +813,7 @@ def test_out_of_order_pool_tuples_fail_the_catalog_with_exit_3(capsys, monkeypat
     caches = (
         product_catalog._block_assignments,
         product_catalog._block_counts,
-        product_catalog._catalog_dimension,
+        product_catalog._catalog_products,
     )
     for cache in caches:
         cache.cache_clear()

@@ -331,7 +331,7 @@ def test_catalog_pools_no_word_heavier_than_the_weight(monkeypatch):
     assert len(labels) == product_dimension(24, 3).total == 3586
     assert requested and max(d for _, d in requested) == 3
     requested.clear()
-    caches = (product_catalog._block_counts, product_catalog._catalog_dimension)
+    caches = (product_catalog._block_counts, product_catalog._catalog_products)
     for cache in caches:
         cache.cache_clear()
     try:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from braidinv import character_oracle, cli
+from braidinv.character_oracle import GroupSpec
 from braidinv.core_combinatorics import PoincareTable
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -46,12 +47,17 @@ def test_cross_validate_sweeps_from_n1(capsys):
     assert out.endswith("all checks passed\n")
     # the run's peak RSS ends stderr; stdout still ends with the verdict
     assert re.search(r"\npeak RSS \d+\.\d MB\n$", err)
-    # beside it, the oracle's cache sizes
+    # beside it, the oracle's cache sizes, its products per (n, top) too
     assert re.search(
-        r"^oracle cache entries: _classes \d+, _block_polynomials \d+$",
+        r"^oracle cache entries: _classes \d+, _block_polynomials \d+, "
+        r"_partition_products \d+$",
         err,
         re.M,
     )
+    # each leg is timed once per n
+    assert re.findall(r"^(.*): \d+\.\d{3} s$", err, re.M) == [
+        "n=1 formula", "n=1 catalog", "n=1 oracle",
+    ]
 
 
 _walked = character_oracle._walked_orbits
@@ -59,17 +65,26 @@ _walked = character_oracle._walked_orbits
 
 @pytest.fixture
 def cold_oracle():
-    """Empty the oracle's block cache before and after, so that a patched
-    helper is read and what it builds is not kept."""
-    character_oracle._block_polynomials.cache_clear()
+    """Empty the oracle's block and product caches before and after, so
+    that a patched helper is read and what it builds is not kept."""
+    caches = (character_oracle._block_polynomials, character_oracle._partition_products)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    character_oracle._block_polynomials.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize(
     "module,name,wrong,stream,message",
     [
-        (cli, "oracle_dimension", lambda n, group: PoincareTable(()), "out", "MISMATCH"),
+        (
+            cli,
+            "oracle_tables",
+            lambda n: tuple(PoincareTable(()) for _ in GroupSpec.every(n)),
+            "out",
+            "MISMATCH",
+        ),
         (
             character_oracle,
             "_walked_orbits",
