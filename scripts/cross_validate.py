@@ -12,7 +12,7 @@ stderr.  An internal consistency failure fails its n and the sweep goes
 on.
 
     python3 scripts/cross_validate.py --max-n 8
-    python3 scripts/cross_validate.py --max-n 24   # about 6.5 s, 25 MB
+    python3 scripts/cross_validate.py --max-n 24   # about 5.6 s, 23 MB
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from braidinv.character_oracle import GroupSpec
 from braidinv.cli import every_table, verify_tables
 from braidinv.errors import InternalConsistencyError
 
-# on a 2-vCPU host the sweep takes 0.7 s and 19 MB to n = 20, and 6.5 s and
-# 25 MB to n = 24, 3.4 s of it in the catalog leg and 2.9 s in the oracle's
+# on a 2-vCPU host the sweep takes 0.6 s and 18 MB to n = 20, and 5.4-5.8 s
+# and 23 MB to n = 24, 2.8-3.0 s of it in the catalog leg and 2.5-2.7 s in
+# the oracle's
 MAX_N = 24
 
 
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
     print("all checks %s" % ("passed" if ok else "FAILED"))
     sizes = [
         "%s %d" % (name, getattr(character_oracle, name).cache_info().currsize)
-        for name in ("_classes", "_block_polynomials", "_partition_products")
+        for name in ("_classes", "_block_polynomials", "tables")
     ]
     print("oracle cache entries: %s" % ", ".join(sizes), file=sys.stderr)
     # ru_maxrss is in KiB on Linux

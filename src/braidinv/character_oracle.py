@@ -27,10 +27,11 @@ A product group has [x^q] of the product of the blocks' P as its
 invariants on lam.  The extension pairs the orbits that are not
 self-complementary, and keeps a self-complementary one when its sign is
 1, so it has half of [x^q] of the product of the P plus that of the T.
-Only the coefficient read depends on the group, so each partition's
-products are built once per (n, top), truncated at x^top, and cached:
-tables(n) reads every group of GroupSpec.every(n) off those to
-x^(n/2), oracle_dimension one group off those to x^q.
+Only the coefficient read depends on the group, so tables(n), cached,
+multiplies each partition's blocks once, to x^(n/2), and reads every
+group of GroupSpec.every(n) off those products; oracle_dimension reads
+one group's table from it.  Every block's P is symmetric, so their
+product is too, and a split q > n/2 has the table of the split n - q.
 
 A block's orbits are its multisets of m rotation classes of length v,
 each class the least rotation 0 1^g1 ... 0 1^gd of a necklace g of d
@@ -392,68 +393,48 @@ def _block_polynomials(v: int, m: int):
 
 
 @lru_cache(maxsize=None)
-def _partition_products(n: int, top: int):
-    """Per partition lam of n, fewest parts first: lam, the product of its
-    blocks' P to x^top, and, when 2 top = n, the product of their T to
-    x^top, else None.  Every group at n with q <= top reads its table off
-    these, so each partition's blocks are multiplied once per (n, top)."""
-    out = []
-    for lam in all_partitions(n):
-        P, T = (1,), (1,) if 2 * top == n else None
-        for v, m in lam.blocks:
-            block_P, block_T = _block_polynomials(v, m)
-            P = truncated_product(P, block_P, top)
-            if T is not None:
-                T = truncated_product(T, block_T, top)
-        out.append((lam, P, T))
-    return tuple(out)
+def tables(n: int) -> Tuple[PoincareTable, ...]:
+    """The graded invariant dimensions of GroupSpec.every(n), in that
+    order, one partition lam after another: lam's blocks' P, and at even n
+    their T, are multiplied once to x^(n/2), each split q reads [x^q] of the
+    P, and the extension half [x^(n/2)] of the P plus that of the T, whose
+    parity is checked for each lam.
 
-
-def _tables(n: int, top: int, groups) -> Tuple[PoincareTable, ...]:
-    """The graded invariant dimensions of the groups, each with q <= top,
-    one partition lam after another, each group's [x^q] read off lam's
-    products to x^top: a product group's from the P, the extension's half
-    that plus the T's, whose parity is checked for each lam."""
+    With logging loaded, one debug record per partition says it is done."""
     # a record is made only when logging is loaded: the CLI loads it for
     # --verbose, and without it no handler exists that could show one
     logging = sys.modules.get("logging")
     log = logging.getLogger(__name__) if logging else None
-    name = groups[0].describe() if len(groups) == 1 else "n=%d" % n
-    counts = [Counter() for _ in groups]
-    for lam, P, T in _partition_products(n, top):
-        for count, group in zip(counts, groups):
-            q = group.q
-            invariants = P[q]
-            if group.variant == "extension":
-                twice = invariants + (T[q] if q < len(T) else 0)
-                if twice % 2:
-                    raise InternalConsistencyError(
-                        "%s on the class %s: its orbits and signs sum to %d, an "
-                        "odd count" % (group.describe(), lam, twice)
-                    )
-                invariants = twice // 2
-            count[lam.degree] += invariants
+    top, even = n // 2, n % 2 == 0
+    counts = [Counter() for _ in GroupSpec.every(n)]
+    for lam in all_partitions(n):
+        P = T = (1,)
+        for v, m in lam.blocks:
+            block_P, block_T = _block_polynomials(v, m)
+            P = truncated_product(P, block_P, top)
+            if even:
+                T = truncated_product(T, block_T, top)
+        for q in range(top + 1):
+            counts[q][lam.degree] += P[q]
+        if even:
+            twice = P[top] + (T[top] if top < len(T) else 0)
+            if twice % 2:
+                raise InternalConsistencyError(
+                    "%s on the class %s: its orbits and signs sum to %d, an odd "
+                    "count" % (GroupSpec.extension(top).describe(), lam, twice)
+                )
+            counts[-1][lam.degree] += twice // 2
         if log:
-            log.debug("oracle %s: partition %s done", name, lam.parts)
+            log.debug("oracle n=%d: partition %s done", n, lam.parts)
     return tuple(PoincareTable.from_dict(count) for count in counts)
 
 
 def oracle_dimension(n: int, group: GroupSpec) -> PoincareTable:
-    """Graded invariant dimension of the group, read off the products of
-    each partition's blocks' P and T to x^q."""
+    """Graded invariant dimension of the group, read from tables(n): a
+    split q > n/2 has the table of the split n - q."""
     if group.n != n:
         raise ValueError("group degree must equal n")
-    return _tables(n, group.q, (group,))[0]
-
-
-def product_tables(n: int) -> Tuple[PoincareTable, ...]:
-    """The tables of the product splits q = 0..n/2 of GroupSpec.every(n),
-    read off one product per partition to x^(n/2); no extension table is
-    built."""
-    return _tables(n, n // 2, GroupSpec.every(n)[: n // 2 + 1])
-
-
-def tables(n: int) -> Tuple[PoincareTable, ...]:
-    """The tables of GroupSpec.every(n), in that order, read off one
-    product per partition to x^(n/2)."""
-    return _tables(n, n // 2, GroupSpec.every(n))
+    every = tables(n)
+    if group.variant == "extension":
+        return every[-1]
+    return every[min(group.q, n - group.q)]

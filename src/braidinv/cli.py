@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .character_oracle import GroupSpec, oracle_dimension
-from .character_oracle import product_tables as oracle_product_tables
 from .character_oracle import tables as oracle_tables
 from .core_combinatorics import PoincareTable, partition_count
 from .cycle_invariants import (
@@ -49,10 +48,12 @@ NECKLACE_LISTING_LIMIT = 10**6
 # 2-vCPU host, n = 80 about 2 s)
 FORMULA_LIMIT = 92
 
-# the most work a catalog listing (dim --method catalog, ep) may take:
+# the most work a catalog request (dim --method catalog, ep) may take:
 # partitions walked, necklace words pooled or walked (a bound: of those of
-# weight at most q, only the admissible ones are) and labels listed, each
-# counted in closed form; a larger one exits 4 before it starts
+# weight at most q, only the admissible ones are) and labels reached, the
+# product labels dim counts block by block and the swap-fixed labels the
+# extension and ep list one by one, each term counted in closed form; a
+# larger one exits 4 before it starts
 CATALOG_LISTING_LIMIT = 10**5
 
 # the largest n verify runs the oracle at, and with --long; a larger one
@@ -103,9 +104,10 @@ def every_table(n: int, method: str) -> Tuple[PoincareTable, ...]:
 
 def split_tables(n: int, method: str) -> Tuple[PoincareTable, ...]:
     """The tables of the product splits q = 0..n/2 alone by one route, from
-    one call into it; no extension table is built."""
+    one call into it; the formula and the catalog build no extension
+    table."""
     if method == "oracle":
-        return oracle_product_tables(n)
+        return oracle_tables(n)[: n // 2 + 1]
     return product_tables(n, method)
 
 
@@ -166,9 +168,10 @@ def render_csv_rows(rows) -> str:
 
 
 def _refuse_catalog(n: int, top: int, labels, what: str):
-    """Exit 4 before a catalog listing of partitions of n, pooling at most
+    """Exit 4 before a catalog request on partitions of n, pooling at most
     the necklace words of weight at most top, whose work exceeds
-    CATALOG_LISTING_LIMIT; labels() counts the labels it lists.
+    CATALOG_LISTING_LIMIT; labels() counts the labels it reaches, those it
+    counts block by block and those it lists.
 
     The terms are added in turn and the first to pass the limit refuses:
     p(n) comes first and stops once it passes, so a huge n is refused in

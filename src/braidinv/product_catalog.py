@@ -8,15 +8,14 @@ two independent ways, and the two must agree.  The listing route lists and
 checks the words and word tuples of each block (v, m) of equal parts, and
 counts each partition's labels as the products of checked block tuples
 whose weights sum to q: every check of a label looks at one block, so a
-label passes exactly when each of its block tuples does.  The product of
-a partition's block counts, truncated at x^top, is built once per
-(n, top) and serves every q <= top: product_tables(n) reads every split
-q <= n/2 off those to x^(n/2), product_dimension one split off those to
-x^q, so a small q pools no heavier word.  The counting route reads the
-coefficients of a generating series whose factors take their exponents
-from closed-form necklace counts, so nothing is listed; product_tables
-reads every split off one series.  enumerate_generators builds the
-labels themselves.
+label passes exactly when each of its block tuples does.  The counting
+route reads the coefficients of a generating series whose factors take
+their exponents from closed-form necklace counts, so nothing is listed.
+Each route gives its counts by weight, each a {degree: count}, once per
+n for the series and once per (n, top) for the block products, truncated
+at x^top so that a small q pools no heavier word; product_dimension and
+product_tables read their tables off those.  enumerate_generators builds
+the labels themselves.
 """
 
 from __future__ import annotations
@@ -89,12 +88,13 @@ class GeneratorLabel(Frozen):
 
 
 @lru_cache(maxsize=None)
-def _label_series(n: int) -> Dict[Tuple[int, int], int]:
-    """Label counts of size n keyed by (weight, part count): the size-n
-    coefficients of the product over parts v and weights d of
+def _label_series(n: int) -> List[Dict[int, int]]:
+    """Label counts of size n by weight 0..n, each as {degree: count}: the
+    size-n coefficients of the product over parts v and weights d of
     (1 + X)^P(v,d) for even v, whose blocks take distinct words, and
     (1 - X)^-P(v,d) for odd v, where words repeat, with X = x^d y^v t and
-    P = necklace_count.  Slot w (n + 1) + j holds x^w t^j."""
+    P = necklace_count.  Slot w (n + 1) + j holds x^w t^j, the labels of
+    weight w with j parts, whose degree is n - j."""
 
     def factors(v):
         for d in range(v + 1):
@@ -106,7 +106,12 @@ def _label_series(n: int) -> Dict[Tuple[int, int], int]:
             yield v, d * (n + 1) + 1, coeffs
 
     coeffs = packed_series(n, (n + 1) ** 2, factors)
-    return {divmod(i, n + 1): c for i, c in enumerate(coeffs) if c}
+    series = [{} for _ in range(n + 1)]
+    for i, c in enumerate(coeffs):
+        if c:
+            w, j = divmod(i, n + 1)
+            series[w][n - j] = c
+    return series
 
 
 BlockAssignments = namedtuple("BlockAssignments", "combos weights by_weight")
@@ -222,13 +227,13 @@ def _block_counts(v: int, m: int, top: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _catalog_products(n: int, top: int) -> Dict[int, List[int]]:
-    """The labels over partitions of n counted by weight 0..top, summed by
-    degree, and none built: a label checks block by block, so those on lam
-    are the products of its blocks' checked tuples, counted by the product
-    of their counts to x^top, and all have degree lam.degree.  Every
-    weight q <= top reads its table off these, so each partition's blocks
-    are multiplied once per (n, top)."""
+def _catalog_products(n: int, top: int) -> List[Dict[int, int]]:
+    """The labels over partitions of n counted by weight 0..top, each as
+    {degree: count}, and none built: a label checks block by block, so
+    those on lam are the products of its blocks' checked tuples, counted by
+    the product of their counts to x^top, and all have degree lam.degree.
+    Every weight q <= top reads its table off these, so each partition's
+    blocks are multiplied once per (n, top)."""
     sums = {}
     for lam in all_partitions(n):
         series = [1]
@@ -237,12 +242,9 @@ def _catalog_products(n: int, top: int) -> Dict[int, List[int]]:
         counts = sums.setdefault(lam.degree, [0] * (top + 1))
         for w, c in enumerate(series):
             counts[w] += c
-    return sums
-
-
-def _weight_table(sums: Dict[int, List[int]], q: int) -> PoincareTable:
-    """The labels of weight q by degree, from _catalog_products' sums."""
-    return PoincareTable.from_dict({degree: counts[q] for degree, counts in sums.items()})
+    return [
+        {degree: counts[w] for degree, counts in sums.items()} for w in range(top + 1)
+    ]
 
 
 def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:
@@ -257,11 +259,8 @@ def product_dimension(n: int, q: int, method: str = "formula") -> PoincareTable:
         raise ValueError("method must be 'formula' or 'catalog'")
     if n < 1 or not 0 <= q <= n:
         raise ValueError("need n >= 1 and 0 <= q <= n")
-    if method == "catalog":
-        return _weight_table(_catalog_products(n, q), q)
-    return PoincareTable.from_dict(
-        {n - j: c for (w, j), c in _label_series(n).items() if w == q}
-    )
+    series = _catalog_products(n, q) if method == "catalog" else _label_series(n)
+    return PoincareTable.from_dict(series[q])
 
 
 def product_tables(n: int, method: str = "formula") -> Tuple[PoincareTable, ...]:
@@ -273,11 +272,5 @@ def product_tables(n: int, method: str = "formula") -> Tuple[PoincareTable, ...]
     if n < 1:
         raise ValueError("need n >= 1")
     top = n // 2
-    if method == "catalog":
-        sums = _catalog_products(n, top)
-        return tuple(_weight_table(sums, q) for q in range(top + 1))
-    by_weight = [{} for _ in range(top + 1)]
-    for (w, j), c in _label_series(n).items():
-        if w <= top:
-            by_weight[w][n - j] = c
-    return tuple(PoincareTable.from_dict(graded) for graded in by_weight)
+    series = _catalog_products(n, top) if method == "catalog" else _label_series(n)
+    return tuple(PoincareTable.from_dict(graded) for graded in series[: top + 1])

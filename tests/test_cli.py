@@ -299,7 +299,7 @@ def test_verify_size_gate_comes_before_any_leg(capsys, monkeypatch, argv):
 
     for name in (
         "product_dimension", "ext_dimension", "oracle_dimension",
-        "product_tables", "tables", "oracle_product_tables", "oracle_tables",
+        "product_tables", "tables", "oracle_tables",
     ):
         monkeypatch.setattr(cli, name, leg)
     code, out, err = run(capsys, *argv)
@@ -313,7 +313,7 @@ def test_verify_runs_the_oracle_once_per_n(capsys, monkeypatch):
 
     def record(n):
         calls.append(n)
-        return character_oracle.product_tables(n)
+        return character_oracle.tables(n)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the product sweep built a table one group at a time")
@@ -321,8 +321,8 @@ def test_verify_runs_the_oracle_once_per_n(capsys, monkeypatch):
     def no_extension(*args, **kwargs):
         raise AssertionError("the product sweep built an extension table")
 
-    monkeypatch.setattr(cli, "oracle_product_tables", record)
-    for name in ("oracle_dimension", "product_dimension", "ext_dimension", "oracle_tables"):
+    monkeypatch.setattr(cli, "oracle_tables", record)
+    for name in ("oracle_dimension", "product_dimension", "ext_dimension"):
         monkeypatch.setattr(cli, name, refuse)
     for name in ("_fixed_series", "_ep_members"):
         monkeypatch.setattr(extension_catalog, name, no_extension)
@@ -362,20 +362,27 @@ def test_verify_times_each_leg_once_per_n_on_stderr(capsys):
 
 @pytest.mark.parametrize("first_verbose", (True, False))
 def test_verbose_is_set_on_every_call(capsys, caplog, first_verbose):
-    # a second main in one process takes its own --verbose, either way round
+    # a second main in one process takes its own --verbose, either way round;
+    # the oracle's tables are built anew for each, so each could record them
     argv = ["verify", "--n", "4", "--group", "prod", "--q", "1"]
     try:
         for verbose in (first_verbose, not first_verbose):
+            character_oracle.tables.cache_clear()
             caplog.clear()
             code, _, _ = run(capsys, *argv, *["--verbose"] * verbose)
             assert code == 0
             done = [
-                r for r in caplog.records
+                r.getMessage() for r in caplog.records
                 if r.levelno == logging.DEBUG and r.getMessage().endswith(" done")
             ]
             # one line per partition of 4 when verbose, none otherwise
-            assert len(done) == (5 if verbose else 0)
+            expected = [
+                "oracle n=4: partition %s done" % (lam.parts,)
+                for lam in all_partitions(4)
+            ]
+            assert done == (expected if verbose else [])
     finally:
+        character_oracle.tables.cache_clear()
         logging.getLogger("braidinv").setLevel(logging.NOTSET)
 
 
@@ -386,8 +393,8 @@ def test_verbose_in_a_fresh_process():
     assert quiet.returncode == verbose.returncode == 0
     assert quiet.stdout == verbose.stdout
     # one record per block as it is first decided, its path, the classes or
-    # picks it decided and its seconds, while the partitions' products are
-    # built; then one record per partition as the table is read off them
+    # picks it decided and its seconds, then one per partition once its
+    # blocks' products are read, as the table set at n = 4 is built
     blocks = [
         ((4,), [(4, 1, 4)]),
         ((3, 1), [(3, 1, 2), (1, 1, 1)]),
@@ -403,8 +410,7 @@ def test_verbose_in_a_fresh_process():
                 r"oracle block \(%d, %d\): %s path, %d %s in \d+\.\d{3} s"
                 % (v, m, path, count, what)
             )
-    for parts, _ in blocks:
-        expected.append(re.escape("oracle product(3,1): partition %s done" % (parts,)))
+        expected.append(re.escape("oracle n=4: partition %s done" % (parts,)))
     records = [l for l in verbose.stderr.splitlines() if l.startswith("DEBUG")]
     assert len(records) == len(expected)
     for line, pattern in zip(records, expected):

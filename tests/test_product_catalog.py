@@ -171,8 +171,11 @@ def test_catalog_memory_at_n16():
 @pytest.mark.parametrize("n", range(1, 25))
 def test_label_series_keeps_every_size_n_term(n):
     # the packed engine, trimmed, against the dict engine with nothing dropped
-    full = untrimmed_label_series(n)
-    assert _label_series(n) == {(w, j): a for (s, w, j), a in full.items() if s == n}
+    by_weight = [{} for _ in range(n + 1)]
+    for (s, w, j), a in untrimmed_label_series(n).items():
+        if s == n:
+            by_weight[w][n - j] = a
+    assert _label_series(n) == by_weight
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -47,10 +47,10 @@ def test_cross_validate_sweeps_from_n1(capsys):
     assert out.endswith("all checks passed\n")
     # the run's peak RSS ends stderr; stdout still ends with the verdict
     assert re.search(r"\npeak RSS \d+\.\d MB\n$", err)
-    # beside it, the oracle's cache sizes, its products per (n, top) too
+    # beside it, the oracle's cache sizes, its table sets per n too
     assert re.search(
         r"^oracle cache entries: _classes \d+, _block_polynomials \d+, "
-        r"_partition_products \d+$",
+        r"tables \d+$",
         err,
         re.M,
     )
@@ -65,9 +65,9 @@ _walked = character_oracle._walked_orbits
 
 @pytest.fixture
 def cold_oracle():
-    """Empty the oracle's block and product caches before and after, so
+    """Empty the oracle's block and table caches before and after, so
     that a patched helper is read and what it builds is not kept."""
-    caches = (character_oracle._block_polynomials, character_oracle._partition_products)
+    caches = (character_oracle._block_polynomials, character_oracle.tables)
     for cache in caches:
         cache.cache_clear()
     yield

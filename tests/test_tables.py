@@ -1,5 +1,5 @@
-"""Each route tabulates every group at n in one call, and reads the same
-tables as its per-group functions off products built once per n."""
+"""Each route tabulates every group at n in one call, and its per-group
+functions read the same tables off counts built once per n."""
 
 from collections import Counter
 
@@ -34,11 +34,11 @@ def test_one_oracle_call_multiplies_each_partitions_blocks_once(monkeypatch):
         return truncated_product(a, b, top)
 
     monkeypatch.setattr(character_oracle, "truncated_product", counted)
-    character_oracle._partition_products.cache_clear()
+    character_oracle.tables.cache_clear()
     try:
         tables = character_oracle.tables(16)
     finally:
-        character_oracle._partition_products.cache_clear()
+        character_oracle.tables.cache_clear()
     assert len(tables) == 10
     # one step per block for the P and one for the T, as 16 is even, all to
     # x^8, for the nine splits and the extension together
