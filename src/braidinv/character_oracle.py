@@ -16,8 +16,11 @@ that Mackey's formula reads off a coset factors over the blocks: an
 orbit is one orbit per block, its stabilizer the product of theirs, the
 character trivial on it when it is on each, and a complementing element
 exists when each block has one, its value the product of their signs.
-Only the weight couples the blocks.  So each block gives, once, two
-polynomials in the weight w:
+Only the weight couples the blocks.  So the character is only ever
+evaluated on one block, as that of C_v wr S_m on an element given by how
+it permutes the m parts and rotates each, and nothing below tables(n)
+builds a partition.  Each block gives, once, two polynomials in the
+weight w:
 
 - P[w] counts its orbits of weight w the character is trivial on;
 - T[w] sums the complement's sign over its self-complementary orbits of
@@ -72,23 +75,24 @@ from functools import lru_cache
 from typing import Tuple
 
 from .core_combinatorics import (
-    Frozen, Partition, PoincareTable, all_partitions, gap_necklaces,
-    truncated_product,
+    Frozen, PoincareTable, all_partitions, gap_necklaces, truncated_product,
 )
 from .errors import InternalConsistencyError
 
 
-def _sign(images: Tuple[int, ...]) -> int:
-    seen = [False] * len(images)
+def _sign(block_map: Tuple[int, ...]) -> int:
+    """The sign of a permutation of the parts, given as their 0-based
+    images."""
+    seen = [False] * len(block_map)
     sign = 1
-    for i in range(len(images)):
+    for i in range(len(block_map)):
         if seen[i]:
             continue
         length = 0
         j = i
         while not seen[j]:
             seen[j] = True
-            j = images[j] - 1
+            j = block_map[j]
             length += 1
         if length % 2 == 0:
             sign = -sign
@@ -134,36 +138,21 @@ class GroupSpec(Frozen):
         return "product(%d,%d)" % (self.n - self.q, self.q)
 
 
-@lru_cache(maxsize=None)
-def root_order(lam: Partition) -> int:
-    """Exponent lattice: the lcm of the parts, doubled when odd."""
-    L = 1
-    for p in lam.parts:
-        L = L * p // math.gcd(L, p)
-    return L if L % 2 == 0 else 2 * L
+def _character_exponent(v: int, block_map, exponents) -> int:
+    """Exponent, over L = v for even v and 2v for odd v, of the character of
+    C_v wr S_m on the element of the block (v, m) with this data.
 
-
-def _character_exponent(lam: Partition, block_map, exponents) -> int:
-    """Exponent, over L = root_order(lam), of the character value on the
-    element with this data.
-
-    Rotation by e on a part of size p contributes e times the primitive
-    p-th root, and e(p-1) to the sign; the block permutation contributes
-    its sign on the even parts, which is _sign of block_map with the odd
-    parts held fixed, as parts only go to parts of their own value.  Signs
-    embed at exponent L/2.
+    Rotation by e on a part contributes e times the primitive v-th root,
+    and e(v-1) to the sign; at even v the permutation of the parts
+    contributes its sign, which is _sign of block_map.  Signs embed at
+    exponent L/2.
     """
-    L = root_order(lam)
-    root = 0
-    sign_parity = 0
-    even_map = []
-    for i, (p, e, b) in enumerate(zip(lam.parts, exponents, block_map)):
-        root += e * (L // p)
-        sign_parity += e * (p - 1)
-        even_map.append((i if p % 2 else b) + 1)
-    if _sign(tuple(even_map)) == -1:
-        sign_parity += 1
-    return (root + (sign_parity % 2) * (L // 2)) % L
+    L = v if v % 2 == 0 else 2 * v
+    turns = sum(exponents)
+    parity = turns * (v - 1)
+    if v % 2 == 0 and _sign(block_map) == -1:
+        parity += 1
+    return (turns * (L // v) + (parity % 2) * (L // 2)) % L
 
 
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -242,15 +231,14 @@ def _pick_generators(v: int, pick: Tuple[int, ...]):
     return generators, order, (block_map, tuple(classes[c][4] for c in pick))
 
 
-def _pick_isotropy(lam: Partition, pick: Tuple[int, ...]):
-    """The isotropy of the block lam = (v^m) on a pick, as _class_isotropy
-    gives it, decided on _pick_generators.  The complementing element is
-    read off the class table, so it is checked on the letters: one that
-    does not carry each part's letters onto the complement of its image
-    part's raises."""
-    v = lam.parts[0]
+def _pick_isotropy(v: int, pick: Tuple[int, ...]):
+    """The isotropy of the block (v, m) on a pick of m classes, as
+    _class_isotropy gives it, decided on _pick_generators.  The
+    complementing element is read off the class table, so it is checked on
+    the letters: one that does not carry each part's letters onto the
+    complement of its image part's raises."""
     generators, order, complement = _pick_generators(v, pick)
-    trivial = not any(_character_exponent(lam, *g) for g in generators)
+    trivial = not any(_character_exponent(v, *g) for g in generators)
     if complement is None:
         return trivial, order, None
     words = [_classes(v)[c][0] for c in pick]
@@ -263,20 +251,22 @@ def _pick_isotropy(lam: Partition, pick: Tuple[int, ...]):
             "does not carry its letters onto their complement"
             % (", ".join("".join(map(str, word)) for word in words), v, len(pick))
         )
-    exponent = _character_exponent(lam, *complement)
-    return trivial, order, _complement_sign(lam, b"".join(words), trivial, exponent)
+    exponent = _character_exponent(v, *complement)
+    return trivial, order, _complement_sign(v, b"".join(words), trivial, exponent)
 
 
-def _complement_sign(lam: Partition, letters, trivial: bool, exponent: int) -> int:
+def _complement_sign(v: int, letters, trivial: bool, exponent: int) -> int:
     """The sign, 1 or -1, that the character exponent of an element
-    carrying the word with these letters onto its complement stands for.
-    Such an element squares into the word's stabilizer, so where the
+    carrying the word with these letters onto its complement stands for,
+    over the L that _character_exponent reads at the part value v.  Such
+    an element squares into the word's stabilizer, so where the
     character is trivial there its value is a sign, and anything else
     raises; where it is not trivial, the sign never matters."""
-    if trivial and exponent not in (0, root_order(lam) // 2):
+    L = v if v % 2 == 0 else 2 * v
+    if trivial and exponent not in (0, L // 2):
         raise InternalConsistencyError(
             "a complementing element of %s has character exponent %d over %d"
-            % (tuple(letters), exponent, root_order(lam))
+            % (tuple(letters), exponent, L)
         )
     return 1 if exponent == 0 else -1
 
@@ -286,7 +276,7 @@ def _rotation_exponent(v: int, e: int) -> int:
     """The character exponent of the rotation by e on the one-part block
     (v); the classes of a block share the few rotations that generate
     their stabilizers."""
-    return _character_exponent(Partition((v,)), (0,), (e,))
+    return _character_exponent(v, (0,), (e,))
 
 
 def _class_isotropy(v: int, gaps: Tuple[int, ...], p: int):
@@ -310,7 +300,7 @@ def _class_isotropy(v: int, gaps: Tuple[int, ...], p: int):
     e = (word + word).find(word.translate(_FLIP))
     if e < 0:
         return trivial, order, None
-    sign = _complement_sign(Partition((v,)), word, trivial, _rotation_exponent(v, e))
+    sign = _complement_sign(v, word, trivial, _rotation_exponent(v, e))
     return trivial, order, sign
 
 
@@ -328,12 +318,11 @@ def _picked_orbits(v: int, m: int):
     """The orbits of the block (v, m) of weight at most vm / 2, its picks,
     the multisets of m classes as ascending tuples of class indices, the
     all-zero word first, each as its weight and its isotropy."""
-    lam = Partition((v,) * m)
     classes = _classes(v)
     for pick in itertools.combinations_with_replacement(range(len(classes)), m):
         weight = sum(classes[c][1] for c in pick)
         if 2 * weight <= v * m:
-            yield weight, _pick_isotropy(lam, pick)
+            yield weight, _pick_isotropy(v, pick)
 
 
 def _orbit_polynomials(v: int, m: int, orbits):

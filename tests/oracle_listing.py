@@ -9,10 +9,14 @@ on the centralizer's generators, each orbit's stabilizer listed element by
 element and the character summed over it, so the tests can compare P and
 T weight by weight and assert on every orbit that the reduced sum is 0 or
 the stabilizer's order.  The exact cyclotomic-integer arithmetic that
-reduces such a sum, the character evaluated on a centralizer element given
-as a permutation, and the centralizer's presentation by cycles and block
-swaps live here too: the oracle itself only ever reads an exponent as 0
-or, on a complementing element, as a sign.
+reduces such a sum, the character evaluated on a centralizer element
+from the permutation it is, and the centralizer's presentation by cycles
+and block swaps live here too: the oracle itself only ever reads an
+exponent as 0 or, on a complementing element, as a sign.  The character
+here is stated for the whole centralizer, from the element's signs on the
+n points and on the parts, where the oracle states it block by block.  Of
+the oracle this module takes only GroupSpec, so a wrong character there
+shows as a disagreement rather than being shared.
 
 The whole-partition anchor reads no block: generic_double_cosets lists a
 group's double cosets on a partition as orbits of the group acting by
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from braidinv.character_oracle import GroupSpec, _character_exponent, root_order
+from braidinv.character_oracle import GroupSpec
 from braidinv.core_combinatorics import Partition, PoincareTable, all_partitions
 from braidinv.errors import InternalConsistencyError
 
@@ -211,6 +215,31 @@ def _decompose(lam: Partition, images: Tuple[int, ...]):
     return tuple(block_map), tuple(exponents)
 
 
+def root_order(lam: Partition) -> int:
+    """The order L of the roots of unity the character takes on the
+    centralizer of lam: the lcm of the parts, doubled when odd."""
+    L = math.lcm(*lam.parts)
+    return L if L % 2 == 0 else 2 * L
+
+
+def _perm_sign(images: Tuple[int, ...]) -> int:
+    """The sign of a permutation given as 1-based images."""
+    return -1 if (len(images) - len(_cycles(images))) % 2 else 1
+
+
+def character_exponent(lam: Partition, block_map, exponents) -> int:
+    """Exponent, over L = root_order(lam), of the Lehrer-Solomon character
+    on the centralizer element with this data, read off the permutation it
+    is: rotating a part p by e contributes e L / p, and L / 2 comes in
+    when the element's sign on the n points times the sign of the
+    permutation it makes of the parts is -1."""
+    L = root_order(lam)
+    root = sum(e * (L // p) for p, e in zip(lam.parts, exponents))
+    points = _perm_sign(_assemble(lam, block_map, exponents))
+    parts = _perm_sign(tuple(b + 1 for b in block_map))
+    return (root + (points * parts == -1) * (L // 2)) % L
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic(L: int) -> Tuple[int, ...]:
     """Coefficients of the L-th cyclotomic polynomial, ascending degree."""
@@ -328,7 +357,7 @@ def zeta_value(lam: Partition, z: Tuple[int, ...]) -> CyclotomicSum:
     data = _decompose(lam, z)
     if data is None:
         raise ValueError("%s does not centralize the cycle product" % (z,))
-    return CyclotomicSum.monomial(root_order(lam), _character_exponent(lam, *data))
+    return CyclotomicSum.monomial(root_order(lam), character_exponent(lam, *data))
 
 
 def stabilizer(lam: Partition, word, flip: bool = False):
@@ -393,7 +422,7 @@ def _character_sum(lam: Partition, elements):
     not one), and how many elements there are."""
     counts = [0] * root_order(lam)
     for block_map, exponents in elements:
-        counts[_character_exponent(lam, block_map, exponents)] += 1
+        counts[character_exponent(lam, block_map, exponents)] += 1
     return CyclotomicSum(root_order(lam), tuple(counts)).integer_value(), sum(counts)
 
 

@@ -23,7 +23,6 @@ from braidinv.character_oracle import (
     _sign,
     _walked_orbits,
     oracle_dimension,
-    root_order,
 )
 from braidinv.core_combinatorics import (
     Partition, all_partitions, min_rotation, necklace_multiplicity
@@ -37,11 +36,14 @@ from oracle_listing import (
     _comp,
     _cyclotomic,
     _from_cycles,
+    _perm_sign,
     build_centralizer,
+    character_exponent,
     group_generators,
     listed_block,
     listed_dimension,
     listed_inner_product,
+    root_order,
     stabilizer,
     zeta_failures,
     zeta_value,
@@ -53,8 +55,10 @@ def test_perm_basics():
     assert (s[0], s[2]) == (2, 1)  # 1 -> 2 and 3 -> 1, images 1-based
     assert _comp(s, s) == (3, 1, 2)
     assert _comp(s, (3, 1, 2)) == _comp((3, 1, 2), s) == (1, 2, 3)
-    assert _sign(s) == 1
-    assert _sign((2, 1, 3)) == -1
+    # the reference signs 1-based images, the oracle 0-based block maps
+    assert _perm_sign(s) == _sign((1, 2, 0)) == 1
+    assert _perm_sign((2, 1, 3)) == _sign((1, 0, 2)) == -1
+    assert _perm_sign((2, 1, 4, 3)) == _sign((1, 0, 3, 2)) == 1
     assert _from_cycles(4, (1, 3, 2)) == (3, 1, 2, 4)
     # a non-bijection is refused where a caller's permutation comes in
     with pytest.raises(ValueError):
@@ -219,7 +223,7 @@ def test_generator_verdict_and_order_match_listing(n):
         for pick, letters, weight in _picks(v, n // v):
             if 2 * weight > n:
                 continue
-            trivial, order, sign = _pick_isotropy(lam, pick)
+            trivial, order, sign = _pick_isotropy(v, pick)
             product = GroupSpec.product(n, weight)
             assert listed_inner_product(letters, lam, product) == (trivial, order)
             if 2 * weight == n:
@@ -329,9 +333,9 @@ def test_warm_block_cache_decides_each_block_once(monkeypatch):
     _clear_oracle_caches()
     calls = []  # a pick as its block and class indices, a class as its gaps
 
-    def counted(lam, pick):
-        calls.append(("pick", lam.parts, pick))
-        return _pick_isotropy(lam, pick)
+    def counted(v, pick):
+        calls.append(("pick", v, pick))
+        return _pick_isotropy(v, pick)
 
     def classed(v, gaps, p):
         calls.append(("class", v, gaps))
@@ -368,16 +372,16 @@ def test_complement_value_off_the_signs_raises(monkeypatch, capsys):
     # rotation by 2 with real exponent 2 = L/2, must take a sign; an
     # exponent of 1 breaks the character axioms and is refused, not read
     # as a value other than 1
-    def skewed(lam, block_map, exponents):
-        if (lam.parts, block_map, exponents) == ((4,), (0,), (2,)):
+    def skewed(v, block_map, exponents):
+        if (v, block_map, exponents) == (4, (0,), (2,)):
             return 1
-        return _character_exponent(lam, block_map, exponents)
+        return _character_exponent(v, block_map, exponents)
 
     _clear_oracle_caches()
     monkeypatch.setattr(character_oracle, "_character_exponent", skewed)
     try:
         with pytest.raises(InternalConsistencyError):
-            _pick_isotropy(Partition((4,)), _pick_of(4, "0011"))
+            _pick_isotropy(4, _pick_of(4, "0011"))
         assert cli.main(["verify", "--n", "4", "--group", "ext"]) == 3
         assert "internal consistency failure" in capsys.readouterr().err
     finally:
@@ -465,6 +469,9 @@ def test_an_odd_extension_count_raises(monkeypatch, cold_oracle):
 
 
 def test_root_order():
+    # the reference's order of the character's roots of unity on the whole
+    # centralizer; the oracle's is v or 2v per block
+    assert root_order(Partition((1,))) == 2
     assert root_order(Partition((2,))) == 2
     assert root_order(Partition((3,))) == 6
     assert root_order(Partition((4, 3))) == 12
@@ -509,6 +516,24 @@ def test_zeta_values_pinned():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_zeta_multiplicative_exhaustive(n):
     assert zeta_failures(n) == ()
+
+
+def test_block_character_is_the_reference_character():
+    # the oracle's character of C_v wr S_m, stated per block, equals the
+    # reference's, stated from each element's signs on the points and the
+    # parts, on every element of every block centralizer with vm <= 8; the
+    # all-zero word is kept by all of them, and both read exponents over
+    # the same L
+    checked = 0
+    for v in range(1, 9):
+        for m in range(1, 8 // v + 1):
+            lam = Partition((v,) * m)
+            for data in stabilizer(lam, (0,) * (v * m)):
+                assert _character_exponent(v, *data) == character_exponent(
+                    lam, *data
+                ), (v, data)
+                checked += 1
+    assert checked == 46758
 
 
 def _scanned_classes(v):
@@ -589,15 +614,15 @@ def test_a_class_missing_its_complement_raises(monkeypatch, cold_oracle):
 def test_isotropy_examples():
     # 01 on a 2-cycle has a trivial stabilizer, and the rotation that
     # complements it takes the value 1, so it counts in T too
-    assert _pick_isotropy(Partition((2,)), _pick_of(2, "01")) == (True, 1, 1)
+    assert _pick_isotropy(2, _pick_of(2, "01")) == (True, 1, 1)
     assert listed_block(2, 1) == ((1, 1, 1), (0, 1, 0))
     # the alternating 0101 on a 4-cycle fails the multiplicity rule; 0011
     # passes, its complementing rotation by 2 taking the value -1
-    assert _pick_isotropy(Partition((4,)), _pick_of(4, "0101"))[:2] == (False, 2)
-    assert _pick_isotropy(Partition((4,)), _pick_of(4, "0011")) == (True, 1, -1)
+    assert _pick_isotropy(4, _pick_of(4, "0101"))[:2] == (False, 2)
+    assert _pick_isotropy(4, _pick_of(4, "0011")) == (True, 1, -1)
     # two parts 01 on (2, 2) are swapped by an odd element, but each rotated
     # onto its complement by an even one
-    assert _pick_isotropy(Partition((2, 2)), _pick_of(2, "01", "01")) == (False, 2, 1)
+    assert _pick_isotropy(2, _pick_of(2, "01", "01")) == (False, 2, 1)
     assert listed_block(4, 1) == ((0, 1, 1, 1, 0), (0, 0, -1, 0, 0))
 
 

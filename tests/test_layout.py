@@ -98,28 +98,29 @@ def test_every_reference_definition_serves_a_test():
 
 def _package_imports(path):
     """The modules of the package that a module imports, by their names in
-    it, "braidinv" for the package itself; relative, absolute and
+    it, "braidinv" for the package itself, each with the names it takes
+    from the module, "*" for the module itself; relative, absolute and
     function-level imports alike."""
-    out = set()
+    out = {}
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            dotted = [alias.name for alias in node.names]
+            dotted = [(alias.name, "*") for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level:
                 module = ("braidinv." + module).rstrip(".")
             # from the package itself, each imported name is a module
             dotted = [
-                module + "." + alias.name if module == "braidinv" else module
+                (module + "." + alias.name, "*") if module == "braidinv"
+                else (module, alias.name)
                 for alias in node.names
             ]
         else:
             continue
-        out.update(
-            name.split(".")[1] if "." in name else name
-            for name in dotted
-            if name == "braidinv" or name.startswith("braidinv.")
-        )
+        for name, taken in dotted:
+            if name == "braidinv" or name.startswith("braidinv."):
+                key = name.split(".")[1] if "." in name else name
+                out.setdefault(key, set()).add(taken)
     return out
 
 
@@ -127,10 +128,23 @@ def test_the_oracle_imports_only_the_shared_combinatorics_and_errors():
     # the oracle is the independent route: of the package it reads only the
     # partitions, the necklace walk and the error types, so no counting rule
     # of the formula or the catalog can reach it
-    assert _package_imports(PACKAGE / "character_oracle.py") == {
+    assert _package_imports(PACKAGE / "character_oracle.py").keys() == {
         "core_combinatorics", "errors",
     }
     # the scan sees the imports of a module that does read the catalogs
     assert {"character_oracle", "product_catalog", "extension_catalog"} <= (
-        _package_imports(PACKAGE / "cli.py")
+        _package_imports(PACKAGE / "cli.py").keys()
     )
+
+
+def test_the_reference_takes_only_the_group_type_from_the_oracle():
+    # the tests' reference states its own character and listings, so a
+    # wrong character in the oracle shows as a disagreement; borrowing any
+    # of the oracle's deciding code would make the two share the fault
+    assert _package_imports(ROOT / "tests" / "oracle_listing.py")[
+        "character_oracle"
+    ] == {"GroupSpec"}
+    # the scan sees a test module's private names and its whole-module import
+    assert {"*", "GroupSpec", "_character_exponent"} <= _package_imports(
+        ROOT / "tests" / "test_character_oracle.py"
+    )["character_oracle"]
